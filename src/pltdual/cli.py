@@ -393,18 +393,22 @@ def run_field(cfg: dict) -> int:
         from .reporting import render_csv
 
         sys.stdout.write(render_csv(_public_config(cfg), columns, rows))
-    hams = np.abs(traj.hamiltonians)
+    hams = traj.hamiltonians
+    recorded = len(traj.times) > 0
     summary = {
         "completed": traj.completed,
         "hamiltonian_rel_drift": float(
-            np.max(np.abs(traj.hamiltonians - traj.hamiltonians[0])) / max(hams[0], 1e-300)
-        ),
-        "max_duality_gap": float(np.nanmax(traj.duality_gaps)),
+            np.max(np.abs(hams - hams[0])) / max(abs(hams[0]), 1e-300)
+        ) if recorded else None,
+        "max_duality_gap": float(np.nanmax(traj.duality_gaps)) if recorded else None,
         "steps": n_steps,
     }
     if cfg.get("metadata"):
         write_json(cfg["metadata"], _public_config(cfg), run_metadata(_public_config(cfg), {"summary": summary}))
-    return EXIT_OK if traj.completed else EXIT_NUMERICAL
+    if traj.completed:
+        return EXIT_OK
+    sys.stderr.write(_error_json("numerical", traj.failure))
+    return EXIT_NUMERICAL
 
 
 # ---- duality ----------------------------------------------------------------------

@@ -15,7 +15,9 @@ as graphs over m; three independent routes to E_u^-1 (exact subspace
 transport, the invariant-split closed form, and the cocycle form) agree
 to machine precision and are kept separate deliberately.  The dual model
 slices the same subspaces as graphs over g along the dual group, with
-bar-form Ebar-hat_t^-1 = E_e + Pi-hat(t).
+bar-form Ebar-hat_t^-1 = E_e + Pi-hat(t).  The transported slices also
+come stacked over grid nodes (:func:`graph_slices`,
+:func:`dual_graph_slices`) for the field diagnostics.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ __all__ = [
     "splitting",
     "graph_at",
     "dual_graph_at",
+    "graph_slices",
+    "dual_graph_slices",
     "lagrangian",
     "su2_trace_lagrangian",
     "dual_lagrangian",
@@ -163,7 +167,38 @@ class GraphCoordinate:
 
 
 def _slice_over_m(transported: np.ndarray, n: int) -> np.ndarray:
-    return transported[:n] @ np.linalg.inv(transported[n:])
+    return transported[..., :n, :] @ np.linalg.inv(transported[..., n:, :])
+
+
+def _slice_over_g(transported: np.ndarray, n: int) -> np.ndarray:
+    return transported[..., n:, :] @ np.linalg.inv(transported[..., :n, :])
+
+
+def graph_slices(split: SplittingData, ad_uinv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E_u^-1, T_u^-1) : m -> g from the double adjoint action Ad_{u^-1}.
+
+    The ``transport`` route of :func:`graph_at`, stacked over the leading
+    axes of ``ad_uinv`` and without its pi_diff or condition numbers.
+    """
+    n = split.preset.bialgebra.g.dim
+    return (
+        _slice_over_m(ad_uinv @ split.basis_plus, n),
+        _slice_over_m(ad_uinv @ split.basis_minus, n),
+    )
+
+
+def dual_graph_slices(split: SplittingData, ad_tinv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ehat_t^-1, That_t^-1) : g -> m from the double adjoint action Ad_{t^-1}.
+
+    The transported slices of :func:`dual_graph_at`, stacked over the
+    leading axes of ``ad_tinv``.
+    """
+    n = split.preset.bialgebra.g.dim
+    eye = np.eye(n)
+    return (
+        _slice_over_g(ad_tinv @ np.vstack([eye, split.e_matrix]), n),
+        _slice_over_g(ad_tinv @ np.vstack([eye, split.t_matrix]), n),
+    )
 
 
 def graph_at(
@@ -183,12 +218,9 @@ def graph_at(
       Pi(v) = Ad_v rho Ad_v^T - rho (equal to r1 - Ad_v r1 Ad_v^T by the
       Ad-invariance of the symmetric part).
     """
-    n = split.preset.bialgebra.g.dim
     uinv = np.linalg.inv(u)
     if route == "transport":
-        ad = kit.ad_d(DoubleElement.from_group(uinv))
-        e_inv = _slice_over_m(ad @ split.basis_plus, n)
-        t_inv = _slice_over_m(ad @ split.basis_minus, n)
+        e_inv, t_inv = graph_slices(split, kit.ad_d(DoubleElement.from_group(uinv)))
     elif route in ("invariant-split", "cocycle"):
         a = kit.ad_g(uinv)
         r1 = split.preset.bialgebra.rho.T
@@ -234,20 +266,11 @@ class DualGraphCoordinate:
 def dual_graph_at(
     kit: GroupKit, split: SplittingData, t: DoubleElement
 ) -> DualGraphCoordinate:
-    n = split.preset.bialgebra.g.dim
-    e_mat = split.e_matrix  # g -> m
-    t_mat = split.t_matrix
-    tinv = t.inverse()
-    ad = kit.ad_d(tinv)
-    bp = np.vstack([np.eye(n), e_mat])
-    bm = np.vstack([np.eye(n), t_mat])
-    tp = ad @ bp
-    tm = ad @ bm
-    e_inv = tp[n:] @ np.linalg.inv(tp[:n])
-    t_inv = tm[n:] @ np.linalg.inv(tm[:n])
+    ad = kit.ad_d(t.inverse())
+    e_inv, t_inv = dual_graph_slices(split, ad)
     hp = kit.hat_pi(t)
-    e_inv_bar = e_mat + hp
-    t_inv_bar = t_mat + hp
+    e_inv_bar = split.e_matrix + hp  # g -> m
+    t_inv_bar = split.t_matrix + hp
     ad_t = kit.ad_d(t)
     pi_diff = ad @ split.pi_diff @ ad_t
     return DualGraphCoordinate(

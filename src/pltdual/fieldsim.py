@@ -18,17 +18,30 @@ loop functions f_v and f_d, the two-factorization duality gap, discrete
 residuals of the second-order field equations in both the group and the
 dual-group description, and the loop-space symplectic form with its
 boundary term (gauge-fixed by s(0) = e).
+
+Like the time step, the diagnostics are array expressions over the node
+axis: the factorizations, adjoint actions and graph slices come stacked
+from :mod:`pltdual.groups` and :mod:`pltdual.duality`, and every chart
+check is elementwise, naming the first node that fails.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .duality import SplittingData, dual_graph_at, graph_at
-from .groups import DoubleElement, FactorizationError, GroupKit
+from .duality import GraphBlowupError, SplittingData, dual_graph_slices, graph_slices
+from .groups import (
+    DoubleElement,
+    FactorizationError,
+    GroupKit,
+    _vdet_normalize,
+    _vdexpinv,
+    _vexpm,
+    _vinv,
+)
 from .liecore import bracket_coeffs
 
 __all__ = [
@@ -58,54 +71,6 @@ __all__ = [
 BOUNDARIES = ("double-neumann", "periodic")
 
 
-# ---- vectorized 2x2 helpers --------------------------------------------------
-
-
-def _vinv(m: np.ndarray) -> np.ndarray:
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1]
-    out[..., 1, 1] = m[..., 0, 0]
-    out[..., 0, 1] = -m[..., 0, 1]
-    out[..., 1, 0] = -m[..., 1, 0]
-    return out / det[..., None, None]
-
-
-def _vexpm(x: np.ndarray) -> np.ndarray:
-    """Closed-form exponential of stacked traceless 2x2 matrices."""
-    theta2 = -(x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0])
-    theta = np.sqrt(theta2.astype(complex))
-    small = np.abs(theta) < 1e-6
-    c = np.where(
-        small,
-        1 + theta2 / 2 + theta2**2 / 24 + theta2**3 / 720,
-        np.cosh(np.where(small, 1.0, theta)),
-    )
-    s = np.where(
-        small,
-        1 + theta2 / 6 + theta2**2 / 120 + theta2**3 / 5040,
-        np.sinh(np.where(small, 1.0, theta)) / np.where(small, 1.0, theta),
-    )
-    out = s[..., None, None] * x
-    out[..., 0, 0] += c
-    out[..., 1, 1] += c
-    return out
-
-
-def _vdet_normalize(m: np.ndarray) -> np.ndarray:
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    return m / np.sqrt(det)[..., None, None]
-
-
-def _vcomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
-def _vdexpinv(sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
-    c1 = _vcomm(sigma, v)
-    return v - 0.5 * c1 + _vcomm(sigma, c1) / 12.0
-
-
 # ---- loop state ---------------------------------------------------------------
 
 
@@ -119,6 +84,8 @@ class LoopState:
     kr: np.ndarray  # (nodes, 2, 2) right chiral matrices
     boundary: str = "double-neumann"
     time: float = 0.0
+    # w = k_x k^-1 at every node, when the caller has computed it already
+    tangent: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.boundary not in BOUNDARIES:
@@ -176,6 +143,7 @@ class FieldTrajectory:
     eom_residuals_dual: np.ndarray
     states: list = field(default_factory=list)
     completed: bool = True
+    failure: str | None = None  # the error that stopped an incomplete run
 
 
 def grid_points(n_cells: int, boundary: str = "double-neumann") -> np.ndarray:
@@ -328,38 +296,34 @@ def _x_derivative(f: np.ndarray, dx: float, boundary: str, order: int = 4) -> np
     return out
 
 
-def _mat_entries(m: np.ndarray) -> np.ndarray:
-    """The (0,0), (0,1), (1,0) entries used by the basis decomposition."""
-    return np.stack([m[..., 0, 0], m[..., 0, 1], m[..., 1, 0]], axis=-1)
-
-
-def _vcoeffs(kit: GroupKit, m: np.ndarray) -> np.ndarray:
-    """Vectorized algebra-coefficient extraction for stacked matrices."""
-    return _mat_entries(m) @ kit._demat.T
-
-
 def _tangent_field(state: LoopState) -> np.ndarray:
     """w = k_x k^-1 as (nodes, 2n) double-algebra coefficients."""
     kit = state.kit
     dx = state.dx
     wl = _x_derivative(state.kl, dx, state.boundary) @ _vinv(state.kl)
     wr = _x_derivative(state.kr, dx, state.boundary) @ _vinv(state.kr)
-    return np.concatenate([_vcoeffs(kit, wl), _vcoeffs(kit, wr)], axis=1) @ kit.chi_inv.T
+    return kit.tangent_coeffs(wl, wr)
 
 
-def _coeff_mats(kit: GroupKit, c: np.ndarray) -> np.ndarray:
-    """(nodes, n) algebra coefficients to stacked 2x2 matrices."""
-    return np.einsum("nc,cij->nij", c, kit.basis)
+def _tangent(state: LoopState) -> np.ndarray:
+    """The tangent field the state carries, else a fresh one."""
+    return _tangent_field(state) if state.tangent is None else state.tangent
+
+
+def _with_tangent(state: LoopState) -> LoopState:
+    """The state carrying its tangent field, so that the diagnostics
+    evaluated on it share one evaluation."""
+    return state if state.tangent is not None else replace(state, tangent=_tangent_field(state))
+
+
+def _flow_velocity(state: LoopState) -> np.ndarray:
+    """dk/dt k^-1 = (pi_- - pi_+)(k_x k^-1) as (nodes, 2n) coefficients."""
+    return _tangent(state) @ (state.split.pi_minus - state.split.pi_plus).T
 
 
 def _flow_generators(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
     """Chiral matrices of (pi_- - pi_+)(k_x k^-1) at every node."""
-    kit = state.kit
-    n = kit.b.g.dim
-    w = _tangent_field(state)
-    gen = w @ (state.split.pi_minus - state.split.pi_plus).T
-    z = gen @ kit.chi.T
-    return _coeff_mats(kit, z[:, :n]), _coeff_mats(kit, z[:, n:])
+    return state.kit.chiral_mats(_flow_velocity(state))
 
 
 # ---- time stepping -------------------------------------------------------------
@@ -402,13 +366,15 @@ def step(state: LoopState, dt: float, cfl: float = 0.5) -> LoopState:
 
 
 def _quadrature(values: np.ndarray, dx: float, boundary: str) -> complex:
-    """Composite Simpson for the Neumann grid, Riemann sum for periodic."""
+    """Composite Simpson for the Neumann grid (trapezoid on an odd cell
+    count), Riemann sum for periodic."""
     if boundary == "periodic":
         return complex(values.sum() * dx)
     n = len(values) - 1
-    if n % 2:  # fall back to trapezoid on an odd cell count
-        return complex(np.trapz(values, dx=dx))
     w = np.ones(n + 1)
+    if n % 2:
+        w[[0, -1]] = 0.5
+        return complex((w * values).sum() * dx)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return complex((w * values).sum() * dx / 3.0)
@@ -416,7 +382,7 @@ def _quadrature(values: np.ndarray, dx: float, boundary: str) -> complex:
 
 def hamiltonian_density(state: LoopState) -> np.ndarray:
     """Nodewise 1/4 <(pi_+ - pi_-) w, w> with w = k_x k^-1."""
-    w = _tangent_field(state)
+    w = _tangent(state)
     pw = w @ (state.split.pi_diff.T @ state.split.pairing.T)
     return 0.25 * np.einsum("ni,ni->n", pw, w)
 
@@ -427,14 +393,14 @@ def total_hamiltonian(state: LoopState) -> complex:
 
 def moment_map(state: LoopState, delta: np.ndarray) -> complex:
     """I_delta = -1/2 int <k_x k^-1, delta> dx for delta in the double."""
-    w = _tangent_field(state)
+    w = _tangent(state)
     vals = -0.5 * (w @ (state.split.pairing @ np.asarray(delta, dtype=complex)))
     return _quadrature(vals, state.dx, state.boundary)
 
 
 def moment_map_basis(state: LoopState) -> np.ndarray:
     """I_delta for every double basis vector at once."""
-    w = _tangent_field(state)
+    w = _tangent(state)
     vals = -0.5 * (w @ state.split.pairing)
     return np.array(
         [_quadrature(vals[:, i], state.dx, state.boundary) for i in range(vals.shape[1])]
@@ -447,7 +413,7 @@ def loop_functions(state: LoopState, v: np.ndarray | None = None) -> tuple[compl
     ``v`` is a (nodes, 2n) coefficient field; it must vanish at the ends
     of a double-Neumann run.
     """
-    w = _tangent_field(state)
+    w = _tangent(state)
     p = state.split.pairing
     if v is None:
         f_v = 0.0 + 0.0j
@@ -465,100 +431,110 @@ def loop_functions(state: LoopState, v: np.ndarray | None = None) -> tuple[compl
 # ---- factorizations and duality --------------------------------------------------
 
 
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (m @ v[..., None])[..., 0]
+
+
 def factorize_grid(state: LoopState) -> tuple[list, list]:
     """Nodewise k = u s factors (G then M)."""
-    us, ss = [], []
-    for j in range(state.n_nodes):
-        u, s = state.kit.factorize_gm(state.element(j))
-        us.append(u)
-        ss.append(s)
-    return us, ss
+    u, sl, sr = state.kit.factorize_gm_nodes(state.kl, state.kr)
+    return list(u), [DoubleElement(a, b) for a, b in zip(sl, sr)]
 
 
 def factorize_grid_dual(state: LoopState) -> tuple[list, list]:
     """Nodewise k = t v factors (M then G)."""
-    ts, vs = [], []
-    for j in range(state.n_nodes):
-        t, v = state.kit.factorize_mg(state.element(j))
-        ts.append(t)
-        vs.append(v)
-    return ts, vs
+    tl, tr, v = state.kit.factorize_mg_nodes(state.kl, state.kr)
+    return [DoubleElement(a, b) for a, b in zip(tl, tr)], list(v)
+
+
+def _transported_density(split: SplittingData, ad: np.ndarray, ad_inv: np.ndarray,
+                         w: np.ndarray) -> np.ndarray:
+    """Nodewise Hamiltonian density in the description reached by ad_inv:
+    1/4 <(ad_inv (pi_+ - pi_-) ad) ad_inv w, ad_inv w>."""
+    wt = _matvec(ad_inv, w)
+    pd = ad_inv @ split.pi_diff @ ad
+    return 0.25 * np.sum(wt * _matvec(np.swapaxes(pd, -1, -2), wt @ split.pairing), axis=-1)
 
 
 def duality_check(state: LoopState) -> float:
     """Max gap between the (u, s) and (t, v) Hamiltonian densities plus
     the reconstruction defects of both factorizations."""
     kit = state.kit
-    w = _tangent_field(state)
-    pd = state.split.pi_diff
-    p = state.split.pairing
-    gap = 0.0
-    recon = 0.0
-    for j in range(state.n_nodes):
-        k = state.element(j)
-        u, s = kit.factorize_gm(k)
-        t, v = kit.factorize_mg(k)
-        recon = max(recon, (DoubleElement.from_group(u) @ s).distance(k))
-        recon = max(recon, (t @ DoubleElement.from_group(v)).distance(k))
-        wj = w[j]
-        # primal description: transport by Ad_{u^-1}
-        adu = kit.ad_d_group(u)
-        adui = kit.ad_d_group(np.linalg.inv(u))
-        wu = adui @ wj
-        hu = 0.25 * (wu @ ((adui @ pd @ adu).T @ (p.T @ wu)))
-        # dual description: transport by Ad_{t^-1}
-        adt = kit.ad_d(t)
-        adti = kit.ad_d(t.inverse())
-        wt = adti @ wj
-        ht = 0.25 * (wt @ ((adti @ pd @ adt).T @ (p.T @ wt)))
-        gap = max(gap, abs(hu - ht))
-    return gap + recon
+    kl, kr = state.kl, state.kr
+    w = _tangent(state)
+    u, sl, sr = kit.factorize_gm_nodes(kl, kr)
+    tl, tr, v = kit.factorize_mg_nodes(kl, kr)
+    recon_gm = np.linalg.norm(u @ sl - kl, axis=(-2, -1)) + np.linalg.norm(u @ sr - kr, axis=(-2, -1))
+    recon_mg = np.linalg.norm(tl @ v - kl, axis=(-2, -1)) + np.linalg.norm(tr @ v - kr, axis=(-2, -1))
+    uinv = _vinv(u)
+    # primal description: transport by Ad_{u^-1}
+    hu = _transported_density(state.split, kit.ad_d_nodes(u, u), kit.ad_d_nodes(uinv, uinv), w)
+    # dual description: transport by Ad_{t^-1}
+    ht = _transported_density(
+        state.split, kit.ad_d_nodes(tl, tr), kit.ad_d_nodes(_vinv(tl), _vinv(tr)), w
+    )
+    return float(np.abs(hu - ht).max() + max(recon_gm.max(), recon_mg.max()))
 
 
 # ---- field-equation residuals ------------------------------------------------
 
 
-def _primal_lightcone_fields(state: LoopState):
-    """(us, xi_plus, xi_minus): factors and left-translated derivatives.
+def _graph_maps(split: SplittingData, ad_uinv: np.ndarray) -> list[np.ndarray]:
+    """[E_u, T_u] (g -> m) at every node, from Ad_{u^-1}.
+
+    Raises GraphBlowupError, naming the first node, where E_u^-1 or
+    T_u^-1 has a condition number above 1e8 (the check of
+    :meth:`GraphCoordinate.e_matrix` at its default cutoff).
+    """
+    maps = []
+    for name, inv in zip(("E_u^-1", "T_u^-1"), graph_slices(split, ad_uinv)):
+        cond = np.linalg.cond(inv)
+        bad = np.flatnonzero(cond > 1e8)
+        if bad.size:
+            j = bad[0]
+            raise GraphBlowupError(
+                f"{name} condition number {cond[j]:.3e} exceeds cutoff (first at node {j})"
+            )
+        maps.append(np.linalg.inv(inv))
+    return maps
+
+
+def _primal_lightcone_fields(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
+    """(E_u(u^-1 u_-), T_u(u^-1 u_+)) at every node, for k = u s.
 
     The time derivative comes exactly from the loop flow: decomposing
     Ad_{u^-1}(dk/dt k^-1) = u^-1 du/dt (+) ds/dt s^-1 for k = u s, so no
-    time levels are consumed; the spatial part is the 4th-order stencil.
+    time levels are consumed; the spatial part is the 2nd-order stencil.
     """
-    kit, split = state.kit, state.split
+    kit = state.kit
     n = kit.b.g.dim
-    us, _ = factorize_grid(state)
-    umats = np.stack(us)
-    dux = _x_derivative(umats, state.dx, state.boundary, order=2)
-    kdot = _tangent_field(state) @ (split.pi_minus - split.pi_plus).T
-    xi_p, xi_m = [], []
-    for j in range(state.n_nodes):
-        uinv = np.linalg.inv(us[j])
-        xi_x = kit.coeffs(uinv @ dux[j])
-        xi_t = (kit.ad_d_group(uinv) @ kdot[j])[:n]
-        xi_p.append(0.5 * (xi_t + xi_x))
-        xi_m.append(0.5 * (xi_t - xi_x))
-    return us, np.stack(xi_p), np.stack(xi_m)
+    u, _, _ = kit.factorize_gm_nodes(state.kl, state.kr)
+    uinv = _vinv(u)
+    ad = kit.ad_d_nodes(uinv, uinv)
+    xi_x = kit.coeffs(uinv @ _x_derivative(u, state.dx, state.boundary, order=2))
+    xi_t = _matvec(ad, _flow_velocity(state))[..., :n]
+    e, t = _graph_maps(state.split, ad)
+    return _matvec(e, 0.5 * (xi_t - xi_x)), _matvec(t, 0.5 * (xi_t + xi_x))
 
 
-def _dual_lightcone_fields(state: LoopState):
-    """(ts, phi_plus, phi_minus) for the dual factorization k = t v."""
-    kit, split = state.kit, state.split
+def _dual_lightcone_fields(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
+    """(Ehat_t phi_-, That_t phi_+) at every node, for k = t v, with
+    Ehat_t and That_t applied as solves against the transported slices."""
+    kit = state.kit
     n = kit.b.g.dim
-    ts, _ = factorize_grid_dual(state)
-    tl = np.stack([t.left for t in ts])
-    tr = np.stack([t.right for t in ts])
-    dtl = _x_derivative(tl, state.dx, state.boundary, order=2)
-    dtr = _x_derivative(tr, state.dx, state.boundary, order=2)
-    kdot = _tangent_field(state) @ (split.pi_minus - split.pi_plus).T
-    phi_p, phi_m = [], []
-    for j in range(state.n_nodes):
-        tinv = ts[j].inverse()
-        phi_x = kit.tangent_coeffs(tinv.left @ dtl[j], tinv.right @ dtr[j])[n:]
-        phi_t = (kit.ad_d(tinv) @ kdot[j])[n:]
-        phi_p.append(0.5 * (phi_t + phi_x))
-        phi_m.append(0.5 * (phi_t - phi_x))
-    return ts, np.stack(phi_p), np.stack(phi_m)
+    tl, tr, _ = kit.factorize_mg_nodes(state.kl, state.kr)
+    tinv_l, tinv_r = _vinv(tl), _vinv(tr)
+    ad = kit.ad_d_nodes(tinv_l, tinv_r)
+    phi_x = kit.tangent_coeffs(
+        tinv_l @ _x_derivative(tl, state.dx, state.boundary, order=2),
+        tinv_r @ _x_derivative(tr, state.dx, state.boundary, order=2),
+    )[..., n:]
+    phi_t = _matvec(ad, _flow_velocity(state))[..., n:]
+    e_inv, t_inv = dual_graph_slices(state.split, ad)
+    return (
+        np.linalg.solve(e_inv, (0.5 * (phi_t - phi_x))[..., None])[..., 0],
+        np.linalg.solve(t_inv, (0.5 * (phi_t + phi_x))[..., None])[..., 0],
+    )
 
 
 def eom_residuals(state0: LoopState, state1: LoopState) -> tuple[float, float]:
@@ -574,44 +550,32 @@ def eom_residuals(state0: LoopState, state1: LoopState) -> tuple[float, float]:
 
     in m, and the dual equation is the same shape on the dual group in g.
     """
-    kit, split = state0.kit, state0.split
+    state0, state1 = _with_tangent(state0), _with_tangent(state1)
+    split = state0.split
     dt = state1.time - state0.time
     dx = state0.dx
     bd = state0.boundary
-    m_c = split.preset.bialgebra.m.c
-    g_c = split.preset.bialgebra.g.c
     interior = slice(2, -2) if bd == "double-neumann" else slice(None)
 
-    def residual(fields0, fields1, apply_e, apply_t, c_rhs):
-        pts0, xp0, xm0 = fields0
-        pts1, xp1, xm1 = fields1
-        a0 = np.stack([apply_e(pts0[j], xm0[j]) for j in range(len(pts0))])
-        b0 = np.stack([apply_t(pts0[j], xp0[j]) for j in range(len(pts0))])
-        a1 = np.stack([apply_e(pts1[j], xm1[j]) for j in range(len(pts1))])
-        b1 = np.stack([apply_t(pts1[j], xp1[j]) for j in range(len(pts1))])
+    def residual(fields0, fields1, c_rhs):
+        (a0, b0), (a1, b1) = fields0, fields1
         a_mid, b_mid = 0.5 * (a0 + a1), 0.5 * (b0 + b1)
         da_t, db_t = (a1 - a0) / dt, (b1 - b0) / dt
         da_x = 0.5 * (_x_derivative(a0, dx, bd, order=2) + _x_derivative(a1, dx, bd, order=2))
         db_x = 0.5 * (_x_derivative(b0, dx, bd, order=2) + _x_derivative(b1, dx, bd, order=2))
         lhs = 0.5 * (db_t - db_x) - 0.5 * (da_t + da_x)
-        rhs = np.stack(
-            [bracket_coeffs(c_rhs, a_mid[j], b_mid[j]) for j in range(len(a_mid))]
-        )
+        rhs = bracket_coeffs(c_rhs, a_mid, b_mid)
         return float(np.abs((lhs - rhs)[interior]).max())
 
     res_g = residual(
         _primal_lightcone_fields(state0),
         _primal_lightcone_fields(state1),
-        lambda u, v: graph_at(kit, split, u).e_matrix() @ v,
-        lambda u, v: graph_at(kit, split, u).t_matrix() @ v,
-        m_c,
+        split.preset.bialgebra.m.c,
     )
     res_t = residual(
         _dual_lightcone_fields(state0),
         _dual_lightcone_fields(state1),
-        lambda t, v: np.linalg.solve(dual_graph_at(kit, split, t).e_inv, v),
-        lambda t, v: np.linalg.solve(dual_graph_at(kit, split, t).t_inv, v),
-        g_c,
+        split.preset.bialgebra.g.c,
     )
     return res_g, res_t
 
@@ -625,30 +589,23 @@ def dressing_relation_residual(state: LoopState) -> float:
     taken exactly from the flow), so the defect is a pure
     spatial-discretization error.
     """
-    kit, split = state.kit, state.split
+    kit = state.kit
     n = kit.b.g.dim
-    us, ss = factorize_grid(state)
-    sl = np.stack([s.left for s in ss])
-    sr = np.stack([s.right for s in ss])
-    dslx = _x_derivative(sl, state.dx, state.boundary)
-    dsrx = _x_derivative(sr, state.dx, state.boundary)
-    umats = np.stack(us)
-    dux = _x_derivative(umats, state.dx, state.boundary)
-    kdot = _tangent_field(state) @ (split.pi_minus - split.pi_plus).T
-    worst = 0.0
-    for j in range(state.n_nodes):
-        uinv = np.linalg.inv(us[j])
-        dec = kit.ad_d_group(uinv) @ kdot[j]
-        xi_t = dec[:n]
-        s_t = dec[n:]  # ds/dt s^-1 in m-coefficients
-        xi_x = kit.coeffs(uinv @ dux[j])
-        sinv = ss[j].inverse()
-        s_x = kit.tangent_coeffs(dslx[j] @ sinv.left, dsrx[j] @ sinv.right)[n:]
-        g = graph_at(kit, split, us[j])
-        lhs_p = 0.5 * (s_t + s_x) - g.t_matrix() @ (0.5 * (xi_t + xi_x))
-        lhs_m = 0.5 * (s_t - s_x) - g.e_matrix() @ (0.5 * (xi_t - xi_x))
-        worst = max(worst, float(np.abs(lhs_p).max()), float(np.abs(lhs_m).max()))
-    return worst
+    dx, bd = state.dx, state.boundary
+    u, sl, sr = kit.factorize_gm_nodes(state.kl, state.kr)
+    uinv = _vinv(u)
+    ad = kit.ad_d_nodes(uinv, uinv)
+    dec = _matvec(ad, _flow_velocity(state))
+    xi_t = dec[..., :n]
+    s_t = dec[..., n:]  # ds/dt s^-1 in m-coefficients
+    xi_x = kit.coeffs(uinv @ _x_derivative(u, dx, bd))
+    s_x = kit.tangent_coeffs(
+        _x_derivative(sl, dx, bd) @ _vinv(sl), _x_derivative(sr, dx, bd) @ _vinv(sr)
+    )[..., n:]
+    e, t = _graph_maps(state.split, ad)
+    lhs_p = 0.5 * (s_t + s_x) - _matvec(t, 0.5 * (xi_t + xi_x))
+    lhs_m = 0.5 * (s_t - s_x) - _matvec(e, 0.5 * (xi_t - xi_x))
+    return float(max(np.abs(lhs_p).max(), np.abs(lhs_m).max()))
 
 
 # ---- symplectic form ------------------------------------------------------------
@@ -725,43 +682,48 @@ def integrate_field(
     keep_states: bool = False,
     cfl: float = 0.5,
 ) -> FieldTrajectory:
-    times, hams, moms, fds, gaps, rgs, rts = [], [], [], [], [], [], []
+    """Integrate the loop flow, recording diagnostics every ``record_every``
+    steps and after the last one.
+
+    A chart exit (factorization, graph blow-up or a singular solve) ends
+    the run early with ``completed`` False and ``failure`` set; the rows
+    recorded before it are kept, and a row is recorded whole or not at all.
+    """
+    columns = times, hams, moms, fds, gaps, rgs, rts = [], [], [], [], [], [], []
     states = []
-    completed = True
-    prev = None
+    failure = None
 
     def record(s: LoopState, prev_state: LoopState | None):
-        times.append(s.time)
-        hams.append(total_hamiltonian(s))
-        moms.append(moment_map_basis(s))
-        fds.append(loop_functions(s)[1])
-        gaps.append(duality_check(s) if with_duality else np.nan)
+        s = _with_tangent(s)
+        row = [s.time, total_hamiltonian(s), moment_map_basis(s), loop_functions(s)[1]]
+        row.append(duality_check(s) if with_duality else np.nan)
         if with_residuals and prev_state is not None:
-            rg, rt = eom_residuals(prev_state, s)
+            row.extend(eom_residuals(prev_state, s))
         else:
-            rg = rt = np.nan
-        rgs.append(rg)
-        rts.append(rt)
+            row.extend([np.nan, np.nan])
+        for column, value in zip(columns, row):
+            column.append(value)
         if keep_states:
             states.append(s.copy())
 
-    record(state, None)
     try:
+        record(state, None)
         for i in range(n_steps):
             prev = state
             state = step(state, dt, cfl=cfl)
             if (i + 1) % record_every == 0 or i == n_steps - 1:
                 record(state, prev)
-    except (FactorizationError, np.linalg.LinAlgError):
-        completed = False
+    except (FactorizationError, GraphBlowupError, np.linalg.LinAlgError) as exc:
+        failure = f"{type(exc).__name__}: {exc}"
     return FieldTrajectory(
         np.array(times),
         np.array(hams),
-        np.array(moms),
+        np.array(moms, dtype=complex).reshape(len(moms), 2 * state.kit.b.g.dim),
         np.array(fds),
         np.array(gaps),
         np.array(rgs),
         np.array(rts),
         states,
-        completed,
+        failure is None,
+        failure,
     )

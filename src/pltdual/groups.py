@@ -17,6 +17,12 @@ For su2 the k_L chiral factor of M is upper triangular with positive
 diagonal, so the factorization D = G.M is the Iwasawa (QR) decomposition
 of k_L.  For sl2r the factorization is local and LU-based; leaving the
 factorisable chart raises :class:`FactorizationError`.
+
+The 2x2 kernels, the coefficient maps, the adjoint actions and the
+factorizations act on stacks: leading axes (the grid nodes of a loop)
+broadcast, and a single matrix is a stack of one.  The methods taking a
+:class:`DoubleElement` are the single-element entry points of the
+``*_nodes`` kernels, which take the chiral components as arrays.
 """
 
 from __future__ import annotations
@@ -39,6 +45,72 @@ __all__ = [
 
 class FactorizationError(RuntimeError):
     """Raised when a group factorization leaves its valid chart."""
+
+
+# ---- stacked 2x2 kernels (leading axes broadcast) ------------------------------
+
+
+def _det2(m: np.ndarray) -> np.ndarray:
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def _vinv(m: np.ndarray) -> np.ndarray:
+    out = np.empty_like(m)
+    out[..., 0, 0] = m[..., 1, 1]
+    out[..., 1, 1] = m[..., 0, 0]
+    out[..., 0, 1] = -m[..., 0, 1]
+    out[..., 1, 0] = -m[..., 1, 0]
+    return out / _det2(m)[..., None, None]
+
+
+def _vdet_normalize(m: np.ndarray) -> np.ndarray:
+    return m / np.sqrt(_det2(m))[..., None, None]
+
+
+def _vexpm(x: np.ndarray) -> np.ndarray:
+    """Closed-form exponential of stacked traceless 2x2 matrices."""
+    theta2 = -_det2(x)
+    theta = np.sqrt(theta2.astype(complex))
+    small = np.abs(theta) < 1e-6
+    c = np.where(
+        small,
+        1 + theta2 / 2 + theta2**2 / 24 + theta2**3 / 720,
+        np.cosh(np.where(small, 1.0, theta)),
+    )
+    s = np.where(
+        small,
+        1 + theta2 / 6 + theta2**2 / 120 + theta2**3 / 5040,
+        np.sinh(np.where(small, 1.0, theta)) / np.where(small, 1.0, theta),
+    )
+    out = s[..., None, None] * x
+    out[..., 0, 0] += c
+    out[..., 1, 1] += c
+    return out
+
+
+def _vcond(m: np.ndarray) -> np.ndarray:
+    """2-norm condition number sigma_1 / sigma_2, in closed form from
+    sigma_1^2 + sigma_2^2 = |m|_F^2 and sigma_1 sigma_2 = |det m|."""
+    f = np.sum(np.abs(m) ** 2, axis=(-2, -1))
+    d = np.abs(_det2(m))
+    return (f + np.sqrt(np.maximum(f * f - 4.0 * d * d, 0.0))) / (2.0 * d)
+
+
+def _vcomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
+
+
+def _vdexpinv(sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """dexp^-1_sigma(v) truncated after the double commutator (order-4 ok)."""
+    c1 = _vcomm(sigma, v)
+    return v - 0.5 * c1 + _vcomm(sigma, c1) / 12.0
+
+
+def _check_nodes(bad: np.ndarray, message: str) -> None:
+    """Raise :class:`FactorizationError` naming the first node where ``bad`` holds."""
+    if np.any(bad):
+        j = int(np.flatnonzero(bad)[0])
+        raise FactorizationError(f"{message} (first at node {j})")
 
 
 def expm2(x: np.ndarray) -> np.ndarray:
@@ -83,10 +155,10 @@ class DoubleElement:
         return DoubleElement(self.left @ other.left, self.right @ other.right)
 
     def inverse(self) -> "DoubleElement":
-        return DoubleElement(_inv2(self.left), _inv2(self.right))
+        return DoubleElement(_vinv(self.left), _vinv(self.right))
 
     def det_normalized(self) -> "DoubleElement":
-        return DoubleElement(_det_normalize(self.left), _det_normalize(self.right))
+        return DoubleElement(_vdet_normalize(self.left), _vdet_normalize(self.right))
 
     def distance(self, other: "DoubleElement") -> float:
         return float(
@@ -102,16 +174,6 @@ class DoubleElement:
     def from_group(u: np.ndarray) -> "DoubleElement":
         u = np.asarray(u, dtype=complex)
         return DoubleElement(u, u.copy())
-
-
-def _inv2(m: np.ndarray) -> np.ndarray:
-    d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
-
-
-def _det_normalize(m: np.ndarray) -> np.ndarray:
-    d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return m / np.sqrt(d)
 
 
 _SU2_BASIS = np.array(
@@ -163,26 +225,35 @@ class GroupKit:
         phi[n:, n:] = -rho.T
         self.chi = phi
         self.chi_inv = np.linalg.inv(phi)
+        # Ad_u on g is bilinear in the entries of u and u^-1:
+        # (Ad_u)_ij = sum u_ab (e_j)_bc (u^-1)_cd C_iad, where C maps the
+        # (a, d) entry of a traceless matrix to its coefficient i
+        entry_coeffs = np.zeros((n, 2, 2), dtype=complex)
+        entry_coeffs[:, 0, 0], entry_coeffs[:, 0, 1], entry_coeffs[:, 1, 0] = self._demat.T
+        self._ad_g_map = np.einsum("jbc,iad->abcdij", self.basis, entry_coeffs).reshape(16, 9)
+        # Ad_k on the double is chi^-1 diag(Ad_kL, Ad_kR) chi, linear in both blocks
+        blocks = np.einsum("ia,bj->abij", self.chi_inv, phi)
+        self._ad_d_maps = (blocks[:n, :n].reshape(9, 36), blocks[n:, n:].reshape(9, 36))
 
     # ---- algebra <-> matrix ------------------------------------------------
 
     def mat(self, xi: np.ndarray) -> np.ndarray:
-        return np.einsum("i,ijk->jk", np.asarray(xi, dtype=complex), self.basis)
+        return np.einsum("...i,ijk->...jk", np.asarray(xi, dtype=complex), self.basis)
 
     def coeffs(self, m: np.ndarray) -> np.ndarray:
-        v = np.array([m[0, 0], m[0, 1], m[1, 0]], dtype=complex)
-        return self._demat @ v
+        entries = np.stack([m[..., 0, 0], m[..., 0, 1], m[..., 1, 0]], axis=-1)
+        return entries @ self._demat.T
 
     def chiral_mats(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The pair of 2x2 matrices representing a double-algebra element."""
-        z = self.chi @ np.asarray(w, dtype=complex)
+        z = np.asarray(w, dtype=complex) @ self.chi.T
         n = self.b.g.dim
-        return self.mat(z[:n]), self.mat(z[n:])
+        return self.mat(z[..., :n]), self.mat(z[..., n:])
 
     def tangent_coeffs(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`chiral_mats` (a 6-vector of d-coefficients)."""
-        z = np.concatenate([self.coeffs(left), self.coeffs(right)])
-        return self.chi_inv @ z
+        z = np.concatenate([self.coeffs(left), self.coeffs(right)], axis=-1)
+        return z @ self.chi_inv.T
 
     # ---- exponentials ------------------------------------------------------
 
@@ -205,22 +276,29 @@ class GroupKit:
     def ad_g(self, u: np.ndarray) -> np.ndarray:
         """3x3 matrix of Ad_u on g (and its complexification)."""
         u = np.asarray(u, dtype=complex)
-        uinv = _inv2(u)
-        cols = [self.coeffs(u @ e @ uinv) for e in self.basis]
-        return np.stack(cols, axis=1)
+        lead = u.shape[:-2]
+        pairs = u[..., :, :, None, None] * _vinv(u)[..., None, None, :, :]
+        return (pairs.reshape(lead + (16,)) @ self._ad_g_map).reshape(lead + (3, 3))
 
     def ad_d(self, k: DoubleElement) -> np.ndarray:
         """6x6 matrix of Ad_k on the double, exact via the chiral pair."""
-        al = self.ad_g(k.left)
-        ar = self.ad_g(k.right)
-        n = self.b.g.dim
-        blk = np.zeros((2 * n, 2 * n), dtype=complex)
-        blk[:n, :n] = al
-        blk[n:, n:] = ar
-        return self.chi_inv @ blk @ self.chi
+        return self.ad_d_nodes(k.left, k.right)
+
+    def ad_d_nodes(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """:meth:`ad_d` of the chiral pairs (left, right), stacked.
+
+        Passing the same array twice (a G-valued field) computes Ad_u on
+        g once.
+        """
+        al = self.ad_g(left)
+        ar = al if right is left else self.ad_g(right)
+        lead = al.shape[:-2]
+        map_l, map_r = self._ad_d_maps
+        flat = al.reshape(lead + (9,)) @ map_l + ar.reshape(lead + (9,)) @ map_r
+        return flat.reshape(lead + (6, 6))
 
     def ad_d_group(self, u: np.ndarray) -> np.ndarray:
-        return self.ad_d(DoubleElement.from_group(u))
+        return self.ad_d_nodes(u, u)
 
     # ---- Poisson / dressing cocycles ----------------------------------------
 
@@ -231,7 +309,7 @@ class GroupKit:
 
     def pi_r(self, u: np.ndarray) -> np.ndarray:
         """Right-handed cocycle Pi^R(u) = Ad_{u^-1} Pi(u) = r - Ad_{u^-1} r."""
-        ainv = self.ad_g(_inv2(u))
+        ainv = self.ad_g(_vinv(u))
         return self.b.rho - tensor_conjugate(self.b.rho, ainv)
 
     def b_cocycle(self, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -253,22 +331,19 @@ class GroupKit:
         n = self.b.g.dim
         adt = self.ad_d(t)
         adtinv = self.ad_d(t.inverse())
-        # columns: second-slot evaluation against e_j
-        cols = []
-        for j in range(n):
-            w = np.zeros(2 * n, dtype=complex)
-            w[j] = 1.0
-            chi = adtinv @ w
-            lifted = np.zeros(2 * n, dtype=complex)
-            lifted[n:] = chi[n:]
-            v = adt @ lifted
-            cols.append(v[n:])
-        return np.stack(cols, axis=1)
+        return adt[n:, n:] @ adtinv[n:, :n]
 
     # ---- factorization -----------------------------------------------------
 
     def factorize_gm(self, k: DoubleElement) -> tuple[np.ndarray, DoubleElement]:
-        """Split k = u s with u in G and s in M.
+        """Split k = u s with u in G and s in M (see :meth:`factorize_gm_nodes`)."""
+        u, s_left, s_right = self.factorize_gm_nodes(k.left, k.right)
+        return u, DoubleElement(s_left, s_right)
+
+    def factorize_gm_nodes(
+        self, left: np.ndarray, right: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Split the stacked chiral pairs k = u s as (u, s_left, s_right).
 
         Both flavors factor through the triangular decomposition of
         z = k_R^-1 k_L = s_R^-1 s_L: the M factor has an upper-triangular
@@ -278,34 +353,45 @@ class GroupKit:
         chiral components; on the compact real form (k_R = (k_L^+)^-1)
         it coincides with the phase-fixed QR of k_L, but the flows treated
         here are holomorphic and need not stay on the real form, where QR
-        would silently return a non-M second factor.
+        would silently return a non-M second factor.  Every chart check
+        is elementwise and names the first failing node.
         """
-        z = _inv2(k.right) @ k.left
-        if abs(z[0, 0]) < 1e-12:
-            raise FactorizationError("factorization chart: zero pivot")
-        l21 = z[1, 0] / z[0, 0]
-        d1 = z[0, 0]
-        d2 = z[1, 1] - l21 * z[0, 1]
-        if self.flavor == "sl2r" and (d1.real <= 0 or abs(d1.imag) > 1e-8 * abs(d1)):
-            raise FactorizationError(
-                "sl2r factorization chart: diagonal left identity component"
+        z = _vinv(right) @ left
+        _check_nodes(np.abs(z[..., 0, 0]) < 1e-12, "factorization chart: zero pivot")
+        l21 = z[..., 1, 0] / z[..., 0, 0]
+        d1 = z[..., 0, 0]
+        d2 = z[..., 1, 1] - l21 * z[..., 0, 1]
+        if self.flavor == "sl2r":
+            _check_nodes(
+                (d1.real <= 0) | (np.abs(d1.imag) > 1e-8 * np.abs(d1)),
+                "sl2r factorization chart: diagonal left identity component",
             )
-        if abs(d1 * d2 - 1.0) > 1e-6:
-            raise FactorizationError("element left the double group (det drift)")
+        _check_nodes(np.abs(d1 * d2 - 1.0) > 1e-6, "element left the double group (det drift)")
         # principal branch: positive real on (and continuously near) the
         # locus where d1 is positive real, e.g. the compact real form
-        sq1 = np.sqrt(complex(d1))
-        s_left = np.array([[sq1, z[0, 1] / sq1], [0.0, 1.0 / sq1]], dtype=complex)
-        u = k.left @ _inv2(s_left)
-        if np.linalg.cond(s_left) > self.cond_cutoff:
-            raise FactorizationError("factorization is numerically singular")
-        s_right = _inv2(u) @ k.right
-        return u, DoubleElement(s_left, s_right)
+        sq1 = np.sqrt(d1.astype(complex))
+        s_left = np.zeros(z.shape, dtype=complex)
+        s_left[..., 0, 0] = sq1
+        s_left[..., 0, 1] = z[..., 0, 1] / sq1
+        s_left[..., 1, 1] = 1.0 / sq1
+        u = left @ _vinv(s_left)
+        # written so that a non-finite node fails too
+        _check_nodes(~(_vcond(s_left) <= self.cond_cutoff), "factorization is numerically singular")
+        s_right = _vinv(u) @ right
+        return u, s_left, s_right
 
     def factorize_mg(self, k: DoubleElement) -> tuple[DoubleElement, np.ndarray]:
-        """Split k = t v with t in M and v in G (via k^-1 = v^-1 t^-1)."""
-        uprime, sprime = self.factorize_gm(k.inverse())
-        return sprime.inverse(), _inv2(uprime)
+        """Split k = t v with t in M and v in G (see :meth:`factorize_mg_nodes`)."""
+        t_left, t_right, v = self.factorize_mg_nodes(k.left, k.right)
+        return DoubleElement(t_left, t_right), v
+
+    def factorize_mg_nodes(
+        self, left: np.ndarray, right: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Split the stacked chiral pairs k = t v as (t_left, t_right, v),
+        via k^-1 = v^-1 t^-1."""
+        uprime, sl, sr = self.factorize_gm_nodes(_vinv(left), _vinv(right))
+        return _vinv(sl), _vinv(sr), _vinv(uprime)
 
     def m_part_norm(self, s: DoubleElement) -> float:
         """Distance of a factor from the identity (diagnostic)."""
@@ -318,7 +404,7 @@ class GroupKit:
         if self.flavor == "su2":
             w, _, vh = np.linalg.svd(u)
             u = w @ vh
-        return _det_normalize(u)
+        return _vdet_normalize(u)
 
     def group_defect(self, u: np.ndarray) -> float:
         d = abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1.0)

@@ -170,8 +170,9 @@ def bracket(x: AlgebraVector, y: AlgebraVector) -> AlgebraVector:
 
 
 def bracket_coeffs(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficient-level bracket for hot loops (no wrapper objects)."""
-    return np.einsum("i,j,ijk->k", x, y, c)
+    """Coefficient-level bracket for hot loops (no wrapper objects); leading
+    axes of ``x`` and ``y`` broadcast."""
+    return np.einsum("...i,...j,ijk->...k", x, y, c)
 
 
 def ad_matrix(algebra: LieAlgebra, x: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .duality import GraphCoordinate, SplittingData, graph_at
-from .groups import DoubleElement, GroupKit, expm2
+from .groups import DoubleElement, GroupKit, _vdet_normalize, _vdexpinv, _vinv, expm2
 from .liecore import bracket_coeffs
 from .models import ModelPreset
 
@@ -147,13 +147,6 @@ def particle_charges(
     return moved[n:], moved[:n], moments
 
 
-def _dexpinv(sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """dexp^-1_sigma(v) truncated after the double commutator (order-4 ok)."""
-    c1 = sigma @ v - v @ sigma
-    c2 = sigma @ c1 - c1 @ sigma
-    return v - 0.5 * c1 + c2 / 12.0
-
-
 def _rk_mk_step(kit: GroupKit, split: SplittingData, state: ParticleState, dt: float) -> ParticleState:
     u0, p0, a0 = state.u, state.p, state.a
     rho = kit.b.rho
@@ -168,13 +161,13 @@ def _rk_mk_step(kit: GroupKit, split: SplittingData, state: ParticleState, dt: f
 
     z = np.zeros((2, 2), dtype=complex)
     a1, kp1, w1 = stage(z, 0.0)
-    b1 = _dexpinv(z, a1)
+    b1 = _vdexpinv(z, a1)
     a2, kp2, w2 = stage(0.5 * dt * b1, 0.5 * dt * kp1)
-    b2 = _dexpinv((0.5 * dt * b1).T, a2.T).T
+    b2 = _vdexpinv((0.5 * dt * b1).T, a2.T).T
     a3, kp3, w3 = stage(0.5 * dt * b2, 0.5 * dt * kp2)
-    b3 = _dexpinv((0.5 * dt * b2).T, a3.T).T
+    b3 = _vdexpinv((0.5 * dt * b2).T, a3.T).T
     a4, kp4, w4 = stage(dt * b3, dt * kp3)
-    b4 = _dexpinv((dt * b3).T, a4.T).T
+    b4 = _vdexpinv((dt * b3).T, a4.T).T
     sig = (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
     u1 = u0 @ expm2(sig)
     p1 = p0 + (dt / 6.0) * (kp1 + 2 * kp2 + 2 * kp3 + kp4)
@@ -183,10 +176,10 @@ def _rk_mk_step(kit: GroupKit, split: SplittingData, state: ParticleState, dt: f
     a_new = []
     for sgn_mat in (lambda v: kit.mat(rho @ v), lambda v: kit.mat(-rho.T @ v)):
         m1, m2, m3, m4 = (sgn_mat(w) for w in (w1, w2, w3, w4))
-        c1 = _dexpinv(z, m1)
-        c2 = _dexpinv(0.5 * dt * c1, m2)
-        c3 = _dexpinv(0.5 * dt * c2, m3)
-        c4 = _dexpinv(dt * c3, m4)
+        c1 = _vdexpinv(z, m1)
+        c2 = _vdexpinv(0.5 * dt * c1, m2)
+        c3 = _vdexpinv(0.5 * dt * c2, m3)
+        c4 = _vdexpinv(dt * c3, m4)
         a_new.append(expm2((dt / 6.0) * (c1 + 2 * c2 + 2 * c3 + c4)))
     a1_ = DoubleElement(a_new[0] @ a0.left, a_new[1] @ a0.right)
     return ParticleState(u1, p1, a1_)
@@ -228,7 +221,7 @@ def integrate_particle(
         # renormalize the determinant only: the flow is holomorphic in
         # SL(2, C) and need not stay on the compact real form, so a polar
         # projection would alter the dynamics rather than remove roundoff
-        state.u = _det_normalize(state.u)
+        state.u = _vdet_normalize(state.u)
         if not np.all(np.isfinite(state.u)) or not np.all(np.isfinite(state.p)):
             completed = False
             break
@@ -320,19 +313,9 @@ def conjugate_description_residual(
                 vals = [getattr(ks[j + o], side) for o in (-2, -1, 1, 2)]
                 deriv = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * dt)
                 gmat = gens[j][0] if side == "left" else gens[j][1]
-                res = deriv @ _inv_mat(getattr(ks[j], side)) - gmat
+                res = deriv @ _vinv(getattr(ks[j], side)) - gmat
                 worst = max(worst, float(np.max(np.abs(res))))
     return worst
-
-
-def _det_normalize(m: np.ndarray) -> np.ndarray:
-    d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return m / np.sqrt(d)
-
-
-def _inv_mat(m: np.ndarray) -> np.ndarray:
-    d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
 
 
 def _compose_k(kit: GroupKit, state: ParticleState, x: float) -> DoubleElement:

@@ -148,6 +148,32 @@ def test_field_run(capsys, tmp_path):
     assert meta["summary"]["max_duality_gap"] < 1e-9
 
 
+def test_field_neumann_odd_cell_count(capsys, tmp_path):
+    """An odd cell count takes the trapezoid branch of the quadrature."""
+    code, _, _ = run_cli(
+        capsys, "field", "--boundary", "double-neumann", "--N", "33",
+        "--output", str(tmp_path / "field.csv"),
+    )
+    assert code == EXIT_OK
+
+
+def test_field_chart_exit_keeps_partial_artifacts(capsys, tmp_path):
+    """A chart exit at t=0 still writes the CSV (header only) and metadata,
+    and reports the error on stderr."""
+    out_csv = tmp_path / "field.csv"
+    out_meta = tmp_path / "field.json"
+    code, _, err = run_cli(
+        capsys, "field", "--algebra", "sl2r", "--amplitude", "2",
+        "--output", str(out_csv), "--metadata", str(out_meta),
+    )
+    assert code == EXIT_NUMERICAL
+    error = json.loads(err)["error"]
+    assert error["kind"] == "numerical" and "FactorizationError" in error["message"]
+    lines = out_csv.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("t,H_total_re")
+    assert json.loads(out_meta.read_text())["summary"]["completed"] is False
+
+
 def test_field_pointlike_flag(capsys):
     code, out, _ = run_cli(
         capsys, "field", "--N", "16", "--dt", "5e-3", "--T", "0.02", "--pointlike"

@@ -283,6 +283,14 @@ def test_quadrature_simpson_exact_on_cubics():
     assert abs(fs._quadrature(vals, np.pi / 8, "double-neumann") - exact) < 1e-12
 
 
+def test_quadrature_trapezoid_on_odd_cell_count(su2_mp):
+    kit, split = su2_mp
+    st = fs.random_smooth_loop(kit, split, 33, boundary="double-neumann", seed=5, amplitude=0.2)
+    dens = fs.hamiltonian_density(st)
+    trapezoid = st.dx * (dens.sum() - 0.5 * (dens[0] + dens[-1]))
+    assert abs(fs.total_hamiltonian(st) - trapezoid) < 1e-14 * abs(trapezoid)
+
+
 def test_quadrature_periodic_exact_on_modes():
     xs = fs.grid_points(16, "periodic")
     vals = 1.0 + np.cos(2 * xs) + np.sin(4 * xs)
@@ -322,3 +330,21 @@ def test_hamiltonian_density_matches_total(su2_mp):
     st = fs.random_smooth_loop(kit, split, 32, boundary="periodic", seed=10, amplitude=0.2)
     dens = fs.hamiltonian_density(st)
     assert abs(fs._quadrature(dens, st.dx, st.boundary) - fs.total_hamiltonian(st)) < 1e-14
+
+
+# ---- early stops ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("amplitude, seed, rows", [(1.6, 0, 10), (1.8, 3, 0)])
+def test_chart_exit_keeps_whole_rows(amplitude, seed, rows):
+    """A run that leaves the sl2r chart keeps every row recorded before the
+    exit, and each row whole: the failing record appends nothing."""
+    _, kit, split = setup("sl2r")
+    st = fs.random_smooth_loop(kit, split, 16, boundary="periodic", seed=seed, amplitude=amplitude)
+    traj = fs.integrate_field(st, 0.01, 80, record_every=4, with_duality=True, with_residuals=True)
+    assert not traj.completed
+    assert traj.failure.startswith("FactorizationError: sl2r factorization chart")
+    columns = (traj.times, traj.hamiltonians, traj.f_d, traj.duality_gaps,
+               traj.eom_residuals_g, traj.eom_residuals_dual)
+    assert [len(c) for c in columns] == [rows] * len(columns)
+    assert traj.moments.shape == (rows, 2 * N)

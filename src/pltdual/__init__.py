@@ -11,46 +11,40 @@ __version__ = "0.1.0"
 
 from .liecore import (
     LieAlgebra,
-    AlgebraVector,
-    LinearOperator,
-    BilinearForm,
-    bracket,
+    bracket_coeffs,
     jacobi_residual,
     antisymmetry_residual,
-    ad_operator,
-    pair,
+    ad_matrix,
 )
 from .bialgebra import (
-    TwoTensor,
     QuasiBialgebra,
     DoubleAlgebra,
     cybe_residual,
-    cobracket,
+    cobracket_matrix,
     dual_algebra,
+    hyperbolic_pairing,
     build_double,
-    double_iso_lr,
+    chiral_matrix,
+    chiral_iso_defects,
 )
 from .models import ModelPreset, make_sl2r, make_su2, make_preset, PRESET_NAMES
 from .duality import SplittingData, GraphCoordinate, splitting, graph_at
 
 __all__ = [
     "LieAlgebra",
-    "AlgebraVector",
-    "LinearOperator",
-    "BilinearForm",
-    "bracket",
+    "bracket_coeffs",
     "jacobi_residual",
     "antisymmetry_residual",
-    "ad_operator",
-    "pair",
-    "TwoTensor",
+    "ad_matrix",
     "QuasiBialgebra",
     "DoubleAlgebra",
     "cybe_residual",
-    "cobracket",
+    "cobracket_matrix",
     "dual_algebra",
+    "hyperbolic_pairing",
     "build_double",
-    "double_iso_lr",
+    "chiral_matrix",
+    "chiral_iso_defects",
     "ModelPreset",
     "make_sl2r",
     "make_su2",

@@ -4,9 +4,9 @@ Conventions used throughout (all verified by the test suite):
 
 * An element rho of g (x) g is stored as its coefficient matrix,
   r = sum_ij rho[i, j] e_i (x) e_j.
-* ``r2`` is the operator m -> g obtained by evaluating a dual vector
-  against the *second* tensor slot, so r2(phi) has coefficients
-  rho @ phi; ``r1`` evaluates against the first slot, giving rho.T @ phi.
+* r2 is the map m -> g obtained by evaluating a dual vector against the
+  *second* tensor slot, so r2(phi) has coefficients rho @ phi; r1
+  evaluates against the first slot, giving rho.T @ phi.
 * The symmetric part 2 r_+ = rho + rho.T is required ad-invariant and
   invertible; its inverse is the map K : g -> m.
 * The cobracket is delta(xi) = A rho + rho A^T with A = ad_xi, and the
@@ -23,7 +23,9 @@ Conventions used throughout (all verified by the test suite):
   sign choice for which the double satisfies the Jacobi identity and the
   pairing below is ad-invariant (both anchors are enforced in tests).
 * The invariant pairing is <xi (+) phi, eta (+) psi> = phi(eta) + psi(xi);
-  both factors are isotropic.
+  both factors are isotropic.  Its matrix is built by
+  :func:`hyperbolic_pairing` and the chiral isomorphism d -> g_L (+) g_R
+  by :func:`chiral_matrix`; every other module reuses these two.
 """
 
 from __future__ import annotations
@@ -33,50 +35,23 @@ from functools import cached_property
 
 import numpy as np
 
-from .liecore import (
-    AlgebraVector,
-    BilinearForm,
-    LieAlgebra,
-    LinearOperator,
-    ad_matrix,
-)
+from .liecore import LieAlgebra, ad_matrix, bracket_coeffs
 
 __all__ = [
-    "TwoTensor",
     "QuasiBialgebra",
     "DoubleAlgebra",
     "cybe_residual",
     "symmetric_part_invariance_residual",
-    "cobracket",
     "cobracket_matrix",
     "cocycle_residual",
     "dual_algebra",
+    "hyperbolic_pairing",
     "build_double",
-    "double_iso_lr",
+    "chiral_matrix",
+    "chiral_iso_defects",
     "pairing_ad_invariance_residual",
     "tensor_conjugate",
 ]
-
-
-@dataclass
-class TwoTensor:
-    """An element of left (x) right with dense coefficient matrix."""
-
-    left: LieAlgebra
-    right: LieAlgebra
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (self.left.dim, self.right.dim):
-            raise ValueError("tensor coefficient matrix has wrong shape")
-
-    def eval_second(self, v: np.ndarray) -> np.ndarray:
-        """Pair the second slot against a dual coefficient vector."""
-        return self.coeffs @ np.asarray(v, dtype=complex)
-
-    def eval_first(self, v: np.ndarray) -> np.ndarray:
-        return self.coeffs.T @ np.asarray(v, dtype=complex)
 
 
 def cybe_residual(algebra: LieAlgebra, rho: np.ndarray) -> float:
@@ -105,11 +80,6 @@ def cobracket_matrix(algebra: LieAlgebra, rho: np.ndarray, xi: np.ndarray) -> np
     a = ad_matrix(algebra, xi)
     rho = np.asarray(rho, dtype=complex)
     return a @ rho + rho @ a.T
-
-
-def cobracket(bialgebra: "QuasiBialgebra", xi: AlgebraVector) -> TwoTensor:
-    m = cobracket_matrix(bialgebra.g, bialgebra.rho, xi.coeffs)
-    return TwoTensor(bialgebra.g, bialgebra.g, m)
 
 
 def cocycle_residual(bialgebra: "QuasiBialgebra") -> float:
@@ -169,28 +139,6 @@ class QuasiBialgebra:
     def k_matrix(self) -> np.ndarray:
         return np.linalg.inv(self.kinv_matrix)
 
-    @property
-    def r2(self) -> LinearOperator:
-        return LinearOperator(self.m, self.g, self.rho)
-
-    @property
-    def r1(self) -> LinearOperator:
-        return LinearOperator(self.m, self.g, self.rho.T)
-
-    @property
-    def k(self) -> LinearOperator:
-        return LinearOperator(self.g, self.m, self.k_matrix)
-
-    @property
-    def k_form(self) -> BilinearForm:
-        """K as a bilinear form on g: K(xi, eta) = <K xi, eta>."""
-        return BilinearForm(self.g, self.g, self.k_matrix)
-
-    @property
-    def kinv_form(self) -> BilinearForm:
-        """K^-1 as a bilinear form on m."""
-        return BilinearForm(self.m, self.m, self.kinv_matrix)
-
     def rescaled(self, factor: complex, name: str = "") -> "QuasiBialgebra":
         """Same algebra with r multiplied by a scalar (still a CYBE solution)."""
         return QuasiBialgebra(self.g, self.rho * factor, name or self.name)
@@ -198,31 +146,19 @@ class QuasiBialgebra:
 
 @dataclass
 class DoubleAlgebra:
-    """The double d = g (+) m with its hyperbolic invariant pairing."""
+    """The double d = g (+) m with the matrix of its hyperbolic pairing."""
 
     base: QuasiBialgebra
     algebra: LieAlgebra
-    pairing: BilinearForm
+    pairing: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.base.g.dim
 
-    def embed_g(self, xi: AlgebraVector) -> AlgebraVector:
-        w = np.zeros(2 * self.n, dtype=complex)
-        w[: self.n] = xi.coeffs
-        return AlgebraVector(self.algebra, w)
-
-    def embed_m(self, phi: AlgebraVector) -> AlgebraVector:
-        w = np.zeros(2 * self.n, dtype=complex)
-        w[self.n :] = phi.coeffs
-        return AlgebraVector(self.algebra, w)
-
-    def project_g(self, w: AlgebraVector) -> AlgebraVector:
-        return AlgebraVector(self.base.g, w.coeffs[: self.n])
-
-    def project_m(self, w: AlgebraVector) -> AlgebraVector:
-        return AlgebraVector(self.base.m, w.coeffs[self.n :])
+def hyperbolic_pairing(n: int) -> np.ndarray:
+    """Matrix of <xi (+) phi, eta (+) psi> = phi(eta) + psi(xi) on g (+) m."""
+    p = np.zeros((2 * n, 2 * n), dtype=complex)
+    p[:n, n:] = np.eye(n)
+    p[n:, :n] = np.eye(n)
+    return p
 
 
 def build_double(bialgebra: QuasiBialgebra) -> DoubleAlgebra:
@@ -242,17 +178,13 @@ def build_double(bialgebra: QuasiBialgebra) -> DoubleAlgebra:
             c[j, n + a, :] = -c[n + a, j, :]
     labels = g.labels + m.labels
     double = LieAlgebra(c, labels, name=f"D({g.name})" if g.name else "double")
-    p = np.zeros((2 * n, 2 * n), dtype=complex)
-    p[:n, n:] = eye
-    p[n:, :n] = eye
-    pairing = BilinearForm(double, double, p)
-    return DoubleAlgebra(bialgebra, double, pairing)
+    return DoubleAlgebra(bialgebra, double, hyperbolic_pairing(n))
 
 
 def pairing_ad_invariance_residual(double: DoubleAlgebra) -> float:
     """Defect of <[w, x], y> + <x, [w, y]> = 0 over basis w."""
     d = double.algebra
-    p = double.pairing.matrix
+    p = double.pairing
     worst = 0.0
     for i in range(d.dim):
         a = ad_matrix(d, np.eye(d.dim)[i])
@@ -272,26 +204,31 @@ def direct_sum_algebra(g: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(c, labels, name=f"{g.name}(+){g.name}" if g.name else "sum")
 
 
-def double_iso_lr(double: DoubleAlgebra) -> tuple[LinearOperator, BilinearForm]:
-    """Isomorphism d -> g_L (+) g_R, xi (+) phi -> (xi + r2 phi, xi - r1 phi).
+def chiral_matrix(rho: np.ndarray) -> np.ndarray:
+    """Matrix of the isomorphism d -> g_L (+) g_R,
+    xi (+) phi -> (xi + r2 phi, xi - r1 phi), for the r-matrix ``rho``."""
+    eye = np.eye(rho.shape[0])
+    return np.block([[eye, rho], [eye, -rho.T]])
 
-    Returns the operator and the pairing it transports to, which is the
-    difference of K-forms on the two chiral factors.
+
+def chiral_iso_defects(double: DoubleAlgebra) -> tuple[float, float]:
+    """(morphism defect, pairing-transport defect) of the chiral isomorphism.
+
+    The map of :func:`chiral_matrix` must carry the bracket of the double
+    to the componentwise bracket of g_L (+) g_R, and the hyperbolic
+    pairing to the difference K (-) K of the K-forms on the two factors.
     """
     b = double.base
-    n = b.g.dim
+    mat = chiral_matrix(b.rho)
     target = direct_sum_algebra(b.g)
-    mat = np.zeros((2 * n, 2 * n), dtype=complex)
-    mat[:n, :n] = np.eye(n)
-    mat[:n, n:] = b.rho
-    mat[n:, :n] = np.eye(n)
-    mat[n:, n:] = -b.rho.T
-    op = LinearOperator(double.algebra, target, mat)
-    p = np.zeros((2 * n, 2 * n), dtype=complex)
-    p[:n, :n] = b.k_matrix
-    p[n:, n:] = -b.k_matrix
-    form = BilinearForm(target, target, p)
-    return op, form
+    # images of [e_i, e_j] against brackets of the images, over all pairs
+    lhs = np.einsum("ijk,mk->ijm", double.algebra.c, mat)
+    rhs = bracket_coeffs(target.c, mat.T[:, None, :], mat.T[None, :, :])
+    form = np.kron(np.diag([1.0, -1.0]), b.k_matrix)
+    return (
+        float(np.max(np.abs(lhs - rhs))),
+        float(np.max(np.abs(mat.T @ form @ mat - double.pairing))),
+    )
 
 
 def tensor_conjugate(t: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -30,22 +30,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .bialgebra import (
-    build_double,
-    cocycle_residual,
-    cybe_residual,
-    double_iso_lr,
-    dual_algebra,
-    pairing_ad_invariance_residual,
-    symmetric_part_invariance_residual,
-)
 from .duality import (
     GraphBlowupError,
     SplittingError,
-    dual_graph_at,
-    graph_at,
-    lagrangian,
+    limit_slopes,
     splitting,
+    validation_report,
 )
 from .fieldsim import (
     duality_check,
@@ -54,16 +44,15 @@ from .fieldsim import (
     random_smooth_loop,
 )
 from .groups import FactorizationError, GroupKit
-from .liecore import bracket_coeffs, jacobi_residual
 from .models import ALGEBRA_NAMES, PRESET_NAMES, make_preset
 from .particle import integrate_particle
 from .reporting import (
     config_hash,
     field_table,
     particle_table,
+    render_csv,
     render_json,
     run_metadata,
-    write_csv,
     write_json,
 )
 
@@ -208,75 +197,14 @@ def _emit(cfg: dict, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _public_config(cfg: dict) -> dict:
+    """Configuration without output locations or worker counts, so artifact
+    hashes depend only on what was computed, not where or how it ran."""
+    hidden = ("output", "metadata", "config", "output_dir", "max_workers")
+    return {k: v for k, v in cfg.items() if k not in hidden}
+
+
 # ---- validate ---------------------------------------------------------------------
-
-
-def _chiral_iso_defects(double) -> tuple[float, float]:
-    """(morphism defect, pairing-transport defect) of the chiral isomorphism."""
-    op, form = double_iso_lr(double)
-    d = double.algebra
-    mat = op.matrix
-    eye = np.eye(d.dim)
-    worst = 0.0
-    for i in range(d.dim):
-        for j in range(d.dim):
-            lhs = mat @ bracket_coeffs(d.c, eye[i], eye[j])
-            rhs = bracket_coeffs(op.target.c, mat[:, i], mat[:, j])
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    pairing_defect = float(
-        np.max(np.abs(mat.T @ form.matrix @ mat - double.pairing.matrix))
-    )
-    return worst, pairing_defect
-
-
-def validation_report(preset, samples: int = 5, seed: int = 0) -> dict:
-    """All structural residuals for one preset, as a flat name -> value map."""
-    b = preset.bialgebra
-    double = build_double(b)
-    split = splitting(preset)
-    kit = GroupKit(b)
-    iso_morphism, iso_pairing = _chiral_iso_defects(double)
-    rng = np.random.default_rng(seed)
-    route_gap = 0.0
-    for _ in range(samples):
-        u = kit.exp_g(rng.normal(size=b.g.dim) * 0.5)
-        graphs = [graph_at(kit, split, u, route=r) for r in
-                  ("transport", "invariant-split", "cocycle")]
-        for g2 in graphs[1:]:
-            route_gap = max(
-                route_gap,
-                float(np.max(np.abs(graphs[0].e_inv - g2.e_inv))),
-                float(np.max(np.abs(graphs[0].t_inv - g2.t_inv))),
-            )
-    diag_plus, diag_minus = split.diagonal_pairing_defects()
-    residuals = {
-        "cybe": cybe_residual(b.g, b.rho),
-        "symmetric_part_invariance": symmetric_part_invariance_residual(b.g, b.rho),
-        "cobracket_cocycle": cocycle_residual(b),
-        "dual_jacobi": jacobi_residual(dual_algebra(b)),
-        "double_jacobi": jacobi_residual(double.algebra),
-        "pairing_ad_invariance": pairing_ad_invariance_residual(double),
-        "chiral_iso_morphism": iso_morphism,
-        "chiral_iso_pairing": iso_pairing,
-        "splitting_orthogonality": split.orthogonality_defect(),
-        "splitting_diagonal_plus": diag_plus,
-        "splitting_diagonal_minus": diag_minus,
-        "splitting_projectors": split.projector_defects(),
-        "graph_route_agreement": route_gap,
-    }
-    n = b.g.dim
-    return {
-        "preset": preset.name,
-        "algebra": b.g.name,
-        "lam": preset.lam,
-        "mu": preset.mu,
-        "split_denominator": preset.split_denominator,
-        "subspace_rank_plus": int(np.linalg.matrix_rank(split.basis_plus)),
-        "subspace_rank_minus": int(np.linalg.matrix_rank(split.basis_minus)),
-        "expected_rank": n,
-        "residuals": residuals,
-        "max_residual": max(residuals.values()),
-    }
 
 
 def run_validate(cfg: dict) -> int:
@@ -289,18 +217,43 @@ def run_validate(cfg: dict) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
+# ---- shared run scaffolding -------------------------------------------------------
+
+
+def _time_steps(cfg: dict) -> tuple[float, int]:
+    """(dt, number of steps covering T)."""
+    dt = _positive(cfg, "dt")
+    n_steps = int(round(_positive(cfg, "T") / dt))
+    if n_steps < 1:
+        raise ConfigError("T must cover at least one step")
+    return dt, n_steps
+
+
+def _model(cfg: dict):
+    """(preset, group kit, splitting) of the configured model."""
+    preset = _build_preset(cfg)
+    return preset, GroupKit(preset.bialgebra), splitting(preset)
+
+
+def _finish(cfg: dict, columns: list, rows: list, summary: dict, failure: str | None) -> int:
+    """Write the trajectory table (to the output path, else stdout) and the
+    metadata, report a stopped run on stderr, and return the exit code."""
+    public = _public_config(cfg)
+    _emit(cfg, render_csv(public, columns, rows))
+    if cfg.get("metadata"):
+        write_json(cfg["metadata"], public, run_metadata(public, {"summary": summary}))
+    if failure is None:
+        return EXIT_OK
+    sys.stderr.write(_error_json("numerical", failure))
+    return EXIT_NUMERICAL
+
+
 # ---- particle ---------------------------------------------------------------------
 
 
 def run_particle(cfg: dict) -> int:
-    preset = _build_preset(cfg)
-    dt = _positive(cfg, "dt")
-    horizon = _positive(cfg, "T")
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1:
-        raise ConfigError("T must cover at least one step")
-    kit = GroupKit(preset.bialgebra)
-    split = splitting(preset)
+    preset, kit, split = _model(cfg)
+    dt, n_steps = _time_steps(cfg)
     n = preset.bialgebra.g.dim
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     u0_log = _parse_vector(cfg.get("u0_log"))
@@ -316,31 +269,16 @@ def run_particle(cfg: dict) -> int:
         kit, split, u0, np.asarray(p0), dt, n_steps,
         record_every=int(cfg.get("record_every", 1)),
     )
-    columns, rows = particle_table(traj)
-    if cfg.get("output"):
-        write_csv(cfg["output"], _public_config(cfg), columns, rows)
-    else:
-        from .reporting import render_csv
-
-        sys.stdout.write(render_csv(_public_config(cfg), columns, rows))
     summary = {
         "completed": traj.completed,
         "hamiltonian_drift": float(np.max(np.abs(traj.hams - traj.hams[0]))),
         "charge_drift": float(np.max(np.abs(traj.charges_g - traj.charges_g[0]))),
         "steps": n_steps,
     }
-    if cfg.get("metadata"):
-        write_json(cfg["metadata"], _public_config(cfg), run_metadata(_public_config(cfg), {"summary": summary}))
-    return EXIT_OK if traj.completed else EXIT_NUMERICAL
+    return _finish(cfg, *particle_table(traj), summary, traj.failure)
 
 
 # ---- field ------------------------------------------------------------------------
-
-
-def _public_config(cfg: dict) -> dict:
-    """Configuration without output locations, so artifact hashes depend
-    only on what was computed, not where it was written."""
-    return {k: v for k, v in cfg.items() if k not in ("output", "metadata", "config")}
 
 
 def _field_state(cfg: dict, preset, kit, split):
@@ -369,14 +307,8 @@ def _field_state(cfg: dict, preset, kit, split):
 
 
 def run_field(cfg: dict) -> int:
-    preset = _build_preset(cfg)
-    dt = _positive(cfg, "dt")
-    horizon = _positive(cfg, "T")
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1:
-        raise ConfigError("T must cover at least one step")
-    kit = GroupKit(preset.bialgebra)
-    split = splitting(preset)
+    preset, kit, split = _model(cfg)
+    dt, n_steps = _time_steps(cfg)
     state = _field_state(cfg, preset, kit, split)
     traj = integrate_field(
         state,
@@ -386,13 +318,6 @@ def run_field(cfg: dict) -> int:
         with_duality=True,
         with_residuals=True,
     )
-    columns, rows = field_table(traj)
-    if cfg.get("output"):
-        write_csv(cfg["output"], _public_config(cfg), columns, rows)
-    else:
-        from .reporting import render_csv
-
-        sys.stdout.write(render_csv(_public_config(cfg), columns, rows))
     hams = traj.hamiltonians
     recorded = len(traj.times) > 0
     summary = {
@@ -403,21 +328,14 @@ def run_field(cfg: dict) -> int:
         "max_duality_gap": float(np.nanmax(traj.duality_gaps)) if recorded else None,
         "steps": n_steps,
     }
-    if cfg.get("metadata"):
-        write_json(cfg["metadata"], _public_config(cfg), run_metadata(_public_config(cfg), {"summary": summary}))
-    if traj.completed:
-        return EXIT_OK
-    sys.stderr.write(_error_json("numerical", traj.failure))
-    return EXIT_NUMERICAL
+    return _finish(cfg, *field_table(traj), summary, traj.failure)
 
 
 # ---- duality ----------------------------------------------------------------------
 
 
 def run_duality(cfg: dict) -> int:
-    preset = _build_preset(cfg)
-    kit = GroupKit(preset.bialgebra)
-    split = splitting(preset)
+    preset, kit, split = _model(cfg)
     state = _field_state(cfg, preset, kit, split)
     gap = duality_check(state)
     report = {
@@ -489,64 +407,6 @@ def run_sweep(cfg: dict) -> int:
 
 
 # ---- limits -----------------------------------------------------------------------
-
-
-def limit_slopes(algebra: str = "su2", mus=(10.0, 100.0, 1000.0), samples: int = 10,
-                 seed: int = 0) -> dict:
-    """Deviation slope fits for the two limiting families.
-
-    Primal: with the limiting preset the Lagrangian approaches the
-    bi-invariant-metric form x_minus K x_plus, with deviation O(1/mu).
-    Dual: in coordinates scaled by the dual scale c the dual Lagrangian,
-    rescaled by 1/c^4, approaches 2 t_plus . t_minus, again O(1/mu).
-    """
-    mus = [float(m) for m in mus]
-    base = make_preset("modified-principal", algebra=algebra).bialgebra
-    k_mat = np.linalg.inv(base.kinv_matrix)
-    devs_primal, devs_dual = [], []
-    for mu in mus:
-        preset = make_preset("principal-limit", algebra=algebra, mu=mu)
-        kit = GroupKit(preset.bialgebra)
-        split = splitting(preset)
-        worst = 0.0
-        rng = np.random.default_rng(seed + 2)
-        for _ in range(samples):
-            u = kit.exp_g(rng.normal(size=3) * 0.5)
-            xp = rng.normal(size=3) + 1j * rng.normal(size=3)
-            xm = rng.normal(size=3) + 1j * rng.normal(size=3)
-            lag = lagrangian(kit, split, u, xp, xm)
-            ref = xm @ (k_mat @ xp)
-            worst = max(worst, abs(lag - ref) / abs(ref))
-        devs_primal.append(worst)
-        c = kit.dual_scale
-        worst = 0.0
-        rng = np.random.default_rng(seed + 3)
-        for _ in range(samples):
-            tvec = rng.normal(size=3) * 0.3
-            tp = rng.normal(size=3)
-            tm = rng.normal(size=3)
-            svec = c * tvec
-            t = kit.su2star_from_vector(svec)
-            phi_p = -1j * c * kit.su2star_nabla(svec, c * tp)
-            phi_m = -1j * c * kit.su2star_nabla(svec, c * tm)
-            dual_graph = dual_graph_at(kit, split, t)
-            lag = phi_p @ (dual_graph.e_bar_matrix() @ phi_m)
-            ref = 2.0 * tp @ tm
-            worst = max(worst, abs(lag / c**4 - ref) / abs(ref))
-        devs_dual.append(worst)
-    log_mu = np.log(mus)
-    slope_primal = float(np.polyfit(log_mu, np.log(devs_primal), 1)[0])
-    slope_dual = float(np.polyfit(log_mu, np.log(devs_dual), 1)[0])
-    return {
-        "mus": mus,
-        "deviations_primal": devs_primal,
-        "deviations_dual": devs_dual,
-        "slope_primal": slope_primal,
-        "slope_dual": slope_dual,
-        "passed": bool(
-            abs(slope_primal + 1.0) < 0.2 and abs(slope_dual + 1.0) < 0.2
-        ),
-    }
 
 
 def run_limits(cfg: dict) -> int:

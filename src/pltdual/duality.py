@@ -18,6 +18,10 @@ slices the same subspaces as graphs over g along the dual group, with
 bar-form Ebar-hat_t^-1 = E_e + Pi-hat(t).  The transported slices also
 come stacked over grid nodes (:func:`graph_slices`,
 :func:`dual_graph_slices`) for the field diagnostics.
+
+Two reports close the module: :func:`validation_report` collects every
+structural residual of one preset, and :func:`limit_slopes` fits the
+deviation slopes of the two limiting families against their closed forms.
 """
 
 from __future__ import annotations
@@ -27,9 +31,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .bialgebra import tensor_conjugate
+from .bialgebra import (
+    build_double,
+    chiral_iso_defects,
+    cocycle_residual,
+    cybe_residual,
+    dual_algebra,
+    hyperbolic_pairing,
+    pairing_ad_invariance_residual,
+    symmetric_part_invariance_residual,
+    tensor_conjugate,
+)
 from .groups import DoubleElement, GroupKit
-from .models import ModelPreset
+from .liecore import jacobi_residual
+from .models import ModelPreset, make_preset
 
 __all__ = [
     "SplittingError",
@@ -52,6 +67,8 @@ __all__ = [
     "su2_dual_pi_vector",
     "su2_dual_e_inv_closed",
     "su2_dual_e_closed",
+    "validation_report",
+    "limit_slopes",
 ]
 
 
@@ -133,11 +150,9 @@ def splitting(preset: ModelPreset, cond_cutoff: float = 1e8) -> SplittingData:
     joint_inv = np.linalg.inv(joint)
     pi_plus = basis_plus @ joint_inv[:n]
     pi_minus = basis_minus @ joint_inv[n:]
-    p = np.zeros((2 * n, 2 * n), dtype=complex)
-    p[:n, n:] = eye
-    p[n:, :n] = eye
     return SplittingData(
-        preset, e_inv, t_inv, basis_plus, basis_minus, pi_plus, pi_minus, p
+        preset, e_inv, t_inv, basis_plus, basis_minus, pi_plus, pi_minus,
+        hyperbolic_pairing(n),
     )
 
 
@@ -406,3 +421,113 @@ def su2_dual_e_closed(t_vec: np.ndarray) -> np.ndarray:
     return (
         np.eye(3) - 1j * np.einsum("ijk,k->ij", _EPS, ph) - np.outer(ph, ph)
     ) * (-2.0 / (1.0 - ph2))
+
+
+# ---- reports ----------------------------------------------------------------
+
+
+def validation_report(preset: ModelPreset, samples: int = 5, seed: int = 0) -> dict:
+    """All structural residuals for one preset, as a flat name -> value map."""
+    b = preset.bialgebra
+    double = build_double(b)
+    split = splitting(preset)
+    kit = GroupKit(b)
+    iso_morphism, iso_pairing = chiral_iso_defects(double)
+    rng = np.random.default_rng(seed)
+    route_gap = 0.0
+    for _ in range(samples):
+        u = kit.exp_g(rng.normal(size=b.g.dim) * 0.5)
+        graphs = [graph_at(kit, split, u, route=r) for r in
+                  ("transport", "invariant-split", "cocycle")]
+        for g2 in graphs[1:]:
+            route_gap = max(
+                route_gap,
+                float(np.max(np.abs(graphs[0].e_inv - g2.e_inv))),
+                float(np.max(np.abs(graphs[0].t_inv - g2.t_inv))),
+            )
+    diag_plus, diag_minus = split.diagonal_pairing_defects()
+    residuals = {
+        "cybe": cybe_residual(b.g, b.rho),
+        "symmetric_part_invariance": symmetric_part_invariance_residual(b.g, b.rho),
+        "cobracket_cocycle": cocycle_residual(b),
+        "dual_jacobi": jacobi_residual(dual_algebra(b)),
+        "double_jacobi": jacobi_residual(double.algebra),
+        "pairing_ad_invariance": pairing_ad_invariance_residual(double),
+        "chiral_iso_morphism": iso_morphism,
+        "chiral_iso_pairing": iso_pairing,
+        "splitting_orthogonality": split.orthogonality_defect(),
+        "splitting_diagonal_plus": diag_plus,
+        "splitting_diagonal_minus": diag_minus,
+        "splitting_projectors": split.projector_defects(),
+        "graph_route_agreement": route_gap,
+    }
+    n = b.g.dim
+    return {
+        "preset": preset.name,
+        "algebra": b.g.name,
+        "lam": preset.lam,
+        "mu": preset.mu,
+        "split_denominator": preset.split_denominator,
+        "subspace_rank_plus": int(np.linalg.matrix_rank(split.basis_plus)),
+        "subspace_rank_minus": int(np.linalg.matrix_rank(split.basis_minus)),
+        "expected_rank": n,
+        "residuals": residuals,
+        "max_residual": max(residuals.values()),
+    }
+
+
+def limit_slopes(algebra: str = "su2", mus=(10.0, 100.0, 1000.0), samples: int = 10,
+                 seed: int = 0) -> dict:
+    """Deviation slope fits for the two limiting families.
+
+    Primal: with the limiting preset the Lagrangian approaches the
+    bi-invariant-metric form x_minus K x_plus, with deviation O(1/mu).
+    Dual: in coordinates scaled by the dual scale c the dual Lagrangian,
+    rescaled by 1/c^4, approaches 2 t_plus . t_minus, again O(1/mu).
+    """
+    mus = [float(m) for m in mus]
+    k_mat = make_preset("modified-principal", algebra=algebra).bialgebra.k_matrix
+    devs_primal, devs_dual = [], []
+    for mu in mus:
+        preset = make_preset("principal-limit", algebra=algebra, mu=mu)
+        kit = GroupKit(preset.bialgebra)
+        split = splitting(preset)
+        worst = 0.0
+        rng = np.random.default_rng(seed + 2)
+        for _ in range(samples):
+            u = kit.exp_g(rng.normal(size=3) * 0.5)
+            xp = rng.normal(size=3) + 1j * rng.normal(size=3)
+            xm = rng.normal(size=3) + 1j * rng.normal(size=3)
+            lag = lagrangian(kit, split, u, xp, xm)
+            ref = xm @ (k_mat @ xp)
+            worst = max(worst, abs(lag - ref) / abs(ref))
+        devs_primal.append(worst)
+        c = kit.dual_scale
+        worst = 0.0
+        rng = np.random.default_rng(seed + 3)
+        for _ in range(samples):
+            tvec = rng.normal(size=3) * 0.3
+            tp = rng.normal(size=3)
+            tm = rng.normal(size=3)
+            svec = c * tvec
+            t = kit.su2star_from_vector(svec)
+            phi_p = -1j * c * kit.su2star_nabla(svec, c * tp)
+            phi_m = -1j * c * kit.su2star_nabla(svec, c * tm)
+            dual_graph = dual_graph_at(kit, split, t)
+            lag = phi_p @ (dual_graph.e_bar_matrix() @ phi_m)
+            ref = 2.0 * tp @ tm
+            worst = max(worst, abs(lag / c**4 - ref) / abs(ref))
+        devs_dual.append(worst)
+    log_mu = np.log(mus)
+    slope_primal = float(np.polyfit(log_mu, np.log(devs_primal), 1)[0])
+    slope_dual = float(np.polyfit(log_mu, np.log(devs_dual), 1)[0])
+    return {
+        "mus": mus,
+        "deviations_primal": devs_primal,
+        "deviations_dual": devs_dual,
+        "slope_primal": slope_primal,
+        "slope_dual": slope_dual,
+        "passed": bool(
+            abs(slope_primal + 1.0) < 0.2 and abs(slope_dual + 1.0) < 0.2
+        ),
+    }

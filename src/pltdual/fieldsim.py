@@ -39,8 +39,8 @@ from .groups import (
     GroupKit,
     _vdet_normalize,
     _vdexpinv,
-    _vexpm,
     _vinv,
+    expm2,
 )
 from .liecore import bracket_coeffs
 
@@ -185,8 +185,22 @@ def init_pointlike(
 ) -> LoopState:
     """Pointlike data k(x) = u0 exp(p x): x-independent u, s_x s^-1 = p."""
     xs = grid_points(n_cells, boundary)
-    elements = [DoubleElement.from_group(u0) @ kit.exp_m(x * np.asarray(p)) for x in xs]
-    return loop_from_elements(kit, split, elements, boundary)
+    s = kit.exp_m(xs[:, None] * np.asarray(p))
+    u0 = np.asarray(u0, dtype=complex)
+    return LoopState(kit, split, u0 @ s.left, u0 @ s.right, boundary)
+
+
+def _loop_from_coeffs(
+    kit: GroupKit, split: SplittingData, w: np.ndarray, boundary: str
+) -> LoopState:
+    """The loop exp(w(x)) from real (nodes, 2n) double-algebra coefficients,
+    with the m-part taken in the dual real form for su2."""
+    n = kit.b.g.dim
+    wc = w.astype(complex)
+    if kit.flavor == "su2":
+        wc[:, n:] = -1j * w[:, n:]
+    k = kit.exp_d(wc)
+    return LoopState(kit, split, k.left, k.right, boundary)
 
 
 def random_smooth_loop(
@@ -209,16 +223,10 @@ def random_smooth_loop(
     n = kit.b.g.dim
     mode_step = 2 if boundary == "periodic" else 1
     coeffs = rng.normal(size=(n_modes + 1, 2 * n)) * amplitude / (n_modes + 1)
-    elements = []
-    for x in xs:
-        w = np.zeros(2 * n)
-        for m in range(n_modes + 1):
-            w = w + coeffs[m] * np.cos(mode_step * m * x)
-        wc = w.astype(complex)
-        if kit.flavor == "su2":
-            wc[n:] = -1j * w[n:]  # dual real form
-        elements.append(kit.exp_d(wc))
-    return loop_from_elements(kit, split, elements, boundary)
+    w = np.zeros((len(xs), 2 * n))
+    for m in range(n_modes + 1):
+        w = w + np.cos(mode_step * m * xs)[:, None] * coeffs[m]
+    return _loop_from_coeffs(kit, split, w, boundary)
 
 
 def centered_bump_loop(
@@ -244,16 +252,12 @@ def centered_bump_loop(
     xs = grid_points(n_cells, boundary)
     n = kit.b.g.dim
     coeffs = rng.normal(size=(2, 2 * n)) * amplitude
-    elements = []
-    for x in xs:
-        y = (x - np.pi / 2) / radius
-        env = np.exp(1.0 - 1.0 / (1.0 - y * y)) if abs(y) < 1.0 else 0.0
-        w = env * (coeffs[0] + coeffs[1] * np.sin(np.pi * y))
-        wc = w.astype(complex)
-        if kit.flavor == "su2":
-            wc[n:] = -1j * w[n:]  # dual real form
-        elements.append(kit.exp_d(wc))
-    return loop_from_elements(kit, split, elements, boundary)
+    y = (xs - np.pi / 2) / radius
+    inside = np.abs(y) < 1.0
+    env = np.zeros_like(xs)
+    env[inside] = np.exp(1.0 - 1.0 / (1.0 - y[inside] * y[inside]))
+    w = env[:, None] * (coeffs[0] + np.sin(np.pi * y)[:, None] * coeffs[1])
+    return _loop_from_coeffs(kit, split, w, boundary)
 
 
 # ---- spatial derivative ---------------------------------------------------------
@@ -346,19 +350,19 @@ def step(state: LoopState, dt: float, cfl: float = 0.5) -> LoopState:
     kl0, kr0 = state.kl, state.kr
     al1, ar1 = gens(kl0, kr0)
     bl1, br1 = al1, ar1
-    al2, ar2 = gens(_vexpm(0.5 * dt * bl1) @ kl0, _vexpm(0.5 * dt * br1) @ kr0)
+    al2, ar2 = gens(expm2(0.5 * dt * bl1) @ kl0, expm2(0.5 * dt * br1) @ kr0)
     bl2 = _vdexpinv(0.5 * dt * bl1, al2)
     br2 = _vdexpinv(0.5 * dt * br1, ar2)
-    al3, ar3 = gens(_vexpm(0.5 * dt * bl2) @ kl0, _vexpm(0.5 * dt * br2) @ kr0)
+    al3, ar3 = gens(expm2(0.5 * dt * bl2) @ kl0, expm2(0.5 * dt * br2) @ kr0)
     bl3 = _vdexpinv(0.5 * dt * bl2, al3)
     br3 = _vdexpinv(0.5 * dt * br2, ar3)
-    al4, ar4 = gens(_vexpm(dt * bl3) @ kl0, _vexpm(dt * br3) @ kr0)
+    al4, ar4 = gens(expm2(dt * bl3) @ kl0, expm2(dt * br3) @ kr0)
     bl4 = _vdexpinv(dt * bl3, al4)
     br4 = _vdexpinv(dt * br3, ar4)
     sl = (dt / 6.0) * (bl1 + 2 * bl2 + 2 * bl3 + bl4)
     sr = (dt / 6.0) * (br1 + 2 * br2 + 2 * br3 + br4)
-    kl1 = _vdet_normalize(_vexpm(sl) @ kl0)
-    kr1 = _vdet_normalize(_vexpm(sr) @ kr0)
+    kl1 = _vdet_normalize(expm2(sl) @ kl0)
+    kr1 = _vdet_normalize(expm2(sr) @ kr0)
     return LoopState(state.kit, state.split, kl1, kr1, state.boundary, state.time + dt)
 
 
@@ -685,9 +689,10 @@ def integrate_field(
     """Integrate the loop flow, recording diagnostics every ``record_every``
     steps and after the last one.
 
-    A chart exit (factorization, graph blow-up or a singular solve) ends
-    the run early with ``completed`` False and ``failure`` set; the rows
-    recorded before it are kept, and a row is recorded whole or not at all.
+    A chart exit (factorization, graph blow-up or a singular solve) or a
+    state that turns non-finite ends the run early with ``completed``
+    False and ``failure`` set; the rows recorded before it are kept, and a
+    row is recorded whole or not at all.
     """
     columns = times, hams, moms, fds, gaps, rgs, rts = [], [], [], [], [], [], []
     states = []
@@ -710,7 +715,13 @@ def integrate_field(
         record(state, None)
         for i in range(n_steps):
             prev = state
-            state = step(state, dt, cfl=cfl)
+            # a blow-up surfaces as a non-finite state, checked before any
+            # diagnostic sees it
+            with np.errstate(all="ignore"):
+                state = step(state, dt, cfl=cfl)
+            if not (np.isfinite(state.kl).all() and np.isfinite(state.kr).all()):
+                failure = f"non-finite state at step {i + 1} (t={state.time:g})"
+                break
             if (i + 1) % record_every == 0 or i == n_steps - 1:
                 record(state, prev)
     except (FactorizationError, GraphBlowupError, np.linalg.LinAlgError) as exc:

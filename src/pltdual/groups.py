@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bialgebra import QuasiBialgebra, tensor_conjugate
+from .bialgebra import QuasiBialgebra, chiral_matrix, tensor_conjugate
 
 __all__ = [
     "DoubleElement",
@@ -67,27 +67,6 @@ def _vdet_normalize(m: np.ndarray) -> np.ndarray:
     return m / np.sqrt(_det2(m))[..., None, None]
 
 
-def _vexpm(x: np.ndarray) -> np.ndarray:
-    """Closed-form exponential of stacked traceless 2x2 matrices."""
-    theta2 = -_det2(x)
-    theta = np.sqrt(theta2.astype(complex))
-    small = np.abs(theta) < 1e-6
-    c = np.where(
-        small,
-        1 + theta2 / 2 + theta2**2 / 24 + theta2**3 / 720,
-        np.cosh(np.where(small, 1.0, theta)),
-    )
-    s = np.where(
-        small,
-        1 + theta2 / 6 + theta2**2 / 120 + theta2**3 / 5040,
-        np.sinh(np.where(small, 1.0, theta)) / np.where(small, 1.0, theta),
-    )
-    out = s[..., None, None] * x
-    out[..., 0, 0] += c
-    out[..., 1, 1] += c
-    return out
-
-
 def _vcond(m: np.ndarray) -> np.ndarray:
     """2-norm condition number sigma_1 / sigma_2, in closed form from
     sigma_1^2 + sigma_2^2 = |m|_F^2 and sigma_1 sigma_2 = |det m|."""
@@ -114,18 +93,26 @@ def _check_nodes(bad: np.ndarray, message: str) -> None:
 
 
 def expm2(x: np.ndarray) -> np.ndarray:
-    """Closed-form exponential of a traceless 2x2 matrix."""
+    """Closed-form exponential of traceless 2x2 matrices, stacked over the
+    leading axes: cosh(theta) 1 + sinh(theta)/theta x with theta^2 = -det x."""
     x = np.asarray(x, dtype=complex)
-    theta2 = -np.linalg.det(x)
+    theta2 = -_det2(x)
     theta = np.sqrt(theta2)
-    if abs(theta) < 1e-6:
-        # series for cosh(theta) and sinh(theta)/theta, accurate to ~1e-38
-        c = 1 + theta2 / 2 + theta2**2 / 24 + theta2**3 / 720
-        s = 1 + theta2 / 6 + theta2**2 / 120 + theta2**3 / 5040
+    small = np.abs(theta) < 1e-6
+    if small.any():
+        # series for cosh(theta) and sinh(theta)/theta, accurate to ~1e-38,
+        # where theta is small; sinh(theta)/theta only where it is not
+        safe = np.where(small, 1.0, theta)
+        c = np.where(small, 1 + theta2 * (1 / 2 + theta2 * (1 / 24 + theta2 / 720)), np.cosh(safe))
+        s = np.where(small, 1 + theta2 * (1 / 6 + theta2 * (1 / 120 + theta2 / 5040)),
+                     np.sinh(safe) / safe)
     else:
         c = np.cosh(theta)
         s = np.sinh(theta) / theta
-    return c * np.eye(2) + s * x
+    out = s[..., None, None] * x
+    out[..., 0, 0] += c
+    out[..., 1, 1] += c
+    return out
 
 
 def logm2(m: np.ndarray) -> np.ndarray:
@@ -217,14 +204,8 @@ class GroupKit:
         )
         self._demat = np.linalg.inv(cols)
         # chiral projection matrices d -> g (L and R) and their joint inverse
-        rho = bialgebra.rho
-        phi = np.zeros((2 * n, 2 * n), dtype=complex)
-        phi[:n, :n] = np.eye(n)
-        phi[:n, n:] = rho
-        phi[n:, :n] = np.eye(n)
-        phi[n:, n:] = -rho.T
-        self.chi = phi
-        self.chi_inv = np.linalg.inv(phi)
+        self.chi = chiral_matrix(bialgebra.rho)
+        self.chi_inv = np.linalg.inv(self.chi)
         # Ad_u on g is bilinear in the entries of u and u^-1:
         # (Ad_u)_ij = sum u_ab (e_j)_bc (u^-1)_cd C_iad, where C maps the
         # (a, d) entry of a traceless matrix to its coefficient i
@@ -232,7 +213,7 @@ class GroupKit:
         entry_coeffs[:, 0, 0], entry_coeffs[:, 0, 1], entry_coeffs[:, 1, 0] = self._demat.T
         self._ad_g_map = np.einsum("jbc,iad->abcdij", self.basis, entry_coeffs).reshape(16, 9)
         # Ad_k on the double is chi^-1 diag(Ad_kL, Ad_kR) chi, linear in both blocks
-        blocks = np.einsum("ia,bj->abij", self.chi_inv, phi)
+        blocks = np.einsum("ia,bj->abij", self.chi_inv, self.chi)
         self._ad_d_maps = (blocks[:n, :n].reshape(9, 36), blocks[n:, n:].reshape(9, 36))
 
     # ---- algebra <-> matrix ------------------------------------------------
@@ -255,17 +236,14 @@ class GroupKit:
         z = np.concatenate([self.coeffs(left), self.coeffs(right)], axis=-1)
         return z @ self.chi_inv.T
 
-    # ---- exponentials ------------------------------------------------------
+    # ---- exponentials (stacked over leading axes) ----------------------------
 
     def exp_g(self, xi: np.ndarray) -> np.ndarray:
         return expm2(self.mat(xi))
 
     def exp_m(self, phi: np.ndarray) -> DoubleElement:
         phi = np.asarray(phi, dtype=complex)
-        return DoubleElement(
-            expm2(self.mat(self.b.rho @ phi)),
-            expm2(self.mat(-self.b.rho.T @ phi)),
-        )
+        return self.exp_d(np.concatenate([np.zeros_like(phi), phi], axis=-1))
 
     def exp_d(self, w: np.ndarray) -> DoubleElement:
         lm, rm = self.chiral_mats(w)

@@ -66,6 +66,7 @@ class ParticleTrajectory:
     charges_g: np.ndarray  # conserved dual-valued charge components
     moments: np.ndarray  # moment-map values I_delta over the double basis
     completed: bool = True  # False if a singularity truncated the run
+    failure: str | None = None  # why an incomplete run stopped, with step and t
 
 
 def _graph(kit: GroupKit, split: SplittingData, u: np.ndarray) -> GraphCoordinate:
@@ -138,51 +139,43 @@ def particle_charges(
     n = kit.b.g.dim
     w = np.zeros(2 * n, dtype=complex)
     w[n:] = p
-    ad = kit.ad_d_group(u)
-    moved = ad @ w
-    pmat = np.zeros((2 * n, 2 * n), dtype=complex)
-    pmat[:n, n:] = np.eye(n)
-    pmat[n:, :n] = np.eye(n)
-    moments = -0.5 * (pmat @ moved)
+    moved = kit.ad_d_group(u) @ w
+    moments = -0.5 * (split.pairing @ moved)
     return moved[n:], moved[:n], moments
 
 
 def _rk_mk_step(kit: GroupKit, split: SplittingData, state: ParticleState, dt: float) -> ParticleState:
     u0, p0, a0 = state.u, state.p, state.a
-    rho = kit.b.rho
+    n = kit.b.g.dim
 
-    def stage(sig_u: np.ndarray, dp: np.ndarray):
-        u = u0 @ expm2(sig_u)
+    def stage(u: np.ndarray, dp: np.ndarray):
         udot, pdot, w = particle_rhs(kit, split, u, p0 + dp)
         # left-translated u-increment in matrix form, corrected for the
         # left-trivialized exponential chart (transpose trick: u^T obeys a
         # right-invariant equation with generator mat(udot)^T)
         return kit.mat(udot), pdot, w
 
-    z = np.zeros((2, 2), dtype=complex)
-    a1, kp1, w1 = stage(z, 0.0)
-    b1 = _vdexpinv(z, a1)
-    a2, kp2, w2 = stage(0.5 * dt * b1, 0.5 * dt * kp1)
+    # the first stage sits at sigma = 0, where exp and dexp^-1 are identities
+    b1, kp1, w1 = stage(u0, 0.0)
+    a2, kp2, w2 = stage(u0 @ expm2(0.5 * dt * b1), 0.5 * dt * kp1)
     b2 = _vdexpinv((0.5 * dt * b1).T, a2.T).T
-    a3, kp3, w3 = stage(0.5 * dt * b2, 0.5 * dt * kp2)
+    a3, kp3, w3 = stage(u0 @ expm2(0.5 * dt * b2), 0.5 * dt * kp2)
     b3 = _vdexpinv((0.5 * dt * b2).T, a3.T).T
-    a4, kp4, w4 = stage(dt * b3, dt * kp3)
+    a4, kp4, w4 = stage(u0 @ expm2(dt * b3), dt * kp3)
     b4 = _vdexpinv((dt * b3).T, a4.T).T
     sig = (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
     u1 = u0 @ expm2(sig)
     p1 = p0 + (dt / 6.0) * (kp1 + 2 * kp2 + 2 * kp3 + kp4)
     # a evolves by da a^-1 = w in the dual group: right-invariant RKMK on
-    # each chiral factor (w stages already sit at matching (u, p) points)
-    a_new = []
-    for sgn_mat in (lambda v: kit.mat(rho @ v), lambda v: kit.mat(-rho.T @ v)):
-        m1, m2, m3, m4 = (sgn_mat(w) for w in (w1, w2, w3, w4))
-        c1 = _vdexpinv(z, m1)
-        c2 = _vdexpinv(0.5 * dt * c1, m2)
-        c3 = _vdexpinv(0.5 * dt * c2, m3)
-        c4 = _vdexpinv(dt * c3, m4)
-        a_new.append(expm2((dt / 6.0) * (c1 + 2 * c2 + 2 * c3 + c4)))
-    a1_ = DoubleElement(a_new[0] @ a0.left, a_new[1] @ a0.right)
-    return ParticleState(u1, p1, a1_)
+    # both chiral factors at once, stacked; the m-columns of the chiral
+    # matrix map w to (r2 w, -r1 w) (w stages already sit at matching
+    # (u, p) points)
+    c1, m2, m3, m4 = (kit.mat((kit.chi[:, n:] @ w).reshape(2, n)) for w in (w1, w2, w3, w4))
+    c2 = _vdexpinv(0.5 * dt * c1, m2)
+    c3 = _vdexpinv(0.5 * dt * c2, m3)
+    c4 = _vdexpinv(dt * c3, m4)
+    a_left, a_right = expm2((dt / 6.0) * (c1 + 2 * c2 + 2 * c3 + c4))
+    return ParticleState(u1, p1, DoubleElement(a_left @ a0.left, a_right @ a0.right))
 
 
 def integrate_particle(
@@ -211,19 +204,22 @@ def integrate_particle(
         moms.append(mom)
 
     record(0.0)
-    completed = True
+    failure = None
     for i in range(n_steps):
-        try:
-            state = _rk_mk_step(kit, split, state, dt)
-        except (np.linalg.LinAlgError, FloatingPointError):
-            completed = False
-            break
-        # renormalize the determinant only: the flow is holomorphic in
-        # SL(2, C) and need not stay on the compact real form, so a polar
-        # projection would alter the dynamics rather than remove roundoff
-        state.u = _vdet_normalize(state.u)
+        where = f"at step {i + 1} (t={(i + 1) * dt:g})"
+        # a blow-up surfaces as a non-finite state, reported below
+        with np.errstate(all="ignore"):
+            try:
+                state = _rk_mk_step(kit, split, state, dt)
+            except np.linalg.LinAlgError as exc:
+                failure = f"{type(exc).__name__} {where}: {exc}"
+                break
+            # renormalize the determinant only: the flow is holomorphic in
+            # SL(2, C) and need not stay on the compact real form, so a polar
+            # projection would alter the dynamics rather than remove roundoff
+            state.u = _vdet_normalize(state.u)
         if not np.all(np.isfinite(state.u)) or not np.all(np.isfinite(state.p)):
-            completed = False
+            failure = f"non-finite state {where}"
             break
         if (i + 1) % record_every == 0 or i == n_steps - 1:
             record((i + 1) * dt)
@@ -234,7 +230,8 @@ def integrate_particle(
         np.array(hams),
         np.array(qgs),
         np.array(moms),
-        completed,
+        failure is None,
+        failure,
     )
 
 

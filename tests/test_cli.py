@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from pltdual.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, limit_slopes, run
+from pltdual.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, run
+from pltdual.duality import limit_slopes
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +122,25 @@ def test_output_path_does_not_change_hash(capsys, tmp_path):
                 "--output", str(d / "t.csv"))
         texts.append((d / "t.csv").read_text())
     assert texts[0] == texts[1]
+
+
+def test_particle_stopped_run_reports_on_stderr(capsys, tmp_path):
+    """A particle run that blows up keeps the rows recorded so far, marks
+    the metadata incomplete and writes a JSON error document naming the
+    step and time."""
+    out_csv = tmp_path / "traj.csv"
+    out_meta = tmp_path / "meta.json"
+    code, _, err = run_cli(
+        capsys, "particle", "--algebra", "sl2r", "--p0", "5,5,5", "--dt", "1e-2",
+        "--output", str(out_csv), "--metadata", str(out_meta),
+    )
+    assert code == EXIT_NUMERICAL
+    error = json.loads(err)["error"]
+    assert error["kind"] == "numerical"
+    assert "at step " in error["message"] and "(t=" in error["message"]
+    rows = out_csv.read_text().splitlines()[2:]
+    assert 1 <= len(rows) < 101
+    assert json.loads(out_meta.read_text())["summary"]["completed"] is False
 
 
 # ---- field and duality ----------------------------------------------------------------
@@ -257,6 +277,22 @@ def test_sweep_manifest_and_replicas(capsys, tmp_path):
     a = (tmp_path / "particle_seed0.csv").read_text()
     b = (tmp_path / "particle_seed1.csv").read_text()
     assert a != b
+
+
+def test_sweep_hash_independent_of_directory_and_workers(capsys, tmp_path):
+    """The manifest hashes what was computed, not where or by how many
+    workers."""
+    hashes = []
+    for sub, workers in (("a", "1"), ("b", "2")):
+        out_dir = tmp_path / sub
+        out_dir.mkdir()
+        code, _, _ = run_cli(
+            capsys, "sweep", "--command", "duality", "--replicas", "1",
+            "--output-dir", str(out_dir), "--max-workers", workers,
+        )
+        assert code == EXIT_OK
+        hashes.append(json.loads((out_dir / "manifest.json").read_text())["config_hash"])
+    assert hashes[0] == hashes[1]
 
 
 def test_sweep_rejects_unknown_command(capsys, tmp_path):

@@ -229,8 +229,8 @@ def test_symplectic_form_antisymmetric_and_degenerate(su2_mp, boundary):
 
 def _perturb(kit, split, state, var, eps):
     mats = [kit.chiral_mats(eps * var[j]) for j in range(state.n_nodes)]
-    kl = np.stack([state.kl[j] @ fs._vexpm(np.array([m[0]]))[0] for j, m in enumerate(mats)])
-    kr = np.stack([state.kr[j] @ fs._vexpm(np.array([m[1]]))[0] for j, m in enumerate(mats)])
+    kl = np.stack([state.kl[j] @ expm2(m[0]) for j, m in enumerate(mats)])
+    kr = np.stack([state.kr[j] @ expm2(m[1]) for j, m in enumerate(mats)])
     return fs.LoopState(kit, split, kl, kr, state.boundary, state.time)
 
 
@@ -348,3 +348,17 @@ def test_chart_exit_keeps_whole_rows(amplitude, seed, rows):
                traj.eom_residuals_g, traj.eom_residuals_dual)
     assert [len(c) for c in columns] == [rows] * len(columns)
     assert traj.moments.shape == (rows, 2 * N)
+
+
+@pytest.mark.parametrize("diagnostics", [False, True])
+def test_nonfinite_state_stops_run(su2_mp, diagnostics):
+    """A state that turns non-finite stops the run at that step, named with
+    its time, before any diagnostic sees it, with or without diagnostics."""
+    kit, split = su2_mp
+    st = fs.random_smooth_loop(kit, split, 16, boundary="periodic", seed=0, amplitude=2)
+    traj = fs.integrate_field(st, 0.02, 40, record_every=10,
+                              with_duality=diagnostics, with_residuals=diagnostics)
+    assert not traj.completed
+    assert traj.failure == "non-finite state at step 15 (t=0.3)"
+    assert np.allclose(traj.times, [0.0, 0.2])
+    assert np.all(np.isfinite(traj.hamiltonians))

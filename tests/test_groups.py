@@ -1,6 +1,8 @@
 """Group-level machinery: exponentials, factorizations, adjoint transport,
 dressing cocycles and the dual-group vector coordinates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,34 @@ def test_expm2_logm2_round_trip():
         assert abs(np.linalg.det(m) - 1.0) < 1e-12
         back = expm2(logm2(m))
         assert np.max(np.abs(back - m)) < 1e-12
+
+
+def _expm_series(x: np.ndarray, terms: int = 40) -> np.ndarray:
+    out = term = np.eye(2, dtype=complex)
+    for k in range(1, terms):
+        term = term @ x / k
+        out = out + term
+    return out
+
+
+def test_expm2_stacked_matches_series():
+    """One call exponentiates a stack, including nodes on the small-theta
+    series and at theta = 0 (zero and nilpotent), without a warning."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+    x[:, 1, 1] = -x[:, 0, 0]
+    x[1] *= 1e-9
+    x[2] = 0.0
+    x[3] = [[0.0, 1.5], [0.0, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = expm2(x)
+        singles = np.stack([expm2(m) for m in x])
+        nested = expm2(x.reshape(2, 3, 2, 2)).reshape(6, 2, 2)
+    assert np.array_equal(stacked, singles)
+    assert np.array_equal(stacked, nested)
+    for m, e in zip(x, stacked):
+        assert np.max(np.abs(e - _expm_series(m))) < 1e-13 * max(1.0, np.max(np.abs(e)))
 
 
 def test_exp_g_lands_in_group(kit):

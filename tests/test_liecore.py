@@ -1,24 +1,19 @@
-"""Structure-constant algebra: brackets, operators, serialization."""
+"""Structure-constant algebra: brackets, ad matrices, serialization."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pltdual.bialgebra import hyperbolic_pairing
 from pltdual.liecore import (
-    AlgebraVector,
-    BilinearForm,
     LieAlgebra,
-    LinearOperator,
     ad_matrix,
-    ad_operator,
     algebra_from_json,
     algebra_to_json,
     antisymmetry_residual,
-    bracket,
     bracket_coeffs,
     jacobi_residual,
-    pair,
 )
 from pltdual.models import make_sl2r, make_su2
 
@@ -44,11 +39,11 @@ def test_jacobi(algebra):
 
 def test_sl2r_brackets_match_defining_relations():
     g = make_sl2r().g
-    h, xp, xm = (g.basis_vector(i) for i in range(3))
+    h, xp, xm = np.eye(3)
     # [H, X+] = 2 X+, [H, X-] = -2 X-, [X+, X-] = H
-    assert np.allclose(bracket(h, xp).coeffs, 2.0 * xp.coeffs)
-    assert np.allclose(bracket(h, xm).coeffs, -2.0 * xm.coeffs)
-    assert np.allclose(bracket(xp, xm).coeffs, h.coeffs)
+    assert np.allclose(bracket_coeffs(g.c, h, xp), 2.0 * xp)
+    assert np.allclose(bracket_coeffs(g.c, h, xm), -2.0 * xm)
+    assert np.allclose(bracket_coeffs(g.c, xp, xm), h)
 
 
 def test_su2_brackets_are_epsilon():
@@ -69,40 +64,15 @@ def test_ad_matrix_reproduces_bracket(algebra):
     assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
-def test_ad_operator_wraps_matrix(algebra):
-    x = algebra.vector([0.3, -0.2, 0.5])
-    op = ad_operator(x)
-    y = algebra.vector([1.0, 2.0, -1.0])
-    assert np.allclose(op(y).coeffs, bracket(x, y).coeffs)
-
-
-def test_vector_arithmetic(algebra):
-    x = algebra.vector([1.0, 0.0, 2.0])
-    y = algebra.vector([0.0, 1.0, -1.0])
-    assert np.allclose((x + y).coeffs, [1.0, 1.0, 1.0])
-    assert np.allclose((x - y).coeffs, [1.0, -1.0, 3.0])
-    assert np.allclose((x * 2.0).coeffs, [2.0, 0.0, 4.0])
-    assert np.allclose((-x).coeffs, [-1.0, 0.0, -2.0])
-    assert x.norm() == pytest.approx(np.sqrt(5.0))
-
-
-def test_operator_compose_and_inverse(algebra):
-    rng = np.random.default_rng(1)
-    m = rng.normal(size=(3, 3)) + np.eye(3) * 3.0
-    op = LinearOperator(algebra, algebra, m)
-    inv = op.inverse()
-    x = algebra.vector(rng.normal(size=3))
-    assert np.max(np.abs(inv(op(x)).coeffs - x.coeffs)) < 1e-12
-    comp = op.compose(inv)
-    assert np.max(np.abs(comp.matrix - np.eye(3))) < 1e-12
-
-
 def test_bilinear_form_pairing(algebra):
-    m = np.diag([1.0, 2.0, 3.0])
-    form = BilinearForm(algebra, algebra, m)
-    x = algebra.vector([1.0, 1.0, 1.0])
-    y = algebra.vector([1.0, 0.0, 1.0])
-    assert pair(form, x, y) == pytest.approx(4.0)
+    """The double's pairing as the bilinear form x^T P y: <xi (+) phi,
+    eta (+) psi> = phi(eta) + psi(xi)."""
+    n = algebra.dim
+    p = hyperbolic_pairing(n)
+    rng = np.random.default_rng(2)
+    xi, phi, eta, psi = rng.normal(size=(4, n))
+    lhs = np.concatenate([xi, phi]) @ p @ np.concatenate([eta, psi])
+    assert lhs == pytest.approx(phi @ eta + psi @ xi)
 
 
 def test_json_round_trip(algebra):
@@ -114,10 +84,13 @@ def test_json_round_trip(algebra):
 
 
 def test_mismatched_algebras_rejected():
-    g1 = make_sl2r().g
-    g2 = make_su2().g
+    """Structure constants that are not cubic, or labels that do not match
+    the dimension, are rejected."""
+    c = make_sl2r().g.c
     with pytest.raises(ValueError):
-        bracket(g1.vector([1, 0, 0]), g2.vector([1, 0, 0]))
+        LieAlgebra(c[:, :, :2], ("H", "X+", "X-"))
+    with pytest.raises(ValueError):
+        LieAlgebra(c, ("H", "X+"))
 
 
 @settings(max_examples=50, deadline=None)

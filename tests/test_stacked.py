@@ -2,8 +2,8 @@
 
 The stacked factorizations and adjoint actions are compared node by node
 with the single-element ``GroupKit`` calls and with a copy of the former
-closed-form scalar code; ``duality_check`` and ``eom_residuals`` are
-compared with per-node copies of the loops they replaced.
+closed-form scalar code; ``duality_check``, ``eom_residuals`` and the loop
+initializers are compared with per-node copies of the loops they replaced.
 """
 
 from functools import lru_cache
@@ -158,6 +158,56 @@ def ref_eom_residuals(state0, state1):
     )
 
 
+def ref_expm2(x):
+    """The former single-matrix exponential (determinant from LU)."""
+    theta2 = -np.linalg.det(x)
+    theta = np.sqrt(theta2)
+    if abs(theta) < 1e-6:
+        c = 1 + theta2 / 2 + theta2**2 / 24 + theta2**3 / 720
+        s = 1 + theta2 / 6 + theta2**2 / 120 + theta2**3 / 5040
+    else:
+        c, s = np.cosh(theta), np.sinh(theta) / theta
+    return c * np.eye(2) + s * x
+
+
+def ref_loop(kit, ws):
+    """Chiral pairs of exp(w) node by node, with the su2 dual real form."""
+    kl, kr = [], []
+    for w in ws:
+        wc = w.astype(complex)
+        if kit.flavor == "su2":
+            wc[3:] = -1j * w[3:]
+        left, right = kit.chiral_mats(wc)
+        kl.append(ref_expm2(left))
+        kr.append(ref_expm2(right))
+    return np.stack(kl), np.stack(kr)
+
+
+def ref_random_smooth_loop(kit, cfg, n_modes=2):
+    rng = np.random.default_rng(cfg["seed"])
+    xs = fs.grid_points(cfg["n_cells"], cfg["boundary"])
+    mode_step = 2 if cfg["boundary"] == "periodic" else 1
+    coeffs = rng.normal(size=(n_modes + 1, 6)) * cfg["amplitude"] / (n_modes + 1)
+    ws = []
+    for x in xs:
+        w = np.zeros(6)
+        for m in range(n_modes + 1):
+            w = w + coeffs[m] * np.cos(mode_step * m * x)
+        ws.append(w)
+    return ref_loop(kit, ws)
+
+
+def ref_centered_bump_loop(kit, cfg, radius=0.45):
+    rng = np.random.default_rng(cfg["seed"])
+    coeffs = rng.normal(size=(2, 6)) * cfg["amplitude"]
+    ws = []
+    for x in fs.grid_points(cfg["n_cells"], cfg["boundary"]):
+        y = (x - np.pi / 2) / radius
+        env = np.exp(1.0 - 1.0 / (1.0 - y * y)) if abs(y) < 1.0 else 0.0
+        ws.append(env * (coeffs[0] + coeffs[1] * np.sin(np.pi * y)))
+    return ref_loop(kit, ws)
+
+
 # ---- stacked kernels against the single-element calls ------------------------------
 
 
@@ -180,6 +230,29 @@ def test_stacked_kernels_match_single_element_calls(cfg):
             assert np.abs(got - want).max() < 1e-13
         assert np.abs(ad[j] - kit.ad_d(k)).max() < 1e-13
         assert np.abs(ad[j] - ref_ad_d(kit, k)).max() < 1e-13
+
+
+@settings(max_examples=15, deadline=None)
+@given(loops)
+def test_initializers_match_per_node_loops(cfg):
+    kit, split = kit_and_split(cfg["algebra"])
+    args = (kit, split, cfg["n_cells"])
+    kw = {"boundary": cfg["boundary"], "seed": cfg["seed"], "amplitude": cfg["amplitude"]}
+    u0 = kit.exp_g(np.array([0.2, -0.1, 0.3]))
+    p = np.array([0.3, 0.1, -0.2]) * (-1j if cfg["algebra"] == "su2" else 1.0)
+    pointlike = fs.init_pointlike(kit, split, u0, p, cfg["n_cells"], boundary=cfg["boundary"])
+    xs = fs.grid_points(cfg["n_cells"], cfg["boundary"])
+    ref_s = [kit.chiral_mats(np.concatenate([np.zeros(3), x * p])) for x in xs]
+    cases = (
+        (fs.random_smooth_loop(*args, **kw), ref_random_smooth_loop(kit, cfg)),
+        (fs.centered_bump_loop(*args, **kw), ref_centered_bump_loop(kit, cfg)),
+        (pointlike, (np.stack([u0 @ ref_expm2(m[0]) for m in ref_s]),
+                     np.stack([u0 @ ref_expm2(m[1]) for m in ref_s]))),
+    )
+    for state, (kl, kr) in cases:
+        assert state.kl.shape == kl.shape
+        assert np.abs(state.kl - kl).max() < 1e-14
+        assert np.abs(state.kr - kr).max() < 1e-14
 
 
 # ---- loop-free diagnostics against the per-node loops ------------------------------

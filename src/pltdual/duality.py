@@ -13,7 +13,9 @@ whenever lam + 1 + 2 mu is away from zero.  The diagonal pairings are
 Moving graph coordinates slice the transported subspaces Ad_{u^-1} E_+-
 as graphs over m; three independent routes to E_u^-1 (exact subspace
 transport, the invariant-split closed form, and the cocycle form) agree
-to machine precision and are kept separate deliberately.  The dual model
+to machine precision and are kept separate deliberately; the
+invariant-split route alone, without pi_diff or condition numbers, is
+:func:`graph_maps`, which the particle flow evaluates.  The dual model
 slices the same subspaces as graphs over g along the dual group, with
 bar-form Ebar-hat_t^-1 = E_e + Pi-hat(t).  The transported slices also
 come stacked over grid nodes (:func:`graph_slices`,
@@ -42,7 +44,7 @@ from .bialgebra import (
     symmetric_part_invariance_residual,
     tensor_conjugate,
 )
-from .groups import DoubleElement, GroupKit
+from .groups import DoubleElement, GroupKit, _vinv
 from .liecore import jacobi_residual
 from .models import ModelPreset, make_preset
 
@@ -53,6 +55,7 @@ __all__ = [
     "GraphCoordinate",
     "DualGraphCoordinate",
     "splitting",
+    "graph_maps",
     "graph_at",
     "dual_graph_at",
     "graph_slices",
@@ -216,6 +219,17 @@ def dual_graph_slices(split: SplittingData, ad_tinv: np.ndarray) -> tuple[np.nda
     )
 
 
+def graph_maps(kit: GroupKit, split: SplittingData, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E_u^-1, T_u^-1) : m -> g at u by the ``invariant-split`` route.
+
+    Ad_{u^-1}(X_e - r1) + r1 from the 3x3 Ad_{u^-1} on g; the cheap part
+    of :func:`graph_at`, without its pi_diff or condition numbers.
+    """
+    a = kit.ad_g(_vinv(u))
+    r1 = split.preset.bialgebra.rho.T
+    return tensor_conjugate(split.e_inv - r1, a) + r1, tensor_conjugate(split.t_inv - r1, a) + r1
+
+
 def graph_at(
     kit: GroupKit,
     split: SplittingData,
@@ -236,17 +250,14 @@ def graph_at(
     uinv = np.linalg.inv(u)
     if route == "transport":
         e_inv, t_inv = graph_slices(split, kit.ad_d(DoubleElement.from_group(uinv)))
-    elif route in ("invariant-split", "cocycle"):
+    elif route == "invariant-split":
+        e_inv, t_inv = graph_maps(kit, split, u)
+    elif route == "cocycle":
         a = kit.ad_g(uinv)
-        r1 = split.preset.bialgebra.rho.T
-        if route == "invariant-split":
-            e_inv = tensor_conjugate(split.e_inv - r1, a) + r1
-            t_inv = tensor_conjugate(split.t_inv - r1, a) + r1
-        else:
-            rho = split.preset.bialgebra.rho
-            pi2 = tensor_conjugate(rho, a) - rho  # r2 cocycle at u^-1
-            e_inv = tensor_conjugate(split.e_inv, a) + pi2
-            t_inv = tensor_conjugate(split.t_inv, a) + pi2
+        rho = split.preset.bialgebra.rho
+        pi2 = tensor_conjugate(rho, a) - rho  # r2 cocycle at u^-1
+        e_inv = tensor_conjugate(split.e_inv, a) + pi2
+        t_inv = tensor_conjugate(split.t_inv, a) + pi2
     else:
         raise ValueError(f"unknown graph route '{route}'")
     ad_uinv = kit.ad_d(DoubleElement.from_group(uinv))

@@ -40,6 +40,7 @@ __all__ = [
     "FactorizationError",
     "expm2",
     "logm2",
+    "rkmk4",
 ]
 
 
@@ -113,6 +114,30 @@ def expm2(x: np.ndarray) -> np.ndarray:
     out[..., 0, 0] += c
     out[..., 1, 1] += c
     return out
+
+
+def rkmk4(gens, y0: np.ndarray, p0, dt: float):
+    """One fourth-order Runge-Kutta-Munthe-Kaas step (Munthe-Kaas, Appl.
+    Numer. Math. 29, 1999) of dy/dt y^-1 = A(y, p), dp/dt = P(y, p).
+
+    ``y0`` is a stack of unimodular 2x2 matrices, ``p0`` an additive
+    vector and ``gens(y, p)`` returns (A, P).  Each stage reaches its
+    point through the exponential of the algebra increment and pulls the
+    generator back by dexp^-1, so y stays on its group; returns (y1, p1).
+    """
+    a1, k1 = gens(y0, p0)
+    # the first stage sits at sigma = 0, where exp and dexp^-1 are identities
+    a2, k2 = gens(expm2(0.5 * dt * a1) @ y0, p0 + 0.5 * dt * k1)
+    b2 = _vdexpinv(0.5 * dt * a1, a2)
+    a3, k3 = gens(expm2(0.5 * dt * b2) @ y0, p0 + 0.5 * dt * k2)
+    b3 = _vdexpinv(0.5 * dt * b2, a3)
+    a4, k4 = gens(expm2(dt * b3) @ y0, p0 + dt * k3)
+    b4 = _vdexpinv(dt * b3, a4)
+    y1 = expm2((dt / 6.0) * (a1 + 2 * b2 + 2 * b3 + b4)) @ y0
+    # renormalize the determinant only: the flow is holomorphic in
+    # SL(2, C) and need not stay on a compact real form, so a polar
+    # projection would alter the dynamics rather than remove roundoff
+    return _vdet_normalize(y1), p0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def logm2(m: np.ndarray) -> np.ndarray:

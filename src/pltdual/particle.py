@@ -11,10 +11,12 @@ The conjugate factor a(t) in k = u exp(p x) a evolves in the dual group by
 da/dt a^-1 = (E_u^-1 - T_u^-1)^-1 (E_u^-1 + T_u^-1) p and is integrated
 alongside as a diagnostic of the equivalence with the loop-field flow.
 
-Integration is a fourth-order Runge-Kutta-Munthe-Kaas step: the group
-variables are updated through exponentials of algebra increments with a
-commutator-corrected (dexpinv-truncated) stage map, so u and a stay on
-their groups to machine precision.
+Integration is the fourth-order Runge-Kutta-Munthe-Kaas step
+:func:`pltdual.groups.rkmk4` that also advances the loop field: u^T (whose
+right-translated velocity is the transpose of u^-1 du/dt) and the two
+chiral factors of a are stepped as one stack of group matrices, with p as
+the additive variable, so u and a stay on their groups to machine
+precision.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import GraphCoordinate, SplittingData, graph_at
-from .groups import DoubleElement, GroupKit, _vdet_normalize, _vdexpinv, _vinv, expm2
+from .duality import SplittingData, graph_at, graph_maps
+from .groups import DoubleElement, GroupKit, _vinv, expm2, rkmk4
 from .liecore import bracket_coeffs
 from .models import ModelPreset
 
@@ -69,19 +71,15 @@ class ParticleTrajectory:
     failure: str | None = None  # why an incomplete run stopped, with step and t
 
 
-def _graph(kit: GroupKit, split: SplittingData, u: np.ndarray) -> GraphCoordinate:
-    return graph_at(kit, split, u, route="invariant-split")
-
-
 def particle_rhs(
     kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left-translated velocities (u^-1 du, dp, da a^-1)."""
-    g = _graph(kit, split, u)
-    d = g.e_inv - g.t_inv
-    ep = g.e_inv @ p
-    udot = 2.0 * (g.t_inv @ np.linalg.solve(d, ep))
-    w = np.linalg.solve(d, (g.e_inv + g.t_inv) @ p)
+    e_inv, t_inv = graph_maps(kit, split, u)
+    d = e_inv - t_inv
+    ep = e_inv @ p
+    udot = 2.0 * (t_inv @ np.linalg.solve(d, ep))
+    w = np.linalg.solve(d, (e_inv + t_inv) @ p)
     pdot = bracket_coeffs(split.preset.bialgebra.m.c, w, p)
     return udot, pdot, w
 
@@ -95,7 +93,7 @@ def particle_rhs_inverse_form(
     wherever E_u and T_u exist, but requires invertible E_u^-1, T_u^-1,
     so the primary right-hand side works with the un-inverted maps.
     """
-    g = _graph(kit, split, u)
+    g = graph_at(kit, split, u, route="invariant-split")
     e = g.e_matrix()
     t = g.t_matrix()
     udot = -2.0 * np.linalg.solve(e - t, p)
@@ -127,9 +125,9 @@ def particle_rhs_invariant_form(
 def particle_hamiltonian(
     kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray
 ) -> complex:
-    g = _graph(kit, split, u)
-    ep = g.e_inv @ p
-    return 0.5 * complex(np.linalg.solve(g.e_inv - g.t_inv, ep) @ ep)
+    e_inv, t_inv = graph_maps(kit, split, u)
+    ep = e_inv @ p
+    return 0.5 * complex(np.linalg.solve(e_inv - t_inv, ep) @ ep)
 
 
 def particle_charges(
@@ -145,37 +143,18 @@ def particle_charges(
 
 
 def _rk_mk_step(kit: GroupKit, split: SplittingData, state: ParticleState, dt: float) -> ParticleState:
-    u0, p0, a0 = state.u, state.p, state.a
     n = kit.b.g.dim
 
-    def stage(u: np.ndarray, dp: np.ndarray):
-        udot, pdot, w = particle_rhs(kit, split, u, p0 + dp)
-        # left-translated u-increment in matrix form, corrected for the
-        # left-trivialized exponential chart (transpose trick: u^T obeys a
-        # right-invariant equation with generator mat(udot)^T)
-        return kit.mat(udot), pdot, w
+    def gens(y: np.ndarray, p: np.ndarray):
+        # y stacks (u^T, a.left, a.right): u^-1 du = B is the right-invariant
+        # d(u^T) (u^T)^-1 = B^T, and da a^-1 = w acts on both chiral factors
+        # through the m-columns of the chiral matrix, w -> (r2 w, -r1 w)
+        udot, pdot, w = particle_rhs(kit, split, y[0].T, p)
+        a_left, a_right = kit.mat((kit.chi[:, n:] @ w).reshape(2, n))
+        return np.stack([kit.mat(udot).T, a_left, a_right]), pdot
 
-    # the first stage sits at sigma = 0, where exp and dexp^-1 are identities
-    b1, kp1, w1 = stage(u0, 0.0)
-    a2, kp2, w2 = stage(u0 @ expm2(0.5 * dt * b1), 0.5 * dt * kp1)
-    b2 = _vdexpinv((0.5 * dt * b1).T, a2.T).T
-    a3, kp3, w3 = stage(u0 @ expm2(0.5 * dt * b2), 0.5 * dt * kp2)
-    b3 = _vdexpinv((0.5 * dt * b2).T, a3.T).T
-    a4, kp4, w4 = stage(u0 @ expm2(dt * b3), dt * kp3)
-    b4 = _vdexpinv((dt * b3).T, a4.T).T
-    sig = (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-    u1 = u0 @ expm2(sig)
-    p1 = p0 + (dt / 6.0) * (kp1 + 2 * kp2 + 2 * kp3 + kp4)
-    # a evolves by da a^-1 = w in the dual group: right-invariant RKMK on
-    # both chiral factors at once, stacked; the m-columns of the chiral
-    # matrix map w to (r2 w, -r1 w) (w stages already sit at matching
-    # (u, p) points)
-    c1, m2, m3, m4 = (kit.mat((kit.chi[:, n:] @ w).reshape(2, n)) for w in (w1, w2, w3, w4))
-    c2 = _vdexpinv(0.5 * dt * c1, m2)
-    c3 = _vdexpinv(0.5 * dt * c2, m3)
-    c4 = _vdexpinv(dt * c3, m4)
-    a_left, a_right = expm2((dt / 6.0) * (c1 + 2 * c2 + 2 * c3 + c4))
-    return ParticleState(u1, p1, DoubleElement(a_left @ a0.left, a_right @ a0.right))
+    y1, p1 = rkmk4(gens, np.stack([state.u.T, state.a.left, state.a.right]), state.p, dt)
+    return ParticleState(y1[0].T, p1, DoubleElement(y1[1], y1[2]))
 
 
 def integrate_particle(
@@ -214,10 +193,6 @@ def integrate_particle(
             except np.linalg.LinAlgError as exc:
                 failure = f"{type(exc).__name__} {where}: {exc}"
                 break
-            # renormalize the determinant only: the flow is holomorphic in
-            # SL(2, C) and need not stay on the compact real form, so a polar
-            # projection would alter the dynamics rather than remove roundoff
-            state.u = _vdet_normalize(state.u)
         if not np.all(np.isfinite(state.u)) or not np.all(np.isfinite(state.p)):
             failure = f"non-finite state {where}"
             break

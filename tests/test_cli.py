@@ -137,7 +137,7 @@ def test_particle_stopped_run_reports_on_stderr(capsys, tmp_path):
     assert code == EXIT_NUMERICAL
     error = json.loads(err)["error"]
     assert error["kind"] == "numerical"
-    assert "at step " in error["message"] and "(t=" in error["message"]
+    assert error["message"] == "non-finite state at step 32 (t=0.32)"
     rows = out_csv.read_text().splitlines()[2:]
     assert 1 <= len(rows) < 101
     assert json.loads(out_meta.read_text())["summary"]["completed"] is False

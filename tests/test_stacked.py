@@ -3,7 +3,9 @@
 The stacked factorizations and adjoint actions are compared node by node
 with the single-element ``GroupKit`` calls and with a copy of the former
 closed-form scalar code; ``duality_check``, ``eom_residuals`` and the loop
-initializers are compared with per-node copies of the loops they replaced.
+initializers are compared with per-node copies of the loops they replaced,
+and the field and particle steps, which share ``groups.rkmk4``, with copies
+of the two hand-unrolled RKMK4 steppers it replaced.
 """
 
 from functools import lru_cache
@@ -14,8 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pltdual import fieldsim as fs
+from pltdual import particle as pt
 from pltdual.duality import dual_graph_at, graph_at, splitting
-from pltdual.groups import DoubleElement, FactorizationError, GroupKit
+from pltdual.groups import (
+    DoubleElement,
+    FactorizationError,
+    GroupKit,
+    _vdet_normalize,
+    _vdexpinv,
+    expm2,
+)
 from pltdual.liecore import bracket_coeffs
 from pltdual.models import make_preset
 
@@ -208,6 +218,62 @@ def ref_centered_bump_loop(kit, cfg, radius=0.45):
     return ref_loop(kit, ws)
 
 
+def ref_field_step(state, dt):
+    """The former unrolled RKMK4 step of the loop flow, one chiral side at a time."""
+
+    def gens(kl, kr):
+        return fs._flow_generators(
+            fs.LoopState(state.kit, state.split, kl, kr, state.boundary, state.time)
+        )
+
+    kl0, kr0 = state.kl, state.kr
+    al1, ar1 = gens(kl0, kr0)
+    bl1, br1 = al1, ar1
+    al2, ar2 = gens(expm2(0.5 * dt * bl1) @ kl0, expm2(0.5 * dt * br1) @ kr0)
+    bl2 = _vdexpinv(0.5 * dt * bl1, al2)
+    br2 = _vdexpinv(0.5 * dt * br1, ar2)
+    al3, ar3 = gens(expm2(0.5 * dt * bl2) @ kl0, expm2(0.5 * dt * br2) @ kr0)
+    bl3 = _vdexpinv(0.5 * dt * bl2, al3)
+    br3 = _vdexpinv(0.5 * dt * br2, ar3)
+    al4, ar4 = gens(expm2(dt * bl3) @ kl0, expm2(dt * br3) @ kr0)
+    bl4 = _vdexpinv(dt * bl3, al4)
+    br4 = _vdexpinv(dt * br3, ar4)
+    sl = (dt / 6.0) * (bl1 + 2 * bl2 + 2 * bl3 + bl4)
+    sr = (dt / 6.0) * (br1 + 2 * br2 + 2 * br3 + br4)
+    return _vdet_normalize(expm2(sl) @ kl0), _vdet_normalize(expm2(sr) @ kr0)
+
+
+def ref_particle_step(kit, split, state, dt):
+    """The former unrolled RKMK4 particle step: u by the transposed
+    dexp^-1 chain, then both chiral factors of a on the recorded w stages."""
+    u0, p0, a0 = state.u, state.p, state.a
+
+    def stage(u, dp):
+        udot, pdot, w = pt.particle_rhs(kit, split, u, p0 + dp)
+        return kit.mat(udot), pdot, w
+
+    b1, kp1, w1 = stage(u0, 0.0)
+    a2, kp2, w2 = stage(u0 @ expm2(0.5 * dt * b1), 0.5 * dt * kp1)
+    b2 = _vdexpinv((0.5 * dt * b1).T, a2.T).T
+    a3, kp3, w3 = stage(u0 @ expm2(0.5 * dt * b2), 0.5 * dt * kp2)
+    b3 = _vdexpinv((0.5 * dt * b2).T, a3.T).T
+    a4, kp4, w4 = stage(u0 @ expm2(dt * b3), dt * kp3)
+    b4 = _vdexpinv((dt * b3).T, a4.T).T
+    u1 = u0 @ expm2((dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4))
+    p1 = p0 + (dt / 6.0) * (kp1 + 2 * kp2 + 2 * kp3 + kp4)
+    c1, m2, m3, m4 = (kit.mat((kit.chi[:, 3:] @ w).reshape(2, 3)) for w in (w1, w2, w3, w4))
+    c2 = _vdexpinv(0.5 * dt * c1, m2)
+    c3 = _vdexpinv(0.5 * dt * c2, m3)
+    c4 = _vdexpinv(dt * c3, m4)
+    a_left, a_right = expm2((dt / 6.0) * (c1 + 2 * c2 + 2 * c3 + c4))
+    # integrate_particle renormalized u after each step
+    return _vdet_normalize(u1), p1, a_left @ a0.left, a_right @ a0.right
+
+
+def rel_err(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
 # ---- stacked kernels against the single-element calls ------------------------------
 
 
@@ -267,6 +333,39 @@ def test_diagnostics_match_per_node_loops(cfg):
     assert gap < 1e-12 and ref_gap < 1e-12
     for got, want in zip(fs.eom_residuals(state0, state1), ref_eom_residuals(state0, state1)):
         assert abs(got - want) <= 1e-9 * abs(want)
+
+
+# ---- the shared RKMK4 stepper against the unrolled ones --------------------------------
+
+
+@settings(max_examples=20, deadline=None)
+@given(loops, st.floats(min_value=0.05, max_value=0.5))
+def test_field_step_matches_unrolled_stepper(cfg, cfl):
+    state = make_loop(cfg)
+    stepped = fs.step(state, cfl * state.dx)
+    kl, kr = ref_field_step(state, cfl * state.dx)
+    assert rel_err(stepped.kl, kl) < 1e-13
+    assert rel_err(stepped.kr, kr) < 1e-13
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["su2", "sl2r"]),
+    st.integers(min_value=0, max_value=2**16),
+    st.floats(min_value=1e-3, max_value=0.1),
+)
+def test_particle_step_matches_unrolled_stepper(algebra, seed, dt):
+    kit, split = kit_and_split(algebra)
+    rng = np.random.default_rng(seed)
+    u0 = kit.exp_g(rng.normal(size=3) * 0.3)
+    p0 = (rng.normal(size=3) * 0.4).astype(complex)
+    a0 = kit.exp_m(rng.normal(size=3) * 0.2)
+    stepped = pt._rk_mk_step(kit, split, pt.ParticleState(u0, p0, a0), dt)
+    u1, p1, a_left, a_right = ref_particle_step(kit, split, pt.ParticleState(u0, p0, a0), dt)
+    assert rel_err(stepped.u, u1) < 1e-13
+    assert rel_err(stepped.p, p1) < 1e-13
+    assert rel_err(stepped.a.left, a_left) < 1e-13
+    assert rel_err(stepped.a.right, a_right) < 1e-13
 
 
 # ---- chart checks name the first bad node -------------------------------------------

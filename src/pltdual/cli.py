@@ -24,6 +24,7 @@ machine-readable JSON error document on stderr), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -273,6 +274,7 @@ def run_particle(cfg: dict) -> int:
         "completed": traj.completed,
         "hamiltonian_drift": float(np.max(np.abs(traj.hams - traj.hams[0]))),
         "charge_drift": float(np.max(np.abs(traj.charges_g - traj.charges_g[0]))),
+        "max_ad_cond": traj.max_ad_cond,
         "steps": n_steps,
     }
     return _finish(cfg, *particle_table(traj), summary, traj.failure)
@@ -456,7 +458,10 @@ def _add_common(sub):
     sub.add_argument("--output", help="output path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every :func:`run` shares it."""
     parser = _Parser(prog="pltdual", description=__doc__.split("\n")[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -15,11 +15,11 @@ as graphs over m; three independent routes to E_u^-1 (exact subspace
 transport, the invariant-split closed form, and the cocycle form) agree
 to machine precision and are kept separate deliberately; the
 invariant-split route alone, without pi_diff or condition numbers, is
-:func:`graph_maps`, which the particle flow evaluates.  The dual model
-slices the same subspaces as graphs over g along the dual group, with
-bar-form Ebar-hat_t^-1 = E_e + Pi-hat(t).  The transported slices also
-come stacked over grid nodes (:func:`graph_slices`,
-:func:`dual_graph_slices`) for the field diagnostics.
+:func:`graph_maps`.  The dual model slices the same subspaces as graphs
+over g along the dual group, with bar-form Ebar-hat_t^-1 = E_e +
+Pi-hat(t).  The transported slices also come stacked over grid nodes
+(:func:`graph_slices`, :func:`dual_graph_slices`) for the field
+diagnostics.
 
 Two reports close the module: :func:`validation_report` collects every
 structural residual of one preset, and :func:`limit_slopes` fits the
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,7 @@ __all__ = [
     "SplittingError",
     "GraphBlowupError",
     "SplittingData",
+    "ShiftedMaps",
     "GraphCoordinate",
     "DualGraphCoordinate",
     "splitting",
@@ -73,6 +75,17 @@ __all__ = [
     "validation_report",
     "limit_slopes",
 ]
+
+
+class ShiftedMaps(NamedTuple):
+    """Constants of the graph maps at u, X_u^-1 = Ad_{u^-1} (X_e^-1 - r1)
+    Ad_{u^-1}^T + r1 (see :mod:`pltdual.particle`)."""
+
+    r1: np.ndarray
+    e_shift: np.ndarray  # E_e^-1 - r1
+    t_shift: np.ndarray  # T_e^-1 - r1
+    sum_shift: np.ndarray  # E_e^-1 + T_e^-1 - 2 r1
+    d_inv: np.ndarray  # (E_e^-1 - T_e^-1)^-1
 
 
 class SplittingError(ValueError):
@@ -107,6 +120,14 @@ class SplittingData:
     @cached_property
     def t_matrix(self) -> np.ndarray:
         return np.linalg.inv(self.t_inv)
+
+    @cached_property
+    def shifted_maps(self) -> ShiftedMaps:
+        r1 = np.ascontiguousarray(self.preset.bialgebra.rho.T)
+        return ShiftedMaps(
+            r1, self.e_inv - r1, self.t_inv - r1, self.e_inv + self.t_inv - 2.0 * r1,
+            np.linalg.inv(self.e_inv - self.t_inv),
+        )
 
     def orthogonality_defect(self) -> float:
         return float(
@@ -226,8 +247,8 @@ def graph_maps(kit: GroupKit, split: SplittingData, u: np.ndarray) -> tuple[np.n
     of :func:`graph_at`, without its pi_diff or condition numbers.
     """
     a = kit.ad_g(_vinv(u))
-    r1 = split.preset.bialgebra.rho.T
-    return tensor_conjugate(split.e_inv - r1, a) + r1, tensor_conjugate(split.t_inv - r1, a) + r1
+    c = split.shifted_maps
+    return tensor_conjugate(c.e_shift, a) + c.r1, tensor_conjugate(c.t_shift, a) + c.r1
 
 
 def graph_at(

@@ -76,6 +76,12 @@ def _vcond(m: np.ndarray) -> np.ndarray:
     return (f + np.sqrt(np.maximum(f * f - 4.0 * d * d, 0.0))) / (2.0 * d)
 
 
+def _entry_products(u: np.ndarray) -> np.ndarray:
+    """The 16 products u_ab (u^-1)_cd, flattened over (a, b, c, d)."""
+    pairs = u[..., :, :, None, None] * _vinv(u)[..., None, None, :, :]
+    return pairs.reshape(u.shape[:-2] + (16,))
+
+
 def _vcomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
@@ -237,6 +243,9 @@ class GroupKit:
         entry_coeffs = np.zeros((n, 2, 2), dtype=complex)
         entry_coeffs[:, 0, 0], entry_coeffs[:, 0, 1], entry_coeffs[:, 1, 0] = self._demat.T
         self._ad_g_map = np.einsum("jbc,iad->abcdij", self.basis, entry_coeffs).reshape(16, 9)
+        # Ad_{u^-1} reads the same 16 products with the (u, u^-1) slots swapped
+        swapped = self._ad_g_map.reshape(2, 2, 2, 2, 9).transpose(2, 3, 0, 1, 4).reshape(16, 9)
+        self._ad_g_pair_map = np.hstack([swapped, self._ad_g_map])
         # Ad_k on the double is chi^-1 diag(Ad_kL, Ad_kR) chi, linear in both blocks
         blocks = np.einsum("ia,bj->abij", self.chi_inv, self.chi)
         self._ad_d_maps = (blocks[:n, :n].reshape(9, 36), blocks[n:, n:].reshape(9, 36))
@@ -255,6 +264,19 @@ class GroupKit:
         z = np.asarray(w, dtype=complex) @ self.chi.T
         n = self.b.g.dim
         return self.mat(z[..., :n]), self.mat(z[..., n:])
+
+    @cached_property
+    def particle_stack_map(self) -> np.ndarray:
+        """12 x 6 map of (xi, phi) in g (+) m to the entries of the stack
+        (mat(xi)^T, L(phi), R(phi)), the generators of the particle's
+        (u^T, a.left, a.right) for u^-1 du = xi and da a^-1 = phi."""
+        n = self.b.g.dim
+        entries = self.basis.reshape(n, 4).T
+        out = np.zeros((12, 2 * n), dtype=complex)
+        out[:4, :n] = self.basis.transpose(0, 2, 1).reshape(n, 4).T
+        out[4:8, n:] = entries @ self.chi[:n, n:]
+        out[8:, n:] = entries @ self.chi[n:, n:]
+        return out
 
     def tangent_coeffs(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`chiral_mats` (a 6-vector of d-coefficients)."""
@@ -280,8 +302,14 @@ class GroupKit:
         """3x3 matrix of Ad_u on g (and its complexification)."""
         u = np.asarray(u, dtype=complex)
         lead = u.shape[:-2]
-        pairs = u[..., :, :, None, None] * _vinv(u)[..., None, None, :, :]
-        return (pairs.reshape(lead + (16,)) @ self._ad_g_map).reshape(lead + (3, 3))
+        return (_entry_products(u) @ self._ad_g_map).reshape(lead + (3, 3))
+
+    def ad_g_pair(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Ad_{u^-1}, Ad_u) on g from one set of products of the entries of
+        u and u^-1."""
+        lead = u.shape[:-2]
+        both = (_entry_products(u) @ self._ad_g_pair_map).reshape(lead + (2, 3, 3))
+        return both[..., 0, :, :], both[..., 1, :, :]
 
     def ad_d(self, k: DoubleElement) -> np.ndarray:
         """6x6 matrix of Ad_k on the double, exact via the chiral pair."""

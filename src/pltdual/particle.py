@@ -7,6 +7,16 @@ coordinate u evolves by
     dp/dt      = [ (E_u^-1 - T_u^-1)^-1 (E_u^-1 + T_u^-1) p, p ]_m,
 
 with conserved energy 4 H = 2 < (E_u^-1 - T_u^-1)^-1 E_u^-1 p, E_u^-1 p >.
+The graph maps are X_u^-1 = Ad_{u^-1} (X_e^-1 - r1) Ad_{u^-1}^T + r1, so the
+r1 shifts cancel in their difference and
+
+    (E_u^-1 - T_u^-1)^-1 = Ad_u^T (E_e^-1 - T_e^-1)^-1 Ad_u:
+
+one constant matrix conjugated by the adjoint pair (Ad_{u^-1}, Ad_u).  The
+right-hand side, the energy and the charges are therefore 3x3 products
+with that pair and the constants of :attr:`SplittingData.shifted_maps`,
+with no linear solve.
+
 The conjugate factor a(t) in k = u exp(p x) a evolves in the dual group by
 da/dt a^-1 = (E_u^-1 - T_u^-1)^-1 (E_u^-1 + T_u^-1) p and is integrated
 alongside as a diagnostic of the equivalence with the loop-field flow.
@@ -16,7 +26,8 @@ Integration is the fourth-order Runge-Kutta-Munthe-Kaas step
 right-translated velocity is the transpose of u^-1 du/dt) and the two
 chiral factors of a are stepped as one stack of group matrices, with p as
 the additive variable, so u and a stay on their groups to machine
-precision.
+precision.  The run stops once cond(Ad_u) = cond(u)^2 passes 1/eps, where
+Ad_u and Ad_{u^-1} no longer invert each other in double precision.
 """
 
 from __future__ import annotations
@@ -25,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import SplittingData, graph_at, graph_maps
-from .groups import DoubleElement, GroupKit, _vinv, expm2, rkmk4
+from .duality import SplittingData, graph_at
+from .groups import DoubleElement, GroupKit, _vcond, _vinv, expm2, rkmk4
 from .liecore import bracket_coeffs
 from .models import ModelPreset
 
@@ -69,17 +80,32 @@ class ParticleTrajectory:
     moments: np.ndarray  # moment-map values I_delta over the double basis
     completed: bool = True  # False if a singularity truncated the run
     failure: str | None = None  # why an incomplete run stopped, with step and t
+    max_ad_cond: float = 1.0  # worst chart margin met: the largest cond(Ad_u)
+
+
+# past this cond(Ad_u), Ad_u and Ad_{u^-1} no longer invert each other
+_AD_COND_LIMIT = 1.0 / np.finfo(float).eps
 
 
 def particle_rhs(
     kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left-translated velocities (u^-1 du, dp, da a^-1)."""
-    e_inv, t_inv = graph_maps(kit, split, u)
-    d = e_inv - t_inv
-    ep = e_inv @ p
-    udot = 2.0 * (t_inv @ np.linalg.solve(d, ep))
-    w = np.linalg.solve(d, (e_inv + t_inv) @ p)
+    """Left-translated velocities (u^-1 du, dp, da a^-1).
+
+    With (a, b) = (Ad_{u^-1}, Ad_u), x = (E_u^-1 - T_u^-1)^-1 E_u^-1 p is
+    b^T z with z = D_e^-1 ((E_e^-1 - r1) a^T p + b r1 p), and a^T x = z
+    gives T_u^-1 x.  da a^-1 is formed the same way from
+    (E_u^-1 + T_u^-1) p, not as 2 x - p, which cancels in the principal
+    limit.
+    """
+    a, b = kit.ad_g_pair(u)
+    c = split.shifted_maps
+    q = a.T @ p
+    rp = b @ (c.r1 @ p)
+    z = c.d_inv @ (c.e_shift @ q + rp)
+    x = b.T @ z
+    udot = 2.0 * (a @ (c.t_shift @ z) + c.r1 @ x)
+    w = b.T @ (c.d_inv @ (c.sum_shift @ q + 2.0 * rp))
     pdot = bracket_coeffs(split.preset.bialgebra.m.c, w, p)
     return udot, pdot, w
 
@@ -125,33 +151,40 @@ def particle_rhs_invariant_form(
 def particle_hamiltonian(
     kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray
 ) -> complex:
-    e_inv, t_inv = graph_maps(kit, split, u)
-    ep = e_inv @ p
-    return 0.5 * complex(np.linalg.solve(e_inv - t_inv, ep) @ ep)
+    """H = < x, E_u^-1 p > / 2 = < s, (E_e^-1 - T_e^-1)^-1 s > / 2 with
+    s = Ad_u E_u^-1 p = (E_e^-1 - r1) Ad_{u^-1}^T p + Ad_u r1 p."""
+    a, b = kit.ad_g_pair(u)
+    c = split.shifted_maps
+    s = c.e_shift @ (a.T @ p) + b @ (c.r1 @ p)
+    return 0.5 * complex(s @ (c.d_inv @ s))
 
 
 def particle_charges(
     kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Q_G, Q_M, I_delta): projections of u p u^-1 and the moment map."""
-    n = kit.b.g.dim
-    w = np.zeros(2 * n, dtype=complex)
-    w[n:] = p
-    moved = kit.ad_d_group(u) @ w
-    moments = -0.5 * (split.pairing @ moved)
-    return moved[n:], moved[:n], moments
+    """(Q_G, Q_M, I_delta): projections of u p u^-1 and the moment map.
+
+    In the chiral pair Ad_u acts on both factors by the 3x3 Ad_u, so
+    u p u^-1 = (r1 Q_G - Ad_u r1 p) (+) Q_G with the coadjoint
+    Q_G = Ad_{u^-1}^T p.
+    """
+    a, b = kit.ad_g_pair(u)
+    r1 = split.shifted_maps.r1
+    qg = a.T @ p
+    qm = r1 @ qg - b @ (r1 @ p)
+    moments = -0.5 * (split.pairing @ np.concatenate([qm, qg]))
+    return qg, qm, moments
 
 
 def _rk_mk_step(kit: GroupKit, split: SplittingData, state: ParticleState, dt: float) -> ParticleState:
-    n = kit.b.g.dim
+    stack_map = kit.particle_stack_map
 
     def gens(y: np.ndarray, p: np.ndarray):
         # y stacks (u^T, a.left, a.right): u^-1 du = B is the right-invariant
         # d(u^T) (u^T)^-1 = B^T, and da a^-1 = w acts on both chiral factors
         # through the m-columns of the chiral matrix, w -> (r2 w, -r1 w)
         udot, pdot, w = particle_rhs(kit, split, y[0].T, p)
-        a_left, a_right = kit.mat((kit.chi[:, n:] @ w).reshape(2, n))
-        return np.stack([kit.mat(udot).T, a_left, a_right]), pdot
+        return (stack_map @ np.concatenate([udot, w])).reshape(3, 2, 2), pdot
 
     y1, p1 = rkmk4(gens, np.stack([state.u.T, state.a.left, state.a.right]), state.p, dt)
     return ParticleState(y1[0].T, p1, DoubleElement(y1[1], y1[2]))
@@ -184,6 +217,7 @@ def integrate_particle(
 
     record(0.0)
     failure = None
+    max_ad_cond = float(_vcond(state.u)) ** 2
     for i in range(n_steps):
         where = f"at step {i + 1} (t={(i + 1) * dt:g})"
         # a blow-up surfaces as a non-finite state, reported below
@@ -196,6 +230,11 @@ def integrate_particle(
         if not np.all(np.isfinite(state.u)) or not np.all(np.isfinite(state.p)):
             failure = f"non-finite state {where}"
             break
+        ad_cond = float(_vcond(state.u)) ** 2
+        max_ad_cond = max(max_ad_cond, ad_cond)
+        if ad_cond > _AD_COND_LIMIT:
+            failure = f"chart margin lost {where}: cond(Ad_u) = {ad_cond:.3e} exceeds 1/eps"
+            break
         if (i + 1) % record_every == 0 or i == n_steps - 1:
             record((i + 1) * dt)
     return ParticleTrajectory(
@@ -207,6 +246,7 @@ def integrate_particle(
         np.array(moms),
         failure is None,
         failure,
+        max_ad_cond,
     )
 
 

@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, artifacts, determinism, sweeps."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pltdual.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, run
+from pltdual.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, run
 from pltdual.duality import limit_slopes
+from pltdual.models import ALGEBRA_NAMES, PRESET_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +83,7 @@ def test_particle_writes_csv_and_metadata(capsys, tmp_path):
     assert len(lines) == 2 + 21  # header + columns + initial + 20 steps
     meta = json.loads(out_meta.read_text())
     assert meta["summary"]["completed"] is True
+    assert meta["summary"]["max_ad_cond"] >= 1.0
     assert meta["config_hash"] == header["config_hash"]
     assert meta["config"]["dt"] == 1e-2
 
@@ -141,6 +147,51 @@ def test_particle_stopped_run_reports_on_stderr(capsys, tmp_path):
     rows = out_csv.read_text().splitlines()[2:]
     assert 1 <= len(rows) < 101
     assert json.loads(out_meta.read_text())["summary"]["completed"] is False
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    algebra=st.sampled_from(ALGEBRA_NAMES),
+    preset=st.sampled_from(PRESET_NAMES),
+    lam_mu=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    p0=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+    dt=st.sampled_from([1e-3, 1e-2, 0.1, 0.5]),
+)
+def test_particle_exit_contract_fuzz(algebra, preset, lam_mu, p0, dt):
+    """Any particle configuration ends with exit code 0, 2 or 3, and a
+    non-zero code comes with a JSON error document on stderr."""
+    # "--p0=" form: argparse reads a separate "-1.5,2,3" as an option
+    argv = ["particle", "--algebra", algebra, "--preset", preset,
+            "--p0=" + ",".join(repr(v) for v in p0), "--dt", repr(dt), "--T", repr(8 * dt)]
+    if preset == "custom":
+        argv += ["--lam", repr(lam_mu[0]), "--mu", repr(lam_mu[1])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+    if code != EXIT_OK:
+        assert "error" in json.loads(err.getvalue())
+
+
+def test_shared_parser_matches_fresh_parser(capsys):
+    """run() builds its parser once; back-to-back runs of different
+    subcommands, with a bad flag between them, give the outputs and exit
+    codes of runs on a freshly built parser."""
+    sequence = [
+        ("particle", "--T", "0.02", "--dt", "1e-2", "--algebra", "sl2r"),
+        ("validate", "--no-such-flag"),
+        ("duality", "--N", "8"),
+        ("particle", "--T", "0.02", "--p0", "1,2"),
+        ("validate", "--samples", "2"),
+    ]
+    assert build_parser() is build_parser()
+    shared = [run_cli(capsys, *argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [EXIT_OK, EXIT_CONFIG, EXIT_OK, EXIT_CONFIG, EXIT_OK]
 
 
 # ---- field and duality ----------------------------------------------------------------

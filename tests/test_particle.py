@@ -1,6 +1,7 @@
 """Point-particle reduction: closed-form oracles, conservation laws,
 order of accuracy, phase-space structure and the conjugate description."""
 
+import re
 import warnings
 
 import numpy as np
@@ -416,3 +417,33 @@ def test_truncated_run_flags_incomplete():
     assert not traj.completed
     assert len(traj.times) < 3001  # truncated before the horizon
     assert np.all(np.isfinite(traj.ps))
+
+
+def test_chart_margin_stops_run_and_is_recorded():
+    """The pure-qt flow above drives u off to infinity; the run stops at the
+    first step where cond(Ad_u) = cond(u)^2 passes 1/eps, names that step
+    and its time, keeps the records before it and reports the worst margin."""
+    _, kit, split = setup("sl2r", preset="pure-qt")
+    p0 = np.array([-6.0, 4.0, 4.0], dtype=complex)
+    traj = integrate_particle(kit, split, np.eye(2), p0, 1e-2, 3000)
+    match = re.fullmatch(
+        r"chart margin lost at step (\d+) \(t=([0-9.]+)\): cond\(Ad_u\) = (\S+) exceeds 1/eps",
+        traj.failure,
+    )
+    assert match is not None, traj.failure
+    step = int(match.group(1))
+    assert float(match.group(2)) == pytest.approx(step * 1e-2)
+    assert float(match.group(3)) > 1.0 / np.finfo(float).eps
+    assert traj.max_ad_cond == pytest.approx(float(match.group(3)), rel=1e-3)
+    assert len(traj.times) == step  # t = 0 and every step before the stop
+    assert np.all(np.isfinite(traj.hams))
+
+
+def test_completed_run_reports_its_margin():
+    _, kit, split = setup("sl2r")
+    u0 = expm2(kit.mat(np.array([0.4, 0.3, -0.2])))
+    traj = integrate_particle(kit, split, u0, np.array([0.3, -0.2, 0.1], complex), 1e-2, 20)
+    assert traj.completed
+    assert traj.max_ad_cond == pytest.approx(
+        max(float(np.linalg.cond(u)) ** 2 for u in traj.us), rel=1e-9
+    )

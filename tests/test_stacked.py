@@ -5,7 +5,10 @@ with the single-element ``GroupKit`` calls and with a copy of the former
 closed-form scalar code; ``duality_check``, ``eom_residuals`` and the loop
 initializers are compared with per-node copies of the loops they replaced,
 and the field and particle steps, which share ``groups.rkmk4``, with copies
-of the two hand-unrolled RKMK4 steppers it replaced.
+of the two hand-unrolled RKMK4 steppers it replaced.  The particle
+right-hand side, energy and charges, which conjugate constants by the
+adjoint pair (Ad_{u^-1}, Ad_u), are compared with copies of the graph-map
+and linear-solve code they replaced.
 """
 
 from functools import lru_cache
@@ -27,7 +30,7 @@ from pltdual.groups import (
     expm2,
 )
 from pltdual.liecore import bracket_coeffs
-from pltdual.models import make_preset
+from pltdual.models import ALGEBRA_NAMES, PRESET_NAMES, make_preset
 
 
 @lru_cache(maxsize=None)
@@ -270,6 +273,37 @@ def ref_particle_step(kit, split, state, dt):
     return _vdet_normalize(u1), p1, a_left @ a0.left, a_right @ a0.right
 
 
+def ref_graph_maps(kit, split, u):
+    """The former E_u^-1, T_u^-1 of the particle: Ad_{u^-1} (X_e - r1) + r1."""
+    a = ref_ad_g(kit, np.linalg.inv(u))
+    r1 = split.preset.bialgebra.rho.T
+    return a @ (split.e_inv - r1) @ a.T + r1, a @ (split.t_inv - r1) @ a.T + r1
+
+
+def ref_particle_rhs(kit, split, u, p):
+    """The former right-hand side by two linear solves; also returns x, the
+    solve of which w = 2 x - p is the difference."""
+    e_inv, t_inv = ref_graph_maps(kit, split, u)
+    d = e_inv - t_inv
+    x = np.linalg.solve(d, e_inv @ p)
+    w = np.linalg.solve(d, (e_inv + t_inv) @ p)
+    return 2.0 * (t_inv @ x), bracket_coeffs(split.preset.bialgebra.m.c, w, p), w, x
+
+
+def ref_particle_hamiltonian(kit, split, u, p):
+    e_inv, t_inv = ref_graph_maps(kit, split, u)
+    ep = e_inv @ p
+    return 0.5 * complex(np.linalg.solve(e_inv - t_inv, ep) @ ep)
+
+
+def ref_particle_charges(kit, split, u, p):
+    """The former charges from the 6x6 Ad_u of the double."""
+    w = np.zeros(6, dtype=complex)
+    w[3:] = p
+    moved = kit.ad_d_group(u) @ w
+    return moved[3:], moved[:3], -0.5 * (split.pairing @ moved)
+
+
 def rel_err(got, want):
     return float(np.abs(got - want).max() / np.abs(want).max())
 
@@ -366,6 +400,59 @@ def test_particle_step_matches_unrolled_stepper(algebra, seed, dt):
     assert rel_err(stepped.p, p1) < 1e-13
     assert rel_err(stepped.a.left, a_left) < 1e-13
     assert rel_err(stepped.a.right, a_right) < 1e-13
+
+
+@lru_cache(maxsize=None)
+def preset_kit_and_split(algebra, preset):
+    lam_mu = {"lam": 0.3, "mu": 0.7} if preset == "custom" else {}
+    p = make_preset(preset, algebra=algebra, **lam_mu)
+    return GroupKit(p.bialgebra), splitting(p)
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+@pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16))
+def test_particle_kernels_match_solve_route(algebra, preset, seed):
+    kit, split = preset_kit_and_split(algebra, preset)
+    rng = np.random.default_rng(seed)
+    # complex coefficients put u off the real form of the group
+    u = expm2(kit.mat(rng.uniform(-0.4, 0.4, 3) + 1j * rng.uniform(-0.4, 0.4, 3)))
+    p = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+    a, b = kit.ad_g_pair(u)
+    assert rel_err(a, ref_ad_g(kit, np.linalg.inv(u))) < 1e-13
+    assert rel_err(b, ref_ad_g(kit, u)) < 1e-13
+
+    udot, pdot, w = pt.particle_rhs(kit, split, u, p)
+    ref_udot, ref_pdot, ref_w, x = ref_particle_rhs(kit, split, u, p)
+    # the velocities and H are sums that can be far smaller than their
+    # terms (w = 2 x - p is O(1/mu) of x in the principal limit, H is a
+    # complex quadratic form that can vanish), so their errors are
+    # measured against the size of the terms they are formed from
+    e_inv, t_inv = ref_graph_maps(kit, split, u)
+    size_x, size_p = np.abs(x).max(), np.abs(p).max()
+    assert np.abs(udot - ref_udot).max() < 1e-13 * 2.0 * np.abs(t_inv).max() * size_x
+    assert np.abs(w - ref_w).max() < 1e-13 * size_x
+    assert np.abs(pdot - ref_pdot).max() < 1e-13 * size_x * size_p
+    size_h = 0.5 * size_x * np.abs(e_inv).max() * size_p
+    h = pt.particle_hamiltonian(kit, split, u, p)
+    assert abs(h - ref_particle_hamiltonian(kit, split, u, p)) < 1e-13 * size_h
+
+    for got, want in zip(pt.particle_charges(kit, split, u, p),
+                         ref_particle_charges(kit, split, u, p)):
+        assert rel_err(got, want) < 1e-13
+
+
+@pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16))
+def test_particle_stack_map_matches_chiral_route(algebra, seed):
+    kit, _ = kit_and_split(algebra)
+    rng = np.random.default_rng(seed)
+    udot, w = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    got = (kit.particle_stack_map @ np.concatenate([udot, w])).reshape(3, 2, 2)
+    a_left, a_right = kit.mat((kit.chi[:, 3:] @ w).reshape(2, 3))
+    assert rel_err(got, np.stack([kit.mat(udot).T, a_left, a_right])) < 1e-13
 
 
 # ---- chart checks name the first bad node -------------------------------------------

@@ -26,6 +26,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
+import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -142,26 +145,37 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _check_output_paths(cfg: dict) -> None:
+    """Reject an output location whose directory does not exist, before
+    any computation."""
+    dirs = {key: os.path.dirname(str(cfg[key])) or "." for key in ("output", "metadata")
+            if cfg.get(key)}
+    if "output_dir" in cfg:
+        dirs["output_dir"] = str(cfg["output_dir"])
+    for key, path in dirs.items():
+        if not os.path.isdir(path):
+            raise ConfigError(f"'{key}' directory does not exist: {path}")
+
+
 def _parse_vector(text) -> np.ndarray | None:
     if text is None:
         return None
-    if isinstance(text, (list, tuple)):
-        return np.array([complex(v) for v in text])
+    parts = text if isinstance(text, (list, tuple)) else str(text).split(",")
     try:
-        return np.array([complex(part) for part in str(text).split(",")])
-    except ValueError:
+        return np.array([complex(part) for part in parts])
+    except (TypeError, ValueError):
         raise ConfigError(f"cannot parse vector: {text!r}")
 
 
 def _build_preset(cfg: dict):
-    algebra = cfg.get("algebra", "su2")
-    name = cfg.get("preset", "modified-principal")
+    algebra = cfg["algebra"]
+    name = cfg["preset"]
     if algebra not in ALGEBRA_NAMES:
         raise ConfigError(f"unknown algebra '{algebra}' (choose from {ALGEBRA_NAMES})")
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown preset '{name}' (choose from {PRESET_NAMES})")
-    lam = cfg.get("lam")
-    mu = cfg.get("mu")
+    lam = cfg["lam"]
+    mu = cfg["mu"]
     try:
         preset = make_preset(
             name,
@@ -169,7 +183,7 @@ def _build_preset(cfg: dict):
             lam=None if lam is None else complex(lam),
             mu=None if mu is None else complex(mu),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     if not preset.is_factorisable():
         raise ConfigError(
@@ -178,12 +192,29 @@ def _build_preset(cfg: dict):
     return preset
 
 
-def _positive(cfg: dict, key: str) -> float:
-    value = cfg.get(key)
+def _float(key: str, value) -> float:
+    """``value``, the setting ``key`` or an entry of it, as a finite float."""
     try:
-        value = float(value)
+        number = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"'{key}' must be a number, got {cfg.get(key)!r}")
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"'{key}' must be a finite number, got {value!r}")
+    return number
+
+
+def _int(key: str, value, minimum: int | None = None) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"'{key}' must be at least {minimum}, got {number}")
+    return number
+
+
+def _positive(key: str, value) -> float:
+    value = _float(key, value)
     if value <= 0:
         raise ConfigError(f"'{key}' must be positive, got {value}")
     return value
@@ -210,8 +241,9 @@ def _public_config(cfg: dict) -> dict:
 
 def run_validate(cfg: dict) -> int:
     preset = _build_preset(cfg)
-    report = validation_report(preset, samples=int(cfg.get("samples", 5)),
-                               seed=int(cfg.get("seed", 0)))
+    report = validation_report(
+        preset, samples=_int("samples", cfg["samples"]), seed=_int("seed", cfg["seed"], 0)
+    )
     ok = report["max_residual"] < 1e-10
     report["passed"] = bool(ok)
     _emit(cfg, render_json(_public_config(cfg), report))
@@ -223,8 +255,8 @@ def run_validate(cfg: dict) -> int:
 
 def _time_steps(cfg: dict) -> tuple[float, int]:
     """(dt, number of steps covering T)."""
-    dt = _positive(cfg, "dt")
-    n_steps = int(round(_positive(cfg, "T") / dt))
+    dt = _positive("dt", cfg["dt"])
+    n_steps = round(_float("T / dt", _positive("T", cfg["T"]) / dt))
     if n_steps < 1:
         raise ConfigError("T must cover at least one step")
     return dt, n_steps
@@ -256,9 +288,10 @@ def run_particle(cfg: dict) -> int:
     preset, kit, split = _model(cfg)
     dt, n_steps = _time_steps(cfg)
     n = preset.bialgebra.g.dim
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
-    u0_log = _parse_vector(cfg.get("u0_log"))
-    p0 = _parse_vector(cfg.get("p0"))
+    record_every = _int("record_every", cfg["record_every"], 1)
+    rng = np.random.default_rng(_int("seed", cfg["seed"], 0))
+    u0_log = _parse_vector(cfg["u0_log"])
+    p0 = _parse_vector(cfg["p0"])
     if u0_log is None:
         u0_log = rng.normal(size=n) * 0.3
     if p0 is None:
@@ -267,8 +300,7 @@ def run_particle(cfg: dict) -> int:
         raise ConfigError(f"u0_log and p0 must have {n} components")
     u0 = kit.exp_g(np.asarray(u0_log))
     traj = integrate_particle(
-        kit, split, u0, np.asarray(p0), dt, n_steps,
-        record_every=int(cfg.get("record_every", 1)),
+        kit, split, u0, np.asarray(p0), dt, n_steps, record_every=record_every
     )
     summary = {
         "completed": traj.completed,
@@ -284,39 +316,33 @@ def run_particle(cfg: dict) -> int:
 
 
 def _field_state(cfg: dict, preset, kit, split):
-    n_cells = int(cfg.get("N", 64))
-    if n_cells < 8:
-        raise ConfigError("N must be at least 8")
-    boundary = cfg.get("boundary", "periodic")
+    n_cells = _int("N", cfg["N"], 8)
+    boundary = cfg["boundary"]
     if boundary not in ("periodic", "double-neumann"):
         raise ConfigError(f"unknown boundary '{boundary}'")
+    seed, amplitude = _int("seed", cfg["seed"], 0), _float("amplitude", cfg["amplitude"])
     if cfg.get("pointlike"):
         n = preset.bialgebra.g.dim
-        rng = np.random.default_rng(int(cfg.get("seed", 0)))
+        rng = np.random.default_rng(seed)
         u0 = kit.exp_g(rng.normal(size=n) * 0.3)
-        p = rng.normal(size=n) * float(cfg.get("amplitude", 0.1))
+        p = rng.normal(size=n) * amplitude
         if kit.flavor == "su2":
             p = -1j * p
         return init_pointlike(kit, split, u0, p, n_cells, boundary=boundary)
-    return random_smooth_loop(
-        kit,
-        split,
-        n_cells,
-        boundary=boundary,
-        seed=int(cfg.get("seed", 0)),
-        amplitude=float(cfg.get("amplitude", 0.1)),
-    )
+    return random_smooth_loop(kit, split, n_cells, boundary=boundary, seed=seed,
+                              amplitude=amplitude)
 
 
 def run_field(cfg: dict) -> int:
     preset, kit, split = _model(cfg)
     dt, n_steps = _time_steps(cfg)
+    record_every = _int("record_every", cfg["record_every"], 1)
     state = _field_state(cfg, preset, kit, split)
     traj = integrate_field(
         state,
         dt,
         n_steps,
-        record_every=int(cfg.get("record_every", 10)),
+        record_every=record_every,
         with_duality=True,
         with_residuals=True,
     )
@@ -378,17 +404,15 @@ def _sweep_one(command: str, base: dict, seed: int, output_dir: str) -> dict:
 
 
 def run_sweep(cfg: dict) -> int:
-    command = cfg.get("command", "field")
+    command = cfg["command"]
     if command not in ("validate", "particle", "field", "duality"):
         raise ConfigError(f"sweep cannot drive command '{command}'")
-    replicas = int(cfg.get("replicas", 4))
-    if replicas < 1:
-        raise ConfigError("replicas must be at least 1")
-    base = cfg.get("base", {})
+    replicas = _int("replicas", cfg["replicas"], 1)
+    base = cfg["base"]
     if not isinstance(base, dict):
         raise ConfigError("'base' must be a JSON object of command options")
-    output_dir = str(cfg.get("output_dir", "."))
-    workers = max(1, int(cfg.get("max_workers", 4)))
+    output_dir = str(cfg["output_dir"])
+    workers = max(1, _int("max_workers", cfg["max_workers"]))
     # replicas run concurrently and write only their own files; the
     # manifest is assembled and written once by this (single) writer
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -412,19 +436,19 @@ def run_sweep(cfg: dict) -> int:
 
 
 def run_limits(cfg: dict) -> int:
-    algebra = cfg.get("algebra", "su2")
+    algebra = cfg["algebra"]
     if algebra != "su2":
         raise ConfigError("the limits command supports the compact algebra only")
-    mus = cfg.get("mus", [10.0, 100.0, 1000.0])
+    mus = cfg["mus"]
     if isinstance(mus, str):
-        mus = [float(v) for v in mus.split(",")]
-    if len(mus) < 2:
+        mus = mus.split(",")
+    if not isinstance(mus, list) or len(mus) < 2:
         raise ConfigError("need at least two mu values for a slope fit")
     report = limit_slopes(
         algebra=algebra,
-        mus=mus,
-        samples=int(cfg.get("samples", 10)),
-        seed=int(cfg.get("seed", 0)),
+        mus=[_positive("mus", v) for v in mus],
+        samples=_int("samples", cfg["samples"], 1),
+        seed=_int("seed", cfg["seed"], 0),
     )
     _emit(cfg, render_json(_public_config(cfg), report))
     return EXIT_OK if report["passed"] else EXIT_NUMERICAL
@@ -517,19 +541,34 @@ def _error_json(kind: str, message: str) -> str:
     return json.dumps({"error": {"kind": kind, "message": message}}) + "\n"
 
 
+def _attach_negative_values(argv) -> list:
+    """Attach a value that starts with "-" and a digit or "." to the option
+    before it, so ``--p0 -1.5,2,3`` reads as ``--p0=-1.5,2,3``: argparse
+    takes such a value for an option unless it is a plain negative number."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
         if getattr(args, "sweep_command", None) is not None:
             args.command = args.sweep_command
         cfg = _merge_config(args.subcommand, args)
+        _check_output_paths(cfg)
         return _RUNNERS[args.subcommand](cfg)
-    except ConfigError as exc:
+    except (ConfigError, SplittingError) as exc:
         sys.stderr.write(_error_json("config", str(exc)))
         return EXIT_CONFIG
-    except SplittingError as exc:
-        sys.stderr.write(_error_json("config", str(exc)))
+    except OSError as exc:
+        sys.stderr.write(_error_json("io", str(exc)))
         return EXIT_CONFIG
     except (FactorizationError, GraphBlowupError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(_error_json("numerical", str(exc)))

@@ -14,7 +14,7 @@ Moving graph coordinates slice the transported subspaces Ad_{u^-1} E_+-
 as graphs over m; three independent routes to E_u^-1 (exact subspace
 transport, the invariant-split closed form, and the cocycle form) agree
 to machine precision and are kept separate deliberately; the
-invariant-split route alone, without pi_diff or condition numbers, is
+invariant-split route alone, without condition numbers, is
 :func:`graph_maps`.  The dual model slices the same subspaces as graphs
 over g along the dual group, with bar-form Ebar-hat_t^-1 = E_e +
 Pi-hat(t).  The transported slices also come stacked over grid nodes
@@ -186,7 +186,6 @@ class GraphCoordinate:
 
     e_inv: np.ndarray  # E_u^-1 : m -> g
     t_inv: np.ndarray  # T_u^-1 : m -> g
-    pi_diff: np.ndarray  # Ad_{u^-1} (pi_+ - pi_-) Ad_u, 2n x 2n
     cond_e: float
     cond_t: float
 
@@ -217,7 +216,7 @@ def graph_slices(split: SplittingData, ad_uinv: np.ndarray) -> tuple[np.ndarray,
     """(E_u^-1, T_u^-1) : m -> g from the double adjoint action Ad_{u^-1}.
 
     The ``transport`` route of :func:`graph_at`, stacked over the leading
-    axes of ``ad_uinv`` and without its pi_diff or condition numbers.
+    axes of ``ad_uinv`` and without its condition numbers.
     """
     n = split.preset.bialgebra.g.dim
     return (
@@ -244,7 +243,7 @@ def graph_maps(kit: GroupKit, split: SplittingData, u: np.ndarray) -> tuple[np.n
     """(E_u^-1, T_u^-1) : m -> g at u by the ``invariant-split`` route.
 
     Ad_{u^-1}(X_e - r1) + r1 from the 3x3 Ad_{u^-1} on g; the cheap part
-    of :func:`graph_at`, without its pi_diff or condition numbers.
+    of :func:`graph_at`, without its condition numbers.
     """
     a = kit.ad_g(_vinv(u))
     c = split.shifted_maps
@@ -268,9 +267,9 @@ def graph_at(
       Pi(v) = Ad_v rho Ad_v^T - rho (equal to r1 - Ad_v r1 Ad_v^T by the
       Ad-invariance of the symmetric part).
     """
-    uinv = np.linalg.inv(u)
+    uinv = _vinv(u)
     if route == "transport":
-        e_inv, t_inv = graph_slices(split, kit.ad_d(DoubleElement.from_group(uinv)))
+        e_inv, t_inv = graph_slices(split, kit.ad_d(uinv, uinv))
     elif route == "invariant-split":
         e_inv, t_inv = graph_maps(kit, split, u)
     elif route == "cocycle":
@@ -281,15 +280,8 @@ def graph_at(
         t_inv = tensor_conjugate(split.t_inv, a) + pi2
     else:
         raise ValueError(f"unknown graph route '{route}'")
-    ad_uinv = kit.ad_d(DoubleElement.from_group(uinv))
-    ad_u = kit.ad_d(DoubleElement.from_group(u))
-    pi_diff = ad_uinv @ split.pi_diff @ ad_u
     return GraphCoordinate(
-        e_inv,
-        t_inv,
-        pi_diff,
-        float(np.linalg.cond(e_inv)),
-        float(np.linalg.cond(t_inv)),
+        e_inv, t_inv, float(np.linalg.cond(e_inv)), float(np.linalg.cond(t_inv))
     )
 
 
@@ -300,9 +292,6 @@ class DualGraphCoordinate:
     e_inv: np.ndarray  # Ehat_t^-1 : g -> m (transported slice)
     e_inv_bar: np.ndarray  # Ebar-hat_t^-1 = E_e + Pi-hat(t) : g -> m
     t_inv: np.ndarray
-    t_inv_bar: np.ndarray
-    pi_diff: np.ndarray
-    cond_e: float
 
     def e_bar_matrix(self, cond_cutoff: float = 1e8) -> np.ndarray:
         if np.linalg.cond(self.e_inv_bar) > cond_cutoff:
@@ -313,16 +302,8 @@ class DualGraphCoordinate:
 def dual_graph_at(
     kit: GroupKit, split: SplittingData, t: DoubleElement
 ) -> DualGraphCoordinate:
-    ad = kit.ad_d(t.inverse())
-    e_inv, t_inv = dual_graph_slices(split, ad)
-    hp = kit.hat_pi(t)
-    e_inv_bar = split.e_matrix + hp  # g -> m
-    t_inv_bar = split.t_matrix + hp
-    ad_t = kit.ad_d(t)
-    pi_diff = ad @ split.pi_diff @ ad_t
-    return DualGraphCoordinate(
-        e_inv, e_inv_bar, t_inv, t_inv_bar, pi_diff, float(np.linalg.cond(e_inv_bar))
-    )
+    e_inv, t_inv = dual_graph_slices(split, kit.ad_d(_vinv(t.left), _vinv(t.right)))
+    return DualGraphCoordinate(e_inv, split.e_matrix + kit.hat_pi(t), t_inv)
 
 
 def lagrangian(

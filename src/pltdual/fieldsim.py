@@ -33,26 +33,22 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .duality import GraphBlowupError, SplittingData, dual_graph_slices, graph_slices
-from .groups import DoubleElement, FactorizationError, GroupKit, _vinv, rkmk4
+from .groups import FactorizationError, GroupKit, _vinv, rkmk4
 from .liecore import bracket_coeffs
 
 __all__ = [
     "LoopState",
     "FieldDiagnostics",
     "FieldTrajectory",
-    "init_from_us",
     "init_pointlike",
     "random_smooth_loop",
     "centered_bump_loop",
-    "loop_from_elements",
     "step",
     "integrate_field",
     "hamiltonian_density",
     "total_hamiltonian",
-    "moment_map",
+    "moment_map_basis",
     "loop_functions",
-    "factorize_grid",
-    "factorize_grid_dual",
     "duality_check",
     "eom_residuals",
     "dressing_relation_residual",
@@ -97,18 +93,10 @@ class LoopState:
     def dx(self) -> float:
         return np.pi / self.n_cells
 
-    def element(self, j: int) -> DoubleElement:
-        return DoubleElement(self.kl[j], self.kr[j])
-
     def copy(self) -> "LoopState":
         return LoopState(
             self.kit, self.split, self.kl.copy(), self.kr.copy(), self.boundary, self.time
         )
-
-    def constraint_defect(self) -> float:
-        dl = self.kl[:, 0, 0] * self.kl[:, 1, 1] - self.kl[:, 0, 1] * self.kl[:, 1, 0]
-        dr = self.kr[:, 0, 0] * self.kr[:, 1, 1] - self.kr[:, 0, 1] * self.kr[:, 1, 0]
-        return float(max(np.abs(dl - 1.0).max(), np.abs(dr - 1.0).max()))
 
 
 @dataclass
@@ -145,26 +133,6 @@ def grid_points(n_cells: int, boundary: str = "double-neumann") -> np.ndarray:
 
 
 # ---- initializers --------------------------------------------------------------
-
-
-def loop_from_elements(
-    kit: GroupKit, split: SplittingData, elements, boundary: str = "double-neumann"
-) -> LoopState:
-    kl = np.stack([e.left for e in elements])
-    kr = np.stack([e.right for e in elements])
-    return LoopState(kit, split, kl, kr, boundary)
-
-
-def init_from_us(
-    kit: GroupKit,
-    split: SplittingData,
-    us,
-    ss,
-    boundary: str = "double-neumann",
-) -> LoopState:
-    """Loop k(x) = u(x) s(x) from sampled group and dual-group factors."""
-    elements = [DoubleElement.from_group(u) @ s for u, s in zip(us, ss)]
-    return loop_from_elements(kit, split, elements, boundary)
 
 
 def init_pointlike(
@@ -373,15 +341,9 @@ def total_hamiltonian(state: LoopState) -> complex:
     return _quadrature(hamiltonian_density(state), state.dx, state.boundary)
 
 
-def moment_map(state: LoopState, delta: np.ndarray) -> complex:
-    """I_delta = -1/2 int <k_x k^-1, delta> dx for delta in the double."""
-    w = _tangent(state)
-    vals = -0.5 * (w @ (state.split.pairing @ np.asarray(delta, dtype=complex)))
-    return _quadrature(vals, state.dx, state.boundary)
-
-
 def moment_map_basis(state: LoopState) -> np.ndarray:
-    """I_delta for every double basis vector at once."""
+    """I_delta = -1/2 int <k_x k^-1, delta> dx for every double basis
+    vector delta at once."""
     w = _tangent(state)
     vals = -0.5 * (w @ state.split.pairing)
     return np.array(
@@ -417,18 +379,6 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m @ v[..., None])[..., 0]
 
 
-def factorize_grid(state: LoopState) -> tuple[list, list]:
-    """Nodewise k = u s factors (G then M)."""
-    u, sl, sr = state.kit.factorize_gm_nodes(state.kl, state.kr)
-    return list(u), [DoubleElement(a, b) for a, b in zip(sl, sr)]
-
-
-def factorize_grid_dual(state: LoopState) -> tuple[list, list]:
-    """Nodewise k = t v factors (M then G)."""
-    tl, tr, v = state.kit.factorize_mg_nodes(state.kl, state.kr)
-    return [DoubleElement(a, b) for a, b in zip(tl, tr)], list(v)
-
-
 def _transported_density(split: SplittingData, ad: np.ndarray, ad_inv: np.ndarray,
                          w: np.ndarray) -> np.ndarray:
     """Nodewise Hamiltonian density in the description reached by ad_inv:
@@ -444,16 +394,16 @@ def duality_check(state: LoopState) -> float:
     kit = state.kit
     kl, kr = state.kl, state.kr
     w = _tangent(state)
-    u, sl, sr = kit.factorize_gm_nodes(kl, kr)
-    tl, tr, v = kit.factorize_mg_nodes(kl, kr)
+    u, sl, sr = kit.factorize_gm(kl, kr)
+    tl, tr, v = kit.factorize_mg(kl, kr)
     recon_gm = np.linalg.norm(u @ sl - kl, axis=(-2, -1)) + np.linalg.norm(u @ sr - kr, axis=(-2, -1))
     recon_mg = np.linalg.norm(tl @ v - kl, axis=(-2, -1)) + np.linalg.norm(tr @ v - kr, axis=(-2, -1))
     uinv = _vinv(u)
     # primal description: transport by Ad_{u^-1}
-    hu = _transported_density(state.split, kit.ad_d_nodes(u, u), kit.ad_d_nodes(uinv, uinv), w)
+    hu = _transported_density(state.split, kit.ad_d(u, u), kit.ad_d(uinv, uinv), w)
     # dual description: transport by Ad_{t^-1}
     ht = _transported_density(
-        state.split, kit.ad_d_nodes(tl, tr), kit.ad_d_nodes(_vinv(tl), _vinv(tr)), w
+        state.split, kit.ad_d(tl, tr), kit.ad_d(_vinv(tl), _vinv(tr)), w
     )
     return float(np.abs(hu - ht).max() + max(recon_gm.max(), recon_mg.max()))
 
@@ -490,9 +440,9 @@ def _primal_lightcone_fields(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
     """
     kit = state.kit
     n = kit.b.g.dim
-    u, _, _ = kit.factorize_gm_nodes(state.kl, state.kr)
+    u, _, _ = kit.factorize_gm(state.kl, state.kr)
     uinv = _vinv(u)
-    ad = kit.ad_d_nodes(uinv, uinv)
+    ad = kit.ad_d(uinv, uinv)
     xi_x = kit.coeffs(uinv @ _x_derivative(u, state.dx, state.boundary, order=2))
     xi_t = _matvec(ad, _flow_velocity(state))[..., :n]
     e, t = _graph_maps(state.split, ad)
@@ -504,9 +454,9 @@ def _dual_lightcone_fields(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
     Ehat_t and That_t applied as solves against the transported slices."""
     kit = state.kit
     n = kit.b.g.dim
-    tl, tr, _ = kit.factorize_mg_nodes(state.kl, state.kr)
+    tl, tr, _ = kit.factorize_mg(state.kl, state.kr)
     tinv_l, tinv_r = _vinv(tl), _vinv(tr)
-    ad = kit.ad_d_nodes(tinv_l, tinv_r)
+    ad = kit.ad_d(tinv_l, tinv_r)
     phi_x = kit.tangent_coeffs(
         tinv_l @ _x_derivative(tl, state.dx, state.boundary, order=2),
         tinv_r @ _x_derivative(tr, state.dx, state.boundary, order=2),
@@ -574,9 +524,9 @@ def dressing_relation_residual(state: LoopState) -> float:
     kit = state.kit
     n = kit.b.g.dim
     dx, bd = state.dx, state.boundary
-    u, sl, sr = kit.factorize_gm_nodes(state.kl, state.kr)
+    u, sl, sr = kit.factorize_gm(state.kl, state.kr)
     uinv = _vinv(u)
-    ad = kit.ad_d_nodes(uinv, uinv)
+    ad = kit.ad_d(uinv, uinv)
     dec = _matvec(ad, _flow_velocity(state))
     xi_t = dec[..., :n]
     s_t = dec[..., n:]  # ds/dt s^-1 in m-coefficients
@@ -642,8 +592,8 @@ def symplectic_form(state: LoopState, var_y: np.ndarray, var_z: np.ndarray) -> c
     dyx = np.tensordot(d, y, axes=(1, 0))
     bulk = complex(np.einsum("n,ni,ij,nj->", h, dyx, p, z))
     ends = [state.n_nodes - 1, 0]
-    _, sl, sr = kit.factorize_gm_nodes(state.kl[ends], state.kr[ends])
-    ads = kit.ad_d_nodes(sl, sr)
+    _, sl, sr = kit.factorize_gm(state.kl[ends], state.kr[ends])
+    ads = kit.ad_d(sl, sr)
     wy = _matvec(ads, y[ends])
     wz = _matvec(ads, z[ends])
     at_pi, at_0 = np.einsum("ni,ni->n", wz[:, n:], wy[:, :n])

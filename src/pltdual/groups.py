@@ -20,9 +20,8 @@ factorisable chart raises :class:`FactorizationError`.
 
 The 2x2 kernels, the coefficient maps, the adjoint actions and the
 factorizations act on stacks: leading axes (the grid nodes of a loop)
-broadcast, and a single matrix is a stack of one.  The methods taking a
-:class:`DoubleElement` are the single-element entry points of the
-``*_nodes`` kernels, which take the chiral components as arrays.
+broadcast, and a single matrix is a stack of one.  Each operation on the
+double group has one method, which takes the chiral components as arrays.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "GroupKit",
     "FactorizationError",
     "expm2",
-    "logm2",
     "rkmk4",
 ]
 
@@ -92,7 +90,7 @@ def _vdexpinv(sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v - 0.5 * c1 + _vcomm(sigma, c1) / 12.0
 
 
-def _check_nodes(bad: np.ndarray, message: str) -> None:
+def _check_chart(bad: np.ndarray, message: str) -> None:
     """Raise :class:`FactorizationError` naming the first node where ``bad`` holds."""
     if np.any(bad):
         j = int(np.flatnonzero(bad)[0])
@@ -146,18 +144,6 @@ def rkmk4(gens, y0: np.ndarray, p0, dt: float):
     return _vdet_normalize(y1), p0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def logm2(m: np.ndarray) -> np.ndarray:
-    """Principal logarithm of a unimodular 2x2 matrix (traceless result)."""
-    m = np.asarray(m, dtype=complex)
-    c = np.trace(m) / 2.0
-    theta = np.arccosh(complex(c))
-    if abs(theta) < 1e-8:
-        s = 1.0 + theta**2 / 6
-    else:
-        s = np.sinh(theta) / theta
-    return (m - c * np.eye(2)) / s
-
-
 @dataclass
 class DoubleElement:
     """An element of the double group as a chiral pair of 2x2 matrices."""
@@ -174,9 +160,6 @@ class DoubleElement:
 
     def inverse(self) -> "DoubleElement":
         return DoubleElement(_vinv(self.left), _vinv(self.right))
-
-    def det_normalized(self) -> "DoubleElement":
-        return DoubleElement(_vdet_normalize(self.left), _vdet_normalize(self.right))
 
     def distance(self, other: "DoubleElement") -> float:
         return float(
@@ -311,12 +294,9 @@ class GroupKit:
         both = (_entry_products(u) @ self._ad_g_pair_map).reshape(lead + (2, 3, 3))
         return both[..., 0, :, :], both[..., 1, :, :]
 
-    def ad_d(self, k: DoubleElement) -> np.ndarray:
-        """6x6 matrix of Ad_k on the double, exact via the chiral pair."""
-        return self.ad_d_nodes(k.left, k.right)
-
-    def ad_d_nodes(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """:meth:`ad_d` of the chiral pairs (left, right), stacked.
+    def ad_d(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """6x6 matrix of Ad_k on the double for the stacked chiral pairs
+        k = (left, right), exact via the chiral pair.
 
         Passing the same array twice (a G-valued field) computes Ad_u on
         g once.
@@ -328,20 +308,12 @@ class GroupKit:
         flat = al.reshape(lead + (9,)) @ map_l + ar.reshape(lead + (9,)) @ map_r
         return flat.reshape(lead + (6, 6))
 
-    def ad_d_group(self, u: np.ndarray) -> np.ndarray:
-        return self.ad_d_nodes(u, u)
-
     # ---- Poisson / dressing cocycles ----------------------------------------
 
     def pi(self, u: np.ndarray) -> np.ndarray:
         """Pi(u) = Ad_u r - r as a g(x)g coefficient matrix (m -> g map)."""
         a = self.ad_g(u)
         return tensor_conjugate(self.b.rho, a) - self.b.rho
-
-    def pi_r(self, u: np.ndarray) -> np.ndarray:
-        """Right-handed cocycle Pi^R(u) = Ad_{u^-1} Pi(u) = r - Ad_{u^-1} r."""
-        ainv = self.ad_g(_vinv(u))
-        return self.b.rho - tensor_conjugate(self.b.rho, ainv)
 
     def b_cocycle(self, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """The dressing derivative of M acting on u, left-translated to g.
@@ -360,21 +332,17 @@ class GroupKit:
         with Ad_t.
         """
         n = self.b.g.dim
-        adt = self.ad_d(t)
-        adtinv = self.ad_d(t.inverse())
+        adt = self.ad_d(t.left, t.right)
+        adtinv = self.ad_d(_vinv(t.left), _vinv(t.right))
         return adt[n:, n:] @ adtinv[n:, :n]
 
     # ---- factorization -----------------------------------------------------
 
-    def factorize_gm(self, k: DoubleElement) -> tuple[np.ndarray, DoubleElement]:
-        """Split k = u s with u in G and s in M (see :meth:`factorize_gm_nodes`)."""
-        u, s_left, s_right = self.factorize_gm_nodes(k.left, k.right)
-        return u, DoubleElement(s_left, s_right)
-
-    def factorize_gm_nodes(
+    def factorize_gm(
         self, left: np.ndarray, right: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Split the stacked chiral pairs k = u s as (u, s_left, s_right).
+        """Split the stacked chiral pairs k = u s, u in G and s in M, as
+        (u, s_left, s_right).
 
         Both flavors factor through the triangular decomposition of
         z = k_R^-1 k_L = s_R^-1 s_L: the M factor has an upper-triangular
@@ -388,16 +356,16 @@ class GroupKit:
         is elementwise and names the first failing node.
         """
         z = _vinv(right) @ left
-        _check_nodes(np.abs(z[..., 0, 0]) < 1e-12, "factorization chart: zero pivot")
+        _check_chart(np.abs(z[..., 0, 0]) < 1e-12, "factorization chart: zero pivot")
         l21 = z[..., 1, 0] / z[..., 0, 0]
         d1 = z[..., 0, 0]
         d2 = z[..., 1, 1] - l21 * z[..., 0, 1]
         if self.flavor == "sl2r":
-            _check_nodes(
+            _check_chart(
                 (d1.real <= 0) | (np.abs(d1.imag) > 1e-8 * np.abs(d1)),
                 "sl2r factorization chart: diagonal left identity component",
             )
-        _check_nodes(np.abs(d1 * d2 - 1.0) > 1e-6, "element left the double group (det drift)")
+        _check_chart(np.abs(d1 * d2 - 1.0) > 1e-6, "element left the double group (det drift)")
         # principal branch: positive real on (and continuously near) the
         # locus where d1 is positive real, e.g. the compact real form
         sq1 = np.sqrt(d1.astype(complex))
@@ -407,43 +375,17 @@ class GroupKit:
         s_left[..., 1, 1] = 1.0 / sq1
         u = left @ _vinv(s_left)
         # written so that a non-finite node fails too
-        _check_nodes(~(_vcond(s_left) <= self.cond_cutoff), "factorization is numerically singular")
+        _check_chart(~(_vcond(s_left) <= self.cond_cutoff), "factorization is numerically singular")
         s_right = _vinv(u) @ right
         return u, s_left, s_right
 
-    def factorize_mg(self, k: DoubleElement) -> tuple[DoubleElement, np.ndarray]:
-        """Split k = t v with t in M and v in G (see :meth:`factorize_mg_nodes`)."""
-        t_left, t_right, v = self.factorize_mg_nodes(k.left, k.right)
-        return DoubleElement(t_left, t_right), v
-
-    def factorize_mg_nodes(
+    def factorize_mg(
         self, left: np.ndarray, right: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Split the stacked chiral pairs k = t v as (t_left, t_right, v),
-        via k^-1 = v^-1 t^-1."""
-        uprime, sl, sr = self.factorize_gm_nodes(_vinv(left), _vinv(right))
+        """Split the stacked chiral pairs k = t v, t in M and v in G, as
+        (t_left, t_right, v), via k^-1 = v^-1 t^-1."""
+        uprime, sl, sr = self.factorize_gm(_vinv(left), _vinv(right))
         return _vinv(sl), _vinv(sr), _vinv(uprime)
-
-    def m_part_norm(self, s: DoubleElement) -> float:
-        """Distance of a factor from the identity (diagnostic)."""
-        return s.distance(DoubleElement.identity())
-
-    # ---- reality / constraint maintenance -----------------------------------
-
-    def project_group(self, u: np.ndarray) -> np.ndarray:
-        """Project a matrix back onto the model group (polar + det)."""
-        if self.flavor == "su2":
-            w, _, vh = np.linalg.svd(u)
-            u = w @ vh
-        return _vdet_normalize(u)
-
-    def group_defect(self, u: np.ndarray) -> float:
-        d = abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1.0)
-        if self.flavor == "su2":
-            d += float(np.linalg.norm(u @ u.conj().T - np.eye(2)))
-        else:
-            d += float(np.linalg.norm(u.imag))
-        return d
 
     # ---- dual group in vector coordinates (su2 only) ------------------------
 

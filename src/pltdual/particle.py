@@ -66,9 +66,6 @@ class ParticleState:
     p: np.ndarray  # dual-algebra coefficients
     a: DoubleElement  # conjugate dual-group factor
 
-    def copy(self) -> "ParticleState":
-        return ParticleState(self.u.copy(), self.p.copy(), DoubleElement(self.a.left.copy(), self.a.right.copy()))
-
 
 @dataclass
 class ParticleTrajectory:
@@ -313,7 +310,7 @@ def conjugate_description_residual(
             composites[i].append(_compose_k(kit, state, x))
         w = np.zeros(2 * n, dtype=complex)
         w[n:] = state.p
-        gen = pid @ (kit.ad_d_group(state.u) @ w)
+        gen = pid @ (kit.ad_d(state.u, state.u) @ w)
         gens.append(kit.chiral_mats(gen))
         if step < n_steps:
             state = _rk_mk_step(kit, split, state, dt)

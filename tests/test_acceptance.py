@@ -29,7 +29,7 @@ from pltdual.duality import (
     su2_e_inv_closed,
     su2_trace_lagrangian,
 )
-from pltdual.groups import DoubleElement, GroupKit, expm2
+from pltdual.groups import GroupKit, expm2
 from pltdual.liecore import jacobi_residual
 from pltdual.models import make_preset, make_sl2r, make_su2
 from pltdual.particle import (
@@ -312,12 +312,10 @@ def test_acceptance_6_field_simulation():
     stp = fs.init_pointlike(kit, split, u0, p0, 64)
     trp = fs.integrate_field(stp, 2.5e-3, 400, record_every=400, keep_states=True)
     last = trp.states[-1]
-    us, _ = fs.factorize_grid(last)
-    u_spread = max(float(np.abs(u - us[32]).max()) for u in us)
-    ts, vs = fs.factorize_grid_dual(last)
-    tv = np.stack(
-        [kit.factorize_gm(t @ DoubleElement.from_group(v))[0] for t, v in zip(ts, vs)]
-    )
+    us, _, _ = kit.factorize_gm(last.kl, last.kr)
+    u_spread = float(np.abs(us - us[32]).max())
+    tl, tr, vs = kit.factorize_mg(last.kl, last.kr)
+    tv = kit.factorize_gm(tl @ vs, tr @ vs)[0]
     dual_spread = float(np.abs(tv - tv.mean(axis=0)).max())
 
     # lam = 0 family conserves the g-valued moments

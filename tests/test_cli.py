@@ -156,21 +156,71 @@ def test_particle_stopped_run_reports_on_stderr(capsys, tmp_path):
     lam_mu=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
     p0=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
     dt=st.sampled_from([1e-3, 1e-2, 0.1, 0.5]),
+    record_every=st.integers(-1, 3),
 )
-def test_particle_exit_contract_fuzz(algebra, preset, lam_mu, p0, dt):
+def test_particle_exit_contract_fuzz(algebra, preset, lam_mu, p0, dt, record_every):
     """Any particle configuration ends with exit code 0, 2 or 3, and a
     non-zero code comes with a JSON error document on stderr."""
-    # "--p0=" form: argparse reads a separate "-1.5,2,3" as an option
     argv = ["particle", "--algebra", algebra, "--preset", preset,
-            "--p0=" + ",".join(repr(v) for v in p0), "--dt", repr(dt), "--T", repr(8 * dt)]
+            "--p0", ",".join(repr(v) for v in p0), "--dt", repr(dt), "--T", repr(8 * dt),
+            "--record-every", str(record_every)]
     if preset == "custom":
         argv += ["--lam", repr(lam_mu[0]), "--mu", repr(lam_mu[1])]
+    assert_exit_contract(argv)
+
+
+def assert_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
     if code != EXIT_OK:
         assert "error" in json.loads(err.getvalue())
+
+
+# reproducers of runs that used to end in a traceback or a wrong parse:
+# (arguments, exit code, part of the stderr error message); "{tmp}" is a
+# scratch directory holding bad.json = {"N": "abc"}
+REPRODUCERS = {
+    "record-every-0": (["particle", "--T", "0.01", "--record-every", "0"], EXIT_CONFIG,
+                       "'record_every' must be at least 1"),
+    "field-record-every-0": (["field", "--N", "16", "--T", "0.01", "--record-every", "0"],
+                             EXIT_CONFIG, "'record_every'"),
+    "record-every-negative": (["particle", "--T", "0.01", "--record-every", "-3"], EXIT_CONFIG,
+                              "'record_every'"),
+    "T-inf": (["particle", "--T", "inf"], EXIT_CONFIG, "'T' must be a finite number"),
+    "dt-nan": (["particle", "--T", "0.01", "--dt", "nan"], EXIT_CONFIG,
+               "'dt' must be a finite number"),
+    "steps-overflow": (["particle", "--T", "1e300", "--dt", "1e-300"], EXIT_CONFIG, "'T / dt'"),
+    "mus-not-numeric": (["limits", "--mus", "10,abc"], EXIT_CONFIG,
+                        "'mus' must be a finite number"),
+    "mus-negative": (["limits", "--mus", "-10,100"], EXIT_CONFIG, "'mus' must be positive"),
+    "config-N-not-numeric": (["field", "--config", "{tmp}/bad.json"], EXIT_CONFIG,
+                             "'N' must be an integer"),
+    "output-dir-missing": (["particle", "--T", "0.01", "--output", "{tmp}/missing/dir/x.csv"],
+                           EXIT_CONFIG, "'output' directory does not exist"),
+    "metadata-dir-missing": (["particle", "--T", "0.01", "--metadata", "{tmp}/missing/x.json"],
+                             EXIT_CONFIG, "'metadata' directory does not exist"),
+    "sweep-dir-missing": (["sweep", "--command", "duality", "--replicas", "1", "--output-dir",
+                           "{tmp}/missing"], EXIT_CONFIG, "'output_dir' directory does not exist"),
+    "output-is-directory": (["particle", "--T", "0.01", "--output", "{tmp}"], EXIT_CONFIG,
+                            "Is a directory"),
+    "p0-negative-first": (["particle", "--p0", "-1.5,2,3", "--T", "0.01"], EXIT_OK, None),
+    "u0-log-negative-first": (["particle", "--u0-log", "-0.1,0.2,0.3", "--T", "0.01"], EXIT_OK,
+                              None),
+}
+
+
+@pytest.mark.parametrize("case", REPRODUCERS)
+def test_reproducers_keep_the_exit_contract(capsys, tmp_path, case):
+    argv, expected, message = REPRODUCERS[case]
+    (tmp_path / "bad.json").write_text(json.dumps({"N": "abc"}))
+    code, _, err = run_cli(capsys, *[arg.format(tmp=tmp_path) for arg in argv])
+    assert code == expected
+    if message is None:
+        assert err == ""
+    else:
+        assert message in json.loads(err)["error"]["message"]
 
 
 def test_shared_parser_matches_fresh_parser(capsys):
@@ -195,6 +245,34 @@ def test_shared_parser_matches_fresh_parser(capsys):
 
 
 # ---- field and duality ----------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:dt = .* exceeds the CFL bound:RuntimeWarning")
+@settings(max_examples=15, deadline=None)
+@given(
+    algebra=st.sampled_from(ALGEBRA_NAMES),
+    preset=st.sampled_from(PRESET_NAMES),
+    # lam + 1 + 2 mu = 0 for the sampled pairs: a degenerate splitting
+    lam_mu=st.one_of(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                     st.sampled_from([(-1.0, 0.0), (0.0, -0.5), (1.0, -1.0)])),
+    n_cells=st.integers(8, 17),
+    boundary=st.sampled_from(["periodic", "double-neumann"]),
+    amplitude=st.floats(0.0, 3.0),
+    cfl=st.floats(0.05, 2.0),  # past 0.5 the step is beyond the CFL bound
+    record_every=st.integers(-1, 3),
+    steps=st.integers(1, 4),
+)
+def test_field_exit_contract_fuzz(algebra, preset, lam_mu, n_cells, boundary, amplitude, cfl,
+                                  record_every, steps):
+    """Any field configuration ends with exit code 0, 2 or 3, and a
+    non-zero code comes with a JSON error document on stderr."""
+    dt = cfl * 3.141592653589793 / n_cells
+    argv = ["field", "--algebra", algebra, "--preset", preset, "--N", str(n_cells),
+            "--boundary", boundary, "--amplitude", repr(amplitude), "--dt", repr(dt),
+            "--T", repr(steps * dt), "--record-every", str(record_every)]
+    if preset == "custom":
+        argv += ["--lam", repr(lam_mu[0]), "--mu", repr(lam_mu[1])]
+    assert_exit_contract(argv)
 
 
 def test_field_run(capsys, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from pltdual import fieldsim as fs
 from pltdual import particle as pt
 from pltdual.duality import SplittingData, splitting
-from pltdual.groups import DoubleElement, GroupKit, expm2
+from pltdual.groups import GroupKit, expm2
 from pltdual.models import make_preset
 
 N = 3  # algebra dimension
@@ -152,9 +152,7 @@ def test_pointlike_reduces_to_particle(pointlike_run, su2_mp):
     u0, p0, ftraj = pointlike_run
     ptraj = pt.integrate_particle(kit, split, u0, p0, 2.5e-3, 400, record_every=400)
     last = ftraj.states[-1]
-    us, ss = fs.factorize_grid(last)
-    sl = np.stack([s.left for s in ss])
-    sr = np.stack([s.right for s in ss])
+    us, sl, sr = kit.factorize_gm(last.kl, last.kr)
     sxl = fs._x_derivative(sl, last.dx, last.boundary) @ fs._vinv(sl)
     sxr = fs._x_derivative(sr, last.dx, last.boundary) @ fs._vinv(sr)
     pf = np.stack([kit.tangent_coeffs(sxl[j], sxr[j])[N:] for j in range(last.n_nodes)])
@@ -172,14 +170,11 @@ def test_pointlike_dual_constancy(pointlike_run, su2_mp):
     kit, _ = su2_mp
     _, _, ftraj = pointlike_run
     last = ftraj.states[-1]
-    ts, vs = fs.factorize_grid_dual(last)
+    tl, tr, vm = kit.factorize_mg(last.kl, last.kr)
     tv = np.stack(
-        [kit.factorize_gm(t @ DoubleElement.from_group(v))[0] for t, v in zip(ts, vs)]
+        [kit.factorize_gm(tl[j] @ vm[j], tr[j] @ vm[j])[0] for j in range(last.n_nodes)]
     )
     assert np.abs(tv - tv.mean(axis=0)).max() < 1e-6
-    tl = np.stack([t.left for t in ts])
-    tr = np.stack([t.right for t in ts])
-    vm = np.stack(vs)
     dtl = fs._x_derivative(tl, last.dx, last.boundary)
     dtr = fs._x_derivative(tr, last.dx, last.boundary)
     dv = fs._x_derivative(vm, last.dx, last.boundary)
@@ -246,7 +241,8 @@ def test_flow_is_hamiltonian(su2_mp):
         xs = fs.grid_points(n_cells, "periodic")
         kdot_r = fs._tangent_field(st) @ (split.pi_minus - split.pi_plus).T
         kdot_l = np.stack(
-            [kit.ad_d(st.element(j).inverse()) @ kdot_r[j] for j in range(st.n_nodes)]
+            [kit.ad_d(fs._vinv(st.kl[j]), fs._vinv(st.kr[j])) @ kdot_r[j]
+             for j in range(st.n_nodes)]
         )
         eps = 1e-6
         z = _smooth_var(2, xs)
@@ -301,9 +297,12 @@ def test_moment_map_matches_basis(su2_mp):
     kit, split = su2_mp
     st = fs.random_smooth_loop(kit, split, 32, boundary="periodic", seed=8, amplitude=0.2)
     basis = fs.moment_map_basis(st)
+    w = fs._tangent_field(st)
     for i in range(2 * N):
         delta = np.eye(2 * N)[i]
-        assert abs(fs.moment_map(st, delta) - basis[i]) < 1e-13
+        # I_delta = -1/2 int <w, delta> dx
+        moment = fs._quadrature(-0.5 * (w @ (split.pairing @ delta)), st.dx, st.boundary)
+        assert abs(moment - basis[i]) < 1e-13
 
 
 def test_loop_functions_endpoint_validation(su2_mp):
@@ -322,7 +321,8 @@ def test_loop_functions_endpoint_validation(su2_mp):
 def test_constraint_defect_small_on_initial_data(su2_mp):
     kit, split = su2_mp
     st = fs.random_smooth_loop(kit, split, 32, boundary="periodic", seed=9, amplitude=0.2)
-    assert st.constraint_defect() < 1e-12
+    defect = max(np.abs(np.linalg.det(st.kl) - 1.0).max(), np.abs(np.linalg.det(st.kr) - 1.0).max())
+    assert defect < 1e-12
 
 
 def test_hamiltonian_density_matches_total(su2_mp):

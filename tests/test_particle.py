@@ -285,13 +285,14 @@ def test_charges_match_dressing_derivative():
     eps = 1e-6
 
     def m_coeffs(e):
-        m, _ = kit.factorize_mg(kit.exp_m(e * p) @ DoubleElement.from_group(uinv))
-        return kit.tangent_coeffs(m.left - np.eye(2), m.right - np.eye(2))
+        k = kit.exp_m(e * p) @ DoubleElement.from_group(uinv)
+        m_left, m_right, _ = kit.factorize_mg(k.left, k.right)
+        return kit.tangent_coeffs(m_left - np.eye(2), m_right - np.eye(2))
 
     b = (m_coeffs(eps) - m_coeffs(-eps)) / (2 * eps)
     w = np.zeros(6, dtype=complex)
     w[3:] = b[3:]
-    moved = kit.ad_d_group(u) @ w
+    moved = kit.ad_d(u, u) @ w
     assert np.max(np.abs(moved[:3] - qm)) < 1e-8
 
 

@@ -1,7 +1,7 @@
 """Stacked 2x2 kernels and the loop-free field diagnostics.
 
 The stacked factorizations and adjoint actions are compared node by node
-with the single-element ``GroupKit`` calls and with a copy of the former
+with the same ``GroupKit`` calls on one node and with a copy of the former
 closed-form scalar code; ``duality_check``, ``eom_residuals`` and the loop
 initializers are compared with per-node copies of the loops they replaced,
 and the field and particle steps, which share ``groups.rkmk4``, with copies
@@ -66,13 +66,13 @@ def _inv2(m):
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
 
 
-def ref_factorize_gm(kit, k):
-    z = _inv2(k.right) @ k.left
+def ref_factorize_gm(kit, left, right):
+    z = _inv2(right) @ left
     d1 = z[0, 0]
     sq1 = np.sqrt(complex(d1))
     s_left = np.array([[sq1, z[0, 1] / sq1], [0.0, 1.0 / sq1]], dtype=complex)
-    u = k.left @ _inv2(s_left)
-    return u, DoubleElement(s_left, _inv2(u) @ k.right)
+    u = left @ _inv2(s_left)
+    return u, s_left, _inv2(u) @ right
 
 
 def ref_ad_g(kit, u):
@@ -84,10 +84,10 @@ def ref_ad_g(kit, u):
     return np.stack(cols, axis=1)
 
 
-def ref_ad_d(kit, k):
+def ref_ad_d(kit, left, right):
     blk = np.zeros((6, 6), dtype=complex)
-    blk[:3, :3] = ref_ad_g(kit, k.left)
-    blk[3:, 3:] = ref_ad_g(kit, k.right)
+    blk[:3, :3] = ref_ad_g(kit, left)
+    blk[3:, 3:] = ref_ad_g(kit, right)
     return kit.chi_inv @ blk @ kit.chi
 
 
@@ -99,17 +99,20 @@ def ref_duality_check(state):
     gap = 0.0
     recon = 0.0
     for j in range(state.n_nodes):
-        k = state.element(j)
-        u, s = kit.factorize_gm(k)
-        t, v = kit.factorize_mg(k)
-        recon = max(recon, (DoubleElement.from_group(u) @ s).distance(k))
+        k = DoubleElement(state.kl[j], state.kr[j])
+        u, sl, sr = kit.factorize_gm(k.left, k.right)
+        tl, tr, v = kit.factorize_mg(k.left, k.right)
+        t = DoubleElement(tl, tr)
+        recon = max(recon, (DoubleElement.from_group(u) @ DoubleElement(sl, sr)).distance(k))
         recon = max(recon, (t @ DoubleElement.from_group(v)).distance(k))
-        adu = kit.ad_d_group(u)
-        adui = kit.ad_d_group(np.linalg.inv(u))
+        uinv = np.linalg.inv(u)
+        adu = kit.ad_d(u, u)
+        adui = kit.ad_d(uinv, uinv)
         wu = adui @ w[j]
         hu = 0.25 * (wu @ ((adui @ pd @ adu).T @ (p.T @ wu)))
-        adt = kit.ad_d(t)
-        adti = kit.ad_d(t.inverse())
+        tinv = t.inverse()
+        adt = kit.ad_d(tl, tr)
+        adti = kit.ad_d(tinv.left, tinv.right)
         wt = adti @ w[j]
         ht = 0.25 * (wt @ ((adti @ pd @ adt).T @ (p.T @ wt)))
         gap = max(gap, abs(hu - ht))
@@ -118,14 +121,14 @@ def ref_duality_check(state):
 
 def ref_primal_fields(state):
     kit, split = state.kit, state.split
-    us = [kit.factorize_gm(state.element(j))[0] for j in range(state.n_nodes)]
+    us = [kit.factorize_gm(state.kl[j], state.kr[j])[0] for j in range(state.n_nodes)]
     dux = fs._x_derivative(np.stack(us), state.dx, state.boundary, order=2)
     kdot = fs._tangent_field(state) @ (split.pi_minus - split.pi_plus).T
     a, b = [], []
     for j, u in enumerate(us):
         uinv = np.linalg.inv(u)
         xi_x = kit.coeffs(uinv @ dux[j])
-        xi_t = (kit.ad_d_group(uinv) @ kdot[j])[:3]
+        xi_t = (kit.ad_d(uinv, uinv) @ kdot[j])[:3]
         g = graph_at(kit, split, u)
         a.append(g.e_matrix() @ (0.5 * (xi_t - xi_x)))
         b.append(g.t_matrix() @ (0.5 * (xi_t + xi_x)))
@@ -134,7 +137,8 @@ def ref_primal_fields(state):
 
 def ref_dual_fields(state):
     kit, split = state.kit, state.split
-    ts = [kit.factorize_mg(state.element(j))[0] for j in range(state.n_nodes)]
+    ts = [DoubleElement(*kit.factorize_mg(state.kl[j], state.kr[j])[:2])
+          for j in range(state.n_nodes)]
     dtl = fs._x_derivative(np.stack([t.left for t in ts]), state.dx, state.boundary, order=2)
     dtr = fs._x_derivative(np.stack([t.right for t in ts]), state.dx, state.boundary, order=2)
     kdot = fs._tangent_field(state) @ (split.pi_minus - split.pi_plus).T
@@ -142,7 +146,7 @@ def ref_dual_fields(state):
     for j, t in enumerate(ts):
         tinv = t.inverse()
         phi_x = kit.tangent_coeffs(tinv.left @ dtl[j], tinv.right @ dtr[j])[3:]
-        phi_t = (kit.ad_d(tinv) @ kdot[j])[3:]
+        phi_t = (kit.ad_d(tinv.left, tinv.right) @ kdot[j])[3:]
         dg = dual_graph_at(kit, split, t)
         a.append(np.linalg.solve(dg.e_inv, 0.5 * (phi_t - phi_x)))
         b.append(np.linalg.solve(dg.t_inv, 0.5 * (phi_t + phi_x)))
@@ -300,7 +304,7 @@ def ref_particle_charges(kit, split, u, p):
     """The former charges from the 6x6 Ad_u of the double."""
     w = np.zeros(6, dtype=complex)
     w[3:] = p
-    moved = kit.ad_d_group(u) @ w
+    moved = kit.ad_d(u, u) @ w
     return moved[3:], moved[:3], -0.5 * (split.pairing @ moved)
 
 
@@ -316,20 +320,19 @@ def rel_err(got, want):
 def test_stacked_kernels_match_single_element_calls(cfg):
     state = make_loop(cfg)
     kit = state.kit
-    u, sl, sr = kit.factorize_gm_nodes(state.kl, state.kr)
-    tl, tr, v = kit.factorize_mg_nodes(state.kl, state.kr)
-    ad = kit.ad_d_nodes(state.kl, state.kr)
+    stacked = (
+        *kit.factorize_gm(state.kl, state.kr),
+        *kit.factorize_mg(state.kl, state.kr),
+        kit.ad_d(state.kl, state.kr),
+    )
     for j in range(state.n_nodes):
-        k = state.element(j)
-        u_j, s_j = kit.factorize_gm(k)
-        t_j, v_j = kit.factorize_mg(k)
-        ref_u, ref_s = ref_factorize_gm(kit, k)
-        for got, want in ((u[j], u_j), (sl[j], s_j.left), (sr[j], s_j.right),
-                          (tl[j], t_j.left), (tr[j], t_j.right), (v[j], v_j),
-                          (u[j], ref_u), (sl[j], ref_s.left), (sr[j], ref_s.right)):
-            assert np.abs(got - want).max() < 1e-13
-        assert np.abs(ad[j] - kit.ad_d(k)).max() < 1e-13
-        assert np.abs(ad[j] - ref_ad_d(kit, k)).max() < 1e-13
+        kl, kr = state.kl[j], state.kr[j]
+        single = (*kit.factorize_gm(kl, kr), *kit.factorize_mg(kl, kr), kit.ad_d(kl, kr))
+        for got, want in zip(stacked, single):
+            assert np.abs(got[j] - want).max() < 1e-13
+        for got, want in zip(stacked[:3], ref_factorize_gm(kit, kl, kr)):
+            assert np.abs(got[j] - want).max() < 1e-13
+        assert np.abs(stacked[-1][j] - ref_ad_d(kit, kl, kr)).max() < 1e-13
 
 
 @settings(max_examples=15, deadline=None)
@@ -465,6 +468,6 @@ def test_off_chart_node_is_named(algebra):
     j = 17
     # k_R^-1 k_L = [[0, 1], [-1, 0]] has a zero pivot, which is off every chart
     state.kl[j] = state.kr[j] @ np.array([[0.0, 1.0], [-1.0, 0.0]])
-    for call in (lambda: kit.factorize_gm_nodes(state.kl, state.kr), lambda: fs.duality_check(state)):
+    for call in (lambda: kit.factorize_gm(state.kl, state.kr), lambda: fs.duality_check(state)):
         with pytest.raises(FactorizationError, match=f"node {j}\\b"):
             call()

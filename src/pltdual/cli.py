@@ -24,12 +24,14 @@ machine-readable JSON error document on stderr), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
 import os
 import re
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -42,6 +44,7 @@ from .duality import (
     validation_report,
 )
 from .fieldsim import (
+    CFLWarning,
     duality_check,
     init_pointlike,
     integrate_field,
@@ -146,15 +149,19 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
 
 
 def _check_output_paths(cfg: dict) -> None:
-    """Reject an output location whose directory does not exist, before
-    any computation."""
-    dirs = {key: os.path.dirname(str(cfg[key])) or "." for key in ("output", "metadata")
-            if cfg.get(key)}
+    """Reject an output location whose directory does not exist, or an
+    output file that names a directory, before any computation."""
+    files = {key: str(cfg[key]) for key in ("output", "metadata") if cfg.get(key)}
+    dirs = {key: os.path.dirname(path) or "." for key, path in files.items()}
     if "output_dir" in cfg:
         dirs["output_dir"] = str(cfg["output_dir"])
     for key, path in dirs.items():
         if not os.path.isdir(path):
             raise ConfigError(f"'{key}' directory does not exist: {path}")
+    for path in files.values():
+        if os.path.isdir(path):
+            # the error open() would raise after the run
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _parse_vector(text) -> np.ndarray | None:
@@ -277,7 +284,7 @@ def _finish(cfg: dict, columns: list, rows: list, summary: dict, failure: str | 
         write_json(cfg["metadata"], public, run_metadata(public, {"summary": summary}))
     if failure is None:
         return EXIT_OK
-    sys.stderr.write(_error_json("numerical", failure))
+    sys.stderr.write(_error_json("numerical", failure, summary.get("warnings")))
     return EXIT_NUMERICAL
 
 
@@ -355,6 +362,7 @@ def run_field(cfg: dict) -> int:
         ) if recorded else None,
         "max_duality_gap": float(np.nanmax(traj.duality_gaps)) if recorded else None,
         "steps": n_steps,
+        "warnings": traj.warnings,
     }
     return _finish(cfg, *field_table(traj), summary, traj.failure)
 
@@ -537,8 +545,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_json(kind: str, message: str) -> str:
-    return json.dumps({"error": {"kind": kind, "message": message}}) + "\n"
+def _error_json(kind: str, message: str, notes: list | None = None) -> str:
+    error = {"kind": kind, "message": message}
+    if notes:
+        error["warnings"] = notes
+    return json.dumps({"error": error}) + "\n"
 
 
 def _attach_negative_values(argv) -> list:
@@ -563,7 +574,11 @@ def run(argv=None) -> int:
             args.command = args.sweep_command
         cfg = _merge_config(args.subcommand, args)
         _check_output_paths(cfg)
-        return _RUNNERS[args.subcommand](cfg)
+        # stderr carries one JSON document: a field run lists a step past
+        # the CFL bound in its metadata and error document instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CFLWarning)
+            return _RUNNERS[args.subcommand](cfg)
     except (ConfigError, SplittingError) as exc:
         sys.stderr.write(_error_json("config", str(exc)))
         return EXIT_CONFIG

@@ -9,8 +9,11 @@ with the constant splitting projectors of the chosen preset; spatial
 derivatives are fourth-order finite differences (one-sided at the ends
 of a double-Neumann run, wrapped for a periodic run) and the time step
 is the fourth-order Runge-Kutta-Munthe-Kaas update :func:`pltdual.groups.rkmk4`
-on the stacked chiral components of every node, so every grid element
-stays on the group up to a determinant renormalization per step.
+on the node-first stack (nodes, side, 2, 2) of both chiral components, so
+every grid element stays on the group up to a determinant renormalization
+per step.  Each stage takes one derivative, one inverse and one product
+of that stack for k_x k^-1, and maps its eight chiral entries to those of
+dk/dt k^-1 by one constant 8x8 matrix built once per step.
 
 Diagnostics cover the conserved Hamiltonian 4 H = <(pi_+ - pi_-) w, w>
 with w = k_x k^-1, the moment map I_delta = -1/2 int <w, delta> dx, the
@@ -37,6 +40,7 @@ from .groups import FactorizationError, GroupKit, _vinv, rkmk4
 from .liecore import bracket_coeffs
 
 __all__ = [
+    "CFLWarning",
     "LoopState",
     "FieldDiagnostics",
     "FieldTrajectory",
@@ -124,6 +128,7 @@ class FieldTrajectory:
     states: list = field(default_factory=list)
     completed: bool = True
     failure: str | None = None  # the error that stopped an incomplete run
+    warnings: list = field(default_factory=list)  # e.g. a time step past the CFL bound
 
 
 def grid_points(n_cells: int, boundary: str = "double-neumann") -> np.ndarray:
@@ -227,31 +232,33 @@ _EDGE_STENCIL = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _NEAR_STENCIL = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 
 
+def _wrapped(f: np.ndarray, width: int) -> np.ndarray:
+    """``f`` with ``width`` nodes of its periodic continuation on either
+    side (as ``np.pad(..., mode="wrap")``), for any node count."""
+    return np.take(f, np.arange(-width, f.shape[0] + width), axis=0, mode="wrap")
+
+
 def _x_derivative(f: np.ndarray, dx: float, boundary: str, order: int = 4) -> np.ndarray:
-    """Spatial derivative of stacked matrix samples (centred, wrapped for
-    periodic runs, one-sided at Neumann ends).
+    """Spatial derivative of samples stacked node first (centred, wrapped
+    for periodic runs, one-sided at Neumann ends).
 
     The integrator uses the fourth-order stencils; the field-equation
     residual diagnostics use order 2 so their leading error is the known
     O(dx^2) stencil truncation.
     """
-    out = np.empty_like(f)
     if order == 2:
         if boundary == "periodic":
-            out[:] = (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * dx)
-            return out
+            p = _wrapped(f, 1)
+            return (p[2:] - p[:-2]) / (2 * dx)
+        out = np.empty_like(f)
         out[1:-1] = (f[2:] - f[:-2]) / (2 * dx)
         out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * dx)
         out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * dx)
         return out
     if boundary == "periodic":
-        out[:] = (
-            -np.roll(f, -2, axis=0)
-            + 8 * np.roll(f, -1, axis=0)
-            - 8 * np.roll(f, 1, axis=0)
-            + np.roll(f, 2, axis=0)
-        ) / (12 * dx)
-        return out
+        p = _wrapped(f, 2)
+        return (-p[4:] + 8 * p[3:-1] - 8 * p[1:-3] + p[:-4]) / (12 * dx)
+    out = np.empty_like(f)
     out[2:-2] = (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * dx)
     out[0] = np.einsum("s,s...->...", _EDGE_STENCIL, f[:5]) / dx
     out[1] = np.einsum("s,s...->...", _NEAR_STENCIL, f[:5]) / dx
@@ -260,13 +267,16 @@ def _x_derivative(f: np.ndarray, dx: float, boundary: str, order: int = 4) -> np
     return out
 
 
+def _right_tangent(k: np.ndarray, dx: float, boundary: str) -> np.ndarray:
+    """k_x k^-1 at every node of a node-first stack of 2x2 matrices."""
+    return _x_derivative(k, dx, boundary) @ _vinv(k)
+
+
 def _tangent_field(state: LoopState) -> np.ndarray:
-    """w = k_x k^-1 as (nodes, 2n) double-algebra coefficients."""
-    kit = state.kit
-    dx = state.dx
-    wl = _x_derivative(state.kl, dx, state.boundary) @ _vinv(state.kl)
-    wr = _x_derivative(state.kr, dx, state.boundary) @ _vinv(state.kr)
-    return kit.tangent_coeffs(wl, wr)
+    """w = k_x k^-1 as (nodes, 2n) double-algebra coefficients, from one
+    derivative of the node-first stack of both chiral factors."""
+    w = _right_tangent(np.stack([state.kl, state.kr], axis=1), state.dx, state.boundary)
+    return state.kit.tangent_coeffs(w[:, 0], w[:, 1])
 
 
 def _tangent(state: LoopState) -> np.ndarray:
@@ -285,31 +295,46 @@ def _flow_velocity(state: LoopState) -> np.ndarray:
     return _tangent(state) @ (state.split.pi_minus - state.split.pi_plus).T
 
 
-def _flow_generators(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
-    """Chiral matrices of (pi_- - pi_+)(k_x k^-1) at every node."""
-    return state.kit.chiral_mats(_flow_velocity(state))
+def _generator_map(kit: GroupKit, split: SplittingData) -> np.ndarray:
+    """8x8 map of the chiral entries of k_x k^-1 to those of
+    dk/dt k^-1 = (pi_- - pi_+)(k_x k^-1), both flattened over (side, row,
+    column): :meth:`GroupKit.tangent_coeffs`, the projector difference and
+    :meth:`GroupKit.chiral_mats` composed on the unit entries.  The (1, 1)
+    entries, which a traceless input fixes, get zero rows."""
+    units = np.eye(8).reshape(8, 2, 2, 2)
+    w = kit.tangent_coeffs(units[:, 0], units[:, 1]) @ (split.pi_minus - split.pi_plus).T
+    return np.stack(kit.chiral_mats(w), axis=1).reshape(8, 8)
 
 
 # ---- time stepping -------------------------------------------------------------
 
 
-def step(state: LoopState, dt: float, cfl: float = 0.5) -> LoopState:
-    """One fourth-order Runge-Kutta-Munthe-Kaas step of the loop flow."""
+class CFLWarning(RuntimeWarning):
+    """A time step past the CFL bound of the grid."""
+
+
+def _cfl_excess(state: LoopState, dt: float, cfl: float) -> str | None:
+    """The message for a time step past the CFL bound cfl * dx, else None."""
     if dt > cfl * state.dx + 1e-15:
-        warnings.warn(
-            f"dt = {dt:g} exceeds the CFL bound {cfl:g} * dx = {cfl * state.dx:g}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        return f"dt = {dt:g} exceeds the CFL bound {cfl:g} * dx = {cfl * state.dx:g}"
+    return None
+
+
+def step(state: LoopState, dt: float, cfl: float = 0.5) -> LoopState:
+    """One fourth-order Runge-Kutta-Munthe-Kaas step of the loop flow, on
+    the node-first stack (nodes, side, 2, 2) of both chiral factors."""
+    message = _cfl_excess(state, dt, cfl)
+    if message:
+        warnings.warn(message, CFLWarning, stacklevel=2)
+    dx, boundary = state.dx, state.boundary
+    gen_map = _generator_map(state.kit, state.split)
 
     def gens(k: np.ndarray, _):
-        left, right = _flow_generators(
-            LoopState(state.kit, state.split, k[0], k[1], state.boundary, state.time)
-        )
-        return np.stack([left, right]), 0.0
+        w = _right_tangent(k, dx, boundary)
+        return (w.reshape(-1, 8) @ gen_map).reshape(k.shape), 0.0
 
-    k1, _ = rkmk4(gens, np.stack([state.kl, state.kr]), 0.0, dt)
-    return LoopState(state.kit, state.split, k1[0], k1[1], state.boundary, state.time + dt)
+    k1, _ = rkmk4(gens, np.stack([state.kl, state.kr], axis=1), 0.0, dt)
+    return LoopState(state.kit, state.split, k1[:, 0], k1[:, 1], boundary, state.time + dt)
 
 
 # ---- diagnostics ----------------------------------------------------------------
@@ -619,11 +644,13 @@ def integrate_field(
     A chart exit (factorization, graph blow-up or a singular solve) or a
     state that turns non-finite ends the run early with ``completed``
     False and ``failure`` set; the rows recorded before it are kept, and a
-    row is recorded whole or not at all.
+    row is recorded whole or not at all.  A time step past the CFL bound
+    is listed in ``warnings`` (and warned of by every :func:`step`).
     """
     columns = times, hams, moms, fds, gaps, rgs, rts = [], [], [], [], [], [], []
     states = []
     failure = None
+    excess = _cfl_excess(state, dt, cfl)
 
     def record(s: LoopState, prev_state: LoopState | None):
         s = _with_tangent(s)
@@ -664,4 +691,5 @@ def integrate_field(
         states,
         failure is None,
         failure,
+        [excess] if excess else [],
     )

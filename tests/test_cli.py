@@ -3,11 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pltdual
+from pltdual import cli
 from pltdual.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, run
 from pltdual.duality import limit_slopes
 from pltdual.models import ALGEBRA_NAMES, PRESET_NAMES
@@ -223,6 +229,24 @@ def test_reproducers_keep_the_exit_contract(capsys, tmp_path, case):
         assert message in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["particle", "--output", "{tmp}"],
+    ["particle", "--metadata", "{tmp}"],
+    ["field", "--output", "{tmp}"],
+    ["field", "--output", "{tmp}/field.csv", "--metadata", "{tmp}"],
+])
+def test_output_naming_a_directory_fails_before_integrating(capsys, tmp_path, monkeypatch, argv):
+    calls = []
+    for name in ("integrate_particle", "integrate_field"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **kw: calls.append(_name))
+    code, out, err = run_cli(capsys, *[arg.format(tmp=tmp_path) for arg in argv])
+    assert code == EXIT_CONFIG and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "io" and "Is a directory" in error["message"]
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_shared_parser_matches_fresh_parser(capsys):
     """run() builds its parser once; back-to-back runs of different
     subcommands, with a bad flag between them, give the outputs and exit
@@ -247,7 +271,9 @@ def test_shared_parser_matches_fresh_parser(capsys):
 # ---- field and duality ----------------------------------------------------------------
 
 
-@pytest.mark.filterwarnings("ignore:dt = .* exceeds the CFL bound:RuntimeWarning")
+# run() reports a step past the CFL bound in its JSON documents, so none
+# may escape it as a Python warning
+@pytest.mark.filterwarnings("error::pltdual.fieldsim.CFLWarning")
 @settings(max_examples=15, deadline=None)
 @given(
     algebra=st.sampled_from(ALGEBRA_NAMES),
@@ -295,6 +321,34 @@ def test_field_run(capsys, tmp_path):
         assert name in cols
     meta = json.loads(out_meta.read_text())
     assert meta["summary"]["max_duality_gap"] < 1e-9
+    assert meta["summary"]["warnings"] == []
+
+
+def test_field_past_cfl_bound_lists_the_warning(capsys, tmp_path):
+    out_meta = tmp_path / "field.json"
+    code, _, err = run_cli(capsys, "field", "--N", "16", "--dt", "0.2", "--T", "0.4",
+                           "--output", str(tmp_path / "field.csv"), "--metadata", str(out_meta))
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out_meta.read_text())["summary"]["warnings"] == [
+        "dt = 0.2 exceeds the CFL bound 0.5 * dx = 0.0981748"
+    ]
+
+
+def test_field_stderr_is_one_json_document(tmp_path):
+    """A process whose field run blows up past the CFL bound writes one
+    JSON document to stderr, naming the bound, and no Python warning."""
+    src = str(Path(pltdual.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pltdual.cli", "field", "--N", "16", "--dt", "0.5", "--T", "2",
+         "--amplitude", "2", "--output", str(tmp_path / "field.csv")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_NUMERICAL
+    error = json.loads(proc.stderr)["error"]
+    assert error["kind"] == "numerical" and "non-finite state" in error["message"]
+    assert error["warnings"] == ["dt = 0.5 exceeds the CFL bound 0.5 * dx = 0.0981748"]
 
 
 def test_field_neumann_odd_cell_count(capsys, tmp_path):

@@ -5,7 +5,9 @@ with the same ``GroupKit`` calls on one node and with a copy of the former
 closed-form scalar code; ``duality_check``, ``eom_residuals`` and the loop
 initializers are compared with per-node copies of the loops they replaced,
 and the field and particle steps, which share ``groups.rkmk4``, with copies
-of the two hand-unrolled RKMK4 steppers it replaced.  The particle
+of the two hand-unrolled RKMK4 steppers it replaced.  The field step's
+wrapped stencils and its constant 8x8 generator map are compared with the
+``np.roll`` stencils and the coefficient chain they replaced.  The particle
 right-hand side, energy and charges, which conjugate constants by the
 adjoint pair (Ad_{u^-1}, Ad_u), are compared with copies of the graph-map
 and linear-solve code they replaced.
@@ -27,6 +29,7 @@ from pltdual.groups import (
     GroupKit,
     _vdet_normalize,
     _vdexpinv,
+    _vinv,
     expm2,
 )
 from pltdual.liecore import bracket_coeffs
@@ -225,13 +228,30 @@ def ref_centered_bump_loop(kit, cfg, radius=0.45):
     return ref_loop(kit, ws)
 
 
+def ref_roll_derivative(f, dx, order):
+    """The former periodic stencils, from np.roll."""
+    if order == 2:
+        return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * dx)
+    return (
+        -np.roll(f, -2, axis=0)
+        + 8 * np.roll(f, -1, axis=0)
+        - 8 * np.roll(f, 1, axis=0)
+        + np.roll(f, 2, axis=0)
+    ) / (12 * dx)
+
+
+def ref_flow_generators(kit, split, wl, wr):
+    """The former chain from k_x k^-1 to the chiral matrices of dk/dt k^-1."""
+    return kit.chiral_mats(kit.tangent_coeffs(wl, wr) @ (split.pi_minus - split.pi_plus).T)
+
+
 def ref_field_step(state, dt):
     """The former unrolled RKMK4 step of the loop flow, one chiral side at a time."""
 
     def gens(kl, kr):
-        return fs._flow_generators(
-            fs.LoopState(state.kit, state.split, kl, kr, state.boundary, state.time)
-        )
+        wl = fs._x_derivative(kl, state.dx, state.boundary) @ _vinv(kl)
+        wr = fs._x_derivative(kr, state.dx, state.boundary) @ _vinv(kr)
+        return ref_flow_generators(state.kit, state.split, wl, wr)
 
     kl0, kr0 = state.kl, state.kr
     al1, ar1 = gens(kl0, kr0)
@@ -383,6 +403,28 @@ def test_field_step_matches_unrolled_stepper(cfg, cfl):
     kl, kr = ref_field_step(state, cfl * state.dx)
     assert rel_err(stepped.kl, kl) < 1e-13
     assert rel_err(stepped.kr, kr) < 1e-13
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("n_nodes", [1, 2, 5, 16])
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 2)])
+def test_wrapped_stencils_match_rolls(order, n_nodes, shape):
+    rng = np.random.default_rng(n_nodes)
+    f = rng.normal(size=(n_nodes, *shape)) + 1j * rng.normal(size=(n_nodes, *shape))
+    got = fs._x_derivative(f, 0.3, "periodic", order=order)
+    assert np.array_equal(got, ref_roll_derivative(f, 0.3, order))
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+@pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
+def test_generator_map_matches_coefficient_chain(algebra, preset):
+    kit, split = preset_kit_and_split(algebra, preset)
+    rng = np.random.default_rng(7)
+    wl, wr = (kit.mat(rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3)))
+              for _ in range(2))
+    got = np.stack([wl, wr], axis=1).reshape(32, 8) @ fs._generator_map(kit, split)
+    want = np.stack(ref_flow_generators(kit, split, wl, wr), axis=1).reshape(32, 8)
+    assert rel_err(got, want) < 1e-14
 
 
 @settings(max_examples=20, deadline=None)

@@ -83,7 +83,6 @@ _COMMON_DEFAULTS = {
     "mu": None,
     "seed": 0,
     "output": None,
-    "metadata": None,
 }
 
 _DEFAULTS = {
@@ -95,6 +94,7 @@ _DEFAULTS = {
         "record_every": 1,
         "u0_log": None,
         "p0": None,
+        "metadata": None,
     },
     "field": {
         **_COMMON_DEFAULTS,
@@ -105,6 +105,7 @@ _DEFAULTS = {
         "amplitude": 0.1,
         "record_every": 10,
         "pointlike": False,
+        "metadata": None,
     },
     "duality": {**_COMMON_DEFAULTS, "N": 32, "amplitude": 0.3, "boundary": "periodic"},
     "sweep": {
@@ -124,8 +125,19 @@ _DEFAULTS = {
 }
 
 
-def _merge_config(command: str, args: argparse.Namespace) -> dict:
+def _with_options(command: str, options: dict) -> dict:
+    """The defaults of ``command`` updated with ``options``, each of which
+    must be one of its keys."""
     cfg = dict(_DEFAULTS[command])
+    for key, value in options.items():
+        if key not in cfg:
+            raise ConfigError(f"unknown config key for '{command}': {key}")
+        cfg[key] = value
+    return cfg
+
+
+def _merge_config(command: str, args: argparse.Namespace) -> dict:
+    loaded = {}
     file_path = getattr(args, "config", None)
     if file_path:
         try:
@@ -137,10 +149,7 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        for key, value in loaded.items():
-            if key not in cfg:
-                raise ConfigError(f"unknown config key for '{command}': {key}")
-            cfg[key] = value
+    cfg = _with_options(command, loaded)
     for key in cfg:
         value = getattr(args, key, None)
         if value is not None:
@@ -389,12 +398,12 @@ def run_duality(cfg: dict) -> int:
 # ---- sweep ------------------------------------------------------------------------
 
 
-def _sweep_one(command: str, base: dict, seed: int, output_dir: str) -> dict:
-    cfg = dict(_DEFAULTS[command])
-    for key, value in base.items():
-        if key not in cfg:
-            raise ConfigError(f"unknown config key for '{command}': {key}")
-        cfg[key] = value
+# the options a sweep sets for each replica
+_REPLICA_KEYS = ("seed", "output", "metadata")
+
+
+def _sweep_one(command: str, base_cfg: dict, seed: int, output_dir: str) -> dict:
+    cfg = dict(base_cfg)
     cfg["seed"] = seed
     stem = f"{command}_seed{seed}"
     if command in ("particle", "field"):
@@ -419,6 +428,10 @@ def run_sweep(cfg: dict) -> int:
     base = cfg["base"]
     if not isinstance(base, dict):
         raise ConfigError("'base' must be a JSON object of command options")
+    for key in _REPLICA_KEYS:
+        if key in base:
+            raise ConfigError(f"'base' cannot set '{key}': the sweep sets it for each replica")
+    base_cfg = _with_options(command, base)
     output_dir = str(cfg["output_dir"])
     workers = max(1, _int("max_workers", cfg["max_workers"]))
     # replicas run concurrently and write only their own files; the
@@ -426,7 +439,7 @@ def run_sweep(cfg: dict) -> int:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         entries = list(
             pool.map(
-                lambda s: _sweep_one(command, base, s, output_dir), range(replicas)
+                lambda s: _sweep_one(command, base_cfg, s, output_dir), range(replicas)
             )
         )
     manifest = {

@@ -45,7 +45,7 @@ from .bialgebra import (
     symmetric_part_invariance_residual,
     tensor_conjugate,
 )
-from .groups import DoubleElement, GroupKit, _vinv
+from .groups import COND_CUTOFF, GroupKit, _vinv
 from .liecore import jacobi_residual
 from .models import ModelPreset, make_preset
 
@@ -152,7 +152,7 @@ class SplittingData:
         return worst
 
 
-def splitting(preset: ModelPreset, cond_cutoff: float = 1e8) -> SplittingData:
+def splitting(preset: ModelPreset) -> SplittingData:
     b = preset.bialgebra
     rho = b.rho
     kinv = b.kinv_matrix
@@ -169,7 +169,7 @@ def splitting(preset: ModelPreset, cond_cutoff: float = 1e8) -> SplittingData:
     basis_plus = np.vstack([e_inv, eye])
     basis_minus = np.vstack([t_inv, eye])
     joint = np.hstack([basis_plus, basis_minus])
-    if np.linalg.cond(joint) > cond_cutoff:
+    if np.linalg.cond(joint) > COND_CUTOFF:
         raise SplittingError("splitting subspaces are numerically degenerate")
     joint_inv = np.linalg.inv(joint)
     pi_plus = basis_plus @ joint_inv[:n]
@@ -189,15 +189,15 @@ class GraphCoordinate:
     cond_e: float
     cond_t: float
 
-    def e_matrix(self, cond_cutoff: float = 1e8) -> np.ndarray:
-        if self.cond_e > cond_cutoff:
+    def e_matrix(self) -> np.ndarray:
+        if self.cond_e > COND_CUTOFF:
             raise GraphBlowupError(
                 f"E_u^-1 condition number {self.cond_e:.3e} exceeds cutoff"
             )
         return np.linalg.inv(self.e_inv)
 
-    def t_matrix(self, cond_cutoff: float = 1e8) -> np.ndarray:
-        if self.cond_t > cond_cutoff:
+    def t_matrix(self) -> np.ndarray:
+        if self.cond_t > COND_CUTOFF:
             raise GraphBlowupError(
                 f"T_u^-1 condition number {self.cond_t:.3e} exceeds cutoff"
             )
@@ -269,7 +269,7 @@ def graph_at(
     """
     uinv = _vinv(u)
     if route == "transport":
-        e_inv, t_inv = graph_slices(split, kit.ad_d(uinv, uinv))
+        e_inv, t_inv = graph_slices(split, kit.ad_d(uinv[None]))
     elif route == "invariant-split":
         e_inv, t_inv = graph_maps(kit, split, u)
     elif route == "cocycle":
@@ -293,16 +293,15 @@ class DualGraphCoordinate:
     e_inv_bar: np.ndarray  # Ebar-hat_t^-1 = E_e + Pi-hat(t) : g -> m
     t_inv: np.ndarray
 
-    def e_bar_matrix(self, cond_cutoff: float = 1e8) -> np.ndarray:
-        if np.linalg.cond(self.e_inv_bar) > cond_cutoff:
+    def e_bar_matrix(self) -> np.ndarray:
+        if np.linalg.cond(self.e_inv_bar) > COND_CUTOFF:
             raise GraphBlowupError("dual graph coordinate left its chart")
         return np.linalg.inv(self.e_inv_bar)
 
 
-def dual_graph_at(
-    kit: GroupKit, split: SplittingData, t: DoubleElement
-) -> DualGraphCoordinate:
-    e_inv, t_inv = dual_graph_slices(split, kit.ad_d(_vinv(t.left), _vinv(t.right)))
+def dual_graph_at(kit: GroupKit, split: SplittingData, t: np.ndarray) -> DualGraphCoordinate:
+    """Graph data of the dual model at the chiral stack t of M."""
+    e_inv, t_inv = dual_graph_slices(split, kit.ad_d(_vinv(t)))
     return DualGraphCoordinate(e_inv, split.e_matrix + kit.hat_pi(t), t_inv)
 
 
@@ -343,7 +342,7 @@ def su2_trace_lagrangian(u: np.ndarray, w_plus: np.ndarray, w_minus: np.ndarray)
 def dual_lagrangian(
     kit: GroupKit,
     split: SplittingData,
-    t: DoubleElement,
+    t: np.ndarray,
     phi_plus: np.ndarray,
     phi_minus: np.ndarray,
 ) -> complex:

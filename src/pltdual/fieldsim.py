@@ -1,7 +1,8 @@
 """Method-of-lines integrator for the first-order loop flow on the double.
 
-The loop field k(x) takes values in the double group (stored as chiral
-pairs) on the grid x_j = j pi / N.  The flow is
+The loop field k(x) takes values in the double group, stored as the
+node-first chiral stack (nodes, side, 2, 2) of :mod:`pltdual.groups`, on
+the grid x_j = j pi / N.  The flow is
 
     dk/dt k^-1 = (pi_- - pi_+)(k_x k^-1),
 
@@ -9,11 +10,11 @@ with the constant splitting projectors of the chosen preset; spatial
 derivatives are fourth-order finite differences (one-sided at the ends
 of a double-Neumann run, wrapped for a periodic run) and the time step
 is the fourth-order Runge-Kutta-Munthe-Kaas update :func:`pltdual.groups.rkmk4`
-on the node-first stack (nodes, side, 2, 2) of both chiral components, so
-every grid element stays on the group up to a determinant renormalization
-per step.  Each stage takes one derivative, one inverse and one product
-of that stack for k_x k^-1, and maps its eight chiral entries to those of
-dk/dt k^-1 by one constant 8x8 matrix built once per step.
+on that stack, so every grid element stays on the group up to a
+determinant renormalization per step.  Each stage takes one derivative,
+one inverse and one product of that stack for k_x k^-1, and maps its
+eight chiral entries to those of dk/dt k^-1 by one constant 8x8 matrix
+built once per step.
 
 Diagnostics cover the conserved Hamiltonian 4 H = <(pi_+ - pi_-) w, w>
 with w = k_x k^-1, the moment map I_delta = -1/2 int <w, delta> dx, the
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .duality import GraphBlowupError, SplittingData, dual_graph_slices, graph_slices
-from .groups import FactorizationError, GroupKit, _vinv, rkmk4
+from .groups import COND_CUTOFF, FactorizationError, GroupKit, _vinv, rkmk4
 from .liecore import bracket_coeffs
 
 __all__ = [
@@ -61,6 +62,8 @@ __all__ = [
 ]
 
 BOUNDARIES = ("double-neumann", "periodic")
+# the CFL bound on the time step, in units of dx
+CFL = 0.5
 
 
 # ---- loop state ---------------------------------------------------------------
@@ -72,8 +75,7 @@ class LoopState:
 
     kit: GroupKit
     split: SplittingData
-    kl: np.ndarray  # (nodes, 2, 2) left chiral matrices
-    kr: np.ndarray  # (nodes, 2, 2) right chiral matrices
+    k: np.ndarray  # (nodes, side, 2, 2) chiral stack
     boundary: str = "double-neumann"
     time: float = 0.0
     # w = k_x k^-1 at every node, when the caller has computed it already
@@ -82,12 +84,21 @@ class LoopState:
     def __post_init__(self):
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary condition '{self.boundary}'")
-        self.kl = np.asarray(self.kl, dtype=complex)
-        self.kr = np.asarray(self.kr, dtype=complex)
+        self.k = np.asarray(self.k, dtype=complex)
+
+    @property
+    def kl(self) -> np.ndarray:
+        """The left chiral matrices, a view of ``k``."""
+        return self.k[:, 0]
+
+    @property
+    def kr(self) -> np.ndarray:
+        """The right chiral matrices, a view of ``k``."""
+        return self.k[:, 1]
 
     @property
     def n_nodes(self) -> int:
-        return self.kl.shape[0]
+        return self.k.shape[0]
 
     @property
     def n_cells(self) -> int:
@@ -98,9 +109,7 @@ class LoopState:
         return np.pi / self.n_cells
 
     def copy(self) -> "LoopState":
-        return LoopState(
-            self.kit, self.split, self.kl.copy(), self.kr.copy(), self.boundary, self.time
-        )
+        return LoopState(self.kit, self.split, self.k.copy(), self.boundary, self.time)
 
 
 @dataclass
@@ -151,8 +160,7 @@ def init_pointlike(
     """Pointlike data k(x) = u0 exp(p x): x-independent u, s_x s^-1 = p."""
     xs = grid_points(n_cells, boundary)
     s = kit.exp_m(xs[:, None] * np.asarray(p))
-    u0 = np.asarray(u0, dtype=complex)
-    return LoopState(kit, split, u0 @ s.left, u0 @ s.right, boundary)
+    return LoopState(kit, split, np.asarray(u0, dtype=complex) @ s, boundary)
 
 
 def _loop_from_coeffs(
@@ -164,8 +172,13 @@ def _loop_from_coeffs(
     wc = w.astype(complex)
     if kit.flavor == "su2":
         wc[:, n:] = -1j * w[:, n:]
-    k = kit.exp_d(wc)
-    return LoopState(kit, split, k.left, k.right, boundary)
+    return LoopState(kit, split, kit.exp_d(wc), boundary)
+
+
+# highest cosine mode of a random smooth loop
+_N_MODES = 2
+# half-width of the support of a centred bump loop
+_BUMP_RADIUS = 0.45
 
 
 def random_smooth_loop(
@@ -175,9 +188,8 @@ def random_smooth_loop(
     boundary: str = "double-neumann",
     seed: int = 0,
     amplitude: float = 0.3,
-    n_modes: int = 2,
 ) -> LoopState:
-    """Smooth random loop from a few cosine modes.
+    """Smooth random loop from the cosine modes 0 to ``_N_MODES``.
 
     The double-algebra coefficients are real combinations of cos(m x)
     for the double-Neumann run (k_x vanishes at both ends) and of
@@ -187,9 +199,9 @@ def random_smooth_loop(
     xs = grid_points(n_cells, boundary)
     n = kit.b.g.dim
     mode_step = 2 if boundary == "periodic" else 1
-    coeffs = rng.normal(size=(n_modes + 1, 2 * n)) * amplitude / (n_modes + 1)
+    coeffs = rng.normal(size=(_N_MODES + 1, 2 * n)) * amplitude / (_N_MODES + 1)
     w = np.zeros((len(xs), 2 * n))
-    for m in range(n_modes + 1):
+    for m in range(_N_MODES + 1):
         w = w + np.cos(mode_step * m * xs)[:, None] * coeffs[m]
     return _loop_from_coeffs(kit, split, w, boundary)
 
@@ -201,23 +213,22 @@ def centered_bump_loop(
     boundary: str = "double-neumann",
     seed: int = 0,
     amplitude: float = 0.3,
-    radius: float = 0.45,
 ) -> LoopState:
     """Smooth loop concentrated around x = pi/2 with compact support.
 
     The double-algebra coefficients carry the C-infinity bump envelope
-    exp(1 - 1/(1 - y^2)) with y = (x - pi/2)/radius, so k_x vanishes
-    identically within a distance pi/2 - radius of both ends.  With the
-    default radius the disturbance (propagating at unit speed) cannot
-    reach either boundary before t = pi/2 - radius - epsilon, which makes
-    this the reference data for energy-conservation runs under the
-    double-Neumann condition.
+    exp(1 - 1/(1 - y^2)) with y = (x - pi/2)/r and r = ``_BUMP_RADIUS``,
+    so k_x vanishes identically within a distance pi/2 - r of both ends.
+    The disturbance (propagating at unit speed) cannot reach either
+    boundary before t = pi/2 - r - epsilon, which makes this the
+    reference data for energy-conservation runs under the double-Neumann
+    condition.
     """
     rng = np.random.default_rng(seed)
     xs = grid_points(n_cells, boundary)
     n = kit.b.g.dim
     coeffs = rng.normal(size=(2, 2 * n)) * amplitude
-    y = (xs - np.pi / 2) / radius
+    y = (xs - np.pi / 2) / _BUMP_RADIUS
     inside = np.abs(y) < 1.0
     env = np.zeros_like(xs)
     env[inside] = np.exp(1.0 - 1.0 / (1.0 - y[inside] * y[inside]))
@@ -274,9 +285,8 @@ def _right_tangent(k: np.ndarray, dx: float, boundary: str) -> np.ndarray:
 
 def _tangent_field(state: LoopState) -> np.ndarray:
     """w = k_x k^-1 as (nodes, 2n) double-algebra coefficients, from one
-    derivative of the node-first stack of both chiral factors."""
-    w = _right_tangent(np.stack([state.kl, state.kr], axis=1), state.dx, state.boundary)
-    return state.kit.tangent_coeffs(w[:, 0], w[:, 1])
+    derivative of the chiral stack."""
+    return state.kit.tangent_coeffs(_right_tangent(state.k, state.dx, state.boundary))
 
 
 def _tangent(state: LoopState) -> np.ndarray:
@@ -302,8 +312,8 @@ def _generator_map(kit: GroupKit, split: SplittingData) -> np.ndarray:
     :meth:`GroupKit.chiral_mats` composed on the unit entries.  The (1, 1)
     entries, which a traceless input fixes, get zero rows."""
     units = np.eye(8).reshape(8, 2, 2, 2)
-    w = kit.tangent_coeffs(units[:, 0], units[:, 1]) @ (split.pi_minus - split.pi_plus).T
-    return np.stack(kit.chiral_mats(w), axis=1).reshape(8, 8)
+    w = kit.tangent_coeffs(units) @ (split.pi_minus - split.pi_plus).T
+    return kit.chiral_mats(w).reshape(8, 8)
 
 
 # ---- time stepping -------------------------------------------------------------
@@ -313,17 +323,17 @@ class CFLWarning(RuntimeWarning):
     """A time step past the CFL bound of the grid."""
 
 
-def _cfl_excess(state: LoopState, dt: float, cfl: float) -> str | None:
-    """The message for a time step past the CFL bound cfl * dx, else None."""
-    if dt > cfl * state.dx + 1e-15:
-        return f"dt = {dt:g} exceeds the CFL bound {cfl:g} * dx = {cfl * state.dx:g}"
+def _cfl_excess(state: LoopState, dt: float) -> str | None:
+    """The message for a time step past the CFL bound CFL * dx, else None."""
+    if dt > CFL * state.dx + 1e-15:
+        return f"dt = {dt:g} exceeds the CFL bound {CFL:g} * dx = {CFL * state.dx:g}"
     return None
 
 
-def step(state: LoopState, dt: float, cfl: float = 0.5) -> LoopState:
+def step(state: LoopState, dt: float) -> LoopState:
     """One fourth-order Runge-Kutta-Munthe-Kaas step of the loop flow, on
-    the node-first stack (nodes, side, 2, 2) of both chiral factors."""
-    message = _cfl_excess(state, dt, cfl)
+    the chiral stack of the loop."""
+    message = _cfl_excess(state, dt)
     if message:
         warnings.warn(message, CFLWarning, stacklevel=2)
     dx, boundary = state.dx, state.boundary
@@ -333,8 +343,8 @@ def step(state: LoopState, dt: float, cfl: float = 0.5) -> LoopState:
         w = _right_tangent(k, dx, boundary)
         return (w.reshape(-1, 8) @ gen_map).reshape(k.shape), 0.0
 
-    k1, _ = rkmk4(gens, np.stack([state.kl, state.kr], axis=1), 0.0, dt)
-    return LoopState(state.kit, state.split, k1[:, 0], k1[:, 1], boundary, state.time + dt)
+    k1, _ = rkmk4(gens, state.k, 0.0, dt)
+    return LoopState(state.kit, state.split, k1, boundary, state.time + dt)
 
 
 # ---- diagnostics ----------------------------------------------------------------
@@ -416,20 +426,18 @@ def _transported_density(split: SplittingData, ad: np.ndarray, ad_inv: np.ndarra
 def duality_check(state: LoopState) -> float:
     """Max gap between the (u, s) and (t, v) Hamiltonian densities plus
     the reconstruction defects of both factorizations."""
-    kit = state.kit
-    kl, kr = state.kl, state.kr
+    kit, k = state.kit, state.k
     w = _tangent(state)
-    u, sl, sr = kit.factorize_gm(kl, kr)
-    tl, tr, v = kit.factorize_mg(kl, kr)
-    recon_gm = np.linalg.norm(u @ sl - kl, axis=(-2, -1)) + np.linalg.norm(u @ sr - kr, axis=(-2, -1))
-    recon_mg = np.linalg.norm(tl @ v - kl, axis=(-2, -1)) + np.linalg.norm(tr @ v - kr, axis=(-2, -1))
-    uinv = _vinv(u)
+    u, s = kit.factorize_gm(k)
+    t, v = kit.factorize_mg(k)
+    u, v = u[:, None], v[:, None]
+    # the reconstruction defects, summed over both sides
+    recon_gm = np.linalg.norm(u @ s - k, axis=(-2, -1)).sum(axis=-1)
+    recon_mg = np.linalg.norm(t @ v - k, axis=(-2, -1)).sum(axis=-1)
     # primal description: transport by Ad_{u^-1}
-    hu = _transported_density(state.split, kit.ad_d(u, u), kit.ad_d(uinv, uinv), w)
+    hu = _transported_density(state.split, kit.ad_d(u), kit.ad_d(_vinv(u)), w)
     # dual description: transport by Ad_{t^-1}
-    ht = _transported_density(
-        state.split, kit.ad_d(tl, tr), kit.ad_d(_vinv(tl), _vinv(tr)), w
-    )
+    ht = _transported_density(state.split, kit.ad_d(t), kit.ad_d(_vinv(t)), w)
     return float(np.abs(hu - ht).max() + max(recon_gm.max(), recon_mg.max()))
 
 
@@ -440,13 +448,13 @@ def _graph_maps(split: SplittingData, ad_uinv: np.ndarray) -> list[np.ndarray]:
     """[E_u, T_u] (g -> m) at every node, from Ad_{u^-1}.
 
     Raises GraphBlowupError, naming the first node, where E_u^-1 or
-    T_u^-1 has a condition number above 1e8 (the check of
-    :meth:`GraphCoordinate.e_matrix` at its default cutoff).
+    T_u^-1 has a condition number above ``COND_CUTOFF`` (the check of
+    :meth:`GraphCoordinate.e_matrix`).
     """
     maps = []
     for name, inv in zip(("E_u^-1", "T_u^-1"), graph_slices(split, ad_uinv)):
         cond = np.linalg.cond(inv)
-        bad = np.flatnonzero(cond > 1e8)
+        bad = np.flatnonzero(cond > COND_CUTOFF)
         if bad.size:
             j = bad[0]
             raise GraphBlowupError(
@@ -465,9 +473,9 @@ def _primal_lightcone_fields(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
     """
     kit = state.kit
     n = kit.b.g.dim
-    u, _, _ = kit.factorize_gm(state.kl, state.kr)
+    u, _ = kit.factorize_gm(state.k)
     uinv = _vinv(u)
-    ad = kit.ad_d(uinv, uinv)
+    ad = kit.ad_d(uinv[:, None])
     xi_x = kit.coeffs(uinv @ _x_derivative(u, state.dx, state.boundary, order=2))
     xi_t = _matvec(ad, _flow_velocity(state))[..., :n]
     e, t = _graph_maps(state.split, ad)
@@ -479,13 +487,10 @@ def _dual_lightcone_fields(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
     Ehat_t and That_t applied as solves against the transported slices."""
     kit = state.kit
     n = kit.b.g.dim
-    tl, tr, _ = kit.factorize_mg(state.kl, state.kr)
-    tinv_l, tinv_r = _vinv(tl), _vinv(tr)
-    ad = kit.ad_d(tinv_l, tinv_r)
-    phi_x = kit.tangent_coeffs(
-        tinv_l @ _x_derivative(tl, state.dx, state.boundary, order=2),
-        tinv_r @ _x_derivative(tr, state.dx, state.boundary, order=2),
-    )[..., n:]
+    t, _ = kit.factorize_mg(state.k)
+    tinv = _vinv(t)
+    ad = kit.ad_d(tinv)
+    phi_x = kit.tangent_coeffs(tinv @ _x_derivative(t, state.dx, state.boundary, order=2))[..., n:]
     phi_t = _matvec(ad, _flow_velocity(state))[..., n:]
     e_inv, t_inv = dual_graph_slices(state.split, ad)
     return (
@@ -549,16 +554,14 @@ def dressing_relation_residual(state: LoopState) -> float:
     kit = state.kit
     n = kit.b.g.dim
     dx, bd = state.dx, state.boundary
-    u, sl, sr = kit.factorize_gm(state.kl, state.kr)
+    u, s = kit.factorize_gm(state.k)
     uinv = _vinv(u)
-    ad = kit.ad_d(uinv, uinv)
+    ad = kit.ad_d(uinv[:, None])
     dec = _matvec(ad, _flow_velocity(state))
     xi_t = dec[..., :n]
     s_t = dec[..., n:]  # ds/dt s^-1 in m-coefficients
     xi_x = kit.coeffs(uinv @ _x_derivative(u, dx, bd))
-    s_x = kit.tangent_coeffs(
-        _x_derivative(sl, dx, bd) @ _vinv(sl), _x_derivative(sr, dx, bd) @ _vinv(sr)
-    )[..., n:]
+    s_x = kit.tangent_coeffs(_right_tangent(s, dx, bd))[..., n:]
     e, t = _graph_maps(state.split, ad)
     lhs_p = 0.5 * (s_t + s_x) - _matvec(t, 0.5 * (xi_t + xi_x))
     lhs_m = 0.5 * (s_t - s_x) - _matvec(e, 0.5 * (xi_t - xi_x))
@@ -617,8 +620,7 @@ def symplectic_form(state: LoopState, var_y: np.ndarray, var_z: np.ndarray) -> c
     dyx = np.tensordot(d, y, axes=(1, 0))
     bulk = complex(np.einsum("n,ni,ij,nj->", h, dyx, p, z))
     ends = [state.n_nodes - 1, 0]
-    _, sl, sr = kit.factorize_gm(state.kl[ends], state.kr[ends])
-    ads = kit.ad_d(sl, sr)
+    ads = kit.ad_d(kit.factorize_gm(state.k[ends])[1])
     wy = _matvec(ads, y[ends])
     wz = _matvec(ads, z[ends])
     at_pi, at_0 = np.einsum("ni,ni->n", wz[:, n:], wy[:, :n])
@@ -636,7 +638,6 @@ def integrate_field(
     with_duality: bool = False,
     with_residuals: bool = False,
     keep_states: bool = False,
-    cfl: float = 0.5,
 ) -> FieldTrajectory:
     """Integrate the loop flow, recording diagnostics every ``record_every``
     steps and after the last one.
@@ -650,7 +651,7 @@ def integrate_field(
     columns = times, hams, moms, fds, gaps, rgs, rts = [], [], [], [], [], [], []
     states = []
     failure = None
-    excess = _cfl_excess(state, dt, cfl)
+    excess = _cfl_excess(state, dt)
 
     def record(s: LoopState, prev_state: LoopState | None):
         s = _with_tangent(s)
@@ -672,8 +673,8 @@ def integrate_field(
             # a blow-up surfaces as a non-finite state, checked before any
             # diagnostic sees it
             with np.errstate(all="ignore"):
-                state = step(state, dt, cfl=cfl)
-            if not (np.isfinite(state.kl).all() and np.isfinite(state.kr).all()):
+                state = step(state, dt)
+            if not np.isfinite(state.k).all():
                 failure = f"non-finite state at step {i + 1} (t={state.time:g})"
                 break
             if (i + 1) % record_every == 0 or i == n_steps - 1:

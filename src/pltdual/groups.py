@@ -18,15 +18,18 @@ diagonal, so the factorization D = G.M is the Iwasawa (QR) decomposition
 of k_L.  For sl2r the factorization is local and LU-based; leaving the
 factorisable chart raises :class:`FactorizationError`.
 
-The 2x2 kernels, the coefficient maps, the adjoint actions and the
-factorizations act on stacks: leading axes (the grid nodes of a loop)
-broadcast, and a single matrix is a stack of one.  Each operation on the
-double group has one method, which takes the chiral components as arrays.
+An element k of the double is one array, the chiral stack
+``k[..., side, :, :]`` with the side axis at -3 (side 0 = k_L, 1 = k_R);
+a double-algebra element is represented by the same stack of traceless
+matrices.  Products, inverses and derivatives act on both sides at once,
+and leading axes (the grid nodes of a loop) broadcast.  A G-valued u,
+which sits diagonally, enters as ``u[..., None, :, :]``, a side axis of
+length one that broadcasts over both sides.  Each operation on the
+double group has one method, which takes and returns chiral stacks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,12 +37,17 @@ import numpy as np
 from .bialgebra import QuasiBialgebra, chiral_matrix, tensor_conjugate
 
 __all__ = [
-    "DoubleElement",
+    "COND_CUTOFF",
     "GroupKit",
     "FactorizationError",
     "expm2",
     "rkmk4",
 ]
+
+
+# largest condition number at which a factor or graph map still counts
+# as inside its chart
+COND_CUTOFF = 1e8
 
 
 class FactorizationError(RuntimeError):
@@ -144,39 +152,6 @@ def rkmk4(gens, y0: np.ndarray, p0, dt: float):
     return _vdet_normalize(y1), p0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-@dataclass
-class DoubleElement:
-    """An element of the double group as a chiral pair of 2x2 matrices."""
-
-    left: np.ndarray
-    right: np.ndarray
-
-    def __post_init__(self):
-        self.left = np.asarray(self.left, dtype=complex)
-        self.right = np.asarray(self.right, dtype=complex)
-
-    def __matmul__(self, other: "DoubleElement") -> "DoubleElement":
-        return DoubleElement(self.left @ other.left, self.right @ other.right)
-
-    def inverse(self) -> "DoubleElement":
-        return DoubleElement(_vinv(self.left), _vinv(self.right))
-
-    def distance(self, other: "DoubleElement") -> float:
-        return float(
-            np.linalg.norm(self.left - other.left)
-            + np.linalg.norm(self.right - other.right)
-        )
-
-    @staticmethod
-    def identity() -> "DoubleElement":
-        return DoubleElement(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
-
-    @staticmethod
-    def from_group(u: np.ndarray) -> "DoubleElement":
-        u = np.asarray(u, dtype=complex)
-        return DoubleElement(u, u.copy())
-
-
 _SU2_BASIS = np.array(
     [
         [[0.0, -0.5j], [-0.5j, 0.0]],
@@ -199,9 +174,8 @@ _SL2R_BASIS = np.array(
 class GroupKit:
     """Exact group operations for the double of one bialgebra model."""
 
-    def __init__(self, bialgebra: QuasiBialgebra, cond_cutoff: float = 1e8):
+    def __init__(self, bialgebra: QuasiBialgebra):
         self.b = bialgebra
-        self.cond_cutoff = cond_cutoff
         name = bialgebra.g.name
         if name.startswith("su2"):
             self.flavor = "su2"
@@ -242,17 +216,16 @@ class GroupKit:
         entries = np.stack([m[..., 0, 0], m[..., 0, 1], m[..., 1, 0]], axis=-1)
         return entries @ self._demat.T
 
-    def chiral_mats(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The pair of 2x2 matrices representing a double-algebra element."""
+    def chiral_mats(self, w: np.ndarray) -> np.ndarray:
+        """The chiral stack (..., side, 2, 2) of a double-algebra element."""
         z = np.asarray(w, dtype=complex) @ self.chi.T
-        n = self.b.g.dim
-        return self.mat(z[..., :n]), self.mat(z[..., n:])
+        return self.mat(z.reshape(z.shape[:-1] + (2, self.b.g.dim)))
 
     @cached_property
     def particle_stack_map(self) -> np.ndarray:
         """12 x 6 map of (xi, phi) in g (+) m to the entries of the stack
         (mat(xi)^T, L(phi), R(phi)), the generators of the particle's
-        (u^T, a.left, a.right) for u^-1 du = xi and da a^-1 = phi."""
+        (u^T, a_L, a_R) for u^-1 du = xi and da a^-1 = phi."""
         n = self.b.g.dim
         entries = self.basis.reshape(n, 4).T
         out = np.zeros((12, 2 * n), dtype=complex)
@@ -261,23 +234,23 @@ class GroupKit:
         out[8:, n:] = entries @ self.chi[n:, n:]
         return out
 
-    def tangent_coeffs(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`chiral_mats` (a 6-vector of d-coefficients)."""
-        z = np.concatenate([self.coeffs(left), self.coeffs(right)], axis=-1)
-        return z @ self.chi_inv.T
+    def tangent_coeffs(self, m: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`chiral_mats`: the d-coefficients (..., 2n) of a
+        chiral stack of traceless matrices."""
+        z = self.coeffs(m)
+        return z.reshape(z.shape[:-2] + (-1,)) @ self.chi_inv.T
 
     # ---- exponentials (stacked over leading axes) ----------------------------
 
     def exp_g(self, xi: np.ndarray) -> np.ndarray:
         return expm2(self.mat(xi))
 
-    def exp_m(self, phi: np.ndarray) -> DoubleElement:
+    def exp_m(self, phi: np.ndarray) -> np.ndarray:
         phi = np.asarray(phi, dtype=complex)
         return self.exp_d(np.concatenate([np.zeros_like(phi), phi], axis=-1))
 
-    def exp_d(self, w: np.ndarray) -> DoubleElement:
-        lm, rm = self.chiral_mats(w)
-        return DoubleElement(expm2(lm), expm2(rm))
+    def exp_d(self, w: np.ndarray) -> np.ndarray:
+        return expm2(self.chiral_mats(w))
 
     # ---- adjoint actions ---------------------------------------------------
 
@@ -294,18 +267,18 @@ class GroupKit:
         both = (_entry_products(u) @ self._ad_g_pair_map).reshape(lead + (2, 3, 3))
         return both[..., 0, :, :], both[..., 1, :, :]
 
-    def ad_d(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """6x6 matrix of Ad_k on the double for the stacked chiral pairs
-        k = (left, right), exact via the chiral pair.
+    def ad_d(self, k: np.ndarray) -> np.ndarray:
+        """6x6 matrix of Ad_k on the double for the chiral stack k, exact
+        via the chiral pair.
 
-        Passing the same array twice (a G-valued field) computes Ad_u on
-        g once.
+        A G-valued u passed as ``u[..., None, :, :]`` computes Ad_u on g
+        once, for both sides.
         """
-        al = self.ad_g(left)
-        ar = al if right is left else self.ad_g(right)
-        lead = al.shape[:-2]
+        a = self.ad_g(k)
+        lead = a.shape[:-3]
         map_l, map_r = self._ad_d_maps
-        flat = al.reshape(lead + (9,)) @ map_l + ar.reshape(lead + (9,)) @ map_r
+        flat = (a[..., 0, :, :].reshape(lead + (9,)) @ map_l
+                + a[..., -1, :, :].reshape(lead + (9,)) @ map_r)
         return flat.reshape(lead + (6, 6))
 
     # ---- Poisson / dressing cocycles ----------------------------------------
@@ -324,7 +297,7 @@ class GroupKit:
         """
         return -self.pi(u) @ np.asarray(phi, dtype=complex)
 
-    def hat_pi(self, t: DoubleElement) -> np.ndarray:
+    def hat_pi(self, t: np.ndarray) -> np.ndarray:
         """Pi-hat(t) for t in M, as an m(x)m coefficient matrix (g -> m map).
 
         Built exactly from the double adjoint action: the m-component of
@@ -332,17 +305,14 @@ class GroupKit:
         with Ad_t.
         """
         n = self.b.g.dim
-        adt = self.ad_d(t.left, t.right)
-        adtinv = self.ad_d(_vinv(t.left), _vinv(t.right))
+        adt = self.ad_d(t)
+        adtinv = self.ad_d(_vinv(t))
         return adt[n:, n:] @ adtinv[n:, :n]
 
     # ---- factorization -----------------------------------------------------
 
-    def factorize_gm(
-        self, left: np.ndarray, right: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Split the stacked chiral pairs k = u s, u in G and s in M, as
-        (u, s_left, s_right).
+    def factorize_gm(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Split the chiral stack k = u s, u in G and s in M, as (u, s).
 
         Both flavors factor through the triangular decomposition of
         z = k_R^-1 k_L = s_R^-1 s_L: the M factor has an upper-triangular
@@ -355,7 +325,8 @@ class GroupKit:
         would silently return a non-M second factor.  Every chart check
         is elementwise and names the first failing node.
         """
-        z = _vinv(right) @ left
+        left = k[..., 0, :, :]
+        z = _vinv(k[..., 1, :, :]) @ left
         _check_chart(np.abs(z[..., 0, 0]) < 1e-12, "factorization chart: zero pivot")
         l21 = z[..., 1, 0] / z[..., 0, 0]
         d1 = z[..., 0, 0]
@@ -375,17 +346,14 @@ class GroupKit:
         s_left[..., 1, 1] = 1.0 / sq1
         u = left @ _vinv(s_left)
         # written so that a non-finite node fails too
-        _check_chart(~(_vcond(s_left) <= self.cond_cutoff), "factorization is numerically singular")
-        s_right = _vinv(u) @ right
-        return u, s_left, s_right
+        _check_chart(~(_vcond(s_left) <= COND_CUTOFF), "factorization is numerically singular")
+        return u, np.stack([s_left, _vinv(u) @ k[..., 1, :, :]], axis=-3)
 
-    def factorize_mg(
-        self, left: np.ndarray, right: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Split the stacked chiral pairs k = t v, t in M and v in G, as
-        (t_left, t_right, v), via k^-1 = v^-1 t^-1."""
-        uprime, sl, sr = self.factorize_gm(_vinv(left), _vinv(right))
-        return _vinv(sl), _vinv(sr), _vinv(uprime)
+    def factorize_mg(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Split the chiral stack k = t v, t in M and v in G, as (t, v),
+        via k^-1 = v^-1 t^-1."""
+        uprime, s = self.factorize_gm(_vinv(k))
+        return _vinv(s), _vinv(uprime)
 
     # ---- dual group in vector coordinates (su2 only) ------------------------
 
@@ -402,8 +370,8 @@ class GroupKit:
             raise ValueError("vector coordinates need a real positive r-rescale")
         return float(c.real)
 
-    def su2star_from_vector(self, s: np.ndarray) -> DoubleElement:
-        """Vector coordinates (law s.t = s + (1 + c s3) t) to chiral pair."""
+    def su2star_from_vector(self, s: np.ndarray) -> np.ndarray:
+        """Vector coordinates (law s.t = s + (1 + c s3) t) to chiral stack."""
         if self.flavor != "su2":
             raise ValueError("vector coordinates exist for the su2 dual only")
         c = self.dual_scale
@@ -411,18 +379,15 @@ class GroupKit:
         x = np.sqrt(1.0 + c * s[2])
         zl = c * (s[0] - 1j * s[1]) / x
         zr = -c * (s[0] + 1j * s[1]) / x
-        left = np.array([[x, zl], [0.0, 1.0 / x]], dtype=complex)
-        right = np.array([[1.0 / x, 0.0], [zr, x]], dtype=complex)
-        return DoubleElement(left, right)
+        return np.array([[[x, zl], [0.0, 1.0 / x]], [[1.0 / x, 0.0], [zr, x]]], dtype=complex)
 
-    def su2star_to_vector(self, t: DoubleElement) -> np.ndarray:
+    def su2star_to_vector(self, t: np.ndarray) -> np.ndarray:
         if self.flavor != "su2":
             raise ValueError("vector coordinates exist for the su2 dual only")
         c = self.dual_scale
-        x = t.left[0, 0]
+        x, z = t[0, 0]
         if abs(x.imag) > 1e-9 or x.real <= 0:
             raise FactorizationError("element is not in the dual-group chart")
-        z = t.left[0, 1]
         w = z * x / c
         s = np.array([w.real, -w.imag, ((x * x - 1.0) / c).real])
         return s

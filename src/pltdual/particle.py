@@ -23,8 +23,8 @@ alongside as a diagnostic of the equivalence with the loop-field flow.
 
 Integration is the fourth-order Runge-Kutta-Munthe-Kaas step
 :func:`pltdual.groups.rkmk4` that also advances the loop field: u^T (whose
-right-translated velocity is the transpose of u^-1 du/dt) and the two
-chiral factors of a are stepped as one stack of group matrices, with p as
+right-translated velocity is the transpose of u^-1 du/dt) and the chiral
+stack of a are stepped as one stack of group matrices, with p as
 the additive variable, so u and a stay on their groups to machine
 precision.  The run stops once cond(Ad_u) = cond(u)^2 passes 1/eps, where
 Ad_u and Ad_{u^-1} no longer invert each other in double precision.
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .duality import SplittingData, graph_at
-from .groups import DoubleElement, GroupKit, _vcond, _vinv, expm2, rkmk4
+from .groups import GroupKit, _vcond, _vinv, expm2, rkmk4
 from .liecore import bracket_coeffs
 from .models import ModelPreset
 
@@ -64,7 +64,8 @@ __all__ = [
 class ParticleState:
     u: np.ndarray  # 2x2 group matrix
     p: np.ndarray  # dual-algebra coefficients
-    a: DoubleElement  # conjugate dual-group factor
+    # conjugate dual-group factor, a (side, 2, 2) chiral stack
+    a: np.ndarray = field(default_factory=lambda: np.tile(np.eye(2, dtype=complex), (2, 1, 1)))
 
 
 @dataclass
@@ -177,14 +178,14 @@ def _rk_mk_step(kit: GroupKit, split: SplittingData, state: ParticleState, dt: f
     stack_map = kit.particle_stack_map
 
     def gens(y: np.ndarray, p: np.ndarray):
-        # y stacks (u^T, a.left, a.right): u^-1 du = B is the right-invariant
+        # y stacks (u^T, a_L, a_R): u^-1 du = B is the right-invariant
         # d(u^T) (u^T)^-1 = B^T, and da a^-1 = w acts on both chiral factors
         # through the m-columns of the chiral matrix, w -> (r2 w, -r1 w)
         udot, pdot, w = particle_rhs(kit, split, y[0].T, p)
         return (stack_map @ np.concatenate([udot, w])).reshape(3, 2, 2), pdot
 
-    y1, p1 = rkmk4(gens, np.stack([state.u.T, state.a.left, state.a.right]), state.p, dt)
-    return ParticleState(y1[0].T, p1, DoubleElement(y1[1], y1[2]))
+    y1, p1 = rkmk4(gens, np.concatenate([state.u.T[None], state.a]), state.p, dt)
+    return ParticleState(y1[0].T, p1, y1[1:])
 
 
 def integrate_particle(
@@ -196,11 +197,7 @@ def integrate_particle(
     n_steps: int,
     record_every: int = 1,
 ) -> ParticleTrajectory:
-    state = ParticleState(
-        np.asarray(u0, dtype=complex),
-        np.asarray(p0, dtype=complex),
-        DoubleElement.identity(),
-    )
+    state = ParticleState(np.asarray(u0, dtype=complex), np.asarray(p0, dtype=complex))
     times, us, ps, hams, qgs, moms = [], [], [], [], [], []
 
     def record(t: float):
@@ -299,18 +296,16 @@ def conjugate_description_residual(
     at order 4 (any structural sign error would leave an O(1) defect).
     """
     n = kit.b.g.dim
-    state = ParticleState(
-        np.asarray(u0, complex), np.asarray(p0, complex), DoubleElement.identity()
-    )
-    composites: list[list[DoubleElement]] = [[] for _ in x_samples]
-    gens: list[list[tuple[np.ndarray, np.ndarray]]] = []
+    state = ParticleState(np.asarray(u0, complex), np.asarray(p0, complex))
+    composites: list[list[np.ndarray]] = [[] for _ in x_samples]
+    gens: list[np.ndarray] = []
     pid = split.pi_minus - split.pi_plus
     for step in range(n_steps + 1):
         for i, x in enumerate(x_samples):
             composites[i].append(_compose_k(kit, state, x))
         w = np.zeros(2 * n, dtype=complex)
         w[n:] = state.p
-        gen = pid @ (kit.ad_d(state.u, state.u) @ w)
+        gen = pid @ (kit.ad_d(state.u[None]) @ w)
         gens.append(kit.chiral_mats(gen))
         if step < n_steps:
             state = _rk_mk_step(kit, split, state, dt)
@@ -318,17 +313,14 @@ def conjugate_description_residual(
     for i in range(len(x_samples)):
         ks = composites[i]
         for j in range(2, n_steps - 1):
-            for side in ("left", "right"):
-                vals = [getattr(ks[j + o], side) for o in (-2, -1, 1, 2)]
-                deriv = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * dt)
-                gmat = gens[j][0] if side == "left" else gens[j][1]
-                res = deriv @ _vinv(getattr(ks[j], side)) - gmat
-                worst = max(worst, float(np.max(np.abs(res))))
+            deriv = (ks[j - 2] - 8 * ks[j - 1] + 8 * ks[j + 1] - ks[j + 2]) / (12 * dt)
+            res = deriv @ _vinv(ks[j]) - gens[j]
+            worst = max(worst, float(np.max(np.abs(res))))
     return worst
 
 
-def _compose_k(kit: GroupKit, state: ParticleState, x: float) -> DoubleElement:
-    return DoubleElement.from_group(state.u) @ kit.exp_m(x * state.p) @ state.a
+def _compose_k(kit: GroupKit, state: ParticleState, x: float) -> np.ndarray:
+    return state.u @ kit.exp_m(x * state.p) @ state.a
 
 
 # ---- closed-form solutions (regression oracles) ---------------------------------

@@ -312,10 +312,10 @@ def test_acceptance_6_field_simulation():
     stp = fs.init_pointlike(kit, split, u0, p0, 64)
     trp = fs.integrate_field(stp, 2.5e-3, 400, record_every=400, keep_states=True)
     last = trp.states[-1]
-    us, _, _ = kit.factorize_gm(last.kl, last.kr)
+    us, _ = kit.factorize_gm(last.k)
     u_spread = float(np.abs(us - us[32]).max())
-    tl, tr, vs = kit.factorize_mg(last.kl, last.kr)
-    tv = kit.factorize_gm(tl @ vs, tr @ vs)[0]
+    ts, vs = kit.factorize_mg(last.k)
+    tv = kit.factorize_gm(ts @ vs[:, None])[0]
     dual_spread = float(np.abs(tv - tv.mean(axis=0)).max())
 
     # lam = 0 family conserves the g-valued moments

@@ -426,6 +426,22 @@ def test_unknown_config_key_rejected(capsys, tmp_path):
     assert "unknown config key" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["validate", "duality"])
+def test_metadata_key_rejected_where_nothing_writes_it(capsys, tmp_path, command):
+    """Only particle and field runs write metadata; elsewhere the key is
+    unknown rather than silently ignored."""
+    cfg = tmp_path / "cfg.json"
+    meta = tmp_path / "m.json"
+    cfg.write_text(json.dumps({"metadata": str(meta)}))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == EXIT_CONFIG
+    assert json.loads(err)["error"]["message"] == (
+        f"unknown config key for '{command}': metadata"
+    )
+    assert out == ""
+    assert not meta.exists()
+
+
 def test_missing_config_file_rejected(capsys):
     code, _, err = run_cli(capsys, "validate", "--config", "/does/not/exist.json")
     assert code == EXIT_CONFIG
@@ -476,6 +492,25 @@ def test_sweep_hash_independent_of_directory_and_workers(capsys, tmp_path):
         assert code == EXIT_OK
         hashes.append(json.loads((out_dir / "manifest.json").read_text())["config_hash"])
     assert hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize("base, message", [
+    *[({key: "x"}, f"'base' cannot set '{key}': the sweep sets it for each replica")
+      for key in ("seed", "output", "metadata")],
+    ({"cells": 64}, "unknown config key for 'particle': cells"),
+], ids=["seed", "output", "metadata", "unknown"])
+def test_sweep_base_checked_before_any_replica(capsys, tmp_path, base, message):
+    """A base that sets what the sweep sets for each replica (seed and
+    output locations), or an unknown key, is a configuration error raised
+    before any replica runs."""
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"command": "particle", "replicas": 2, "base": base,
+                               "output_dir": str(tmp_path / "runs")}))
+    (tmp_path / "runs").mkdir()
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == EXIT_CONFIG
+    assert json.loads(err)["error"]["message"] == message
+    assert list((tmp_path / "runs").iterdir()) == []
 
 
 def test_sweep_rejects_unknown_command(capsys, tmp_path):

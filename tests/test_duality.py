@@ -21,7 +21,7 @@ from pltdual.duality import (
     su2_pi_vector,
     su2_trace_lagrangian,
 )
-from pltdual.groups import DoubleElement, GroupKit
+from pltdual.groups import GroupKit, _vinv
 from pltdual.models import make_preset
 
 ROUTES = ("transport", "invariant-split", "cocycle")
@@ -230,8 +230,7 @@ def test_dual_graph_transport_vs_cocycle():
     # the two routes describe the same splitting transported to t: the
     # graph subspaces built from either operator coincide
     bp_slice = np.vstack([np.eye(3), dg.e_inv])
-    tinv = t.inverse()
-    adt = kit.ad_d(tinv.left, tinv.right)
+    adt = kit.ad_d(_vinv(t))
     span = adt @ np.vstack([np.eye(3), split.e_matrix])
     proj = span @ np.linalg.pinv(span)
     assert np.max(np.abs(proj @ bp_slice - bp_slice)) < 1e-10

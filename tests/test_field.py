@@ -112,7 +112,7 @@ def test_time_convergence_fourth_order(su2_mp):
         s = st0
         for _ in range(int(T / dt)):
             s = fs.step(s, dt)
-        errs.append(max(np.abs(s.kl - ref.kl).max(), np.abs(s.kr - ref.kr).max()))
+        errs.append(np.abs(s.k - ref.k).max())
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert abs(slope - 4.0) < 0.3
 
@@ -136,8 +136,8 @@ def test_flow_reversible(su2_mp):
     defects = []
     for dt in (2e-2, 1e-2):
         s1 = fs.step(st0, dt)
-        s2 = fs.step(fs.LoopState(kit, flip, s1.kl, s1.kr, s1.boundary, s1.time), dt)
-        defects.append(max(np.abs(s2.kl - st0.kl).max(), np.abs(s2.kr - st0.kr).max()))
+        s2 = fs.step(fs.LoopState(kit, flip, s1.k, s1.boundary, s1.time), dt)
+        defects.append(np.abs(s2.k - st0.k).max())
     assert defects[0] < 1e-8
     assert defects[0] / defects[1] > 24.0
 
@@ -152,10 +152,9 @@ def test_pointlike_reduces_to_particle(pointlike_run, su2_mp):
     u0, p0, ftraj = pointlike_run
     ptraj = pt.integrate_particle(kit, split, u0, p0, 2.5e-3, 400, record_every=400)
     last = ftraj.states[-1]
-    us, sl, sr = kit.factorize_gm(last.kl, last.kr)
-    sxl = fs._x_derivative(sl, last.dx, last.boundary) @ fs._vinv(sl)
-    sxr = fs._x_derivative(sr, last.dx, last.boundary) @ fs._vinv(sr)
-    pf = np.stack([kit.tangent_coeffs(sxl[j], sxr[j])[N:] for j in range(last.n_nodes)])
+    us, s = kit.factorize_gm(last.k)
+    sx = fs._x_derivative(s, last.dx, last.boundary) @ fs._vinv(s)
+    pf = np.stack([kit.tangent_coeffs(sx[j])[N:] for j in range(last.n_nodes)])
     j = last.n_nodes // 2
     assert np.abs(us[j] - ptraj.us[-1]).max() < 1e-11
     assert np.abs(pf[j] - ptraj.ps[-1]).max() < 1e-11
@@ -170,19 +169,13 @@ def test_pointlike_dual_constancy(pointlike_run, su2_mp):
     kit, _ = su2_mp
     _, _, ftraj = pointlike_run
     last = ftraj.states[-1]
-    tl, tr, vm = kit.factorize_mg(last.kl, last.kr)
-    tv = np.stack(
-        [kit.factorize_gm(tl[j] @ vm[j], tr[j] @ vm[j])[0] for j in range(last.n_nodes)]
-    )
+    t, vm = kit.factorize_mg(last.k)
+    tv = np.stack([kit.factorize_gm(t[j] @ vm[j])[0] for j in range(last.n_nodes)])
     assert np.abs(tv - tv.mean(axis=0)).max() < 1e-6
-    dtl = fs._x_derivative(tl, last.dx, last.boundary)
-    dtr = fs._x_derivative(tr, last.dx, last.boundary)
+    tx = fs._x_derivative(t, last.dx, last.boundary)
     dv = fs._x_derivative(vm, last.dx, last.boundary)
-    comb_l = dtl @ fs._vinv(tl) + tl @ (dv @ fs._vinv(vm)) @ fs._vinv(tl)
-    comb_r = dtr @ fs._vinv(tr) + tr @ (dv @ fs._vinv(vm)) @ fs._vinv(tr)
-    cc = np.stack(
-        [kit.tangent_coeffs(comb_l[j], comb_r[j]) for j in range(last.n_nodes)]
-    )
+    comb = tx @ fs._vinv(t) + t @ (dv @ fs._vinv(vm))[:, None] @ fs._vinv(t)
+    cc = np.stack([kit.tangent_coeffs(comb[j]) for j in range(last.n_nodes)])
     assert np.abs(cc - cc.mean(axis=0)).max() < 1e-5
 
 
@@ -224,9 +217,8 @@ def test_symplectic_form_antisymmetric_and_degenerate(su2_mp, boundary):
 
 def _perturb(kit, split, state, var, eps):
     mats = [kit.chiral_mats(eps * var[j]) for j in range(state.n_nodes)]
-    kl = np.stack([state.kl[j] @ expm2(m[0]) for j, m in enumerate(mats)])
-    kr = np.stack([state.kr[j] @ expm2(m[1]) for j, m in enumerate(mats)])
-    return fs.LoopState(kit, split, kl, kr, state.boundary, state.time)
+    k = np.stack([state.k[j] @ expm2(m) for j, m in enumerate(mats)])
+    return fs.LoopState(kit, split, k, state.boundary, state.time)
 
 
 def test_flow_is_hamiltonian(su2_mp):
@@ -241,7 +233,7 @@ def test_flow_is_hamiltonian(su2_mp):
         xs = fs.grid_points(n_cells, "periodic")
         kdot_r = fs._tangent_field(st) @ (split.pi_minus - split.pi_plus).T
         kdot_l = np.stack(
-            [kit.ad_d(fs._vinv(st.kl[j]), fs._vinv(st.kr[j])) @ kdot_r[j]
+            [kit.ad_d(fs._vinv(st.k[j])) @ kdot_r[j]
              for j in range(st.n_nodes)]
         )
         eps = 1e-6
@@ -321,7 +313,7 @@ def test_loop_functions_endpoint_validation(su2_mp):
 def test_constraint_defect_small_on_initial_data(su2_mp):
     kit, split = su2_mp
     st = fs.random_smooth_loop(kit, split, 32, boundary="periodic", seed=9, amplitude=0.2)
-    defect = max(np.abs(np.linalg.det(st.kl) - 1.0).max(), np.abs(np.linalg.det(st.kr) - 1.0).max())
+    defect = np.abs(np.linalg.det(st.k) - 1.0).max()
     assert defect < 1e-12
 
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from pltdual.groups import (
-    DoubleElement,
     FactorizationError,
     GroupKit,
+    _vinv,
     expm2,
 )
 from pltdual.models import make_preset
@@ -24,8 +24,16 @@ def kit(request):
     return kit_for(request.param)
 
 
-def random_double(kit: GroupKit, rng, scale: float = 0.4) -> DoubleElement:
-    """A double-group element near the identity.
+IDENTITY = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+
+
+def distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum over both sides of the Frobenius distance of two chiral stacks."""
+    return float(np.linalg.norm(a - b, axis=(-2, -1)).sum())
+
+
+def random_double(kit: GroupKit, rng, scale: float = 0.4) -> np.ndarray:
+    """A double-group element near the identity, as a chiral stack.
 
     The non-compact flavor keeps real coefficients so the element stays in
     the factorizable chart (real positive pivot); the compact flavor also
@@ -103,29 +111,29 @@ def test_exp_m_is_chiral_pair(kit):
     rng = np.random.default_rng(2)
     phi = (rng.normal(size=3) + 1j * rng.normal(size=3)) * 0.3
     s = kit.exp_m(phi)
-    assert abs(np.linalg.det(s.left) - 1.0) < 1e-12
-    assert abs(np.linalg.det(s.right) - 1.0) < 1e-12
+    assert s.shape == (2, 2, 2)
+    assert np.abs(np.linalg.det(s) - 1.0).max() < 1e-12
     # the left chiral factor is upper triangular (Borel), the dual group chart
-    assert abs(s.left[1, 0]) < 1e-12
+    assert abs(s[0, 1, 0]) < 1e-12
 
 
 def test_double_element_group_ops(kit):
+    """The group law of the chiral stack is sidewise: a product is ``@``,
+    an inverse ``_vinv``, and a G-valued u enters as ``u[None]``."""
     rng = np.random.default_rng(3)
     a = random_double(kit, rng)
     b = random_double(kit, rng)
-    e = DoubleElement.identity()
-    assert (a @ a.inverse()).distance(e) < 1e-12
-    assert ((a @ b) @ b.inverse()).distance(a) < 1e-12
+    assert distance(a @ _vinv(a), IDENTITY) < 1e-12
+    assert distance((a @ b) @ _vinv(b), a) < 1e-12
     u = kit.exp_g(rng.normal(size=3) * 0.4)
-    ku = DoubleElement.from_group(u)
-    assert np.max(np.abs(ku.left - ku.right)) < 1e-15
+    ku = u[None] @ IDENTITY
+    assert np.max(np.abs(ku[0] - ku[1])) < 1e-15
 
 
 def test_tangent_coeffs_inverts_mat(kit):
     rng = np.random.default_rng(4)
     w = rng.normal(size=6) + 1j * rng.normal(size=6)
-    left, right = kit.chiral_mats(w)
-    back = kit.tangent_coeffs(left, right)
+    back = kit.tangent_coeffs(kit.chiral_mats(w))
     assert np.max(np.abs(back - w)) < 1e-12
 
 
@@ -137,33 +145,29 @@ def test_ad_d_matches_finite_conjugation(kit):
     d/de [k exp(e w) k^-1] at e = 0 in coefficients."""
     rng = np.random.default_rng(5)
     k = random_double(kit, rng)
-    kinv = k.inverse()
+    kinv = _vinv(k)
     for _ in range(5):
         w = rng.normal(size=6) + 1j * rng.normal(size=6)
         eps = 1e-6
         plus = k @ kit.exp_d(eps * w) @ kinv
         minus = k @ kit.exp_d(-eps * w) @ kinv
-        dl = (plus.left - minus.left) @ np.linalg.inv(k.left @ kinv.left) / (2 * eps)
-        dr = (plus.right - minus.right) @ np.linalg.inv(k.right @ kinv.right) / (2 * eps)
-        fd = kit.tangent_coeffs(dl, dr)
-        assert np.max(np.abs(kit.ad_d(k.left, k.right) @ w - fd)) < 1e-7
+        fd = kit.tangent_coeffs((plus - minus) @ np.linalg.inv(k @ kinv) / (2 * eps))
+        assert np.max(np.abs(kit.ad_d(k) @ w - fd)) < 1e-7
 
 
 def test_ad_d_is_homomorphism(kit):
     rng = np.random.default_rng(6)
     a = random_double(kit, rng)
     b = random_double(kit, rng)
-    ab = a @ b
-    ad_ab = kit.ad_d(ab.left, ab.right)
-    assert np.max(np.abs(ad_ab - kit.ad_d(a.left, a.right) @ kit.ad_d(b.left, b.right))) < 1e-11
+    assert np.max(np.abs(kit.ad_d(a @ b) - kit.ad_d(a) @ kit.ad_d(b))) < 1e-11
 
 
 def test_ad_d_group_consistent(kit):
-    """The same array twice (Ad_u on g computed once) gives the Ad_u of two
-    separately stored chiral components."""
+    """A G-valued u on a broadcast side axis (Ad_u on g computed once)
+    gives the Ad_u of two separately stored chiral components."""
     rng = np.random.default_rng(7)
     u = kit.exp_g(rng.normal(size=3) * 0.5)
-    assert np.max(np.abs(kit.ad_d(u, u) - kit.ad_d(u, u.copy()))) < 1e-12
+    assert np.max(np.abs(kit.ad_d(u[None]) - kit.ad_d(np.stack([u, u])))) < 1e-12
 
 
 def test_ad_d_preserves_pairing(kit):
@@ -172,7 +176,7 @@ def test_ad_d_preserves_pairing(kit):
     p[:3, 3:] = np.eye(3)
     p[3:, :3] = np.eye(3)
     k = random_double(kit, rng)
-    ad = kit.ad_d(k.left, k.right)
+    ad = kit.ad_d(k)
     assert np.max(np.abs(ad.T @ p @ ad - p)) < 1e-11
 
 
@@ -183,39 +187,38 @@ def test_factorize_gm_reconstructs(kit):
     rng = np.random.default_rng(9)
     for _ in range(20):
         k = random_double(kit, rng)
-        u, sl, sr = kit.factorize_gm(k.left, k.right)
-        assert (DoubleElement.from_group(u) @ DoubleElement(sl, sr)).distance(k) < 1e-11
-        assert abs(sl[1, 0]) < 1e-12  # dual factor stays in its chart
+        u, s = kit.factorize_gm(k)
+        assert distance(u[None] @ s, k) < 1e-11
+        assert abs(s[0, 1, 0]) < 1e-12  # dual factor stays in its chart
 
 
 def test_factorize_mg_reconstructs(kit):
     rng = np.random.default_rng(10)
     for _ in range(20):
         k = random_double(kit, rng)
-        tl, tr, v = kit.factorize_mg(k.left, k.right)
-        assert (DoubleElement(tl, tr) @ DoubleElement.from_group(v)).distance(k) < 1e-11
+        t, v = kit.factorize_mg(k)
+        assert distance(t @ v[None], k) < 1e-11
 
 
 def test_factorize_identity(kit):
-    e = DoubleElement.identity()
-    u, sl, sr = kit.factorize_gm(e.left, e.right)
+    u, s = kit.factorize_gm(IDENTITY)
     assert np.max(np.abs(u - np.eye(2))) < 1e-14
-    assert DoubleElement(sl, sr).distance(e) < 1e-14
+    assert distance(s, IDENTITY) < 1e-14
 
 
 def test_factorize_rejects_det_drift(kit):
     rng = np.random.default_rng(11)
     k = random_double(kit, rng)
     with pytest.raises(FactorizationError):
-        kit.factorize_gm(k.left * 1.05, k.right)
+        kit.factorize_gm(np.stack([k[0] * 1.05, k[1]]))
 
 
 def test_factorizations_agree_on_group_points(kit):
     rng = np.random.default_rng(12)
     u0 = kit.exp_g(rng.normal(size=3) * 0.5)
-    u, sl, sr = kit.factorize_gm(u0, u0)
+    u, s = kit.factorize_gm(np.stack([u0, u0]))
     assert np.max(np.abs(u - u0)) < 1e-11
-    assert DoubleElement(sl, sr).distance(DoubleElement.identity()) < 1e-11
+    assert distance(s, IDENTITY) < 1e-11
 
 
 # ---- dressing cocycles -----------------------------------------------------------
@@ -234,7 +237,7 @@ def test_pi_cocycle_property(kit):
 
 def test_pi_vanishes_at_identity(kit):
     assert np.max(np.abs(kit.pi(np.eye(2)))) < 1e-14
-    assert np.max(np.abs(kit.hat_pi(DoubleElement.identity()))) < 1e-14
+    assert np.max(np.abs(kit.hat_pi(IDENTITY))) < 1e-14
 
 
 def test_b_cocycle_matches_pi(kit):
@@ -255,8 +258,7 @@ def test_b_cocycle_matches_dressing_derivative(kit):
         phi = -1j * phi  # dual real form
 
     def g_factor(eps):
-        k = kit.exp_m(eps * phi) @ DoubleElement.from_group(u)
-        return kit.factorize_gm(k.left, k.right)[0]
+        return kit.factorize_gm(kit.exp_m(eps * phi) @ u)[0]
 
     def fd(h):
         return (g_factor(h) - g_factor(-h)) @ np.linalg.inv(u) / (2 * h)
@@ -300,7 +302,7 @@ def test_su2star_group_law():
             t = rng.normal(size=3) * 0.4
             prod = kit.su2star_from_vector(s) @ kit.su2star_from_vector(t)
             law = kit.su2star_from_vector(s + (1.0 + c * s[2]) * t)
-            assert prod.distance(law) < 1e-12
+            assert distance(prod, law) < 1e-12
 
 
 def test_su2star_vector_round_trip():
@@ -317,7 +319,7 @@ def test_su2star_exp_vector_matches_exp_m():
     w = rng.normal(size=3) * 0.4
     s = kit.su2star_exp_vector(w)
     direct = kit.exp_m(-1j * w)
-    assert kit.su2star_from_vector(s).distance(direct) < 1e-12
+    assert distance(kit.su2star_from_vector(s), direct) < 1e-12
 
 
 def test_su2star_nabla_matches_derivative():
@@ -332,10 +334,10 @@ def test_su2star_nabla_matches_derivative():
     for a in range(3):
         e = np.zeros(3)
         e[a] = eps
-        gen.append((kit.su2star_from_vector(e).left - np.eye(2)) / eps)
-    m = kit.su2star_from_vector(s)
-    mp = kit.su2star_from_vector(s + eps * sdot)
-    deriv = (mp.left - m.left) @ np.linalg.inv(m.left) / eps
+        gen.append((kit.su2star_from_vector(e)[0] - np.eye(2)) / eps)
+    m = kit.su2star_from_vector(s)[0]
+    mp = kit.su2star_from_vector(s + eps * sdot)[0]
+    deriv = (mp - m) @ np.linalg.inv(m) / eps
     nab = kit.su2star_nabla(s, sdot)
     recon = sum(nab[a] * gen[a] for a in range(3))
     assert np.max(np.abs(deriv - recon)) < 1e-5

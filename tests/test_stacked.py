@@ -2,7 +2,9 @@
 
 The stacked factorizations and adjoint actions are compared node by node
 with the same ``GroupKit`` calls on one node and with a copy of the former
-closed-form scalar code; ``duality_check``, ``eom_residuals`` and the loop
+closed-form scalar code, and the chiral stack (..., side, 2, 2) that every
+double-group method takes is checked against the (left, right) argument
+pairs it replaced; ``duality_check``, ``eom_residuals`` and the loop
 initializers are compared with per-node copies of the loops they replaced,
 and the field and particle steps, which share ``groups.rkmk4``, with copies
 of the two hand-unrolled RKMK4 steppers it replaced.  The field step's
@@ -24,7 +26,6 @@ from pltdual import fieldsim as fs
 from pltdual import particle as pt
 from pltdual.duality import dual_graph_at, graph_at, splitting
 from pltdual.groups import (
-    DoubleElement,
     FactorizationError,
     GroupKit,
     _vdet_normalize,
@@ -69,13 +70,14 @@ def _inv2(m):
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
 
 
-def ref_factorize_gm(kit, left, right):
+def ref_factorize_gm(kit, k):
+    left, right = k
     z = _inv2(right) @ left
     d1 = z[0, 0]
     sq1 = np.sqrt(complex(d1))
     s_left = np.array([[sq1, z[0, 1] / sq1], [0.0, 1.0 / sq1]], dtype=complex)
     u = left @ _inv2(s_left)
-    return u, s_left, _inv2(u) @ right
+    return u, np.stack([s_left, _inv2(u) @ right])
 
 
 def ref_ad_g(kit, u):
@@ -87,11 +89,27 @@ def ref_ad_g(kit, u):
     return np.stack(cols, axis=1)
 
 
-def ref_ad_d(kit, left, right):
+def ref_ad_d(kit, k):
     blk = np.zeros((6, 6), dtype=complex)
-    blk[:3, :3] = ref_ad_g(kit, left)
-    blk[3:, 3:] = ref_ad_g(kit, right)
+    blk[:3, :3] = ref_ad_g(kit, k[0])
+    blk[3:, 3:] = ref_ad_g(kit, k[1])
     return kit.chi_inv @ blk @ kit.chi
+
+
+def ref_ad_d_pair(kit, left, right):
+    """The former two-argument ad_d, which computed Ad_u on g once when
+    passed the same array twice."""
+    al = kit.ad_g(left)
+    ar = al if right is left else kit.ad_g(right)
+    lead = al.shape[:-2]
+    map_l, map_r = kit._ad_d_maps
+    flat = al.reshape(lead + (9,)) @ map_l + ar.reshape(lead + (9,)) @ map_r
+    return flat.reshape(lead + (6, 6))
+
+
+def side_distance(a, b):
+    """Sum over both sides of the Frobenius distance of two chiral stacks."""
+    return float(np.linalg.norm(a[0] - b[0]) + np.linalg.norm(a[1] - b[1]))
 
 
 def ref_duality_check(state):
@@ -102,20 +120,17 @@ def ref_duality_check(state):
     gap = 0.0
     recon = 0.0
     for j in range(state.n_nodes):
-        k = DoubleElement(state.kl[j], state.kr[j])
-        u, sl, sr = kit.factorize_gm(k.left, k.right)
-        tl, tr, v = kit.factorize_mg(k.left, k.right)
-        t = DoubleElement(tl, tr)
-        recon = max(recon, (DoubleElement.from_group(u) @ DoubleElement(sl, sr)).distance(k))
-        recon = max(recon, (t @ DoubleElement.from_group(v)).distance(k))
+        k = state.k[j]
+        u, s = kit.factorize_gm(k)
+        t, v = kit.factorize_mg(k)
+        recon = max(recon, side_distance(u @ s, k), side_distance(t @ v, k))
         uinv = np.linalg.inv(u)
-        adu = kit.ad_d(u, u)
-        adui = kit.ad_d(uinv, uinv)
+        adu = kit.ad_d(u[None])
+        adui = kit.ad_d(uinv[None])
         wu = adui @ w[j]
         hu = 0.25 * (wu @ ((adui @ pd @ adu).T @ (p.T @ wu)))
-        tinv = t.inverse()
-        adt = kit.ad_d(tl, tr)
-        adti = kit.ad_d(tinv.left, tinv.right)
+        adt = kit.ad_d(t)
+        adti = kit.ad_d(_vinv(t))
         wt = adti @ w[j]
         ht = 0.25 * (wt @ ((adti @ pd @ adt).T @ (p.T @ wt)))
         gap = max(gap, abs(hu - ht))
@@ -124,14 +139,14 @@ def ref_duality_check(state):
 
 def ref_primal_fields(state):
     kit, split = state.kit, state.split
-    us = [kit.factorize_gm(state.kl[j], state.kr[j])[0] for j in range(state.n_nodes)]
+    us = [kit.factorize_gm(state.k[j])[0] for j in range(state.n_nodes)]
     dux = fs._x_derivative(np.stack(us), state.dx, state.boundary, order=2)
     kdot = fs._tangent_field(state) @ (split.pi_minus - split.pi_plus).T
     a, b = [], []
     for j, u in enumerate(us):
         uinv = np.linalg.inv(u)
         xi_x = kit.coeffs(uinv @ dux[j])
-        xi_t = (kit.ad_d(uinv, uinv) @ kdot[j])[:3]
+        xi_t = (kit.ad_d(uinv[None]) @ kdot[j])[:3]
         g = graph_at(kit, split, u)
         a.append(g.e_matrix() @ (0.5 * (xi_t - xi_x)))
         b.append(g.t_matrix() @ (0.5 * (xi_t + xi_x)))
@@ -140,16 +155,14 @@ def ref_primal_fields(state):
 
 def ref_dual_fields(state):
     kit, split = state.kit, state.split
-    ts = [DoubleElement(*kit.factorize_mg(state.kl[j], state.kr[j])[:2])
-          for j in range(state.n_nodes)]
-    dtl = fs._x_derivative(np.stack([t.left for t in ts]), state.dx, state.boundary, order=2)
-    dtr = fs._x_derivative(np.stack([t.right for t in ts]), state.dx, state.boundary, order=2)
+    ts = [kit.factorize_mg(state.k[j])[0] for j in range(state.n_nodes)]
+    dts = fs._x_derivative(np.stack(ts), state.dx, state.boundary, order=2)
     kdot = fs._tangent_field(state) @ (split.pi_minus - split.pi_plus).T
     a, b = [], []
     for j, t in enumerate(ts):
-        tinv = t.inverse()
-        phi_x = kit.tangent_coeffs(tinv.left @ dtl[j], tinv.right @ dtr[j])[3:]
-        phi_t = (kit.ad_d(tinv.left, tinv.right) @ kdot[j])[3:]
+        tinv = _vinv(t)
+        phi_x = kit.tangent_coeffs(tinv @ dts[j])[3:]
+        phi_t = (kit.ad_d(tinv) @ kdot[j])[3:]
         dg = dual_graph_at(kit, split, t)
         a.append(np.linalg.solve(dg.e_inv, 0.5 * (phi_t - phi_x)))
         b.append(np.linalg.solve(dg.t_inv, 0.5 * (phi_t + phi_x)))
@@ -191,16 +204,15 @@ def ref_expm2(x):
 
 
 def ref_loop(kit, ws):
-    """Chiral pairs of exp(w) node by node, with the su2 dual real form."""
-    kl, kr = [], []
+    """Chiral stacks of exp(w) node by node, with the su2 dual real form."""
+    ks = []
     for w in ws:
         wc = w.astype(complex)
         if kit.flavor == "su2":
             wc[3:] = -1j * w[3:]
         left, right = kit.chiral_mats(wc)
-        kl.append(ref_expm2(left))
-        kr.append(ref_expm2(right))
-    return np.stack(kl), np.stack(kr)
+        ks.append([ref_expm2(left), ref_expm2(right)])
+    return np.array(ks)
 
 
 def ref_random_smooth_loop(kit, cfg, n_modes=2):
@@ -240,9 +252,9 @@ def ref_roll_derivative(f, dx, order):
     ) / (12 * dx)
 
 
-def ref_flow_generators(kit, split, wl, wr):
-    """The former chain from k_x k^-1 to the chiral matrices of dk/dt k^-1."""
-    return kit.chiral_mats(kit.tangent_coeffs(wl, wr) @ (split.pi_minus - split.pi_plus).T)
+def ref_flow_generators(kit, split, w):
+    """The former chain from the chiral stack of k_x k^-1 to that of dk/dt k^-1."""
+    return kit.chiral_mats(kit.tangent_coeffs(w) @ (split.pi_minus - split.pi_plus).T)
 
 
 def ref_field_step(state, dt):
@@ -251,7 +263,8 @@ def ref_field_step(state, dt):
     def gens(kl, kr):
         wl = fs._x_derivative(kl, state.dx, state.boundary) @ _vinv(kl)
         wr = fs._x_derivative(kr, state.dx, state.boundary) @ _vinv(kr)
-        return ref_flow_generators(state.kit, state.split, wl, wr)
+        gen = ref_flow_generators(state.kit, state.split, np.stack([wl, wr], axis=1))
+        return gen[:, 0], gen[:, 1]
 
     kl0, kr0 = state.kl, state.kr
     al1, ar1 = gens(kl0, kr0)
@@ -294,7 +307,7 @@ def ref_particle_step(kit, split, state, dt):
     c4 = _vdexpinv(dt * c3, m4)
     a_left, a_right = expm2((dt / 6.0) * (c1 + 2 * c2 + 2 * c3 + c4))
     # integrate_particle renormalized u after each step
-    return _vdet_normalize(u1), p1, a_left @ a0.left, a_right @ a0.right
+    return _vdet_normalize(u1), p1, a_left @ a0[0], a_right @ a0[1]
 
 
 def ref_graph_maps(kit, split, u):
@@ -324,7 +337,7 @@ def ref_particle_charges(kit, split, u, p):
     """The former charges from the 6x6 Ad_u of the double."""
     w = np.zeros(6, dtype=complex)
     w[3:] = p
-    moved = kit.ad_d(u, u) @ w
+    moved = kit.ad_d(u[None]) @ w
     return moved[3:], moved[:3], -0.5 * (split.pairing @ moved)
 
 
@@ -340,19 +353,15 @@ def rel_err(got, want):
 def test_stacked_kernels_match_single_element_calls(cfg):
     state = make_loop(cfg)
     kit = state.kit
-    stacked = (
-        *kit.factorize_gm(state.kl, state.kr),
-        *kit.factorize_mg(state.kl, state.kr),
-        kit.ad_d(state.kl, state.kr),
-    )
+    stacked = (*kit.factorize_gm(state.k), *kit.factorize_mg(state.k), kit.ad_d(state.k))
     for j in range(state.n_nodes):
-        kl, kr = state.kl[j], state.kr[j]
-        single = (*kit.factorize_gm(kl, kr), *kit.factorize_mg(kl, kr), kit.ad_d(kl, kr))
+        k = state.k[j]
+        single = (*kit.factorize_gm(k), *kit.factorize_mg(k), kit.ad_d(k))
         for got, want in zip(stacked, single):
             assert np.abs(got[j] - want).max() < 1e-13
-        for got, want in zip(stacked[:3], ref_factorize_gm(kit, kl, kr)):
+        for got, want in zip(stacked[:2], ref_factorize_gm(kit, k)):
             assert np.abs(got[j] - want).max() < 1e-13
-        assert np.abs(stacked[-1][j] - ref_ad_d(kit, kl, kr)).max() < 1e-13
+        assert np.abs(stacked[-1][j] - ref_ad_d(kit, k)).max() < 1e-13
 
 
 @settings(max_examples=15, deadline=None)
@@ -369,13 +378,59 @@ def test_initializers_match_per_node_loops(cfg):
     cases = (
         (fs.random_smooth_loop(*args, **kw), ref_random_smooth_loop(kit, cfg)),
         (fs.centered_bump_loop(*args, **kw), ref_centered_bump_loop(kit, cfg)),
-        (pointlike, (np.stack([u0 @ ref_expm2(m[0]) for m in ref_s]),
-                     np.stack([u0 @ ref_expm2(m[1]) for m in ref_s]))),
+        (pointlike, np.array([[u0 @ ref_expm2(m[0]), u0 @ ref_expm2(m[1])] for m in ref_s])),
     )
-    for state, (kl, kr) in cases:
-        assert state.kl.shape == kl.shape
-        assert np.abs(state.kl - kl).max() < 1e-14
-        assert np.abs(state.kr - kr).max() < 1e-14
+    for state, k in cases:
+        assert state.k.shape == k.shape
+        assert np.abs(state.kl - k[:, 0]).max() < 1e-14
+        assert np.abs(state.kr - k[:, 1]).max() < 1e-14
+
+
+# ---- the chiral stack against the argument pairs it replaced ------------------------
+
+
+def random_group_points(kit, rng, lead):
+    """G-valued points, off the real form of the group, stacked over ``lead``."""
+    xi = rng.uniform(-0.4, 0.4, lead + (3,)) + 1j * rng.uniform(-0.4, 0.4, lead + (3,))
+    return expm2(kit.mat(xi))
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (7,), (3, 4)])
+@pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
+def test_ad_d_broadcast_side_matches_pair(algebra, lead):
+    kit, _ = kit_and_split(algebra)
+    u = random_group_points(kit, np.random.default_rng(len(lead)), lead)
+    got = kit.ad_d(u[..., None, :, :])
+    assert got.shape == lead + (6, 6)
+    assert rel_err(got, kit.ad_d(np.stack([u, u], -3))) < 1e-13
+    assert rel_err(got, ref_ad_d_pair(kit, u, u)) < 1e-13
+    k = np.stack([u, random_group_points(kit, np.random.default_rng(9), lead)], -3)
+    assert rel_err(kit.ad_d(k), ref_ad_d_pair(kit, k[..., 0, :, :], k[..., 1, :, :])) < 1e-13
+
+
+@pytest.mark.parametrize("lead", [(), (16,)])
+@pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
+def test_tangent_coeffs_round_trips_chiral_mats(algebra, lead):
+    kit, _ = kit_and_split(algebra)
+    rng = np.random.default_rng(11)
+    w = rng.normal(size=lead + (6,)) + 1j * rng.normal(size=lead + (6,))
+    m = kit.chiral_mats(w)
+    assert m.shape == lead + (2, 2, 2)
+    assert rel_err(kit.tangent_coeffs(m), w) < 1e-13
+
+
+@settings(max_examples=15, deadline=None)
+@given(loops)
+def test_factorizations_rebuild_k(cfg):
+    state = make_loop(cfg)
+    kit = state.kit
+    for k in (state.k[state.n_nodes // 2], state.k):
+        u, s = kit.factorize_gm(k)
+        t, v = kit.factorize_mg(k)
+        assert u.shape == v.shape == k.shape[:-3] + (2, 2)
+        assert s.shape == t.shape == k.shape
+        assert rel_err(u[..., None, :, :] @ s, k) < 1e-13
+        assert rel_err(t @ v[..., None, :, :], k) < 1e-13
 
 
 # ---- loop-free diagnostics against the per-node loops ------------------------------
@@ -422,8 +477,9 @@ def test_generator_map_matches_coefficient_chain(algebra, preset):
     rng = np.random.default_rng(7)
     wl, wr = (kit.mat(rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3)))
               for _ in range(2))
-    got = np.stack([wl, wr], axis=1).reshape(32, 8) @ fs._generator_map(kit, split)
-    want = np.stack(ref_flow_generators(kit, split, wl, wr), axis=1).reshape(32, 8)
+    w = np.stack([wl, wr], axis=1)
+    got = w.reshape(32, 8) @ fs._generator_map(kit, split)
+    want = ref_flow_generators(kit, split, w).reshape(32, 8)
     assert rel_err(got, want) < 1e-14
 
 
@@ -443,8 +499,9 @@ def test_particle_step_matches_unrolled_stepper(algebra, seed, dt):
     u1, p1, a_left, a_right = ref_particle_step(kit, split, pt.ParticleState(u0, p0, a0), dt)
     assert rel_err(stepped.u, u1) < 1e-13
     assert rel_err(stepped.p, p1) < 1e-13
-    assert rel_err(stepped.a.left, a_left) < 1e-13
-    assert rel_err(stepped.a.right, a_right) < 1e-13
+    assert stepped.a.shape == (2, 2, 2)
+    assert rel_err(stepped.a[0], a_left) < 1e-13
+    assert rel_err(stepped.a[1], a_right) < 1e-13
 
 
 @lru_cache(maxsize=None)
@@ -509,7 +566,7 @@ def test_off_chart_node_is_named(algebra):
     state = fs.random_smooth_loop(kit, split, 24, boundary="periodic", seed=4, amplitude=0.2)
     j = 17
     # k_R^-1 k_L = [[0, 1], [-1, 0]] has a zero pivot, which is off every chart
-    state.kl[j] = state.kr[j] @ np.array([[0.0, 1.0], [-1.0, 0.0]])
-    for call in (lambda: kit.factorize_gm(state.kl, state.kr), lambda: fs.duality_check(state)):
+    state.k[j, 0] = state.k[j, 1] @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for call in (lambda: kit.factorize_gm(state.k), lambda: fs.duality_check(state)):
         with pytest.raises(FactorizationError, match=f"node {j}\\b"):
             call()

@@ -14,7 +14,7 @@ on that stack, so every grid element stays on the group up to a
 determinant renormalization per step.  Each stage takes one derivative,
 one inverse and one product of that stack for k_x k^-1, and maps its
 eight chiral entries to those of dk/dt k^-1 by one constant 8x8 matrix
-built once per step.
+built once per splitting (and group kit) and held by the splitting.
 
 Diagnostics cover the conserved Hamiltonian 4 H = <(pi_+ - pi_-) w, w>
 with w = k_x k^-1, the moment map I_delta = -1/2 int <w, delta> dx, the
@@ -26,13 +26,18 @@ boundary term (gauge-fixed by s(0) = e).
 Like the time step, the diagnostics are array expressions over the node
 axis: the factorizations, adjoint actions and graph slices come stacked
 from :mod:`pltdual.groups` and :mod:`pltdual.duality`, and every chart
-check is elementwise, naming the first node that fails.
+check is elementwise, naming the first node that fails.  A state computes
+the quantities they share (its tangent field, both factorizations with
+the inverse first factor and its double adjoint action) once, on first
+use, so a recorded state is factorized once in each order even when it
+also serves as the earlier time level of the next residual.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,15 +76,18 @@ CFL = 0.5
 
 @dataclass
 class LoopState:
-    """A loop in the double group sampled on the spatial grid."""
+    """A loop in the double group sampled on the spatial grid.
+
+    :attr:`tangent`, :attr:`gm_factors` and :attr:`mg_factors` are
+    computed from ``k`` on first use and kept, so ``k`` must not be
+    mutated once any of them has been read.
+    """
 
     kit: GroupKit
     split: SplittingData
     k: np.ndarray  # (nodes, side, 2, 2) chiral stack
     boundary: str = "double-neumann"
     time: float = 0.0
-    # w = k_x k^-1 at every node, when the caller has computed it already
-    tangent: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.boundary not in BOUNDARIES:
@@ -110,6 +118,25 @@ class LoopState:
 
     def copy(self) -> "LoopState":
         return LoopState(self.kit, self.split, self.k.copy(), self.boundary, self.time)
+
+    @cached_property
+    def tangent(self) -> np.ndarray:
+        """w = k_x k^-1 as (nodes, 2n) double-algebra coefficients."""
+        return _tangent_field(self)
+
+    @cached_property
+    def gm_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(u, s, u^-1, Ad_{u^-1}) at every node, for k = u s."""
+        u, s = self.kit.factorize_gm(self.k)
+        uinv = _vinv(u)
+        return u, s, uinv, self.kit.ad_d(uinv[:, None])
+
+    @cached_property
+    def mg_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(t, v, t^-1, Ad_{t^-1}) at every node, for k = t v."""
+        t, v = self.kit.factorize_mg(self.k)
+        tinv = _vinv(t)
+        return t, v, tinv, self.kit.ad_d(tinv)
 
 
 @dataclass
@@ -285,24 +312,13 @@ def _right_tangent(k: np.ndarray, dx: float, boundary: str) -> np.ndarray:
 
 def _tangent_field(state: LoopState) -> np.ndarray:
     """w = k_x k^-1 as (nodes, 2n) double-algebra coefficients, from one
-    derivative of the chiral stack."""
+    derivative of the chiral stack (read it as :attr:`LoopState.tangent`)."""
     return state.kit.tangent_coeffs(_right_tangent(state.k, state.dx, state.boundary))
-
-
-def _tangent(state: LoopState) -> np.ndarray:
-    """The tangent field the state carries, else a fresh one."""
-    return _tangent_field(state) if state.tangent is None else state.tangent
-
-
-def _with_tangent(state: LoopState) -> LoopState:
-    """The state carrying its tangent field, so that the diagnostics
-    evaluated on it share one evaluation."""
-    return state if state.tangent is not None else replace(state, tangent=_tangent_field(state))
 
 
 def _flow_velocity(state: LoopState) -> np.ndarray:
     """dk/dt k^-1 = (pi_- - pi_+)(k_x k^-1) as (nodes, 2n) coefficients."""
-    return _tangent(state) @ (state.split.pi_minus - state.split.pi_plus).T
+    return state.tangent @ (state.split.pi_minus - state.split.pi_plus).T
 
 
 def _generator_map(kit: GroupKit, split: SplittingData) -> np.ndarray:
@@ -310,7 +326,9 @@ def _generator_map(kit: GroupKit, split: SplittingData) -> np.ndarray:
     dk/dt k^-1 = (pi_- - pi_+)(k_x k^-1), both flattened over (side, row,
     column): :meth:`GroupKit.tangent_coeffs`, the projector difference and
     :meth:`GroupKit.chiral_mats` composed on the unit entries.  The (1, 1)
-    entries, which a traceless input fixes, get zero rows."""
+    entries, which a traceless input fixes, get zero rows.  :func:`step`
+    builds it once per (kit, splitting) pair and keeps it in
+    :attr:`SplittingData.generator_maps`."""
     units = np.eye(8).reshape(8, 2, 2, 2)
     w = kit.tangent_coeffs(units) @ (split.pi_minus - split.pi_plus).T
     return kit.chiral_mats(w).reshape(8, 8)
@@ -337,7 +355,10 @@ def step(state: LoopState, dt: float) -> LoopState:
     if message:
         warnings.warn(message, CFLWarning, stacklevel=2)
     dx, boundary = state.dx, state.boundary
-    gen_map = _generator_map(state.kit, state.split)
+    maps = state.split.generator_maps
+    gen_map = maps.get(state.kit)
+    if gen_map is None:
+        gen_map = maps[state.kit] = _generator_map(state.kit, state.split)
 
     def gens(k: np.ndarray, _):
         w = _right_tangent(k, dx, boundary)
@@ -367,7 +388,7 @@ def _quadrature(values: np.ndarray, dx: float, boundary: str) -> complex:
 
 def hamiltonian_density(state: LoopState) -> np.ndarray:
     """Nodewise 1/4 <(pi_+ - pi_-) w, w> with w = k_x k^-1."""
-    w = _tangent(state)
+    w = state.tangent
     pw = w @ (state.split.pi_diff.T @ state.split.pairing.T)
     return 0.25 * np.einsum("ni,ni->n", pw, w)
 
@@ -379,7 +400,7 @@ def total_hamiltonian(state: LoopState) -> complex:
 def moment_map_basis(state: LoopState) -> np.ndarray:
     """I_delta = -1/2 int <k_x k^-1, delta> dx for every double basis
     vector delta at once."""
-    w = _tangent(state)
+    w = state.tangent
     vals = -0.5 * (w @ state.split.pairing)
     return np.array(
         [_quadrature(vals[:, i], state.dx, state.boundary) for i in range(vals.shape[1])]
@@ -392,7 +413,7 @@ def loop_functions(state: LoopState, v: np.ndarray | None = None) -> tuple[compl
     ``v`` is a (nodes, 2n) coefficient field; it must vanish at the ends
     of a double-Neumann run.
     """
-    w = _tangent(state)
+    w = state.tangent
     p = state.split.pairing
     if v is None:
         f_v = 0.0 + 0.0j
@@ -427,17 +448,17 @@ def duality_check(state: LoopState) -> float:
     """Max gap between the (u, s) and (t, v) Hamiltonian densities plus
     the reconstruction defects of both factorizations."""
     kit, k = state.kit, state.k
-    w = _tangent(state)
-    u, s = kit.factorize_gm(k)
-    t, v = kit.factorize_mg(k)
+    w = state.tangent
+    u, s, _, ad_uinv = state.gm_factors
+    t, v, _, ad_tinv = state.mg_factors
     u, v = u[:, None], v[:, None]
     # the reconstruction defects, summed over both sides
     recon_gm = np.linalg.norm(u @ s - k, axis=(-2, -1)).sum(axis=-1)
     recon_mg = np.linalg.norm(t @ v - k, axis=(-2, -1)).sum(axis=-1)
     # primal description: transport by Ad_{u^-1}
-    hu = _transported_density(state.split, kit.ad_d(u), kit.ad_d(_vinv(u)), w)
+    hu = _transported_density(state.split, kit.ad_d(u), ad_uinv, w)
     # dual description: transport by Ad_{t^-1}
-    ht = _transported_density(state.split, kit.ad_d(t), kit.ad_d(_vinv(t)), w)
+    ht = _transported_density(state.split, kit.ad_d(t), ad_tinv, w)
     return float(np.abs(hu - ht).max() + max(recon_gm.max(), recon_mg.max()))
 
 
@@ -473,9 +494,7 @@ def _primal_lightcone_fields(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
     """
     kit = state.kit
     n = kit.b.g.dim
-    u, _ = kit.factorize_gm(state.k)
-    uinv = _vinv(u)
-    ad = kit.ad_d(uinv[:, None])
+    u, _, uinv, ad = state.gm_factors
     xi_x = kit.coeffs(uinv @ _x_derivative(u, state.dx, state.boundary, order=2))
     xi_t = _matvec(ad, _flow_velocity(state))[..., :n]
     e, t = _graph_maps(state.split, ad)
@@ -487,9 +506,7 @@ def _dual_lightcone_fields(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
     Ehat_t and That_t applied as solves against the transported slices."""
     kit = state.kit
     n = kit.b.g.dim
-    t, _ = kit.factorize_mg(state.k)
-    tinv = _vinv(t)
-    ad = kit.ad_d(tinv)
+    t, _, tinv, ad = state.mg_factors
     phi_x = kit.tangent_coeffs(tinv @ _x_derivative(t, state.dx, state.boundary, order=2))[..., n:]
     phi_t = _matvec(ad, _flow_velocity(state))[..., n:]
     e_inv, t_inv = dual_graph_slices(state.split, ad)
@@ -512,7 +529,6 @@ def eom_residuals(state0: LoopState, state1: LoopState) -> tuple[float, float]:
 
     in m, and the dual equation is the same shape on the dual group in g.
     """
-    state0, state1 = _with_tangent(state0), _with_tangent(state1)
     split = state0.split
     dt = state1.time - state0.time
     dx = state0.dx
@@ -554,9 +570,7 @@ def dressing_relation_residual(state: LoopState) -> float:
     kit = state.kit
     n = kit.b.g.dim
     dx, bd = state.dx, state.boundary
-    u, s = kit.factorize_gm(state.k)
-    uinv = _vinv(u)
-    ad = kit.ad_d(uinv[:, None])
+    u, s, uinv, ad = state.gm_factors
     dec = _matvec(ad, _flow_velocity(state))
     xi_t = dec[..., :n]
     s_t = dec[..., n:]  # ds/dt s^-1 in m-coefficients
@@ -654,7 +668,6 @@ def integrate_field(
     excess = _cfl_excess(state, dt)
 
     def record(s: LoopState, prev_state: LoopState | None):
-        s = _with_tangent(s)
         row = [s.time, total_hamiltonian(s), moment_map_basis(s), loop_functions(s)[1]]
         row.append(duality_check(s) if with_duality else np.nan)
         if with_residuals and prev_state is not None:

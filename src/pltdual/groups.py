@@ -26,6 +26,10 @@ and leading axes (the grid nodes of a loop) broadcast.  A G-valued u,
 which sits diagonally, enters as ``u[..., None, :, :]``, a side axis of
 length one that broadcasts over both sides.  Each operation on the
 double group has one method, which takes and returns chiral stacks.
+
+The stacked 2x2 kernels are closed forms: a traceless x squares to
+theta^2 1 with theta^2 = -det x, which gives the exponential and the
+dexp^-1 of :func:`rkmk4` without series in commutators.
 """
 
 from __future__ import annotations
@@ -88,14 +92,22 @@ def _entry_products(u: np.ndarray) -> np.ndarray:
     return pairs.reshape(u.shape[:-2] + (16,))
 
 
-def _vcomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+_EYE2 = np.eye(2)
 
 
 def _vdexpinv(sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """dexp^-1_sigma(v) truncated after the double commutator (order-4 ok)."""
-    c1 = _vcomm(sigma, v)
-    return v - 0.5 * c1 + _vcomm(sigma, c1) / 12.0
+    """dexp^-1_sigma(v) = v - [sigma, v]/2 + [sigma, [sigma, v]]/12, truncated
+    after the double commutator (order-4 ok), for traceless sigma and v.
+
+    sigma^2 = theta^2 1 with theta^2 = -det sigma = sigma_00^2 + sigma_01 sigma_10
+    gives [sigma, v] = 2 sigma v - tr(sigma v) 1 and
+    [sigma, [sigma, v]] = 4 theta^2 v - 2 tr(sigma v) sigma, so the sum
+    takes one product of the stacks, at every stack size.
+    """
+    sv = sigma @ v
+    tr = (sv[..., 0, 0] + sv[..., 1, 1])[..., None, None]
+    theta2 = (sigma[..., 0, 0] ** 2 + sigma[..., 0, 1] * sigma[..., 1, 0])[..., None, None]
+    return v + (theta2 / 3.0) * v - sv + tr * (0.5 * _EYE2 - sigma / 6.0)
 
 
 def _check_chart(bad: np.ndarray, message: str) -> None:
@@ -133,9 +145,11 @@ def rkmk4(gens, y0: np.ndarray, p0, dt: float):
     Numer. Math. 29, 1999) of dy/dt y^-1 = A(y, p), dp/dt = P(y, p).
 
     ``y0`` is a stack of unimodular 2x2 matrices, ``p0`` an additive
-    vector and ``gens(y, p)`` returns (A, P).  Each stage reaches its
-    point through the exponential of the algebra increment and pulls the
-    generator back by dexp^-1, so y stays on its group; returns (y1, p1).
+    vector and ``gens(y, p)`` returns (A, P); A must be traceless, as the
+    closed-form dexp^-1 assumes (both flows meet this).  Each stage
+    reaches its point through the exponential of the algebra increment
+    and pulls the generator back by dexp^-1, so y stays on its group;
+    returns (y1, p1).
     """
     a1, k1 = gens(y0, p0)
     # the first stage sits at sigma = 0, where exp and dexp^-1 are identities
@@ -307,7 +321,7 @@ class GroupKit:
         n = self.b.g.dim
         adt = self.ad_d(t)
         adtinv = self.ad_d(_vinv(t))
-        return adt[n:, n:] @ adtinv[n:, :n]
+        return adt[..., n:, n:] @ adtinv[..., n:, :n]
 
     # ---- factorization -----------------------------------------------------
 

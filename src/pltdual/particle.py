@@ -62,10 +62,24 @@ __all__ = [
 
 @dataclass
 class ParticleState:
+    """The particle's (u, p) and conjugate factor a.
+
+    The adjoint pair of u is computed on first use by :meth:`ad_pair` and
+    kept, so ``u`` must not be mutated once it has been read.
+    """
+
     u: np.ndarray  # 2x2 group matrix
     p: np.ndarray  # dual-algebra coefficients
     # conjugate dual-group factor, a (side, 2, 2) chiral stack
     a: np.ndarray = field(default_factory=lambda: np.tile(np.eye(2, dtype=complex), (2, 1, 1)))
+    _ad_pair: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def ad_pair(self, kit: GroupKit) -> tuple[np.ndarray, np.ndarray]:
+        """(Ad_{u^-1}, Ad_u), shared by the record of the state and the
+        first RKMK stage of the step from it."""
+        if self._ad_pair is None:
+            self._ad_pair = kit.ad_g_pair(self.u)
+        return self._ad_pair
 
 
 @dataclass
@@ -86,17 +100,17 @@ _AD_COND_LIMIT = 1.0 / np.finfo(float).eps
 
 
 def particle_rhs(
-    kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray
+    kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray, pair=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left-translated velocities (u^-1 du, dp, da a^-1).
 
-    With (a, b) = (Ad_{u^-1}, Ad_u), x = (E_u^-1 - T_u^-1)^-1 E_u^-1 p is
-    b^T z with z = D_e^-1 ((E_e^-1 - r1) a^T p + b r1 p), and a^T x = z
-    gives T_u^-1 x.  da a^-1 is formed the same way from
-    (E_u^-1 + T_u^-1) p, not as 2 x - p, which cancels in the principal
-    limit.
+    With (a, b) = (Ad_{u^-1}, Ad_u), ``pair`` when the caller holds it,
+    x = (E_u^-1 - T_u^-1)^-1 E_u^-1 p is b^T z with
+    z = D_e^-1 ((E_e^-1 - r1) a^T p + b r1 p), and a^T x = z gives
+    T_u^-1 x.  da a^-1 is formed the same way from (E_u^-1 + T_u^-1) p,
+    not as 2 x - p, which cancels in the principal limit.
     """
-    a, b = kit.ad_g_pair(u)
+    a, b = kit.ad_g_pair(u) if pair is None else pair
     c = split.shifted_maps
     q = a.T @ p
     rp = b @ (c.r1 @ p)
@@ -147,26 +161,28 @@ def particle_rhs_invariant_form(
 
 
 def particle_hamiltonian(
-    kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray
+    kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray, pair=None
 ) -> complex:
     """H = < x, E_u^-1 p > / 2 = < s, (E_e^-1 - T_e^-1)^-1 s > / 2 with
-    s = Ad_u E_u^-1 p = (E_e^-1 - r1) Ad_{u^-1}^T p + Ad_u r1 p."""
-    a, b = kit.ad_g_pair(u)
+    s = Ad_u E_u^-1 p = (E_e^-1 - r1) Ad_{u^-1}^T p + Ad_u r1 p; ``pair``
+    is (Ad_{u^-1}, Ad_u) when the caller holds it."""
+    a, b = kit.ad_g_pair(u) if pair is None else pair
     c = split.shifted_maps
     s = c.e_shift @ (a.T @ p) + b @ (c.r1 @ p)
     return 0.5 * complex(s @ (c.d_inv @ s))
 
 
 def particle_charges(
-    kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray
+    kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray, pair=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Q_G, Q_M, I_delta): projections of u p u^-1 and the moment map.
 
     In the chiral pair Ad_u acts on both factors by the 3x3 Ad_u, so
     u p u^-1 = (r1 Q_G - Ad_u r1 p) (+) Q_G with the coadjoint
-    Q_G = Ad_{u^-1}^T p.
+    Q_G = Ad_{u^-1}^T p; ``pair`` is (Ad_{u^-1}, Ad_u) when the caller
+    holds it.
     """
-    a, b = kit.ad_g_pair(u)
+    a, b = kit.ad_g_pair(u) if pair is None else pair
     r1 = split.shifted_maps.r1
     qg = a.T @ p
     qm = r1 @ qg - b @ (r1 @ p)
@@ -176,15 +192,18 @@ def particle_charges(
 
 def _rk_mk_step(kit: GroupKit, split: SplittingData, state: ParticleState, dt: float) -> ParticleState:
     stack_map = kit.particle_stack_map
+    y0 = np.concatenate([state.u.T[None], state.a])
 
     def gens(y: np.ndarray, p: np.ndarray):
         # y stacks (u^T, a_L, a_R): u^-1 du = B is the right-invariant
         # d(u^T) (u^T)^-1 = B^T, and da a^-1 = w acts on both chiral factors
-        # through the m-columns of the chiral matrix, w -> (r2 w, -r1 w)
-        udot, pdot, w = particle_rhs(kit, split, y[0].T, p)
+        # through the m-columns of the chiral matrix, w -> (r2 w, -r1 w);
+        # the first stage sits at the state itself and reuses its pair
+        pair = state.ad_pair(kit) if y is y0 else None
+        udot, pdot, w = particle_rhs(kit, split, y[0].T, p, pair)
         return (stack_map @ np.concatenate([udot, w])).reshape(3, 2, 2), pdot
 
-    y1, p1 = rkmk4(gens, np.concatenate([state.u.T[None], state.a]), state.p, dt)
+    y1, p1 = rkmk4(gens, y0, state.p, dt)
     return ParticleState(y1[0].T, p1, y1[1:])
 
 
@@ -204,8 +223,9 @@ def integrate_particle(
         times.append(t)
         us.append(state.u.copy())
         ps.append(state.p.copy())
-        hams.append(particle_hamiltonian(kit, split, state.u, state.p))
-        qg, _, mom = particle_charges(kit, split, state.u, state.p)
+        pair = state.ad_pair(kit)
+        hams.append(particle_hamiltonian(kit, split, state.u, state.p, pair))
+        qg, _, mom = particle_charges(kit, split, state.u, state.p, pair)
         qgs.append(qg)
         moms.append(mom)
 

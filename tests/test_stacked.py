@@ -12,9 +12,14 @@ wrapped stencils and its constant 8x8 generator map are compared with the
 ``np.roll`` stencils and the coefficient chain they replaced.  The particle
 right-hand side, energy and charges, which conjugate constants by the
 adjoint pair (Ad_{u^-1}, Ad_u), are compared with copies of the graph-map
-and linear-solve code they replaced.
+and linear-solve code they replaced.  The closed-form dexp^-1 of RKMK4 is
+compared with the commutator form it replaced, which the two unrolled
+steppers use; counts show that the field step builds its generator map
+once per splitting, that a recorded loop state is factorized once in each
+order and a recorded particle state builds one adjoint pair.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -191,6 +196,12 @@ def ref_eom_residuals(state0, state1):
     )
 
 
+def ref_vdexpinv(sigma, v):
+    """The former dexp^-1 of RKMK4, from two commutators of the stacks."""
+    c1 = sigma @ v - v @ sigma
+    return v - 0.5 * c1 + (sigma @ c1 - c1 @ sigma) / 12.0
+
+
 def ref_expm2(x):
     """The former single-matrix exponential (determinant from LU)."""
     theta2 = -np.linalg.det(x)
@@ -270,14 +281,14 @@ def ref_field_step(state, dt):
     al1, ar1 = gens(kl0, kr0)
     bl1, br1 = al1, ar1
     al2, ar2 = gens(expm2(0.5 * dt * bl1) @ kl0, expm2(0.5 * dt * br1) @ kr0)
-    bl2 = _vdexpinv(0.5 * dt * bl1, al2)
-    br2 = _vdexpinv(0.5 * dt * br1, ar2)
+    bl2 = ref_vdexpinv(0.5 * dt * bl1, al2)
+    br2 = ref_vdexpinv(0.5 * dt * br1, ar2)
     al3, ar3 = gens(expm2(0.5 * dt * bl2) @ kl0, expm2(0.5 * dt * br2) @ kr0)
-    bl3 = _vdexpinv(0.5 * dt * bl2, al3)
-    br3 = _vdexpinv(0.5 * dt * br2, ar3)
+    bl3 = ref_vdexpinv(0.5 * dt * bl2, al3)
+    br3 = ref_vdexpinv(0.5 * dt * br2, ar3)
     al4, ar4 = gens(expm2(dt * bl3) @ kl0, expm2(dt * br3) @ kr0)
-    bl4 = _vdexpinv(dt * bl3, al4)
-    br4 = _vdexpinv(dt * br3, ar4)
+    bl4 = ref_vdexpinv(dt * bl3, al4)
+    br4 = ref_vdexpinv(dt * br3, ar4)
     sl = (dt / 6.0) * (bl1 + 2 * bl2 + 2 * bl3 + bl4)
     sr = (dt / 6.0) * (br1 + 2 * br2 + 2 * br3 + br4)
     return _vdet_normalize(expm2(sl) @ kl0), _vdet_normalize(expm2(sr) @ kr0)
@@ -294,17 +305,17 @@ def ref_particle_step(kit, split, state, dt):
 
     b1, kp1, w1 = stage(u0, 0.0)
     a2, kp2, w2 = stage(u0 @ expm2(0.5 * dt * b1), 0.5 * dt * kp1)
-    b2 = _vdexpinv((0.5 * dt * b1).T, a2.T).T
+    b2 = ref_vdexpinv((0.5 * dt * b1).T, a2.T).T
     a3, kp3, w3 = stage(u0 @ expm2(0.5 * dt * b2), 0.5 * dt * kp2)
-    b3 = _vdexpinv((0.5 * dt * b2).T, a3.T).T
+    b3 = ref_vdexpinv((0.5 * dt * b2).T, a3.T).T
     a4, kp4, w4 = stage(u0 @ expm2(dt * b3), dt * kp3)
-    b4 = _vdexpinv((dt * b3).T, a4.T).T
+    b4 = ref_vdexpinv((dt * b3).T, a4.T).T
     u1 = u0 @ expm2((dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4))
     p1 = p0 + (dt / 6.0) * (kp1 + 2 * kp2 + 2 * kp3 + kp4)
     c1, m2, m3, m4 = (kit.mat((kit.chi[:, 3:] @ w).reshape(2, 3)) for w in (w1, w2, w3, w4))
-    c2 = _vdexpinv(0.5 * dt * c1, m2)
-    c3 = _vdexpinv(0.5 * dt * c2, m3)
-    c4 = _vdexpinv(dt * c3, m4)
+    c2 = ref_vdexpinv(0.5 * dt * c1, m2)
+    c3 = ref_vdexpinv(0.5 * dt * c2, m3)
+    c4 = ref_vdexpinv(dt * c3, m4)
     a_left, a_right = expm2((dt / 6.0) * (c1 + 2 * c2 + 2 * c3 + c4))
     # integrate_particle renormalized u after each step
     return _vdet_normalize(u1), p1, a_left @ a0[0], a_right @ a0[1]
@@ -408,6 +419,17 @@ def test_ad_d_broadcast_side_matches_pair(algebra, lead):
     assert rel_err(kit.ad_d(k), ref_ad_d_pair(kit, k[..., 0, :, :], k[..., 1, :, :])) < 1e-13
 
 
+@pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
+def test_hat_pi_of_a_stack_matches_per_element_calls(algebra):
+    kit, _ = kit_and_split(algebra)
+    rng = np.random.default_rng(5)
+    t = kit.exp_m(rng.uniform(-0.4, 0.4, (7, 3)) + 1j * rng.uniform(-0.4, 0.4, (7, 3)))
+    got = kit.hat_pi(t)
+    assert got.shape == (7, 3, 3)
+    for j in range(7):
+        assert rel_err(got[j], kit.hat_pi(t[j])) < 1e-13
+
+
 @pytest.mark.parametrize("lead", [(), (16,)])
 @pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
 def test_tangent_coeffs_round_trips_chiral_mats(algebra, lead):
@@ -448,6 +470,21 @@ def test_diagnostics_match_per_node_loops(cfg):
 
 
 # ---- the shared RKMK4 stepper against the unrolled ones --------------------------------
+
+
+def random_traceless(rng, size):
+    m = rng.normal(size=(size, 2, 2)) + 1j * rng.normal(size=(size, 2, 2))
+    m[:, 1, 1] = -m[:, 0, 0]
+    return m
+
+
+@pytest.mark.parametrize("norm", [1e-3, 1e-2, 1e-1, 1.0])
+@pytest.mark.parametrize("size", [1, 3, 32, 128])
+def test_closed_form_dexpinv_matches_commutators(size, norm):
+    rng = np.random.default_rng(size)
+    sigma, v = random_traceless(rng, size), random_traceless(rng, size)
+    sigma *= norm / np.linalg.norm(sigma, axis=(-2, -1))[:, None, None]
+    assert rel_err(_vdexpinv(sigma, v), ref_vdexpinv(sigma, v)) < 1e-13
 
 
 @settings(max_examples=20, deadline=None)
@@ -570,3 +607,67 @@ def test_off_chart_node_is_named(algebra):
     for call in (lambda: kit.factorize_gm(state.k), lambda: fs.duality_check(state)):
         with pytest.raises(FactorizationError, match=f"node {j}\\b"):
             call()
+
+
+# ---- work done once per splitting and per state ----------------------------------------
+
+
+def counted(calls, name, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
+def test_generator_map_built_once_per_kit_and_splitting(monkeypatch):
+    preset = make_preset("modified-principal", algebra="su2")
+    kit, split = GroupKit(preset.bialgebra), splitting(preset)
+    calls = Counter()
+    monkeypatch.setattr(fs, "_generator_map", counted(calls, "map", fs._generator_map))
+    state = fs.random_smooth_loop(kit, split, 16, boundary="periodic", seed=3)
+    traj = fs.integrate_field(state, 0.25 * state.dx, 10)
+    assert traj.completed and calls["map"] == 1
+    fs.step(fs.LoopState(GroupKit(preset.bialgebra), split, state.k, "periodic"), 0.01)
+    assert calls["map"] == 2
+
+
+def test_recorded_loop_state_is_factorized_once_in_each_order(monkeypatch):
+    kit, split = kit_and_split("su2")
+    calls = Counter()
+    factorize_gm, factorize_mg = GroupKit.factorize_gm, GroupKit.factorize_mg
+    inside_mg = []
+
+    def gm(self, k):
+        # factorize_mg factors k^-1 by factorize_gm, which is part of its one request
+        calls["gm"] += not inside_mg
+        return factorize_gm(self, k)
+
+    def mg(self, k):
+        calls["mg"] += 1
+        inside_mg.append(k)
+        try:
+            return factorize_mg(self, k)
+        finally:
+            inside_mg.pop()
+
+    monkeypatch.setattr(GroupKit, "factorize_gm", gm)
+    monkeypatch.setattr(GroupKit, "factorize_mg", mg)
+    monkeypatch.setattr(fs, "_tangent_field", counted(calls, "tangent", fs._tangent_field))
+    state = fs.random_smooth_loop(kit, split, 16, boundary="periodic", seed=3)
+    traj = fs.integrate_field(state, 0.25 * state.dx, 6, record_every=1,
+                              with_duality=True, with_residuals=True)
+    assert traj.completed and np.isfinite(traj.eom_residuals_g[1:]).all()
+    n_records = len(traj.times)
+    assert calls == Counter(gm=n_records, mg=n_records, tangent=n_records)
+
+
+def test_recorded_particle_state_builds_one_adjoint_pair(monkeypatch):
+    kit, split = kit_and_split("su2")
+    calls = Counter()
+    monkeypatch.setattr(GroupKit, "ad_g_pair", counted(calls, "pair", GroupKit.ad_g_pair))
+    n_steps = 5
+    traj = pt.integrate_particle(kit, split, np.eye(2), np.array([0.3, 0.1, -0.2]), 1e-2, n_steps)
+    assert traj.completed and len(traj.times) == n_steps + 1
+    # one pair per recorded state, which the step from it reuses in its
+    # first stage, and one for each of the three further stages
+    assert calls["pair"] == 1 + 4 * n_steps

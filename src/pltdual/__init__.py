@@ -28,7 +28,7 @@ from .bialgebra import (
     chiral_iso_defects,
 )
 from .models import ModelPreset, make_sl2r, make_su2, make_preset, PRESET_NAMES
-from .duality import SplittingData, GraphCoordinate, splitting, graph_at
+from .duality import SplittingData, splitting, graph_at
 
 __all__ = [
     "LieAlgebra",
@@ -51,7 +51,6 @@ __all__ = [
     "make_preset",
     "PRESET_NAMES",
     "SplittingData",
-    "GraphCoordinate",
     "splitting",
     "graph_at",
 ]

@@ -211,7 +211,7 @@ def _build_preset(cfg: dict):
 def _float(key: str, value) -> float:
     """``value``, the setting ``key`` or an entry of it, as a finite float."""
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number):
@@ -220,7 +220,11 @@ def _float(key: str, value) -> float:
 
 
 def _int(key: str, value, minimum: int | None = None) -> int:
+    """``value``, the setting ``key``, as an int: a bool or a number with a
+    fractional part is not one."""
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise TypeError
         number = int(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"'{key}' must be an integer, got {value!r}")
@@ -258,7 +262,7 @@ def _public_config(cfg: dict) -> dict:
 def run_validate(cfg: dict) -> int:
     preset = _build_preset(cfg)
     report = validation_report(
-        preset, samples=_int("samples", cfg["samples"]), seed=_int("seed", cfg["seed"], 0)
+        preset, samples=_int("samples", cfg["samples"], 1), seed=_int("seed", cfg["seed"], 0)
     )
     ok = report["max_residual"] < 1e-10
     report["passed"] = bool(ok)
@@ -337,7 +341,10 @@ def _field_state(cfg: dict, preset, kit, split):
     if boundary not in ("periodic", "double-neumann"):
         raise ConfigError(f"unknown boundary '{boundary}'")
     seed, amplitude = _int("seed", cfg["seed"], 0), _float("amplitude", cfg["amplitude"])
-    if cfg.get("pointlike"):
+    pointlike = cfg.get("pointlike", False)
+    if not isinstance(pointlike, bool):
+        raise ConfigError(f"'pointlike' must be true or false, got {pointlike!r}")
+    if pointlike:
         n = preset.bialgebra.g.dim
         rng = np.random.default_rng(seed)
         u0 = kit.exp_g(rng.normal(size=n) * 0.3)

@@ -10,16 +10,17 @@ phi} are complementary, mutually orthogonal subspaces of the double
 whenever lam + 1 + 2 mu is away from zero.  The diagonal pairings are
 +-(lam + 1 + 2 mu) K^-1 and the splitting is Ad_G-invariant iff lam = 0.
 
-Moving graph coordinates slice the transported subspaces Ad_{u^-1} E_+-
-as graphs over m; three independent routes to E_u^-1 (exact subspace
-transport, the invariant-split closed form, and the cocycle form) agree
-to machine precision and are kept separate deliberately; the
-invariant-split route alone, without condition numbers, is
-:func:`graph_maps`.  The dual model slices the same subspaces as graphs
-over g along the dual group, with bar-form Ebar-hat_t^-1 = E_e +
-Pi-hat(t).  The transported slices also come stacked over grid nodes
-(:func:`graph_slices`, :func:`dual_graph_slices`) for the field
-diagnostics.
+Every graph map is a plain array, stacked over leading axes such as grid
+nodes.  :func:`graph_slices` reads the transported subspaces ad E_+- as
+graphs over m: at Ad_{u^-1} they are the sigma model's (E_u^-1, T_u^-1),
+at Ad_{t^-1} the dual model's (Ehat_t, That_t), the inverses of its graph
+maps g -> m.  Three independent routes to (E_u^-1, T_u^-1) (exact subspace
+transport, the invariant-split closed form, and the cocycle form) agree to
+machine precision and are kept separate deliberately (:func:`graph_at`);
+the dual model's bar form Ebar-hat_t^-1 = E_e + Pi-hat(t) is
+:func:`dual_graph_at`.  :func:`graph_inverse` is the one chart check: it
+inverts a graph map inside its chart and raises :class:`GraphBlowupError`,
+naming the first node of a stack, outside it.
 
 Two reports close the module: :func:`validation_report` collects every
 structural residual of one preset, and :func:`limit_slopes` fits the
@@ -54,14 +55,11 @@ __all__ = [
     "GraphBlowupError",
     "SplittingData",
     "ShiftedMaps",
-    "GraphCoordinate",
-    "DualGraphCoordinate",
     "splitting",
-    "graph_maps",
+    "graph_slices",
+    "graph_inverse",
     "graph_at",
     "dual_graph_at",
-    "graph_slices",
-    "dual_graph_slices",
     "lagrangian",
     "su2_trace_lagrangian",
     "dual_lagrangian",
@@ -183,74 +181,36 @@ def splitting(preset: ModelPreset) -> SplittingData:
     )
 
 
-@dataclass
-class GraphCoordinate:
-    """Moving graph data of the sigma-model at a group point u."""
+def graph_slices(split: SplittingData, ad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ad E_+ and ad E_- as graphs over m (m -> g), stacked over the leading
+    axes of the double adjoint action ``ad``.
 
-    e_inv: np.ndarray  # E_u^-1 : m -> g
-    t_inv: np.ndarray  # T_u^-1 : m -> g
-    cond_e: float
-    cond_t: float
-
-    def e_matrix(self) -> np.ndarray:
-        if self.cond_e > COND_CUTOFF:
-            raise GraphBlowupError(
-                f"E_u^-1 condition number {self.cond_e:.3e} exceeds cutoff"
-            )
-        return np.linalg.inv(self.e_inv)
-
-    def t_matrix(self) -> np.ndarray:
-        if self.cond_t > COND_CUTOFF:
-            raise GraphBlowupError(
-                f"T_u^-1 condition number {self.cond_t:.3e} exceeds cutoff"
-            )
-        return np.linalg.inv(self.t_inv)
-
-
-def _slice_over_m(transported: np.ndarray, n: int) -> np.ndarray:
-    return transported[..., :n, :] @ np.linalg.inv(transported[..., n:, :])
-
-
-def _slice_over_g(transported: np.ndarray, n: int) -> np.ndarray:
-    return transported[..., n:, :] @ np.linalg.inv(transported[..., :n, :])
-
-
-def graph_slices(split: SplittingData, ad_uinv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E_u^-1, T_u^-1) : m -> g from the double adjoint action Ad_{u^-1}.
-
-    The ``transport`` route of :func:`graph_at`, stacked over the leading
-    axes of ``ad_uinv`` and without its condition numbers.
+    At Ad_{u^-1} these are the sigma model's (E_u^-1, T_u^-1), the
+    ``transport`` route of :func:`graph_at`; at Ad_{t^-1} they are the dual
+    model's (Ehat_t, That_t), the inverses of its graph maps g -> m.
     """
     n = split.preset.bialgebra.g.dim
-    return (
-        _slice_over_m(ad_uinv @ split.basis_plus, n),
-        _slice_over_m(ad_uinv @ split.basis_minus, n),
+    return tuple(
+        x[..., :n, :] @ np.linalg.inv(x[..., n:, :])
+        for x in (ad @ split.basis_plus, ad @ split.basis_minus)
     )
 
 
-def dual_graph_slices(split: SplittingData, ad_tinv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Ehat_t^-1, That_t^-1) : g -> m from the double adjoint action Ad_{t^-1}.
+def graph_inverse(m: np.ndarray, name: str) -> np.ndarray:
+    """The inverse of the graph map ``m``, stacked over its leading axes.
 
-    The transported slices of :func:`dual_graph_at`, stacked over the
-    leading axes of ``ad_tinv``.
+    Raises GraphBlowupError where the condition number of ``name`` exceeds
+    ``COND_CUTOFF``, naming the first node of a stack.
     """
-    n = split.preset.bialgebra.g.dim
-    eye = np.eye(n)
-    return (
-        _slice_over_g(ad_tinv @ np.vstack([eye, split.e_matrix]), n),
-        _slice_over_g(ad_tinv @ np.vstack([eye, split.t_matrix]), n),
-    )
-
-
-def graph_maps(kit: GroupKit, split: SplittingData, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E_u^-1, T_u^-1) : m -> g at u by the ``invariant-split`` route.
-
-    Ad_{u^-1}(X_e - r1) + r1 from the 3x3 Ad_{u^-1} on g; the cheap part
-    of :func:`graph_at`, without its condition numbers.
-    """
-    a = kit.ad_g(_vinv(u))
-    c = split.shifted_maps
-    return tensor_conjugate(c.e_shift, a) + c.r1, tensor_conjugate(c.t_shift, a) + c.r1
+    cond = np.linalg.cond(m)
+    bad = np.flatnonzero(cond > COND_CUTOFF)
+    if bad.size:
+        j = bad[0]
+        node = f" (first at node {j})" if np.ndim(cond) else ""
+        raise GraphBlowupError(
+            f"{name} condition number {np.ravel(cond)[j]:.3e} exceeds cutoff{node}"
+        )
+    return np.linalg.inv(m)
 
 
 def graph_at(
@@ -258,8 +218,9 @@ def graph_at(
     split: SplittingData,
     u: np.ndarray,
     route: str = "transport",
-) -> GraphCoordinate:
-    """Graph coordinates of Ad_{u^-1} E_+- over m, by the selected route.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(E_u^-1, T_u^-1) : m -> g, the graphs of Ad_{u^-1} E_+- over m, by
+    the selected route.
 
     Routes (all equal; kept independent as cross-checks):
 
@@ -272,40 +233,22 @@ def graph_at(
     """
     uinv = _vinv(u)
     if route == "transport":
-        e_inv, t_inv = graph_slices(split, kit.ad_d(uinv[None]))
-    elif route == "invariant-split":
-        e_inv, t_inv = graph_maps(kit, split, u)
-    elif route == "cocycle":
-        a = kit.ad_g(uinv)
+        return graph_slices(split, kit.ad_d(uinv[None]))
+    a = kit.ad_g(uinv)
+    if route == "invariant-split":
+        c = split.shifted_maps
+        return tensor_conjugate(c.e_shift, a) + c.r1, tensor_conjugate(c.t_shift, a) + c.r1
+    if route == "cocycle":
         rho = split.preset.bialgebra.rho
         pi2 = tensor_conjugate(rho, a) - rho  # r2 cocycle at u^-1
-        e_inv = tensor_conjugate(split.e_inv, a) + pi2
-        t_inv = tensor_conjugate(split.t_inv, a) + pi2
-    else:
-        raise ValueError(f"unknown graph route '{route}'")
-    return GraphCoordinate(
-        e_inv, t_inv, float(np.linalg.cond(e_inv)), float(np.linalg.cond(t_inv))
-    )
+        return tensor_conjugate(split.e_inv, a) + pi2, tensor_conjugate(split.t_inv, a) + pi2
+    raise ValueError(f"unknown graph route '{route}'")
 
 
-@dataclass
-class DualGraphCoordinate:
-    """Graph data of the dual model at a dual-group point t."""
-
-    e_inv: np.ndarray  # Ehat_t^-1 : g -> m (transported slice)
-    e_inv_bar: np.ndarray  # Ebar-hat_t^-1 = E_e + Pi-hat(t) : g -> m
-    t_inv: np.ndarray
-
-    def e_bar_matrix(self) -> np.ndarray:
-        if np.linalg.cond(self.e_inv_bar) > COND_CUTOFF:
-            raise GraphBlowupError("dual graph coordinate left its chart")
-        return np.linalg.inv(self.e_inv_bar)
-
-
-def dual_graph_at(kit: GroupKit, split: SplittingData, t: np.ndarray) -> DualGraphCoordinate:
-    """Graph data of the dual model at the chiral stack t of M."""
-    e_inv, t_inv = dual_graph_slices(split, kit.ad_d(_vinv(t)))
-    return DualGraphCoordinate(e_inv, split.e_matrix + kit.hat_pi(t), t_inv)
+def dual_graph_at(kit: GroupKit, split: SplittingData, t: np.ndarray) -> np.ndarray:
+    """Ebar-hat_t^-1 = E_e + Pi-hat(t) : g -> m, the dual model's graph map
+    at the chiral stack t of M in right-translated form."""
+    return split.e_matrix + kit.hat_pi(t)
 
 
 def lagrangian(
@@ -321,8 +264,7 @@ def lagrangian(
     ``xi_plus`` and ``xi_minus`` are the left-translated lightcone
     derivatives of the path as g coefficient vectors.
     """
-    g = graph_at(kit, split, u, route=route)
-    e = g.e_matrix()
+    e = graph_inverse(graph_at(kit, split, u, route=route)[0], "E_u^-1")
     return complex(np.asarray(xi_minus, dtype=complex) @ (e @ np.asarray(xi_plus, dtype=complex)))
 
 
@@ -354,8 +296,7 @@ def dual_lagrangian(
     ``phi_plus`` / ``phi_minus`` are the right-translated lightcone
     derivatives of the dual path as m coefficient vectors.
     """
-    dg = dual_graph_at(kit, split, t)
-    e_bar = dg.e_bar_matrix()
+    e_bar = graph_inverse(dual_graph_at(kit, split, t), "Ebar-hat_t^-1")
     return complex(
         np.asarray(phi_plus, dtype=complex) @ (e_bar @ np.asarray(phi_minus, dtype=complex))
     )
@@ -456,10 +397,7 @@ def validation_report(preset: ModelPreset, samples: int = 5, seed: int = 0) -> d
                   ("transport", "invariant-split", "cocycle")]
         for g2 in graphs[1:]:
             route_gap = max(
-                route_gap,
-                float(np.max(np.abs(graphs[0].e_inv - g2.e_inv))),
-                float(np.max(np.abs(graphs[0].t_inv - g2.t_inv))),
-            )
+                route_gap, float(np.max(np.abs(np.subtract(graphs[0], g2)))))
     diag_plus, diag_minus = split.diagonal_pairing_defects()
     residuals = {
         "cybe": cybe_residual(b.g, b.rho),
@@ -528,8 +466,8 @@ def limit_slopes(algebra: str = "su2", mus=(10.0, 100.0, 1000.0), samples: int =
             t = kit.su2star_from_vector(svec)
             phi_p = -1j * c * kit.su2star_nabla(svec, c * tp)
             phi_m = -1j * c * kit.su2star_nabla(svec, c * tm)
-            dual_graph = dual_graph_at(kit, split, t)
-            lag = phi_p @ (dual_graph.e_bar_matrix() @ phi_m)
+            e_bar = graph_inverse(dual_graph_at(kit, split, t), "Ebar-hat_t^-1")
+            lag = phi_p @ (e_bar @ phi_m)
             ref = 2.0 * tp @ tm
             worst = max(worst, abs(lag / c**4 - ref) / abs(ref))
         devs_dual.append(worst)

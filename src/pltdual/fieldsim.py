@@ -41,8 +41,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .duality import GraphBlowupError, SplittingData, dual_graph_slices, graph_slices
-from .groups import COND_CUTOFF, FactorizationError, GroupKit, _vinv, rkmk4
+from .duality import GraphBlowupError, SplittingData, graph_inverse, graph_slices
+from .groups import FactorizationError, GroupKit, _vinv, rkmk4
 from .liecore import bracket_coeffs
 
 __all__ = [
@@ -161,7 +161,7 @@ class FieldTrajectory:
     duality_gaps: np.ndarray
     eom_residuals_g: np.ndarray
     eom_residuals_dual: np.ndarray
-    states: list = field(default_factory=list)
+    final_state: LoopState | None = None  # the state of the last recorded row
     completed: bool = True
     failure: str | None = None  # the error that stopped an incomplete run
     warnings: list = field(default_factory=list)  # e.g. a time step past the CFL bound
@@ -465,26 +465,6 @@ def duality_check(state: LoopState) -> float:
 # ---- field-equation residuals ------------------------------------------------
 
 
-def _graph_maps(split: SplittingData, ad_uinv: np.ndarray) -> list[np.ndarray]:
-    """[E_u, T_u] (g -> m) at every node, from Ad_{u^-1}.
-
-    Raises GraphBlowupError, naming the first node, where E_u^-1 or
-    T_u^-1 has a condition number above ``COND_CUTOFF`` (the check of
-    :meth:`GraphCoordinate.e_matrix`).
-    """
-    maps = []
-    for name, inv in zip(("E_u^-1", "T_u^-1"), graph_slices(split, ad_uinv)):
-        cond = np.linalg.cond(inv)
-        bad = np.flatnonzero(cond > COND_CUTOFF)
-        if bad.size:
-            j = bad[0]
-            raise GraphBlowupError(
-                f"{name} condition number {cond[j]:.3e} exceeds cutoff (first at node {j})"
-            )
-        maps.append(np.linalg.inv(inv))
-    return maps
-
-
 def _primal_lightcone_fields(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
     """(E_u(u^-1 u_-), T_u(u^-1 u_+)) at every node, for k = u s.
 
@@ -497,23 +477,21 @@ def _primal_lightcone_fields(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
     u, _, uinv, ad = state.gm_factors
     xi_x = kit.coeffs(uinv @ _x_derivative(u, state.dx, state.boundary, order=2))
     xi_t = _matvec(ad, _flow_velocity(state))[..., :n]
-    e, t = _graph_maps(state.split, ad)
+    e_inv, t_inv = graph_slices(state.split, ad)
+    e, t = graph_inverse(e_inv, "E_u^-1"), graph_inverse(t_inv, "T_u^-1")
     return _matvec(e, 0.5 * (xi_t - xi_x)), _matvec(t, 0.5 * (xi_t + xi_x))
 
 
 def _dual_lightcone_fields(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
     """(Ehat_t phi_-, That_t phi_+) at every node, for k = t v, with
-    Ehat_t and That_t applied as solves against the transported slices."""
+    Ehat_t and That_t the transported slices over m at Ad_{t^-1}."""
     kit = state.kit
     n = kit.b.g.dim
     t, _, tinv, ad = state.mg_factors
     phi_x = kit.tangent_coeffs(tinv @ _x_derivative(t, state.dx, state.boundary, order=2))[..., n:]
     phi_t = _matvec(ad, _flow_velocity(state))[..., n:]
-    e_inv, t_inv = dual_graph_slices(state.split, ad)
-    return (
-        np.linalg.solve(e_inv, (0.5 * (phi_t - phi_x))[..., None])[..., 0],
-        np.linalg.solve(t_inv, (0.5 * (phi_t + phi_x))[..., None])[..., 0],
-    )
+    e_hat, t_hat = graph_slices(state.split, ad)
+    return _matvec(e_hat, 0.5 * (phi_t - phi_x)), _matvec(t_hat, 0.5 * (phi_t + phi_x))
 
 
 def eom_residuals(state0: LoopState, state1: LoopState) -> tuple[float, float]:
@@ -576,7 +554,8 @@ def dressing_relation_residual(state: LoopState) -> float:
     s_t = dec[..., n:]  # ds/dt s^-1 in m-coefficients
     xi_x = kit.coeffs(uinv @ _x_derivative(u, dx, bd))
     s_x = kit.tangent_coeffs(_right_tangent(s, dx, bd))[..., n:]
-    e, t = _graph_maps(state.split, ad)
+    e_inv, t_inv = graph_slices(state.split, ad)
+    e, t = graph_inverse(e_inv, "E_u^-1"), graph_inverse(t_inv, "T_u^-1")
     lhs_p = 0.5 * (s_t + s_x) - _matvec(t, 0.5 * (xi_t + xi_x))
     lhs_m = 0.5 * (s_t - s_x) - _matvec(e, 0.5 * (xi_t - xi_x))
     return float(max(np.abs(lhs_p).max(), np.abs(lhs_m).max()))
@@ -651,23 +630,23 @@ def integrate_field(
     record_every: int = 1,
     with_duality: bool = False,
     with_residuals: bool = False,
-    keep_states: bool = False,
 ) -> FieldTrajectory:
     """Integrate the loop flow, recording diagnostics every ``record_every``
     steps and after the last one.
 
-    A chart exit (factorization, graph blow-up or a singular solve) or a
+    A chart exit (factorization, graph blow-up or a singular matrix) or a
     state that turns non-finite ends the run early with ``completed``
     False and ``failure`` set; the rows recorded before it are kept, and a
     row is recorded whole or not at all.  A time step past the CFL bound
     is listed in ``warnings`` (and warned of by every :func:`step`).
+    ``final_state`` is the state of the last recorded row.
     """
     columns = times, hams, moms, fds, gaps, rgs, rts = [], [], [], [], [], [], []
-    states = []
-    failure = None
+    final_state = failure = None
     excess = _cfl_excess(state, dt)
 
     def record(s: LoopState, prev_state: LoopState | None):
+        nonlocal final_state
         row = [s.time, total_hamiltonian(s), moment_map_basis(s), loop_functions(s)[1]]
         row.append(duality_check(s) if with_duality else np.nan)
         if with_residuals and prev_state is not None:
@@ -676,8 +655,7 @@ def integrate_field(
             row.extend([np.nan, np.nan])
         for column, value in zip(columns, row):
             column.append(value)
-        if keep_states:
-            states.append(s.copy())
+        final_state = s
 
     try:
         record(state, None)
@@ -702,7 +680,7 @@ def integrate_field(
         np.array(gaps),
         np.array(rgs),
         np.array(rts),
-        states,
+        final_state,
         failure is None,
         failure,
         [excess] if excess else [],

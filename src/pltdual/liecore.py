@@ -12,7 +12,6 @@ contracted by :func:`bracket_coeffs` and :func:`ad_matrix`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +22,6 @@ __all__ = [
     "jacobi_residual",
     "antisymmetry_residual",
     "ad_matrix",
-    "algebra_to_json",
-    "algebra_from_json",
 ]
 
 
@@ -33,7 +30,7 @@ class LieAlgebra:
     """A Lie algebra given by structure constants.
 
     ``c[i, j, k]`` is the coefficient of ``e_k`` in ``[e_i, e_j]``.
-    ``labels`` names the basis vectors for reports and serialization.
+    ``labels`` names the basis vectors for reports.
     """
 
     c: np.ndarray
@@ -78,31 +75,3 @@ def jacobi_residual(algebra: LieAlgebra) -> float:
     t = np.einsum("ijm,mkl->ijkl", c, c)
     cyc = t + np.transpose(t, (1, 2, 0, 3)) + np.transpose(t, (2, 0, 1, 3))
     return float(np.max(np.abs(cyc)))
-
-
-def algebra_to_json(algebra: LieAlgebra) -> str:
-    """Serialize as dimension, labels and sparse [i, j, k, re, im] tuples."""
-    entries = []
-    n = algebra.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                z = algebra.c[i, j, k]
-                if z != 0:
-                    entries.append([i, j, k, float(z.real), float(z.imag)])
-    payload = {
-        "dim": n,
-        "labels": list(algebra.labels),
-        "name": algebra.name,
-        "structure_constants": entries,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def algebra_from_json(text: str) -> LieAlgebra:
-    payload = json.loads(text)
-    n = int(payload["dim"])
-    c = np.zeros((n, n, n), dtype=complex)
-    for i, j, k, re, im in payload["structure_constants"]:
-        c[i, j, k] = complex(re, im)
-    return LieAlgebra(c, tuple(payload["labels"]), payload.get("name", ""))

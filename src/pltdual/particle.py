@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import SplittingData, graph_at
+from .duality import SplittingData, graph_at, graph_inverse
 from .groups import GroupKit, _vcond, _vinv, expm2, rkmk4
 from .liecore import bracket_coeffs
 from .models import ModelPreset
@@ -131,11 +131,10 @@ def particle_rhs_inverse_form(
     wherever E_u and T_u exist, but requires invertible E_u^-1, T_u^-1,
     so the primary right-hand side works with the un-inverted maps.
     """
-    g = graph_at(kit, split, u, route="invariant-split")
-    e = g.e_matrix()
-    t = g.t_matrix()
+    e_inv, t_inv = graph_at(kit, split, u, route="invariant-split")
+    e, t = graph_inverse(e_inv, "E_u^-1"), graph_inverse(t_inv, "T_u^-1")
     udot = -2.0 * np.linalg.solve(e - t, p)
-    w = np.linalg.solve(g.e_inv - g.t_inv, (g.e_inv + g.t_inv) @ p)
+    w = np.linalg.solve(e_inv - t_inv, (e_inv + t_inv) @ p)
     pdot = bracket_coeffs(split.preset.bialgebra.m.c, w, p)
     return udot, pdot
 

@@ -133,24 +133,24 @@ def test_acceptance_3_route_agreement():
         rng = np.random.default_rng(7)
         for _ in range(100):
             u = kit.exp_g(rng.normal(size=3) * 0.6)
-            graphs = [
+            (e0, t0), *others = [
                 graph_at(kit, split, u, route=r)
                 for r in ("transport", "invariant-split", "cocycle")
             ]
-            for g2 in graphs[1:]:
+            for e_inv, t_inv in others:
                 worst_routes = max(
                     worst_routes,
-                    float(np.max(np.abs(graphs[0].e_inv - g2.e_inv))),
-                    float(np.max(np.abs(graphs[0].t_inv - g2.t_inv))),
+                    float(np.max(np.abs(e0 - e_inv))),
+                    float(np.max(np.abs(t0 - t_inv))),
                 )
         _, kit_g, split_g = _setup(algebra, preset="g-invariant")
         for _ in range(20):
             u = kit_g.exp_g(rng.normal(size=3) * 0.7)
-            g = graph_at(kit_g, split_g, u)
+            e_inv, t_inv = graph_at(kit_g, split_g, u)
             worst_uindep = max(
                 worst_uindep,
-                float(np.max(np.abs(g.e_inv - split_g.e_inv))),
-                float(np.max(np.abs(g.t_inv - split_g.t_inv))),
+                float(np.max(np.abs(e_inv - split_g.e_inv))),
+                float(np.max(np.abs(t_inv - split_g.t_inv))),
             )
     ok = worst_routes < 1e-11 and worst_uindep < 1e-12
     _report(
@@ -170,17 +170,17 @@ def test_acceptance_4_su2_closed_forms():
     worst_graph = worst_inv = worst_lag = 0.0
     for _ in range(50):
         u = kit.exp_g(rng.normal(size=3) * 0.8)
-        g = graph_at(kit, split, u)
-        worst_graph = max(worst_graph, float(np.max(np.abs(g.e_inv - su2_e_inv_closed(u)))))
+        e_inv, _ = graph_at(kit, split, u)
+        worst_graph = max(worst_graph, float(np.max(np.abs(e_inv - su2_e_inv_closed(u)))))
         worst_inv = max(
             worst_inv,
             float(np.max(np.abs(su2_e_closed(u) @ su2_e_inv_closed(u) - np.eye(3)))),
         )
         t_vec = rng.normal(size=3) * 0.3
         t = kit.su2star_from_vector(t_vec)
-        dg = dual_graph_at(kit, split, t)
+        e_bar_inv = dual_graph_at(kit, split, t)
         worst_graph = max(
-            worst_graph, float(np.max(np.abs(dg.e_inv_bar - su2_dual_e_inv_closed(t_vec))))
+            worst_graph, float(np.max(np.abs(e_bar_inv - su2_dual_e_inv_closed(t_vec))))
         )
         worst_inv = max(
             worst_inv,
@@ -310,8 +310,8 @@ def test_acceptance_6_field_simulation():
     p0 = np.array([0.4, -0.2, 0.5], dtype=complex) * 0.3
     u0 = expm2(kit.mat(np.array([0.2, -0.1, 0.3])))
     stp = fs.init_pointlike(kit, split, u0, p0, 64)
-    trp = fs.integrate_field(stp, 2.5e-3, 400, record_every=400, keep_states=True)
-    last = trp.states[-1]
+    trp = fs.integrate_field(stp, 2.5e-3, 400, record_every=400)
+    last = trp.final_state
     us, _ = kit.factorize_gm(last.k)
     u_spread = float(np.abs(us - us[32]).max())
     ts, vs = kit.factorize_mg(last.k)

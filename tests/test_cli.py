@@ -186,7 +186,17 @@ def assert_exit_contract(argv):
 
 # reproducers of runs that used to end in a traceback or a wrong parse:
 # (arguments, exit code, part of the stderr error message); "{tmp}" is a
-# scratch directory holding bad.json = {"N": "abc"}
+# scratch directory holding the CONFIG_FILES
+CONFIG_FILES = {
+    "bad.json": {"N": "abc"},
+    "fractional.json": {"N": 16.9, "record_every": 2.5, "seed": 1.7},
+    "N-fractional.json": {"N": 16.9},
+    "seed-fractional.json": {"seed": 1.7},
+    "N-integral-float.json": {"N": 16.0, "T": 0.01},
+    "T-dt-bool.json": {"T": True, "dt": True},
+    "T-bool.json": {"T": True},
+    "pointlike-string.json": {"pointlike": "no"},
+}
 REPRODUCERS = {
     "record-every-0": (["particle", "--T", "0.01", "--record-every", "0"], EXIT_CONFIG,
                        "'record_every' must be at least 1"),
@@ -203,6 +213,22 @@ REPRODUCERS = {
     "mus-negative": (["limits", "--mus", "-10,100"], EXIT_CONFIG, "'mus' must be positive"),
     "config-N-not-numeric": (["field", "--config", "{tmp}/bad.json"], EXIT_CONFIG,
                              "'N' must be an integer"),
+    "config-fractional": (["field", "--config", "{tmp}/fractional.json"], EXIT_CONFIG,
+                          "'record_every' must be an integer, got 2.5"),
+    "config-N-fractional": (["field", "--config", "{tmp}/N-fractional.json"], EXIT_CONFIG,
+                            "'N' must be an integer, got 16.9"),
+    "config-seed-fractional": (["field", "--config", "{tmp}/seed-fractional.json"], EXIT_CONFIG,
+                               "'seed' must be an integer, got 1.7"),
+    "config-N-integral-float": (["field", "--config", "{tmp}/N-integral-float.json"], EXIT_OK,
+                                None),
+    "config-T-dt-bool": (["field", "--config", "{tmp}/T-dt-bool.json"], EXIT_CONFIG,
+                         "'dt' must be a finite number, got True"),
+    "config-T-bool": (["field", "--config", "{tmp}/T-bool.json"], EXIT_CONFIG,
+                      "'T' must be a finite number, got True"),
+    "validate-samples-0": (["validate", "--samples", "0"], EXIT_CONFIG,
+                           "'samples' must be at least 1"),
+    "config-pointlike-string": (["field", "--config", "{tmp}/pointlike-string.json"],
+                                EXIT_CONFIG, "'pointlike' must be true or false, got 'no'"),
     "output-dir-missing": (["particle", "--T", "0.01", "--output", "{tmp}/missing/dir/x.csv"],
                            EXIT_CONFIG, "'output' directory does not exist"),
     "metadata-dir-missing": (["particle", "--T", "0.01", "--metadata", "{tmp}/missing/x.json"],
@@ -220,7 +246,8 @@ REPRODUCERS = {
 @pytest.mark.parametrize("case", REPRODUCERS)
 def test_reproducers_keep_the_exit_contract(capsys, tmp_path, case):
     argv, expected, message = REPRODUCERS[case]
-    (tmp_path / "bad.json").write_text(json.dumps({"N": "abc"}))
+    for name, options in CONFIG_FILES.items():
+        (tmp_path / name).write_text(json.dumps(options))
     code, _, err = run_cli(capsys, *[arg.format(tmp=tmp_path) for arg in argv])
     assert code == expected
     if message is None:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from pltdual.duality import (
-    DualGraphCoordinate,
     GraphBlowupError,
     SplittingError,
     dual_graph_at,
     dual_lagrangian,
     graph_at,
+    graph_inverse,
+    graph_slices,
     lagrangian,
     splitting,
     su2_dual_e_closed,
@@ -84,10 +85,10 @@ def test_three_routes_agree(algebra):
     rng = np.random.default_rng(7)
     for _ in range(100):
         u = kit.exp_g(rng.normal(size=3) * 0.6)
-        graphs = [graph_at(kit, split, u, route=r) for r in ROUTES]
-        for other in graphs[1:]:
-            assert np.max(np.abs(graphs[0].e_inv - other.e_inv)) < 1e-11
-            assert np.max(np.abs(graphs[0].t_inv - other.t_inv)) < 1e-11
+        (e0, t0), *others = [graph_at(kit, split, u, route=r) for r in ROUTES]
+        for e_inv, t_inv in others:
+            assert np.max(np.abs(e0 - e_inv)) < 1e-11
+            assert np.max(np.abs(t0 - t_inv)) < 1e-11
 
 
 @pytest.mark.parametrize("algebra", ["sl2r", "su2"])
@@ -97,26 +98,26 @@ def test_g_invariant_family_is_u_independent(algebra):
     rng = np.random.default_rng(8)
     for _ in range(20):
         u = kit.exp_g(rng.normal(size=3) * 0.7)
-        g = graph_at(kit, split, u)
-        assert np.max(np.abs(g.e_inv - split.e_inv)) < 1e-12
-        assert np.max(np.abs(g.t_inv - split.t_inv)) < 1e-12
+        e_inv, t_inv = graph_at(kit, split, u)
+        assert np.max(np.abs(e_inv - split.e_inv)) < 1e-12
+        assert np.max(np.abs(t_inv - split.t_inv)) < 1e-12
 
 
 def test_graph_blowup_raises():
     """The pure quasitriangular non-compact family has a singular metric
     operator at the identity: asking for E_u is a chart error, not a NaN."""
     _, kit, split = setup("sl2r", preset="pure-qt")
-    g = graph_at(kit, split, np.eye(2))
-    with pytest.raises(GraphBlowupError):
-        g.e_matrix()
+    e_inv, _ = graph_at(kit, split, np.eye(2))
+    with pytest.raises(GraphBlowupError, match=r"E_u\^-1 condition number .* exceeds cutoff$"):
+        graph_inverse(e_inv, "E_u^-1")
 
 
 @pytest.mark.parametrize("algebra", ["sl2r", "su2"])
 def test_graph_at_identity_is_splitting(algebra):
     _, kit, split = setup(algebra)
-    g = graph_at(kit, split, np.eye(2))
-    assert np.max(np.abs(g.e_inv - split.e_inv)) < 1e-13
-    assert np.max(np.abs(g.t_inv - split.t_inv)) < 1e-13
+    e_inv, t_inv = graph_at(kit, split, np.eye(2))
+    assert np.max(np.abs(e_inv - split.e_inv)) < 1e-13
+    assert np.max(np.abs(t_inv - split.t_inv)) < 1e-13
 
 
 # ---- su2 closed forms --------------------------------------------------------------
@@ -129,8 +130,8 @@ def test_su2_graph_closed_form():
     rng = np.random.default_rng(9)
     for _ in range(50):
         u = kit.exp_g(rng.normal(size=3) * 0.8)
-        g = graph_at(kit, split, u)
-        assert np.max(np.abs(g.e_inv - su2_e_inv_closed(u))) < 1e-12
+        e_inv, _ = graph_at(kit, split, u)
+        assert np.max(np.abs(e_inv - su2_e_inv_closed(u))) < 1e-12
 
 
 def test_su2_metric_closed_inverse():
@@ -151,8 +152,8 @@ def test_su2_dual_graph_closed_form():
     for _ in range(50):
         t_vec = rng.normal(size=3) * 0.3
         t = kit.su2star_from_vector(t_vec)
-        dg = dual_graph_at(kit, split, t)
-        assert np.max(np.abs(dg.e_inv_bar - su2_dual_e_inv_closed(t_vec))) < 1e-12
+        e_bar_inv = dual_graph_at(kit, split, t)
+        assert np.max(np.abs(e_bar_inv - su2_dual_e_inv_closed(t_vec))) < 1e-12
         prod = su2_dual_e_closed(t_vec) @ su2_dual_e_inv_closed(t_vec)
         assert np.max(np.abs(prod - np.eye(3))) < 1e-12
 
@@ -219,18 +220,55 @@ def test_su2_dual_vector_lagrangian_matches_operator_form():
 
 
 def test_dual_graph_transport_vs_cocycle():
-    """The transported-slice dual operator agrees with E_e + Pi-hat(t) after
-    the change of translation, i.e. both invert to the same Lagrangian."""
+    """The transported-slice dual operator Ehat_t agrees with the bar form
+    E_e + Pi-hat(t) after the change of translation by the m-block B of
+    Ad_t: Ehat_t = B^T (E_e + Pi-hat(t))^-1 B, and its graph lies in the
+    transported subspace."""
     _, kit, split = setup("su2")
     rng = np.random.default_rng(17)
     t_vec = rng.normal(size=3) * 0.3
     t = kit.su2star_from_vector(t_vec)
-    dg = dual_graph_at(kit, split, t)
-    assert isinstance(dg, DualGraphCoordinate)
+    adt, adtinv = kit.ad_d(t), kit.ad_d(_vinv(t))
+    e_hat, _ = graph_slices(split, adtinv)
+    b = adt[3:, 3:]
+    e_bar = np.linalg.inv(dual_graph_at(kit, split, t))
+    assert np.max(np.abs(b.T @ e_bar @ b - e_hat)) < 1e-12
     # the two routes describe the same splitting transported to t: the
     # graph subspaces built from either operator coincide
-    bp_slice = np.vstack([np.eye(3), dg.e_inv])
-    adt = kit.ad_d(_vinv(t))
-    span = adt @ np.vstack([np.eye(3), split.e_matrix])
+    graph = np.vstack([e_hat, np.eye(3)])
+    span = adtinv @ np.vstack([np.eye(3), split.e_matrix])
     proj = span @ np.linalg.pinv(span)
-    assert np.max(np.abs(proj @ bp_slice - bp_slice)) < 1e-10
+    assert np.max(np.abs(proj @ graph - graph)) < 1e-10
+
+
+@pytest.mark.parametrize("algebra", ["sl2r", "su2"])
+def test_dual_slices_match_solve_route(algebra):
+    """(Ehat_t, That_t) from :func:`graph_slices` at Ad_{t^-1} apply as the
+    former route did: slice Ad_{t^-1} [1; X_e] over g, then solve."""
+    _, kit, split = setup(algebra)
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        p = rng.normal(size=3) * 0.4
+        t = kit.exp_m(-1j * p if algebra == "su2" else p)
+        ad = kit.ad_d(_vinv(t))
+        phi = rng.normal(size=3) + 1j * rng.normal(size=3)
+        for x_e, x_hat in zip((split.e_matrix, split.t_matrix), graph_slices(split, ad)):
+            moved = ad @ np.vstack([np.eye(3), x_e])
+            want = np.linalg.solve(moved[3:] @ np.linalg.inv(moved[:3]), phi)
+            assert np.max(np.abs(x_hat @ phi - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_graph_inverse_names_the_singular_node():
+    """On a stack the chart check names the first node past the cutoff; on
+    one matrix the message names no node."""
+    _, kit, split = setup("su2")
+    rng = np.random.default_rng(19)
+    u = kit.exp_g(rng.normal(size=(16, 3)) * 0.5)
+    e_inv, _ = graph_slices(split, kit.ad_d(_vinv(u)[:, None]))
+    assert np.allclose(graph_inverse(e_inv, "E_u^-1") @ e_inv, np.eye(3))
+    e_inv[11] = np.diag([1.0, 1.0, 1e-12])
+    with pytest.raises(GraphBlowupError, match=r"^E_u\^-1 condition number .* \(first at node 11\)$"):
+        graph_inverse(e_inv, "E_u^-1")
+    with pytest.raises(GraphBlowupError) as info:
+        graph_inverse(e_inv[11], "E_u^-1")
+    assert "node" not in str(info.value)

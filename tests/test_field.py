@@ -40,7 +40,7 @@ def pointlike_run(su2_mp):
     p0 = np.array([0.4, -0.2, 0.5], dtype=complex) * 0.3
     u0 = expm2(kit.mat(np.array([0.2, -0.1, 0.3])))
     st = fs.init_pointlike(kit, split, u0, p0, 64)
-    traj = fs.integrate_field(st, 2.5e-3, 400, record_every=400, keep_states=True)
+    traj = fs.integrate_field(st, 2.5e-3, 400, record_every=400)
     return u0, p0, traj
 
 
@@ -151,7 +151,7 @@ def test_pointlike_reduces_to_particle(pointlike_run, su2_mp):
     kit, split = su2_mp
     u0, p0, ftraj = pointlike_run
     ptraj = pt.integrate_particle(kit, split, u0, p0, 2.5e-3, 400, record_every=400)
-    last = ftraj.states[-1]
+    last = ftraj.final_state
     us, s = kit.factorize_gm(last.k)
     sx = fs._x_derivative(s, last.dx, last.boundary) @ fs._vinv(s)
     pf = np.stack([kit.tangent_coeffs(sx[j])[N:] for j in range(last.n_nodes)])
@@ -168,7 +168,7 @@ def test_pointlike_dual_constancy(pointlike_run, su2_mp):
     are constant in x."""
     kit, _ = su2_mp
     _, _, ftraj = pointlike_run
-    last = ftraj.states[-1]
+    last = ftraj.final_state
     t, vm = kit.factorize_mg(last.k)
     tv = np.stack([kit.factorize_gm(t[j] @ vm[j])[0] for j in range(last.n_nodes)])
     assert np.abs(tv - tv.mean(axis=0)).max() < 1e-6

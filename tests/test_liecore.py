@@ -1,4 +1,4 @@
-"""Structure-constant algebra: brackets, ad matrices, serialization."""
+"""Structure-constant algebra: brackets, ad matrices, Jacobi and antisymmetry residuals."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from pltdual.bialgebra import hyperbolic_pairing
 from pltdual.liecore import (
     LieAlgebra,
     ad_matrix,
-    algebra_from_json,
-    algebra_to_json,
     antisymmetry_residual,
     bracket_coeffs,
     jacobi_residual,
@@ -73,14 +71,6 @@ def test_bilinear_form_pairing(algebra):
     xi, phi, eta, psi = rng.normal(size=(4, n))
     lhs = np.concatenate([xi, phi]) @ p @ np.concatenate([eta, psi])
     assert lhs == pytest.approx(phi @ eta + psi @ xi)
-
-
-def test_json_round_trip(algebra):
-    text = algebra_to_json(algebra)
-    back = algebra_from_json(text)
-    assert np.allclose(back.c, algebra.c)
-    assert back.labels == algebra.labels
-    assert back.name == algebra.name
 
 
 def test_mismatched_algebras_rejected():

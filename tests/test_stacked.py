@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from pltdual import fieldsim as fs
 from pltdual import particle as pt
-from pltdual.duality import dual_graph_at, graph_at, splitting
+from pltdual.duality import graph_at, splitting
 from pltdual.groups import (
     FactorizationError,
     GroupKit,
@@ -152,9 +152,9 @@ def ref_primal_fields(state):
         uinv = np.linalg.inv(u)
         xi_x = kit.coeffs(uinv @ dux[j])
         xi_t = (kit.ad_d(uinv[None]) @ kdot[j])[:3]
-        g = graph_at(kit, split, u)
-        a.append(g.e_matrix() @ (0.5 * (xi_t - xi_x)))
-        b.append(g.t_matrix() @ (0.5 * (xi_t + xi_x)))
+        e_inv, t_inv = graph_at(kit, split, u)
+        a.append(np.linalg.inv(e_inv) @ (0.5 * (xi_t - xi_x)))
+        b.append(np.linalg.inv(t_inv) @ (0.5 * (xi_t + xi_x)))
     return np.stack(a), np.stack(b)
 
 
@@ -167,10 +167,13 @@ def ref_dual_fields(state):
     for j, t in enumerate(ts):
         tinv = _vinv(t)
         phi_x = kit.tangent_coeffs(tinv @ dts[j])[3:]
-        phi_t = (kit.ad_d(tinv) @ kdot[j])[3:]
-        dg = dual_graph_at(kit, split, t)
-        a.append(np.linalg.solve(dg.e_inv, 0.5 * (phi_t - phi_x)))
-        b.append(np.linalg.solve(dg.t_inv, 0.5 * (phi_t + phi_x)))
+        ad = kit.ad_d(tinv)
+        phi_t = (ad @ kdot[j])[3:]
+        # Ehat_t^-1, That_t^-1 (g -> m): Ad_{t^-1} [1; X_e] sliced over g
+        moved = [ad @ np.vstack([np.eye(3), xe]) for xe in (split.e_matrix, split.t_matrix)]
+        e_hat_inv, t_hat_inv = (x[3:] @ np.linalg.inv(x[:3]) for x in moved)
+        a.append(np.linalg.solve(e_hat_inv, 0.5 * (phi_t - phi_x)))
+        b.append(np.linalg.solve(t_hat_inv, 0.5 * (phi_t + phi_x)))
     return np.stack(a), np.stack(b)
 
 

@@ -15,15 +15,18 @@ Subcommands
   closed-form targets.
 
 Every subcommand accepts ``--config FILE`` with a JSON object of
-options; explicit command-line flags override the file.  The random
-seed defaults to 0 and all outputs are byte-identical for a fixed
-configuration.  Exit codes: 0 success, 2 configuration error (with a
+options; explicit command-line flags override the file.  Each option is
+declared once, in ``_OPTIONS``, with its kind, default, bound and help:
+the parser's flags and the one check of every value derive from it.
+The random seed defaults to 0 and all outputs are byte-identical for a
+fixed configuration.  Exit codes: 0 success, 2 configuration error (with a
 machine-readable JSON error document on stderr), 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import errno
 import functools
 import json
@@ -76,51 +79,57 @@ class ConfigError(ValueError):
 
 # ---- configuration ----------------------------------------------------------------
 
-_COMMON_DEFAULTS = {
-    "preset": "modified-principal",
-    "algebra": "su2",
-    "lam": None,
-    "mu": None,
-    "seed": 0,
-    "output": None,
+# an option: (kind, default, bound, help); the bound is an int kind's
+# minimum, a choice's values, the least count of a positives list and, for
+# a path, whether it names a directory
+_MODEL = {
+    "algebra": ("choice", "su2", ALGEBRA_NAMES, "base algebra"),
+    "preset": ("choice", "modified-principal", PRESET_NAMES, "model preset name"),
+    "lam": ("complex", None, None, "custom splitting parameter lambda"),
+    "mu": ("complex", None, None, "custom splitting parameter mu"),
 }
+_OUTPUT = ("path", None, False, "output path (default stdout)")
+_METADATA = ("path", None, False, "metadata JSON output path")
+_SEED = ("int", 0, 0, "random seed (default 0)")
+_T = ("positive", 1.0, None, "time horizon")
+_BOUNDARY = ("choice", "periodic", ("periodic", "double-neumann"), "boundary condition")
 
-_DEFAULTS = {
-    "validate": {**_COMMON_DEFAULTS, "samples": 5},
+# every option of every command, in the order its values are checked
+_OPTIONS = {
+    "validate": {"output": _OUTPUT, **_MODEL,
+                 "samples": ("int", 5, 1, "random group points to test"), "seed": _SEED},
     "particle": {
-        **_COMMON_DEFAULTS,
-        "dt": 1e-3,
-        "T": 1.0,
-        "record_every": 1,
-        "u0_log": None,
-        "p0": None,
-        "metadata": None,
+        "output": _OUTPUT, "metadata": _METADATA, **_MODEL,
+        "dt": ("positive", 1e-3, None, "time step"), "T": _T,
+        "record_every": ("int", 1, 1, "steps between records"), "seed": _SEED,
+        "u0_log": ("vector", None, None, "comma-separated log of u(0)"),
+        "p0": ("vector", None, None, "comma-separated initial momentum"),
     },
     "field": {
-        **_COMMON_DEFAULTS,
-        "N": 64,
-        "dt": 2.5e-3,
-        "T": 1.0,
-        "boundary": "periodic",
-        "amplitude": 0.1,
-        "record_every": 10,
-        "pointlike": False,
-        "metadata": None,
+        "output": _OUTPUT, "metadata": _METADATA, **_MODEL,
+        "dt": ("positive", 2.5e-3, None, "time step"), "T": _T,
+        "record_every": ("int", 10, 1, "steps between records"),
+        "N": ("int", 64, 8, "number of grid cells"), "boundary": _BOUNDARY, "seed": _SEED,
+        "amplitude": ("float", 0.1, None, "initial-data amplitude"),
+        "pointlike": ("bool", False, None, "x-independent group factor initial data"),
     },
-    "duality": {**_COMMON_DEFAULTS, "N": 32, "amplitude": 0.3, "boundary": "periodic"},
+    "duality": {
+        "output": _OUTPUT, **_MODEL, "N": ("int", 32, 8, "number of grid cells"),
+        "boundary": _BOUNDARY, "seed": _SEED,
+        "amplitude": ("float", 0.3, None, "initial-data amplitude"),
+    },
     "sweep": {
-        "command": "field",
-        "replicas": 4,
-        "output_dir": ".",
-        "base": {},
-        "max_workers": 4,
+        "output_dir": ("path", ".", True, "directory for artifacts"),
+        "command": ("choice", "field", ("validate", "particle", "field", "duality"),
+                    "command to replicate"),
+        "replicas": ("int", 4, 1, "number of seeds (0..R-1)"),
+        "base": ("object", {}, None, "options of every replica (config file only)"),
+        "max_workers": ("int", 4, None, "replicas run at once"),
     },
     "limits": {
-        "algebra": "su2",
-        "mus": [10.0, 100.0, 1000.0],
-        "samples": 10,
-        "seed": 0,
-        "output": None,
+        "output": _OUTPUT, "algebra": ("choice", "su2", ("su2",), "base algebra"),
+        "mus": ("positives", [10.0, 100.0, 1000.0], 2, "comma-separated mu values"),
+        "samples": ("int", 10, 1, "random samples per mu"), "seed": _SEED,
     },
 }
 
@@ -128,12 +137,11 @@ _DEFAULTS = {
 def _with_options(command: str, options: dict) -> dict:
     """The defaults of ``command`` updated with ``options``, each of which
     must be one of its keys."""
-    cfg = dict(_DEFAULTS[command])
-    for key, value in options.items():
-        if key not in cfg:
+    table = _OPTIONS[command]
+    for key in options:
+        if key not in table:
             raise ConfigError(f"unknown config key for '{command}': {key}")
-        cfg[key] = value
-    return cfg
+    return {key: options.get(key, entry[1]) for key, entry in table.items()}
 
 
 def _merge_config(command: str, args: argparse.Namespace) -> dict:
@@ -157,69 +165,19 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _check_output_paths(cfg: dict) -> None:
-    """Reject an output location whose directory does not exist, or an
-    output file that names a directory, before any computation."""
-    files = {key: str(cfg[key]) for key in ("output", "metadata") if cfg.get(key)}
-    dirs = {key: os.path.dirname(path) or "." for key, path in files.items()}
-    if "output_dir" in cfg:
-        dirs["output_dir"] = str(cfg["output_dir"])
-    for key, path in dirs.items():
-        if not os.path.isdir(path):
-            raise ConfigError(f"'{key}' directory does not exist: {path}")
-    for path in files.values():
-        if os.path.isdir(path):
-            # the error open() would raise after the run
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-
-
-def _parse_vector(text) -> np.ndarray | None:
-    if text is None:
-        return None
-    parts = text if isinstance(text, (list, tuple)) else str(text).split(",")
+def _finite(key: str, value, cast=float):
+    """``value``, the setting ``key`` or an entry of it, as a finite float
+    or, with ``cast=complex``, a finite complex number."""
     try:
-        return np.array([complex(part) for part in parts])
-    except (TypeError, ValueError):
-        raise ConfigError(f"cannot parse vector: {text!r}")
-
-
-def _build_preset(cfg: dict):
-    algebra = cfg["algebra"]
-    name = cfg["preset"]
-    if algebra not in ALGEBRA_NAMES:
-        raise ConfigError(f"unknown algebra '{algebra}' (choose from {ALGEBRA_NAMES})")
-    if name not in PRESET_NAMES:
-        raise ConfigError(f"unknown preset '{name}' (choose from {PRESET_NAMES})")
-    lam = cfg["lam"]
-    mu = cfg["mu"]
-    try:
-        preset = make_preset(
-            name,
-            algebra=algebra,
-            lam=None if lam is None else complex(lam),
-            mu=None if mu is None else complex(mu),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
-    if not preset.is_factorisable():
-        raise ConfigError(
-            f"degenerate splitting: lam + 1 + 2 mu = {preset.split_denominator:.3e}"
-        )
-    return preset
-
-
-def _float(key: str, value) -> float:
-    """``value``, the setting ``key`` or an entry of it, as a finite float."""
-    try:
-        number = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+        number = math.nan if isinstance(value, bool) else cast(value)
+    except (TypeError, ValueError, OverflowError):
         number = math.nan
-    if not math.isfinite(number):
+    if not cmath.isfinite(number):
         raise ConfigError(f"'{key}' must be a finite number, got {value!r}")
     return number
 
 
-def _int(key: str, value, minimum: int | None = None) -> int:
+def _int(key: str, value, minimum: int | None) -> int:
     """``value``, the setting ``key``, as an int: a bool or a number with a
     fractional part is not one."""
     try:
@@ -233,11 +191,92 @@ def _int(key: str, value, minimum: int | None = None) -> int:
     return number
 
 
-def _positive(key: str, value) -> float:
-    value = _float(key, value)
+def _positive(key: str, value, bound=None) -> float:
+    value = _finite(key, value)
     if value <= 0:
         raise ConfigError(f"'{key}' must be positive, got {value}")
     return value
+
+
+def _entries(value) -> list:
+    """A list setting's entries: a JSON list, or a comma-separated text."""
+    return value if isinstance(value, (list, tuple)) else str(value).split(",")
+
+
+def _positives(key: str, value, count: int) -> list:
+    entries = _entries(value)
+    if len(entries) < count:
+        raise ConfigError(f"'{key}' needs at least {count} values, got {value!r}")
+    return [_positive(key, entry) for entry in entries]
+
+
+def _choice(key: str, value, choices: tuple):
+    if value not in choices:
+        raise ConfigError(f"unknown {key} '{value}' (choose from {choices})")
+    return value
+
+
+def _typed(kind: type, wording: str):
+    def check(key: str, value, bound=None):
+        if not isinstance(value, kind):
+            raise ConfigError(f"'{key}' must be {wording}, got {value!r}")
+        return value
+    return check
+
+
+def _path(key: str, value, names_dir: bool) -> str:
+    """Reject an output location whose directory does not exist, or an
+    output file that names a directory, before any computation."""
+    if not isinstance(value, str):
+        raise ConfigError(f"'{key}' must be a path, got {value!r}")
+    if value or names_dir:
+        directory = value if names_dir else os.path.dirname(value) or "."
+        if not os.path.isdir(directory):
+            raise ConfigError(f"'{key}' directory does not exist: {directory}")
+        if not names_dir and os.path.isdir(value):
+            # the error open() would raise after the run
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), value)
+    return value
+
+
+_CHECKS = {
+    "int": _int,
+    "float": lambda key, value, bound: _finite(key, value),
+    "positive": _positive,
+    "complex": lambda key, value, bound: _finite(key, value, complex),
+    "vector": lambda key, value, bound: np.array(
+        [_finite(key, entry, complex) for entry in _entries(value)]),
+    "positives": _positives,
+    "choice": _choice,
+    "bool": _typed(bool, "true or false"),
+    "path": _path,
+    "object": _typed(dict, "a JSON object"),
+}
+
+
+def _checked(command: str, cfg: dict) -> dict:
+    """The values of ``cfg``, a merged configuration of ``command``, each
+    checked and converted by its kind; an option whose default is None may
+    stay None."""
+    opts = {}
+    for key, (kind, default, bound, _) in _OPTIONS[command].items():
+        value = cfg[key]
+        unset = value is None and default is None
+        opts[key] = None if unset else _CHECKS[kind](key, value, bound)
+    return opts
+
+
+def _build_preset(opts: dict):
+    try:
+        preset = make_preset(opts["preset"], algebra=opts["algebra"], lam=opts["lam"],
+                             mu=opts["mu"])
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    if not preset.is_factorisable():
+        raise ConfigError(
+            f"degenerate splitting: lam + 1 + 2 mu = {preset.split_denominator:.3e}"
+        )
+    return preset
 
 
 def _emit(cfg: dict, text: str) -> None:
@@ -259,11 +298,10 @@ def _public_config(cfg: dict) -> dict:
 # ---- validate ---------------------------------------------------------------------
 
 
-def run_validate(cfg: dict) -> int:
-    preset = _build_preset(cfg)
-    report = validation_report(
-        preset, samples=_int("samples", cfg["samples"], 1), seed=_int("seed", cfg["seed"], 0)
-    )
+def run_validate(cfg: dict, opts: dict) -> int:
+    """structural residual report"""
+    preset = _build_preset(opts)
+    report = validation_report(preset, samples=opts["samples"], seed=opts["seed"])
     ok = report["max_residual"] < 1e-10
     report["passed"] = bool(ok)
     _emit(cfg, render_json(_public_config(cfg), report))
@@ -273,18 +311,18 @@ def run_validate(cfg: dict) -> int:
 # ---- shared run scaffolding -------------------------------------------------------
 
 
-def _time_steps(cfg: dict) -> tuple[float, int]:
+def _time_steps(opts: dict) -> tuple[float, int]:
     """(dt, number of steps covering T)."""
-    dt = _positive("dt", cfg["dt"])
-    n_steps = round(_float("T / dt", _positive("T", cfg["T"]) / dt))
+    dt = opts["dt"]
+    n_steps = round(_finite("T / dt", opts["T"] / dt))
     if n_steps < 1:
         raise ConfigError("T must cover at least one step")
     return dt, n_steps
 
 
-def _model(cfg: dict):
+def _model(opts: dict):
     """(preset, group kit, splitting) of the configured model."""
-    preset = _build_preset(cfg)
+    preset = _build_preset(opts)
     return preset, GroupKit(preset.bialgebra), splitting(preset)
 
 
@@ -304,23 +342,21 @@ def _finish(cfg: dict, columns: list, rows: list, summary: dict, failure: str | 
 # ---- particle ---------------------------------------------------------------------
 
 
-def run_particle(cfg: dict) -> int:
-    preset, kit, split = _model(cfg)
-    dt, n_steps = _time_steps(cfg)
+def run_particle(cfg: dict, opts: dict) -> int:
+    """point-particle trajectory CSV"""
+    preset, kit, split = _model(opts)
+    dt, n_steps = _time_steps(opts)
     n = preset.bialgebra.g.dim
-    record_every = _int("record_every", cfg["record_every"], 1)
-    rng = np.random.default_rng(_int("seed", cfg["seed"], 0))
-    u0_log = _parse_vector(cfg["u0_log"])
-    p0 = _parse_vector(cfg["p0"])
+    rng = np.random.default_rng(opts["seed"])
+    u0_log, p0 = opts["u0_log"], opts["p0"]
     if u0_log is None:
         u0_log = rng.normal(size=n) * 0.3
     if p0 is None:
         p0 = rng.normal(size=n) * 0.4
     if len(u0_log) != n or len(p0) != n:
         raise ConfigError(f"u0_log and p0 must have {n} components")
-    u0 = kit.exp_g(np.asarray(u0_log))
     traj = integrate_particle(
-        kit, split, u0, np.asarray(p0), dt, n_steps, record_every=record_every
+        kit, split, kit.exp_g(u0_log), p0, dt, n_steps, record_every=opts["record_every"]
     )
     summary = {
         "completed": traj.completed,
@@ -335,16 +371,10 @@ def run_particle(cfg: dict) -> int:
 # ---- field ------------------------------------------------------------------------
 
 
-def _field_state(cfg: dict, preset, kit, split):
-    n_cells = _int("N", cfg["N"], 8)
-    boundary = cfg["boundary"]
-    if boundary not in ("periodic", "double-neumann"):
-        raise ConfigError(f"unknown boundary '{boundary}'")
-    seed, amplitude = _int("seed", cfg["seed"], 0), _float("amplitude", cfg["amplitude"])
-    pointlike = cfg.get("pointlike", False)
-    if not isinstance(pointlike, bool):
-        raise ConfigError(f"'pointlike' must be true or false, got {pointlike!r}")
-    if pointlike:
+def _field_state(opts: dict, preset, kit, split):
+    n_cells, boundary = opts["N"], opts["boundary"]
+    seed, amplitude = opts["seed"], opts["amplitude"]
+    if opts.get("pointlike"):
         n = preset.bialgebra.g.dim
         rng = np.random.default_rng(seed)
         u0 = kit.exp_g(rng.normal(size=n) * 0.3)
@@ -356,16 +386,16 @@ def _field_state(cfg: dict, preset, kit, split):
                               amplitude=amplitude)
 
 
-def run_field(cfg: dict) -> int:
-    preset, kit, split = _model(cfg)
-    dt, n_steps = _time_steps(cfg)
-    record_every = _int("record_every", cfg["record_every"], 1)
-    state = _field_state(cfg, preset, kit, split)
+def run_field(cfg: dict, opts: dict) -> int:
+    """loop-field diagnostics CSV"""
+    preset, kit, split = _model(opts)
+    dt, n_steps = _time_steps(opts)
+    state = _field_state(opts, preset, kit, split)
     traj = integrate_field(
         state,
         dt,
         n_steps,
-        record_every=record_every,
+        record_every=opts["record_every"],
         with_duality=True,
         with_residuals=True,
     )
@@ -386,9 +416,10 @@ def run_field(cfg: dict) -> int:
 # ---- duality ----------------------------------------------------------------------
 
 
-def run_duality(cfg: dict) -> int:
-    preset, kit, split = _model(cfg)
-    state = _field_state(cfg, preset, kit, split)
+def run_duality(cfg: dict, opts: dict) -> int:
+    """two-description Hamiltonian gap"""
+    preset, kit, split = _model(opts)
+    state = _field_state(opts, preset, kit, split)
     gap = duality_check(state)
     report = {
         "preset": preset.name,
@@ -418,7 +449,7 @@ def _sweep_one(command: str, base_cfg: dict, seed: int, output_dir: str) -> dict
         cfg["metadata"] = f"{output_dir}/{stem}.json"
     else:
         cfg["output"] = f"{output_dir}/{stem}.json"
-    code = _RUNNERS[command](cfg)
+    code = _RUNNERS[command](cfg, _checked(command, cfg))
     return {
         "seed": seed,
         "exit_code": code,
@@ -427,23 +458,18 @@ def _sweep_one(command: str, base_cfg: dict, seed: int, output_dir: str) -> dict
     }
 
 
-def run_sweep(cfg: dict) -> int:
-    command = cfg["command"]
-    if command not in ("validate", "particle", "field", "duality"):
-        raise ConfigError(f"sweep cannot drive command '{command}'")
-    replicas = _int("replicas", cfg["replicas"], 1)
-    base = cfg["base"]
-    if not isinstance(base, dict):
-        raise ConfigError("'base' must be a JSON object of command options")
+def run_sweep(cfg: dict, opts: dict) -> int:
+    """concurrent seeded replicas + manifest"""
+    command, replicas, base = opts["command"], opts["replicas"], opts["base"]
     for key in _REPLICA_KEYS:
         if key in base:
             raise ConfigError(f"'base' cannot set '{key}': the sweep sets it for each replica")
     base_cfg = _with_options(command, base)
-    output_dir = str(cfg["output_dir"])
-    workers = max(1, _int("max_workers", cfg["max_workers"]))
+    _checked(command, base_cfg)
+    output_dir = opts["output_dir"]
     # replicas run concurrently and write only their own files; the
     # manifest is assembled and written once by this (single) writer
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, opts["max_workers"])) as pool:
         entries = list(
             pool.map(
                 lambda s: _sweep_one(command, base_cfg, s, output_dir), range(replicas)
@@ -463,21 +489,10 @@ def run_sweep(cfg: dict) -> int:
 # ---- limits -----------------------------------------------------------------------
 
 
-def run_limits(cfg: dict) -> int:
-    algebra = cfg["algebra"]
-    if algebra != "su2":
-        raise ConfigError("the limits command supports the compact algebra only")
-    mus = cfg["mus"]
-    if isinstance(mus, str):
-        mus = mus.split(",")
-    if not isinstance(mus, list) or len(mus) < 2:
-        raise ConfigError("need at least two mu values for a slope fit")
-    report = limit_slopes(
-        algebra=algebra,
-        mus=[_positive("mus", v) for v in mus],
-        samples=_int("samples", cfg["samples"], 1),
-        seed=_int("seed", cfg["seed"], 0),
-    )
+def run_limits(cfg: dict, opts: dict) -> int:
+    """limiting-family slope report"""
+    report = limit_slopes(algebra=opts["algebra"], mus=opts["mus"], samples=opts["samples"],
+                          seed=opts["seed"])
     _emit(cfg, render_json(_public_config(cfg), report))
     return EXIT_OK if report["passed"] else EXIT_NUMERICAL
 
@@ -500,68 +515,25 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON file of options (flags override)")
-    sub.add_argument("--preset", help="model preset name")
-    sub.add_argument("--algebra", help="base algebra (su2 or sl2r)")
-    sub.add_argument("--lam", help="custom splitting parameter lambda")
-    sub.add_argument("--mu", help="custom splitting parameter mu")
-    sub.add_argument("--seed", type=int, help="random seed (default 0)")
-    sub.add_argument("--output", help="output path (default stdout)")
+# a flag's argparse type by option kind; every other kind is read as text
+_FLAG_TYPES = {"int": int, "float": float, "positive": float}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it
-    unchanged, so every :func:`run` shares it."""
+    """The argument parser, built once per process from ``_OPTIONS``:
+    parsing leaves it unchanged, so every :func:`run` shares it."""
     parser = _Parser(prog="pltdual", description=__doc__.split("\n")[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    sv = subs.add_parser("validate", help="structural residual report")
-    _add_common(sv)
-    sv.add_argument("--samples", type=int, help="random group points to test")
-
-    sp = subs.add_parser("particle", help="point-particle trajectory CSV")
-    _add_common(sp)
-    sp.add_argument("--dt", type=float, help="time step")
-    sp.add_argument("--T", type=float, help="time horizon")
-    sp.add_argument("--record-every", dest="record_every", type=int)
-    sp.add_argument("--u0-log", dest="u0_log", help="comma-separated log of u(0)")
-    sp.add_argument("--p0", help="comma-separated initial momentum")
-    sp.add_argument("--metadata", help="metadata JSON output path")
-
-    sf = subs.add_parser("field", help="loop-field diagnostics CSV")
-    _add_common(sf)
-    sf.add_argument("--N", type=int, help="number of grid cells")
-    sf.add_argument("--dt", type=float, help="time step")
-    sf.add_argument("--T", type=float, help="time horizon")
-    sf.add_argument("--boundary", help="periodic or double-neumann")
-    sf.add_argument("--amplitude", type=float, help="initial-data amplitude")
-    sf.add_argument("--record-every", dest="record_every", type=int)
-    sf.add_argument("--pointlike", action="store_const", const=True,
-                    help="x-independent group factor initial data")
-    sf.add_argument("--metadata", help="metadata JSON output path")
-
-    sd = subs.add_parser("duality", help="two-description Hamiltonian gap")
-    _add_common(sd)
-    sd.add_argument("--N", type=int, help="number of grid cells")
-    sd.add_argument("--amplitude", type=float, help="initial-data amplitude")
-    sd.add_argument("--boundary", help="periodic or double-neumann")
-
-    sw = subs.add_parser("sweep", help="concurrent seeded replicas + manifest")
-    sw.add_argument("--config", help="JSON file of options (flags override)")
-    sw.add_argument("--command", dest="sweep_command", help="command to replicate")
-    sw.add_argument("--replicas", type=int, help="number of seeds (0..R-1)")
-    sw.add_argument("--output-dir", dest="output_dir", help="directory for artifacts")
-    sw.add_argument("--max-workers", dest="max_workers", type=int)
-
-    sl = subs.add_parser("limits", help="limiting-family slope report")
-    sl.add_argument("--config", help="JSON file of options (flags override)")
-    sl.add_argument("--algebra", help="base algebra (su2)")
-    sl.add_argument("--mus", help="comma-separated mu values")
-    sl.add_argument("--samples", type=int, help="random samples per mu")
-    sl.add_argument("--seed", type=int, help="random seed (default 0)")
-    sl.add_argument("--output", help="output path (default stdout)")
+    for command, options in _OPTIONS.items():
+        sub = subs.add_parser(command, help=_RUNNERS[command].__doc__)
+        sub.add_argument("--config", help="JSON file of options (flags override)")
+        for key, (kind, _, _, text) in options.items():
+            flag = "--" + key.replace("_", "-")
+            if kind == "bool":
+                sub.add_argument(flag, action="store_const", const=True, help=text)
+            elif kind != "object":  # an object is set in a config file only
+                sub.add_argument(flag, type=_FLAG_TYPES.get(kind), help=text)
     return parser
 
 
@@ -590,15 +562,13 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(_attach_negative_values(argv))
-        if getattr(args, "sweep_command", None) is not None:
-            args.command = args.sweep_command
         cfg = _merge_config(args.subcommand, args)
-        _check_output_paths(cfg)
+        opts = _checked(args.subcommand, cfg)
         # stderr carries one JSON document: a field run lists a step past
         # the CFL bound in its metadata and error document instead
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CFLWarning)
-            return _RUNNERS[args.subcommand](cfg)
+            return _RUNNERS[args.subcommand](cfg, opts)
     except (ConfigError, SplittingError) as exc:
         sys.stderr.write(_error_json("config", str(exc)))
         return EXIT_CONFIG

@@ -48,7 +48,6 @@ from .liecore import bracket_coeffs
 __all__ = [
     "CFLWarning",
     "LoopState",
-    "FieldDiagnostics",
     "FieldTrajectory",
     "init_pointlike",
     "random_smooth_loop",
@@ -137,19 +136,6 @@ class LoopState:
         t, v = self.kit.factorize_mg(self.k)
         tinv = _vinv(t)
         return t, v, tinv, self.kit.ad_d(tinv)
-
-
-@dataclass
-class FieldDiagnostics:
-    """One row of simulation diagnostics."""
-
-    time: float
-    hamiltonian: complex
-    eom_residual_g: float | None = None
-    eom_residual_dual: float | None = None
-    duality_gap: float | None = None
-    moments: np.ndarray | None = None  # I_delta over the double basis
-    f_d: complex | None = None
 
 
 @dataclass

@@ -132,6 +132,8 @@ def make_preset(
     elif name == "principal-limit":
         lam_ = 0j
         mu_ = 1e3 + 0j if mu is None else complex(mu)
+        if abs(mu_) < 1e-300:
+            raise ValueError("principal-limit preset needs a nonzero mu")
         rescale = 1.0 / mu_
     elif name == "g-invariant":
         lam_ = 0j

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -159,19 +160,21 @@ def test_particle_stopped_run_reports_on_stderr(capsys, tmp_path):
 @given(
     algebra=st.sampled_from(ALGEBRA_NAMES),
     preset=st.sampled_from(PRESET_NAMES),
-    lam_mu=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
-    p0=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+    # mu = 0 has no principal limit (rescale 1/mu)
+    lam_mu=st.tuples(st.floats(-2.0, 2.0), st.one_of(st.just(0.0), st.floats(-2.0, 2.0))),
+    p0=st.lists(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([math.nan, math.inf])),
+                min_size=3, max_size=3),
     dt=st.sampled_from([1e-3, 1e-2, 0.1, 0.5]),
     record_every=st.integers(-1, 3),
 )
 def test_particle_exit_contract_fuzz(algebra, preset, lam_mu, p0, dt, record_every):
     """Any particle configuration ends with exit code 0, 2 or 3, and a
     non-zero code comes with a JSON error document on stderr."""
-    argv = ["particle", "--algebra", algebra, "--preset", preset,
+    argv = ["particle", "--algebra", algebra, "--preset", preset, "--mu", repr(lam_mu[1]),
             "--p0", ",".join(repr(v) for v in p0), "--dt", repr(dt), "--T", repr(8 * dt),
             "--record-every", str(record_every)]
     if preset == "custom":
-        argv += ["--lam", repr(lam_mu[0]), "--mu", repr(lam_mu[1])]
+        argv += ["--lam", repr(lam_mu[0])]
     assert_exit_contract(argv)
 
 
@@ -196,6 +199,11 @@ CONFIG_FILES = {
     "T-dt-bool.json": {"T": True, "dt": True},
     "T-bool.json": {"T": True},
     "pointlike-string.json": {"pointlike": "no"},
+    "u0-log-bools.json": {"u0_log": [True, False, True], "T": 0.01},
+    "lam-bool.json": {"preset": "custom", "lam": True, "mu": 1},
+    "output-int.json": {"output": 2, "T": 0.01},
+    "output-bool.json": {"output": True, "T": 0.01},
+    "metadata-int.json": {"metadata": 1, "T": 0.01},
 }
 REPRODUCERS = {
     "record-every-0": (["particle", "--T", "0.01", "--record-every", "0"], EXIT_CONFIG,
@@ -240,6 +248,26 @@ REPRODUCERS = {
     "p0-negative-first": (["particle", "--p0", "-1.5,2,3", "--T", "0.01"], EXIT_OK, None),
     "u0-log-negative-first": (["particle", "--u0-log", "-0.1,0.2,0.3", "--T", "0.01"], EXIT_OK,
                               None),
+    "config-u0-log-bools": (["particle", "--config", "{tmp}/u0-log-bools.json"], EXIT_CONFIG,
+                            "'u0_log' must be a finite number, got True"),
+    "config-lam-bool": (["validate", "--config", "{tmp}/lam-bool.json"], EXIT_CONFIG,
+                        "'lam' must be a finite number, got True"),
+    "p0-nan": (["particle", "--p0", "nan,1,1", "--T", "0.01"], EXIT_CONFIG,
+               "'p0' must be a finite number, got 'nan'"),
+    "u0-log-inf": (["particle", "--u0-log", "inf,0,0", "--T", "0.01"], EXIT_CONFIG,
+                   "'u0_log' must be a finite number, got 'inf'"),
+    "lam-inf": (["validate", "--preset", "custom", "--lam", "inf", "--mu", "1"], EXIT_CONFIG,
+                "'lam' must be a finite number, got 'inf'"),
+    "config-output-int": (["particle", "--config", "{tmp}/output-int.json"], EXIT_CONFIG,
+                          "'output' must be a path, got 2"),
+    "config-output-bool": (["particle", "--config", "{tmp}/output-bool.json"], EXIT_CONFIG,
+                           "'output' must be a path, got True"),
+    "config-metadata-int": (["particle", "--config", "{tmp}/metadata-int.json"], EXIT_CONFIG,
+                            "'metadata' must be a path, got 1"),
+    **{f"{command}-principal-limit-mu-0": (
+        [command, "--preset", "principal-limit", "--mu", "0"], EXIT_CONFIG,
+        "principal-limit preset needs a nonzero mu") for command in ("validate", "particle",
+                                                                     "duality")},
 }
 
 
@@ -248,12 +276,49 @@ def test_reproducers_keep_the_exit_contract(capsys, tmp_path, case):
     argv, expected, message = REPRODUCERS[case]
     for name, options in CONFIG_FILES.items():
         (tmp_path / name).write_text(json.dumps(options))
-    code, _, err = run_cli(capsys, *[arg.format(tmp=tmp_path) for arg in argv])
+    code, out, err = run_cli(capsys, *[arg.format(tmp=tmp_path) for arg in argv])
     assert code == expected
     if message is None:
         assert err == ""
     else:
         assert message in json.loads(err)["error"]["message"]
+    if expected == EXIT_CONFIG:  # and no artifact
+        assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == sorted(CONFIG_FILES)
+
+
+# config_hash of accepted configurations, which artifacts already written
+# carry: a value hashes as given ("N": 16.0, "seed": "3", "mus": "10,100")
+PINNED_HASHES = {
+    "field-defaults": (
+        ["field"], None, "79463cfcebe02f1236b3ff13c0693f00275eb9334df033e699633fbfe77abe55"),
+    "field-N-float": (
+        ["field"], {"N": 16.0, "T": 0.01},
+        "cff39b01de592466c348f985751b38306330dc70b6dd684c076668176de74df1"),
+    "particle-strings": (
+        ["particle"], {"seed": "3", "T": 0.01, "dt": "1e-3"},
+        "75a09f04401d986ec3e03ff4887a3a2ac4fad57fe4e20c41eff137b6ed008c40"),
+    "particle-custom": (
+        ["particle", "--preset", "custom", "--lam", "0.3", "--mu", "0.7", "--T", "0.01"], None,
+        "93cfe54343e9b2c31447b020f052b939c0caf0821471bd3c78c029369b13dbd7"),
+    "duality-N-256": (
+        ["duality", "--N", "256"], None,
+        "cfe957fdb1fc27725f0663b615ddf5debdaccfc65a2e794b02fda80f08392935"),
+    "limits-mus-text": (
+        ["limits"], {"mus": "10,100", "samples": 3},
+        "62c83e0cbe6fb5bba9f6fcad02278bf191b654bfeb03020d0625573349b769fc"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_HASHES)
+def test_config_hash_pinned(capsys, tmp_path, case):
+    argv, options, expected = PINNED_HASHES[case]
+    if options is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(options))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    header = out[2:out.index("\n")] if out.startswith("# ") else out
+    assert json.loads(header)["config_hash"] == expected
 
 
 @pytest.mark.parametrize("argv", [
@@ -521,22 +586,27 @@ def test_sweep_hash_independent_of_directory_and_workers(capsys, tmp_path):
     assert hashes[0] == hashes[1]
 
 
-@pytest.mark.parametrize("base, message", [
-    *[({key: "x"}, f"'base' cannot set '{key}': the sweep sets it for each replica")
+@pytest.mark.parametrize("command, base, message", [
+    *[("particle", {key: "x"}, f"'base' cannot set '{key}': the sweep sets it for each replica")
       for key in ("seed", "output", "metadata")],
-    ({"cells": 64}, "unknown config key for 'particle': cells"),
-], ids=["seed", "output", "metadata", "unknown"])
-def test_sweep_base_checked_before_any_replica(capsys, tmp_path, base, message):
+    ("particle", {"cells": 64}, "unknown config key for 'particle': cells"),
+    ("field", {"N": "abc"}, "'N' must be an integer, got 'abc'"),
+], ids=["seed", "output", "metadata", "unknown", "N-not-integer"])
+def test_sweep_base_checked_before_any_replica(capsys, tmp_path, monkeypatch, command, base,
+                                               message):
     """A base that sets what the sweep sets for each replica (seed and
-    output locations), or an unknown key, is a configuration error raised
-    before any replica runs."""
+    output locations), an unknown key or a bad value is a configuration
+    error raised before any replica runs."""
+    replicas = []
+    monkeypatch.setattr(cli, "_sweep_one", lambda *args: replicas.append(args))
     cfg = tmp_path / "sweep.json"
-    cfg.write_text(json.dumps({"command": "particle", "replicas": 2, "base": base,
+    cfg.write_text(json.dumps({"command": command, "replicas": 2, "base": base,
                                "output_dir": str(tmp_path / "runs")}))
     (tmp_path / "runs").mkdir()
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert code == EXIT_CONFIG
     assert json.loads(err)["error"]["message"] == message
+    assert replicas == []
     assert list((tmp_path / "runs").iterdir()) == []
 
 

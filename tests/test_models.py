@@ -76,6 +76,12 @@ def test_custom_preset_requires_parameters():
     assert p.lam == 0.3 and p.mu == 0.7
 
 
+def test_principal_limit_rejects_zero_mu():
+    """The principal limit rescales r by 1/mu, so mu = 0 is a ValueError."""
+    with pytest.raises(ValueError, match="nonzero mu"):
+        make_preset("principal-limit", mu=0.0)
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ValueError):
         make_preset("no-such-preset")

@@ -6,20 +6,25 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pltdual import fieldsim as fs
 from pltdual.duality import splitting
 from pltdual.groups import GroupKit
 from pltdual.models import make_preset
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_perfbench("tracer")
 
 
 def test_tracer_state_key_reads_loop_state():
@@ -33,3 +38,14 @@ def test_tracer_state_key_reads_loop_state():
     assert tracer._state_key(state.copy()) == key
     assert tracer._state_key(fs.step(state, 0.25 * state.dx)) != key
     assert np.array_equal(np.stack([state.kl, state.kr], axis=1), state.k)
+
+
+@pytest.mark.parametrize("seed", [3, 7, 15])
+@pytest.mark.parametrize("name", ["field-diag", "particle", "field-step"])
+def test_workload_output_matches_stored_reference(tmp_path, name, seed):
+    """One operation of a benchmark workload passes the workload's own check
+    against the reference output stored for its input set; seed 15 is the
+    held-out set."""
+    workload = load_perfbench("workloads").WORKLOADS[name](seed, tmp_path)
+    workload.setup()
+    workload.check(workload.op(), workload.reference())

@@ -32,6 +32,6 @@ print(f"energy drift (relative):   {np.max(np.abs(h - h[0])) / abs(h[0]):.2e}")
 print(f"max duality gap:           {np.nanmax(traj.duality_gaps):.2e}")
 print(f"loop-function f_d drift:   {np.max(np.abs(traj.f_d - traj.f_d[0])):.2e}")
 
-columns, rows = field_table(traj)
-write_csv("field_energy.csv", config, columns, rows)
+columns, table = field_table(traj)
+write_csv("field_energy.csv", config, columns, table)
 print("wrote field_energy.csv")

@@ -32,7 +32,6 @@ import functools
 import json
 import math
 import os
-import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -62,7 +61,6 @@ from .reporting import (
     particle_table,
     render_csv,
     render_json,
-    run_metadata,
     write_json,
 )
 
@@ -326,13 +324,13 @@ def _model(opts: dict):
     return preset, GroupKit(preset.bialgebra), splitting(preset)
 
 
-def _finish(cfg: dict, columns: list, rows: list, summary: dict, failure: str | None) -> int:
+def _finish(cfg: dict, columns: list, table, summary: dict, failure: str | None) -> int:
     """Write the trajectory table (to the output path, else stdout) and the
     metadata, report a stopped run on stderr, and return the exit code."""
     public = _public_config(cfg)
-    _emit(cfg, render_csv(public, columns, rows))
+    _emit(cfg, render_csv(public, columns, table))
     if cfg.get("metadata"):
-        write_json(cfg["metadata"], public, run_metadata(public, {"summary": summary}))
+        write_json(cfg["metadata"], public, {"config": public, "summary": summary})
     if failure is None:
         return EXIT_OK
     sys.stderr.write(_error_json("numerical", failure, summary.get("warnings")))
@@ -545,12 +543,16 @@ def _error_json(kind: str, message: str, notes: list | None = None) -> str:
 
 
 def _attach_negative_values(argv) -> list:
-    """Attach a value that starts with "-" and a digit or "." to the option
-    before it, so ``--p0 -1.5,2,3`` reads as ``--p0=-1.5,2,3``: argparse
-    takes such a value for an option unless it is a plain negative number."""
+    """Attach a value that starts with a single "-" to the option before
+    it, so ``--p0 -1.5,2,3`` reads as ``--p0=-1.5,2,3`` and ``--T -inf`` as
+    ``--T=-inf``: argparse takes such a value for an option unless it is a
+    plain negative number.  ``-h`` is the one single-dash option and is
+    left alone; every other such value reaches the value check, which
+    names it."""
     out = []
     for arg in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", arg):
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and arg.startswith("-") and not arg.startswith("--") and arg != "-h"):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -622,9 +622,11 @@ def integrate_field(
 
     A chart exit (factorization, graph blow-up or a singular matrix) or a
     state that turns non-finite ends the run early with ``completed``
-    False and ``failure`` set; the rows recorded before it are kept, and a
-    row is recorded whole or not at all.  A time step past the CFL bound
-    is listed in ``warnings`` (and warned of by every :func:`step`).
+    False and ``failure`` set to ``<error> at step i (t=...): <message>``,
+    step 0 being the initial record; the rows recorded before it are
+    kept, and a row is recorded whole or not at all.  A time step past the
+    CFL bound is listed in ``warnings`` (and warned of by every
+    :func:`step`).
     ``final_state`` is the state of the last recorded row.
     """
     columns = times, hams, moms, fds, gaps, rgs, rts = [], [], [], [], [], [], []
@@ -643,26 +645,28 @@ def integrate_field(
             column.append(value)
         final_state = s
 
+    where = f"at step 0 (t={state.time:g})"
     try:
         record(state, None)
         for i in range(n_steps):
+            where = f"at step {i + 1} (t={state.time + dt:g})"
             prev = state
             # a blow-up surfaces as a non-finite state, checked before any
             # diagnostic sees it
             with np.errstate(all="ignore"):
                 state = step(state, dt)
             if not np.isfinite(state.k).all():
-                failure = f"non-finite state at step {i + 1} (t={state.time:g})"
+                failure = f"non-finite state {where}"
                 break
             if (i + 1) % record_every == 0 or i == n_steps - 1:
                 record(state, prev)
     except (FactorizationError, GraphBlowupError, np.linalg.LinAlgError) as exc:
-        failure = f"{type(exc).__name__}: {exc}"
+        failure = f"{type(exc).__name__} {where}: {exc}"
     return FieldTrajectory(
         np.array(times),
-        np.array(hams),
+        np.array(hams, dtype=complex),
         np.array(moms, dtype=complex).reshape(len(moms), 2 * state.kit.b.g.dim),
-        np.array(fds),
+        np.array(fds, dtype=complex),
         np.array(gaps),
         np.array(rgs),
         np.array(rts),

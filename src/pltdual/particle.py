@@ -85,7 +85,7 @@ class ParticleState:
 @dataclass
 class ParticleTrajectory:
     times: np.ndarray
-    us: list
+    us: np.ndarray  # group elements u, shape (records, 2, 2)
     ps: np.ndarray
     hams: np.ndarray
     charges_g: np.ndarray  # conserved dual-valued charge components
@@ -252,7 +252,7 @@ def integrate_particle(
             record((i + 1) * dt)
     return ParticleTrajectory(
         np.array(times),
-        us,
+        np.array(us),
         np.array(ps),
         np.array(hams),
         np.array(qgs),

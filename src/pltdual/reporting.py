@@ -3,17 +3,21 @@
 Every artifact opens with a metadata header carrying the sha256 hash of
 the canonicalized run configuration and the package version, and never a
 timestamp, so a rerun with the same configuration and seed reproduces
-the output byte for byte.  Floats are written with ``repr`` (shortest
-round-trip form); complex quantities are split into ``_re``/``_im``
-column pairs so the files stay purely numeric.
+the output byte for byte.
+
+A run's table is one real float64 array, one row per record, built from
+an ordered list of named blocks that gives its column names too.  A
+complex quantity is split into an ``_re``/``_im`` column pair, so the
+table stays purely numeric.  Each cell is written with ``repr`` (the
+shortest round-trip form); no column name or cell holds a comma, a
+quote or a line break, so none needs CSV quoting.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
+import math
 
 import numpy as np
 
@@ -27,11 +31,9 @@ __all__ = [
     "write_csv",
     "render_json",
     "write_json",
-    "complex_columns",
-    "complex_cells",
+    "block_table",
     "particle_table",
     "field_table",
-    "run_metadata",
 ]
 
 
@@ -73,28 +75,17 @@ def artifact_header(config: dict) -> dict:
 # ---- CSV ------------------------------------------------------------------------
 
 
-def _cell(value) -> str:
-    if isinstance(value, (np.floating, float)):
-        return repr(float(value))
-    if isinstance(value, (np.integer, int)):
-        return str(int(value))
-    return str(value)
+def render_csv(config: dict, columns: list, table) -> str:
+    """CSV text with a ``# {json}`` metadata header line, the column line
+    and one line per row of the real (rows, columns) ``table``."""
+    lines = ["# " + canonical_json(artifact_header(config)), ",".join(columns)]
+    lines += [",".join(map(repr, row)) for row in np.asarray(table, dtype=float).tolist()]
+    return "\n".join(lines) + "\n"
 
 
-def render_csv(config: dict, columns: list, rows) -> str:
-    """CSV text with a ``# {json}`` metadata header line."""
-    buf = io.StringIO()
-    buf.write("# " + canonical_json(artifact_header(config)) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    return buf.getvalue()
-
-
-def write_csv(path, config: dict, columns: list, rows) -> None:
+def write_csv(path, config: dict, columns: list, table) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(render_csv(config, columns, rows))
+        fh.write(render_csv(config, columns, table))
 
 
 def render_json(config: dict, payload: dict) -> str:
@@ -108,91 +99,57 @@ def write_json(path, config: dict, payload: dict) -> None:
         fh.write(render_json(config, payload))
 
 
-# ---- column helpers ---------------------------------------------------------------
-
-
-def complex_columns(stem: str, count: int | None = None) -> list:
-    """Column names ``stem_re``/``stem_im`` (indexed when count is given)."""
-    if count is None:
-        return [f"{stem}_re", f"{stem}_im"]
-    cols = []
-    for i in range(count):
-        cols += [f"{stem}{i}_re", f"{stem}{i}_im"]
-    return cols
-
-
-def complex_cells(values) -> list:
-    cells = []
-    for v in np.atleast_1d(np.asarray(values, dtype=complex)):
-        cells += [float(v.real), float(v.imag)]
-    return cells
-
-
 # ---- trajectory tables -----------------------------------------------------------
 
 
-def particle_table(traj) -> tuple[list, list]:
-    """(columns, rows) for a point-particle trajectory.
+def block_table(blocks) -> tuple[list, np.ndarray]:
+    """(columns, table) of named blocks, each an array over the run's records.
 
-    Columns: time, the four group-matrix entries of u, the dual momentum
-    coefficients p, the Hamiltonian, the conserved charge Q_G and the
-    moment-map values over the double basis, each as re/im pairs.
+    A block holding one value per record is one column named after it, a
+    block holding several is one column per value, numbered from 0.  A
+    complex column is written as its ``_re``/``_im`` pair: the real view of
+    the contiguous complex array interleaves them in that order.
     """
-    n = traj.ps.shape[1]
-    n2 = traj.moments.shape[1]
-    columns = (
-        ["t"]
-        + complex_columns("u", 4)
-        + complex_columns("p", n)
-        + complex_columns("H")
-        + complex_columns("Q_G", n)
-        + complex_columns("I_delta", n2)
-    )
-    rows = []
-    for j, t in enumerate(traj.times):
-        rows.append(
-            [float(t)]
-            + complex_cells(traj.us[j].reshape(-1))
-            + complex_cells(traj.ps[j])
-            + complex_cells(traj.hams[j])
-            + complex_cells(traj.charges_g[j])
-            + complex_cells(traj.moments[j])
-        )
-    return columns, rows
+    columns, parts = [], []
+    for name, values in blocks:
+        values = np.asarray(values)
+        width = math.prod(values.shape[1:])
+        stems = [name] if values.ndim == 1 else [f"{name}{i}" for i in range(width)]
+        part = values.reshape(len(values), width)
+        if np.iscomplexobj(part):
+            stems = [f"{stem}_{side}" for stem in stems for side in ("re", "im")]
+            part = np.ascontiguousarray(part, dtype=complex).view(float)
+        columns += stems
+        parts.append(part)
+    return columns, np.hstack(parts)
 
 
-def field_table(traj) -> tuple[list, list]:
-    """(columns, rows) for a loop-field trajectory.
-
-    Columns: time, total Hamiltonian, the two field-equation residuals,
-    the two-description Hamiltonian gap, the moment-map values over the
-    double basis and the quadratic loop function f_d.
-    """
-    n2 = traj.moments.shape[1]
-    columns = (
-        ["t"]
-        + complex_columns("H_total")
-        + ["eom_res_g", "eom_res_dual", "duality_gap"]
-        + complex_columns("I_delta", n2)
-        + complex_columns("f_d")
-    )
-    rows = []
-    for j, t in enumerate(traj.times):
-        rows.append(
-            [float(t)]
-            + complex_cells(traj.hamiltonians[j])
-            + [float(traj.eom_residuals_g[j]), float(traj.eom_residuals_dual[j])]
-            + [float(traj.duality_gaps[j])]
-            + complex_cells(traj.moments[j])
-            + complex_cells(traj.f_d[j])
-        )
-    return columns, rows
+def particle_table(traj) -> tuple[list, np.ndarray]:
+    """(columns, table) of a point-particle trajectory: time, the four
+    group-matrix entries of u, the dual momentum coefficients p, the
+    Hamiltonian, the conserved charge Q_G and the moment-map values over
+    the double basis."""
+    return block_table([
+        ("t", traj.times),
+        ("u", traj.us),
+        ("p", traj.ps),
+        ("H", traj.hams),
+        ("Q_G", traj.charges_g),
+        ("I_delta", traj.moments),
+    ])
 
 
-def run_metadata(config: dict, extra: dict | None = None) -> dict:
-    """Metadata payload describing a run: the resolved configuration plus
-    any run summary values (final drifts, completion flag, ...)."""
-    doc = {"config": config}
-    if extra:
-        doc.update(extra)
-    return doc
+def field_table(traj) -> tuple[list, np.ndarray]:
+    """(columns, table) of a loop-field trajectory: time, total
+    Hamiltonian, the two field-equation residuals, the two-description
+    Hamiltonian gap, the moment-map values over the double basis and the
+    quadratic loop function f_d."""
+    return block_table([
+        ("t", traj.times),
+        ("H_total", traj.hamiltonians),
+        ("eom_res_g", traj.eom_residuals_g),
+        ("eom_res_dual", traj.eom_residuals_dual),
+        ("duality_gap", traj.duality_gaps),
+        ("I_delta", traj.moments),
+        ("f_d", traj.f_d),
+    ])

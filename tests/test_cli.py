@@ -248,6 +248,12 @@ REPRODUCERS = {
     "p0-negative-first": (["particle", "--p0", "-1.5,2,3", "--T", "0.01"], EXIT_OK, None),
     "u0-log-negative-first": (["particle", "--u0-log", "-0.1,0.2,0.3", "--T", "0.01"], EXIT_OK,
                               None),
+    "p0-negative-inf-first": (["particle", "--p0", "-inf,1,2", "--T", "0.01"], EXIT_CONFIG,
+                              "'p0' must be a finite number, got '-inf'"),
+    "u0-log-negative-nan-first": (["particle", "--u0-log", "-nan,1,2", "--T", "0.01"],
+                                  EXIT_CONFIG, "'u0_log' must be a finite number, got '-nan'"),
+    "T-negative-inf": (["particle", "--T", "-inf"], EXIT_CONFIG,
+                       "'T' must be a finite number, got -inf"),
     "config-u0-log-bools": (["particle", "--config", "{tmp}/u0-log-bools.json"], EXIT_CONFIG,
                             "'u0_log' must be a finite number, got True"),
     "config-lam-bool": (["validate", "--config", "{tmp}/lam-bool.json"], EXIT_CONFIG,
@@ -463,7 +469,8 @@ def test_field_chart_exit_keeps_partial_artifacts(capsys, tmp_path):
     )
     assert code == EXIT_NUMERICAL
     error = json.loads(err)["error"]
-    assert error["kind"] == "numerical" and "FactorizationError" in error["message"]
+    assert error["kind"] == "numerical"
+    assert error["message"].startswith("FactorizationError at step 0 (t=0): sl2r factorization")
     lines = out_csv.read_text().splitlines()
     assert len(lines) == 2 and lines[1].startswith("t,H_total_re")
     assert json.loads(out_meta.read_text())["summary"]["completed"] is False

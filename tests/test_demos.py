@@ -2,8 +2,9 @@
 
 Every name a demo imports from ``pltdual`` must resolve, and so must every
 name in ``pltdual.__all__``.  The two fast demos are also run to the end,
-which catches a demo reading an attribute the library no longer has; the
-particle demo takes several seconds and is only checked statically.
+which catches a demo reading an attribute the library no longer has, and
+the CSV that ``field_energy.py`` writes is checked against ``field_table``;
+the particle demo takes several seconds and is only checked statically.
 """
 
 import ast
@@ -16,6 +17,11 @@ from pathlib import Path
 import pytest
 
 import pltdual
+from pltdual.duality import splitting
+from pltdual.fieldsim import integrate_field, random_smooth_loop
+from pltdual.groups import GroupKit
+from pltdual.models import make_preset
+from pltdual.reporting import field_table
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -73,3 +79,20 @@ def test_demo_runs(tmp_path, name):
     result = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path,
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    if name == "field_energy.py":
+        _check_field_energy_csv(tmp_path / "field_energy.csv")
+
+
+def _check_field_energy_csv(path: Path):
+    """The demo's CSV has ``field_table``'s column line and one row per
+    record: 400 steps recorded every 40, and t = 0."""
+    preset = make_preset("modified-principal", algebra="su2")
+    kit = GroupKit(preset.bialgebra)
+    state = random_smooth_loop(kit, splitting(preset), 8, boundary="periodic", seed=0)
+    columns, _ = field_table(integrate_field(state, 1e-3, 1))
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# {")
+    assert lines[1] == ",".join(columns)
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 11 and all(len(row) == len(columns) for row in rows)
+    assert [float(row[0]) for row in rows] == pytest.approx([0.1 * j for j in range(11)])

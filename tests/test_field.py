@@ -335,7 +335,8 @@ def test_chart_exit_keeps_whole_rows(amplitude, seed, rows):
     st = fs.random_smooth_loop(kit, split, 16, boundary="periodic", seed=seed, amplitude=amplitude)
     traj = fs.integrate_field(st, 0.01, 80, record_every=4, with_duality=True, with_residuals=True)
     assert not traj.completed
-    assert traj.failure.startswith("FactorizationError: sl2r factorization chart")
+    at = {10: "step 40 (t=0.4)", 0: "step 0 (t=0)"}[rows]  # the failing record's step
+    assert traj.failure.startswith(f"FactorizationError at {at}: sl2r factorization chart")
     columns = (traj.times, traj.hamiltonians, traj.f_d, traj.duality_gaps,
                traj.eom_residuals_g, traj.eom_residuals_dual)
     assert [len(c) for c in columns] == [rows] * len(columns)

@@ -115,6 +115,11 @@ class SplittingData:
         return self.pi_plus - self.pi_minus
 
     @cached_property
+    def basis_pair(self) -> np.ndarray:
+        """(basis_plus, basis_minus) stacked, 2 x 2n x n, for :func:`graph_slices`."""
+        return np.stack([self.basis_plus, self.basis_minus])
+
+    @cached_property
     def e_matrix(self) -> np.ndarray:
         return np.linalg.inv(self.e_inv)
 
@@ -188,12 +193,13 @@ def graph_slices(split: SplittingData, ad: np.ndarray) -> tuple[np.ndarray, np.n
     At Ad_{u^-1} these are the sigma model's (E_u^-1, T_u^-1), the
     ``transport`` route of :func:`graph_at`; at Ad_{t^-1} they are the dual
     model's (Ehat_t, That_t), the inverses of its graph maps g -> m.
+    Both come from one product with the stacked bases and one stacked
+    inverse of their lower blocks.
     """
     n = split.preset.bialgebra.g.dim
-    return tuple(
-        x[..., :n, :] @ np.linalg.inv(x[..., n:, :])
-        for x in (ad @ split.basis_plus, ad @ split.basis_minus)
-    )
+    x = ad[..., None, :, :] @ split.basis_pair
+    graphs = x[..., :n, :] @ np.linalg.inv(x[..., n:, :])
+    return graphs[..., 0, :, :], graphs[..., 1, :, :]
 
 
 def graph_inverse(m: np.ndarray, name: str) -> np.ndarray:

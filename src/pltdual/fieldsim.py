@@ -12,9 +12,10 @@ of a double-Neumann run, wrapped for a periodic run) and the time step
 is the fourth-order Runge-Kutta-Munthe-Kaas update :func:`pltdual.groups.rkmk4`
 on that stack, so every grid element stays on the group up to a
 determinant renormalization per step.  Each stage takes one derivative,
-one inverse and one product of that stack for k_x k^-1, and maps its
-eight chiral entries to those of dk/dt k^-1 by one constant 8x8 matrix
-built once per splitting (and group kit) and held by the splitting.
+one adjugate and one broadcast product (:func:`pltdual.groups._vmul`) of
+that stack for k_x k^-1, and maps its eight chiral entries to those of
+dk/dt k^-1 by one constant 8x8 matrix built once per splitting (and
+group kit) and held by the splitting.
 
 Diagnostics cover the conserved Hamiltonian 4 H = <(pi_+ - pi_-) w, w>
 with w = k_x k^-1, the moment map I_delta = -1/2 int <w, delta> dx, the
@@ -42,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .duality import GraphBlowupError, SplittingData, graph_inverse, graph_slices
-from .groups import FactorizationError, GroupKit, _vinv, rkmk4
+from .groups import FactorizationError, GroupKit, _vadj, _vinv, _vmul, rkmk4
 from .liecore import bracket_coeffs
 
 __all__ = [
@@ -292,8 +293,14 @@ def _x_derivative(f: np.ndarray, dx: float, boundary: str, order: int = 4) -> np
 
 
 def _right_tangent(k: np.ndarray, dx: float, boundary: str) -> np.ndarray:
-    """k_x k^-1 at every node of a node-first stack of 2x2 matrices."""
-    return _x_derivative(k, dx, boundary) @ _vinv(k)
+    """k_x k^-1 at every node of a node-first stack of unimodular 2x2
+    matrices.
+
+    k^-1 is taken as the adjugate, with no division by det k, so ``k``
+    must be unimodular: every caller passes RKMK stage points (exponentials
+    times a normalized state), recorded states or the M factor of one.
+    """
+    return _vmul(_x_derivative(k, dx, boundary), _vadj(k))
 
 
 def _tangent_field(state: LoopState) -> np.ndarray:
@@ -439,8 +446,8 @@ def duality_check(state: LoopState) -> float:
     t, v, _, ad_tinv = state.mg_factors
     u, v = u[:, None], v[:, None]
     # the reconstruction defects, summed over both sides
-    recon_gm = np.linalg.norm(u @ s - k, axis=(-2, -1)).sum(axis=-1)
-    recon_mg = np.linalg.norm(t @ v - k, axis=(-2, -1)).sum(axis=-1)
+    recon_gm = np.linalg.norm(_vmul(u, s) - k, axis=(-2, -1)).sum(axis=-1)
+    recon_mg = np.linalg.norm(_vmul(t, v) - k, axis=(-2, -1)).sum(axis=-1)
     # primal description: transport by Ad_{u^-1}
     hu = _transported_density(state.split, kit.ad_d(u), ad_uinv, w)
     # dual description: transport by Ad_{t^-1}
@@ -461,7 +468,7 @@ def _primal_lightcone_fields(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
     kit = state.kit
     n = kit.b.g.dim
     u, _, uinv, ad = state.gm_factors
-    xi_x = kit.coeffs(uinv @ _x_derivative(u, state.dx, state.boundary, order=2))
+    xi_x = kit.coeffs(_vmul(uinv, _x_derivative(u, state.dx, state.boundary, order=2)))
     xi_t = _matvec(ad, _flow_velocity(state))[..., :n]
     e_inv, t_inv = graph_slices(state.split, ad)
     e, t = graph_inverse(e_inv, "E_u^-1"), graph_inverse(t_inv, "T_u^-1")
@@ -474,7 +481,8 @@ def _dual_lightcone_fields(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
     kit = state.kit
     n = kit.b.g.dim
     t, _, tinv, ad = state.mg_factors
-    phi_x = kit.tangent_coeffs(tinv @ _x_derivative(t, state.dx, state.boundary, order=2))[..., n:]
+    phi_x = kit.tangent_coeffs(
+        _vmul(tinv, _x_derivative(t, state.dx, state.boundary, order=2)))[..., n:]
     phi_t = _matvec(ad, _flow_velocity(state))[..., n:]
     e_hat, t_hat = graph_slices(state.split, ad)
     return _matvec(e_hat, 0.5 * (phi_t - phi_x)), _matvec(t_hat, 0.5 * (phi_t + phi_x))
@@ -538,7 +546,7 @@ def dressing_relation_residual(state: LoopState) -> float:
     dec = _matvec(ad, _flow_velocity(state))
     xi_t = dec[..., :n]
     s_t = dec[..., n:]  # ds/dt s^-1 in m-coefficients
-    xi_x = kit.coeffs(uinv @ _x_derivative(u, dx, bd))
+    xi_x = kit.coeffs(_vmul(uinv, _x_derivative(u, dx, bd)))
     s_x = kit.tangent_coeffs(_right_tangent(s, dx, bd))[..., n:]
     e_inv, t_inv = graph_slices(state.split, ad)
     e, t = graph_inverse(e_inv, "E_u^-1"), graph_inverse(t_inv, "T_u^-1")

@@ -74,6 +74,31 @@ def _vinv(m: np.ndarray) -> np.ndarray:
     return out / _det2(m)[..., None, None]
 
 
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _vadj(m: np.ndarray) -> np.ndarray:
+    """The adjugate, det(m) m^-1; the inverse itself on unimodular stacks."""
+    return m[..., ::-1, ::-1].swapaxes(-1, -2) * _ADJ_SIGNS
+
+
+# operands of at most this many entries each keep numpy's @, which beats
+# the broadcast on small stacks such as the particle's (3, 2, 2)
+_VMUL_AT_MOST = 64
+
+
+def _vmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of 2x2 matrices, leading axes broadcasting.
+
+    numpy's stacked 2x2 @ costs about the same per matrix at every stack
+    size; the two-term broadcast over the inner index is several times
+    cheaper on node-sized stacks and agrees with it at roundoff.
+    """
+    if a.size <= _VMUL_AT_MOST and b.size <= _VMUL_AT_MOST:
+        return a @ b
+    return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+
+
 def _vdet_normalize(m: np.ndarray) -> np.ndarray:
     return m / np.sqrt(_det2(m))[..., None, None]
 
@@ -102,9 +127,9 @@ def _vdexpinv(sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
     sigma^2 = theta^2 1 with theta^2 = -det sigma = sigma_00^2 + sigma_01 sigma_10
     gives [sigma, v] = 2 sigma v - tr(sigma v) 1 and
     [sigma, [sigma, v]] = 4 theta^2 v - 2 tr(sigma v) sigma, so the sum
-    takes one product of the stacks, at every stack size.
+    takes one product of the stacks, by :func:`_vmul`.
     """
-    sv = sigma @ v
+    sv = _vmul(sigma, v)
     tr = (sv[..., 0, 0] + sv[..., 1, 1])[..., None, None]
     theta2 = (sigma[..., 0, 0] ** 2 + sigma[..., 0, 1] * sigma[..., 1, 0])[..., None, None]
     return v + (theta2 / 3.0) * v - sv + tr * (0.5 * _EYE2 - sigma / 6.0)
@@ -153,13 +178,13 @@ def rkmk4(gens, y0: np.ndarray, p0, dt: float):
     """
     a1, k1 = gens(y0, p0)
     # the first stage sits at sigma = 0, where exp and dexp^-1 are identities
-    a2, k2 = gens(expm2(0.5 * dt * a1) @ y0, p0 + 0.5 * dt * k1)
+    a2, k2 = gens(_vmul(expm2(0.5 * dt * a1), y0), p0 + 0.5 * dt * k1)
     b2 = _vdexpinv(0.5 * dt * a1, a2)
-    a3, k3 = gens(expm2(0.5 * dt * b2) @ y0, p0 + 0.5 * dt * k2)
+    a3, k3 = gens(_vmul(expm2(0.5 * dt * b2), y0), p0 + 0.5 * dt * k2)
     b3 = _vdexpinv(0.5 * dt * b2, a3)
-    a4, k4 = gens(expm2(dt * b3) @ y0, p0 + dt * k3)
+    a4, k4 = gens(_vmul(expm2(dt * b3), y0), p0 + dt * k3)
     b4 = _vdexpinv(dt * b3, a4)
-    y1 = expm2((dt / 6.0) * (a1 + 2 * b2 + 2 * b3 + b4)) @ y0
+    y1 = _vmul(expm2((dt / 6.0) * (a1 + 2 * b2 + 2 * b3 + b4)), y0)
     # renormalize the determinant only: the flow is holomorphic in
     # SL(2, C) and need not stay on a compact real form, so a polar
     # projection would alter the dynamics rather than remove roundoff
@@ -340,7 +365,7 @@ class GroupKit:
         is elementwise and names the first failing node.
         """
         left = k[..., 0, :, :]
-        z = _vinv(k[..., 1, :, :]) @ left
+        z = _vmul(_vinv(k[..., 1, :, :]), left)
         _check_chart(np.abs(z[..., 0, 0]) < 1e-12, "factorization chart: zero pivot")
         l21 = z[..., 1, 0] / z[..., 0, 0]
         d1 = z[..., 0, 0]
@@ -358,10 +383,10 @@ class GroupKit:
         s_left[..., 0, 0] = sq1
         s_left[..., 0, 1] = z[..., 0, 1] / sq1
         s_left[..., 1, 1] = 1.0 / sq1
-        u = left @ _vinv(s_left)
+        u = _vmul(left, _vinv(s_left))
         # written so that a non-finite node fails too
         _check_chart(~(_vcond(s_left) <= COND_CUTOFF), "factorization is numerically singular")
-        return u, np.stack([s_left, _vinv(u) @ k[..., 1, :, :]], axis=-3)
+        return u, np.stack([s_left, _vmul(_vinv(u), k[..., 1, :, :])], axis=-3)
 
     def factorize_mg(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split the chiral stack k = t v, t in M and v in G, as (t, v),

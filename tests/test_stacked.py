@@ -14,7 +14,11 @@ right-hand side, energy and charges, which conjugate constants by the
 adjoint pair (Ad_{u^-1}, Ad_u), are compared with copies of the graph-map
 and linear-solve code they replaced.  The closed-form dexp^-1 of RKMK4 is
 compared with the commutator form it replaced, which the two unrolled
-steppers use; counts show that the field step builds its generator map
+steppers use.  The broadcast 2x2 product ``_vmul`` is compared with
+numpy's ``@`` (and is ``@`` itself on stacks small enough to stay on it),
+the adjugate ``_vadj`` with the inverse on unimodular stacks, and the
+graph slices of one stacked product with the per-basis products they
+replaced; counts show that the field step builds its generator map
 once per splitting, that a recorded loop state is factorized once in each
 order and a recorded particle state builds one adjoint pair.
 """
@@ -29,13 +33,15 @@ from hypothesis import strategies as st
 
 from pltdual import fieldsim as fs
 from pltdual import particle as pt
-from pltdual.duality import graph_at, splitting
+from pltdual.duality import graph_at, graph_slices, splitting
 from pltdual.groups import (
     FactorizationError,
     GroupKit,
+    _vadj,
     _vdet_normalize,
     _vdexpinv,
     _vinv,
+    _vmul,
     expm2,
 )
 from pltdual.liecore import bracket_coeffs
@@ -488,6 +494,59 @@ def test_closed_form_dexpinv_matches_commutators(size, norm):
     sigma, v = random_traceless(rng, size), random_traceless(rng, size)
     sigma *= norm / np.linalg.norm(sigma, axis=(-2, -1))[:, None, None]
     assert rel_err(_vdexpinv(sigma, v), ref_vdexpinv(sigma, v)) < 1e-13
+
+
+# ---- the broadcast 2x2 product and the adjugate --------------------------------------
+
+
+def random_stack(rng, lead):
+    return rng.normal(size=lead + (2, 2)) + 1j * rng.normal(size=lead + (2, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=70), st.integers(min_value=0, max_value=2**16))
+def test_vmul_matches_matmul(nodes, seed):
+    """Node stacks, chiral stacks and a G-valued u[:, None] against them."""
+    rng = np.random.default_rng(seed)
+    for lead_a, lead_b in [((nodes,), (nodes,)), ((nodes, 2), (nodes, 2)),
+                           ((nodes, 1), (nodes, 2)), ((nodes, 2), (nodes, 1))]:
+        a, b = random_stack(rng, lead_a), random_stack(rng, lead_b)
+        assert rel_err(_vmul(a, b), a @ b) < 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=16), st.booleans(),
+       st.integers(min_value=0, max_value=2**16))
+def test_vmul_is_matmul_on_small_stacks(nodes, broadcast, seed):
+    """Operands of at most 64 entries each, such as the particle's (3, 2, 2)
+    stack, keep numpy's @ bit for bit."""
+    rng = np.random.default_rng(seed)
+    a, b = random_stack(rng, (nodes,)), random_stack(rng, (1,) if broadcast else (nodes,))
+    assert np.array_equal(_vmul(a, b), a @ b)
+    assert np.array_equal(_vmul(b, a), b @ a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=70), st.integers(min_value=0, max_value=2**16),
+       st.floats(min_value=1e-3, max_value=2.0))
+def test_vadj_inverts_unimodular_stacks(nodes, seed, norm):
+    rng = np.random.default_rng(seed)
+    x = random_traceless(rng, 2 * nodes)
+    x *= norm / np.linalg.norm(x, axis=(-2, -1))[:, None, None]
+    k = expm2(x).reshape(nodes, 2, 2, 2)
+    assert rel_err(_vadj(k), _vinv(k)) < 1e-13
+
+
+@pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+def test_graph_slices_match_per_basis_products(algebra, lead):
+    kit, split = kit_and_split(algebra)
+    rng = np.random.default_rng(len(lead))
+    ad = kit.ad_d(random_group_points(kit, rng, lead)[..., None, :, :])
+    n = kit.b.g.dim
+    for got, basis in zip(graph_slices(split, ad), (split.basis_plus, split.basis_minus)):
+        x = ad @ basis
+        assert rel_err(got, x[..., :n, :] @ np.linalg.inv(x[..., n:, :])) < 1e-13
 
 
 @settings(max_examples=20, deadline=None)

@@ -78,6 +78,10 @@ CFL = 0.5
 class LoopState:
     """A loop in the double group sampled on the spatial grid.
 
+    ``k`` must be unimodular at every node (det k = 1 on both sides): the
+    loop tangent k_x k^-1 takes k^-1 as the adjugate, with no division by
+    det k.  :func:`step` renormalizes the determinant of each new state.
+
     :attr:`tangent`, :attr:`gm_factors` and :attr:`mg_factors` are
     computed from ``k`` on first use and kept, so ``k`` must not be
     mutated once any of them has been read.
@@ -171,7 +175,11 @@ def init_pointlike(
     n_cells: int,
     boundary: str = "double-neumann",
 ) -> LoopState:
-    """Pointlike data k(x) = u0 exp(p x): x-independent u, s_x s^-1 = p."""
+    """Pointlike data k(x) = u0 exp(p x): x-independent u, s_x s^-1 = p.
+
+    ``u0`` must be unimodular (det u0 = 1), as :class:`LoopState` requires;
+    ``GroupKit.exp_g`` gives such a point.
+    """
     xs = grid_points(n_cells, boundary)
     s = kit.exp_m(xs[:, None] * np.asarray(p))
     return LoopState(kit, split, np.asarray(u0, dtype=complex) @ s, boundary)

@@ -65,21 +65,16 @@ def _det2(m: np.ndarray) -> np.ndarray:
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-def _vinv(m: np.ndarray) -> np.ndarray:
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1]
-    out[..., 1, 1] = m[..., 0, 0]
-    out[..., 0, 1] = -m[..., 0, 1]
-    out[..., 1, 0] = -m[..., 1, 0]
-    return out / _det2(m)[..., None, None]
-
-
 _ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _vadj(m: np.ndarray) -> np.ndarray:
     """The adjugate, det(m) m^-1; the inverse itself on unimodular stacks."""
     return m[..., ::-1, ::-1].swapaxes(-1, -2) * _ADJ_SIGNS
+
+
+def _vinv(m: np.ndarray) -> np.ndarray:
+    return _vadj(m) / _det2(m)[..., None, None]
 
 
 # operands of at most this many entries each keep numpy's @, which beats

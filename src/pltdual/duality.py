@@ -77,13 +77,18 @@ __all__ = [
 
 class ShiftedMaps(NamedTuple):
     """Constants of the graph maps at u, X_u^-1 = Ad_{u^-1} (X_e^-1 - r1)
-    Ad_{u^-1}^T + r1 (see :mod:`pltdual.particle`)."""
+    Ad_{u^-1}^T + r1, and the particle's right-hand side folded from them
+    (see :mod:`pltdual.particle`), with D = (E_e^-1 - T_e^-1)^-1 and the
+    shifts E' = E_e^-1 - r1, T' = T_e^-1 - r1 and S' = E' + T'."""
 
     r1: np.ndarray
-    e_shift: np.ndarray  # E_e^-1 - r1
-    t_shift: np.ndarray  # T_e^-1 - r1
-    sum_shift: np.ndarray  # E_e^-1 + T_e^-1 - 2 r1
-    d_inv: np.ndarray  # (E_e^-1 - T_e^-1)^-1
+    e_shift: np.ndarray  # E'
+    t_shift: np.ndarray  # T'
+    d_inv: np.ndarray  # D
+    fold_q: np.ndarray  # F = [D E'; D S'], 6x3
+    fold_rp: np.ndarray  # G = [D; 2 D], 6x3
+    t_shift2: np.ndarray  # 2 T'
+    r1_2: np.ndarray  # 2 r1
 
 
 class SplittingError(ValueError):
@@ -130,9 +135,12 @@ class SplittingData:
     @cached_property
     def shifted_maps(self) -> ShiftedMaps:
         r1 = np.ascontiguousarray(self.preset.bialgebra.rho.T)
+        e_shift, t_shift = self.e_inv - r1, self.t_inv - r1
+        d = np.linalg.inv(self.e_inv - self.t_inv)
         return ShiftedMaps(
-            r1, self.e_inv - r1, self.t_inv - r1, self.e_inv + self.t_inv - 2.0 * r1,
-            np.linalg.inv(self.e_inv - self.t_inv),
+            r1, e_shift, t_shift, d,
+            np.vstack([d @ e_shift, d @ (e_shift + t_shift)]), np.vstack([d, 2.0 * d]),
+            2.0 * t_shift, 2.0 * r1,
         )
 
     def orthogonality_defect(self) -> float:

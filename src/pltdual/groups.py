@@ -106,9 +106,9 @@ def _vcond(m: np.ndarray) -> np.ndarray:
     return (f + np.sqrt(np.maximum(f * f - 4.0 * d * d, 0.0))) / (2.0 * d)
 
 
-def _entry_products(u: np.ndarray) -> np.ndarray:
+def _entry_products(u: np.ndarray, u_inv: np.ndarray) -> np.ndarray:
     """The 16 products u_ab (u^-1)_cd, flattened over (a, b, c, d)."""
-    pairs = u[..., :, :, None, None] * _vinv(u)[..., None, None, :, :]
+    pairs = u[..., :, :, None, None] * u_inv[..., None, None, :, :]
     return pairs.reshape(u.shape[:-2] + (16,))
 
 
@@ -292,13 +292,17 @@ class GroupKit:
         """3x3 matrix of Ad_u on g (and its complexification)."""
         u = np.asarray(u, dtype=complex)
         lead = u.shape[:-2]
-        return (_entry_products(u) @ self._ad_g_map).reshape(lead + (3, 3))
+        return (_entry_products(u, _vinv(u)) @ self._ad_g_map).reshape(lead + (3, 3))
 
     def ad_g_pair(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Ad_{u^-1}, Ad_u) on g from one set of products of the entries of
-        u and u^-1."""
+        u and u^-1, stacked over the leading axes.
+
+        u must be unimodular: u^-1 is taken as the adjugate of u, without
+        dividing by det u, so any other u returns det(u) times both maps.
+        """
         lead = u.shape[:-2]
-        both = (_entry_products(u) @ self._ad_g_pair_map).reshape(lead + (2, 3, 3))
+        both = (_entry_products(u, _vadj(u)) @ self._ad_g_pair_map).reshape(lead + (2, 3, 3))
         return both[..., 0, :, :], both[..., 1, :, :]
 
     def ad_d(self, k: np.ndarray) -> np.ndarray:

@@ -15,7 +15,13 @@ r1 shifts cancel in their difference and
 one constant matrix conjugated by the adjoint pair (Ad_{u^-1}, Ad_u).  The
 right-hand side, the energy and the charges are therefore 3x3 products
 with that pair and the constants of :attr:`SplittingData.shifted_maps`,
-with no linear solve.
+with no linear solve.  The right-hand side folds its chain of constant
+3x3 products into two constant 6x3 maps, so that a stage costs a dozen
+small products; at these sizes a numpy call costs about the same whatever
+its operands, so the count of calls is the cost.  A trajectory keeps only
+(t, u, p) per record while it steps, and the energy and the charges of
+all its records are computed afterwards in one pass on the stacked
+records, with one stacked adjoint pair.
 
 The conjugate factor a(t) in k = u exp(p x) a evolves in the dual group by
 da/dt a^-1 = (E_u^-1 - T_u^-1)^-1 (E_u^-1 + T_u^-1) p and is integrated
@@ -64,22 +70,16 @@ __all__ = [
 class ParticleState:
     """The particle's (u, p) and conjugate factor a.
 
-    The adjoint pair of u is computed on first use by :meth:`ad_pair` and
-    kept, so ``u`` must not be mutated once it has been read.
+    u must be unimodular, as :meth:`GroupKit.ad_g_pair` assumes; a step
+    keeps it so.  A step's stages each build their own adjoint pair, and
+    the records of a trajectory are evaluated together on their stacks by
+    :func:`integrate_particle`, so a state holds no derived data.
     """
 
     u: np.ndarray  # 2x2 group matrix
     p: np.ndarray  # dual-algebra coefficients
     # conjugate dual-group factor, a (side, 2, 2) chiral stack
     a: np.ndarray = field(default_factory=lambda: np.tile(np.eye(2, dtype=complex), (2, 1, 1)))
-    _ad_pair: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def ad_pair(self, kit: GroupKit) -> tuple[np.ndarray, np.ndarray]:
-        """(Ad_{u^-1}, Ad_u), shared by the record of the state and the
-        first RKMK stage of the step from it."""
-        if self._ad_pair is None:
-            self._ad_pair = kit.ad_g_pair(self.u)
-        return self._ad_pair
 
 
 @dataclass
@@ -100,24 +100,25 @@ _AD_COND_LIMIT = 1.0 / np.finfo(float).eps
 
 
 def particle_rhs(
-    kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray, pair=None
+    kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left-translated velocities (u^-1 du, dp, da a^-1).
+    """Left-translated velocities (u^-1 du, dp, da a^-1) of a unimodular u.
 
-    With (a, b) = (Ad_{u^-1}, Ad_u), ``pair`` when the caller holds it,
+    With (a, b) = (Ad_{u^-1}, Ad_u), D = (E_e^-1 - T_e^-1)^-1 and the
+    shifts E', T', S' of :class:`~pltdual.duality.ShiftedMaps`,
     x = (E_u^-1 - T_u^-1)^-1 E_u^-1 p is b^T z with
-    z = D_e^-1 ((E_e^-1 - r1) a^T p + b r1 p), and a^T x = z gives
-    T_u^-1 x.  da a^-1 is formed the same way from (E_u^-1 + T_u^-1) p,
-    not as 2 x - p, which cancels in the principal limit.
+    z = D (E' a^T p + b r1 p), and a^T x = z gives T_u^-1 x.
+    da a^-1 = w is formed the same way from (E_u^-1 + T_u^-1) p as b^T w'
+    with w' = D (S' a^T p + 2 b r1 p), not as 2 x - p, which cancels in
+    the principal limit.  The constant maps F = [D E'; D S'] and
+    G = [D; 2 D] give [z; w'] = F a^T p + G b r1 p in two products, and
+    the rows of [z; w'] times b give x and w in one.
     """
-    a, b = kit.ad_g_pair(u) if pair is None else pair
+    a, b = kit.ad_g_pair(u)
     c = split.shifted_maps
-    q = a.T @ p
-    rp = b @ (c.r1 @ p)
-    z = c.d_inv @ (c.e_shift @ q + rp)
-    x = b.T @ z
-    udot = 2.0 * (a @ (c.t_shift @ z) + c.r1 @ x)
-    w = b.T @ (c.d_inv @ (c.sum_shift @ q + 2.0 * rp))
+    zw = c.fold_q @ (a.T @ p) + c.fold_rp @ (b @ (c.r1 @ p))
+    x, w = zw.reshape(2, 3) @ b
+    udot = a @ (c.t_shift2 @ zw[:3]) + c.r1_2 @ x
     pdot = bracket_coeffs(split.preset.bialgebra.m.c, w, p)
     return udot, pdot, w
 
@@ -161,14 +162,19 @@ def particle_rhs_invariant_form(
 
 def particle_hamiltonian(
     kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray, pair=None
-) -> complex:
+) -> complex | np.ndarray:
     """H = < x, E_u^-1 p > / 2 = < s, (E_e^-1 - T_e^-1)^-1 s > / 2 with
-    s = Ad_u E_u^-1 p = (E_e^-1 - r1) Ad_{u^-1}^T p + Ad_u r1 p; ``pair``
-    is (Ad_{u^-1}, Ad_u) when the caller holds it."""
+    s = Ad_u E_u^-1 p = (E_e^-1 - r1) Ad_{u^-1}^T p + Ad_u r1 p.
+
+    u (..., 2, 2) and p (..., 3) may stack records over leading axes, and
+    H then has those axes; ``pair`` is (Ad_{u^-1}, Ad_u) of the same
+    stack when the caller holds it.
+    """
     a, b = kit.ad_g_pair(u) if pair is None else pair
     c = split.shifted_maps
-    s = c.e_shift @ (a.T @ p) + b @ (c.r1 @ p)
-    return 0.5 * complex(s @ (c.d_inv @ s))
+    s = (np.einsum("...ji,...j->...i", a, p) @ c.e_shift.T
+         + np.einsum("...ij,...j->...i", b, p @ c.r1.T))
+    return 0.5 * np.sum((s @ c.d_inv.T) * s, axis=-1)
 
 
 def particle_charges(
@@ -178,14 +184,15 @@ def particle_charges(
 
     In the chiral pair Ad_u acts on both factors by the 3x3 Ad_u, so
     u p u^-1 = (r1 Q_G - Ad_u r1 p) (+) Q_G with the coadjoint
-    Q_G = Ad_{u^-1}^T p; ``pair`` is (Ad_{u^-1}, Ad_u) when the caller
-    holds it.
+    Q_G = Ad_{u^-1}^T p.  u and p may stack records over leading axes, as
+    in :func:`particle_hamiltonian`, and ``pair`` is (Ad_{u^-1}, Ad_u) of
+    the same stack when the caller holds it.
     """
     a, b = kit.ad_g_pair(u) if pair is None else pair
-    r1 = split.shifted_maps.r1
-    qg = a.T @ p
-    qm = r1 @ qg - b @ (r1 @ p)
-    moments = -0.5 * (split.pairing @ np.concatenate([qm, qg]))
+    r1t = split.shifted_maps.r1.T
+    qg = np.einsum("...ji,...j->...i", a, p)
+    qm = qg @ r1t - np.einsum("...ij,...j->...i", b, p @ r1t)
+    moments = -0.5 * (np.concatenate([qm, qg], axis=-1) @ split.pairing.T)
     return qg, qm, moments
 
 
@@ -196,10 +203,8 @@ def _rk_mk_step(kit: GroupKit, split: SplittingData, state: ParticleState, dt: f
     def gens(y: np.ndarray, p: np.ndarray):
         # y stacks (u^T, a_L, a_R): u^-1 du = B is the right-invariant
         # d(u^T) (u^T)^-1 = B^T, and da a^-1 = w acts on both chiral factors
-        # through the m-columns of the chiral matrix, w -> (r2 w, -r1 w);
-        # the first stage sits at the state itself and reuses its pair
-        pair = state.ad_pair(kit) if y is y0 else None
-        udot, pdot, w = particle_rhs(kit, split, y[0].T, p, pair)
+        # through the m-columns of the chiral matrix, w -> (r2 w, -r1 w)
+        udot, pdot, w = particle_rhs(kit, split, y[0].T, p)
         return (stack_map @ np.concatenate([udot, w])).reshape(3, 2, 2), pdot
 
     y1, p1 = rkmk4(gens, y0, state.p, dt)
@@ -215,48 +220,45 @@ def integrate_particle(
     n_steps: int,
     record_every: int = 1,
 ) -> ParticleTrajectory:
+    """Step (u, p) from a unimodular u0 and record every ``record_every``
+    steps and the last; a run that turns non-finite or loses its chart
+    margin stops and keeps the records before the failing step.
+
+    Only (t, u, p) is kept while stepping; the energy and the charges of
+    all records are computed after the loop, stopped or not, on the
+    stacked records with one stacked adjoint pair.
+    """
     state = ParticleState(np.asarray(u0, dtype=complex), np.asarray(p0, dtype=complex))
-    times, us, ps, hams, qgs, moms = [], [], [], [], [], []
-
-    def record(t: float):
-        times.append(t)
-        us.append(state.u.copy())
-        ps.append(state.p.copy())
-        pair = state.ad_pair(kit)
-        hams.append(particle_hamiltonian(kit, split, state.u, state.p, pair))
-        qg, _, mom = particle_charges(kit, split, state.u, state.p, pair)
-        qgs.append(qg)
-        moms.append(mom)
-
-    record(0.0)
+    times, us, ps = [0.0], [state.u], [state.p]
     failure = None
     max_ad_cond = float(_vcond(state.u)) ** 2
-    for i in range(n_steps):
-        where = f"at step {i + 1} (t={(i + 1) * dt:g})"
-        # a blow-up surfaces as a non-finite state, reported below
-        with np.errstate(all="ignore"):
-            try:
-                state = _rk_mk_step(kit, split, state, dt)
-            except np.linalg.LinAlgError as exc:
-                failure = f"{type(exc).__name__} {where}: {exc}"
+    # a blow-up surfaces as a non-finite state, reported below
+    with np.errstate(all="ignore"):
+        for i in range(n_steps):
+            state = _rk_mk_step(kit, split, state, dt)
+            if not np.all(np.isfinite(state.u)) or not np.all(np.isfinite(state.p)):
+                failure = f"non-finite state at step {i + 1} (t={(i + 1) * dt:g})"
                 break
-        if not np.all(np.isfinite(state.u)) or not np.all(np.isfinite(state.p)):
-            failure = f"non-finite state {where}"
-            break
-        ad_cond = float(_vcond(state.u)) ** 2
-        max_ad_cond = max(max_ad_cond, ad_cond)
-        if ad_cond > _AD_COND_LIMIT:
-            failure = f"chart margin lost {where}: cond(Ad_u) = {ad_cond:.3e} exceeds 1/eps"
-            break
-        if (i + 1) % record_every == 0 or i == n_steps - 1:
-            record((i + 1) * dt)
+            ad_cond = float(_vcond(state.u)) ** 2
+            max_ad_cond = max(max_ad_cond, ad_cond)
+            if ad_cond > _AD_COND_LIMIT:
+                failure = (f"chart margin lost at step {i + 1} (t={(i + 1) * dt:g}): "
+                           f"cond(Ad_u) = {ad_cond:.3e} exceeds 1/eps")
+                break
+            if (i + 1) % record_every == 0 or i == n_steps - 1:
+                times.append((i + 1) * dt)
+                us.append(state.u)
+                ps.append(state.p)
+    us, ps = np.array(us), np.array(ps)
+    pair = kit.ad_g_pair(us)
+    qg, _, moments = particle_charges(kit, split, us, ps, pair)
     return ParticleTrajectory(
         np.array(times),
-        np.array(us),
-        np.array(ps),
-        np.array(hams),
-        np.array(qgs),
-        np.array(moms),
+        us,
+        ps,
+        particle_hamiltonian(kit, split, us, ps, pair),
+        qg,
+        moments,
         failure is None,
         failure,
         max_ad_cond,

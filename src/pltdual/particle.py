@@ -117,10 +117,10 @@ def particle_rhs(
     a, b = kit.ad_g_pair(u)
     c = split.shifted_maps
     zw = c.fold_q @ (a.T @ p) + c.fold_rp @ (b @ (c.r1 @ p))
-    x, w = zw.reshape(2, 3) @ b
-    udot = a @ (c.t_shift2 @ zw[:3]) + c.r1_2 @ x
-    pdot = bracket_coeffs(split.preset.bialgebra.m.c, w, p)
-    return udot, pdot, w
+    xw = zw.reshape(2, 3) @ b
+    udot = a @ (c.t_shift2 @ zw[:3]) + c.r1_2 @ xw[0]
+    pdot = bracket_coeffs(split.preset.bialgebra.m.c, xw[1], p)
+    return udot, pdot, xw[1]
 
 
 def particle_rhs_inverse_form(
@@ -236,7 +236,7 @@ def integrate_particle(
     with np.errstate(all="ignore"):
         for i in range(n_steps):
             state = _rk_mk_step(kit, split, state, dt)
-            if not np.all(np.isfinite(state.u)) or not np.all(np.isfinite(state.p)):
+            if not np.isfinite(state.u).all() or not np.isfinite(state.p).all():
                 failure = f"non-finite state at step {i + 1} (t={(i + 1) * dt:g})"
                 break
             ad_cond = float(_vcond(state.u)) ** 2

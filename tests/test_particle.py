@@ -438,6 +438,26 @@ def test_chart_margin_stops_run_and_is_recorded():
     assert np.all(np.isfinite(traj.hams))
 
 
+def test_stopped_run_keeps_its_records_and_their_invariants():
+    """`pltdual particle --algebra sl2r --p0=5,5,5 --dt 1e-2` blows up: the
+    run stops at its first non-finite step, keeps every record before it,
+    and the energy and charges computed on the stacked records equal the
+    per-state functions on each record's (u, p)."""
+    _, kit, split = setup("sl2r")
+    u0 = kit.exp_g(np.random.default_rng(0).normal(size=3) * 0.3)
+    traj = integrate_particle(kit, split, u0, np.array([5.0, 5.0, 5.0]), 1e-2, 100)
+    assert not traj.completed
+    assert traj.failure == "non-finite state at step 32 (t=0.32)"
+    assert len(traj.times) == len(traj.us) == len(traj.hams) == 32
+    for j in range(32):
+        u, p = traj.us[j], traj.ps[j]
+        h = particle_hamiltonian(kit, split, u, p)
+        qg, _, moments = particle_charges(kit, split, u, p)
+        assert abs(traj.hams[j] - h) <= 1e-13 * abs(h)
+        assert np.abs(traj.charges_g[j] - qg).max() <= 1e-13 * np.abs(qg).max()
+        assert np.abs(traj.moments[j] - moments).max() <= 1e-13 * np.abs(moments).max()
+
+
 def test_completed_run_reports_its_margin():
     _, kit, split = setup("sl2r")
     u0 = expm2(kit.mat(np.array([0.4, 0.3, -0.2])))

@@ -18,9 +18,12 @@ steppers use.  The broadcast 2x2 product ``_vmul`` is compared with
 numpy's ``@`` (and is ``@`` itself on stacks small enough to stay on it),
 the adjugate ``_vadj`` with the inverse on unimodular stacks, and the
 graph slices of one stacked product with the per-basis products they
-replaced; counts show that the field step builds its generator map
-once per splitting, that a recorded loop state is factorized once in each
-order and a recorded particle state builds one adjoint pair.
+replaced.  The particle's energy and charges of stacked records, with one
+stacked adjoint pair, are compared with their per-record calls.  Counts
+show that the field step builds its generator map once per splitting,
+that a recorded loop state is factorized once in each order and that a
+particle trajectory builds one adjoint pair per stage and one for all its
+records.
 """
 
 from collections import Counter
@@ -644,6 +647,43 @@ def test_particle_kernels_match_solve_route(algebra, preset, seed):
         assert rel_err(got, want) < 1e-13
 
 
+def particle_term_sizes(split, a, b, p):
+    """Sizes of the terms that particle_hamiltonian and particle_charges
+    sum for one record: the same products taken on absolute values."""
+    c = split.shifted_maps
+    r1 = np.abs(c.r1)
+    qg = np.abs(a).T @ np.abs(p)
+    rp = np.abs(b) @ (r1 @ np.abs(p))
+    s = np.abs(c.e_shift) @ qg + rp
+    qm = r1 @ qg + rp
+    return 0.5 * s @ np.abs(c.d_inv) @ s, (qg, qm, 0.5 * np.abs(split.pairing) @ np.concatenate([qm, qg]))
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+@pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16), n_records=st.integers(1, 30))
+def test_stacked_particle_records_match_per_record_calls(algebra, preset, seed, n_records):
+    kit, split = preset_kit_and_split(algebra, preset)
+    rng = np.random.default_rng(seed)
+    shape = (n_records, 3)
+    us = expm2(kit.mat(rng.uniform(-0.4, 0.4, shape) + 1j * rng.uniform(-0.4, 0.4, shape)))
+    ps = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+    pair = kit.ad_g_pair(us)
+    hams = pt.particle_hamiltonian(kit, split, us, ps, pair)
+    charges = pt.particle_charges(kit, split, us, ps, pair)
+    assert hams.shape == (n_records,)
+    assert [q.shape for q in charges] == [shape, shape, (n_records, 6)]
+    for j in range(n_records):
+        a, b = kit.ad_g_pair(us[j])
+        assert rel_err(pair[0][j], a) < 1e-13
+        assert rel_err(pair[1][j], b) < 1e-13
+        size_h, sizes = particle_term_sizes(split, a, b, ps[j])
+        assert abs(hams[j] - pt.particle_hamiltonian(kit, split, us[j], ps[j])) <= 1e-13 * size_h
+        for got, want, size in zip(charges, pt.particle_charges(kit, split, us[j], ps[j]), sizes):
+            assert np.all(np.abs(got[j] - want) <= 1e-13 * size)
+
+
 @pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**16))
@@ -730,6 +770,6 @@ def test_recorded_particle_state_builds_one_adjoint_pair(monkeypatch):
     n_steps = 5
     traj = pt.integrate_particle(kit, split, np.eye(2), np.array([0.3, 0.1, -0.2]), 1e-2, n_steps)
     assert traj.completed and len(traj.times) == n_steps + 1
-    # one pair per recorded state, which the step from it reuses in its
-    # first stage, and one for each of the three further stages
+    # one pair for each of a step's four stages, and one stacked pair for
+    # all the records together
     assert calls["pair"] == 1 + 4 * n_steps

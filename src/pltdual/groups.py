@@ -29,7 +29,7 @@ double group has one method, which takes and returns chiral stacks.
 
 The stacked 2x2 kernels are closed forms: a traceless x squares to
 theta^2 1 with theta^2 = -det x, which gives the exponential and the
-dexp^-1 of :func:`rkmk4` without series in commutators.
+dexp^-1 of :func:`rkmk4` without series in commutators or in theta.
 """
 
 from __future__ import annotations
@@ -63,6 +63,11 @@ class FactorizationError(RuntimeError):
 
 def _det2(m: np.ndarray) -> np.ndarray:
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def _theta2(x: np.ndarray) -> np.ndarray:
+    """theta^2 of traceless x, x^2 = theta^2 1: the exact negation of det x."""
+    return x[..., 0, 1] * x[..., 1, 0] - x[..., 0, 0] * x[..., 1, 1]
 
 
 _ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -113,21 +118,24 @@ def _entry_products(u: np.ndarray, u_inv: np.ndarray) -> np.ndarray:
 
 
 _EYE2 = np.eye(2)
+_HALF_EYE2 = 0.5 * _EYE2
 
 
-def _vdexpinv(sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _vdexpinv(sigma: np.ndarray, v: np.ndarray, theta2: np.ndarray | None = None) -> np.ndarray:
     """dexp^-1_sigma(v) = v - [sigma, v]/2 + [sigma, [sigma, v]]/12, truncated
     after the double commutator (order-4 ok), for traceless sigma and v.
 
-    sigma^2 = theta^2 1 with theta^2 = -det sigma = sigma_00^2 + sigma_01 sigma_10
-    gives [sigma, v] = 2 sigma v - tr(sigma v) 1 and
-    [sigma, [sigma, v]] = 4 theta^2 v - 2 tr(sigma v) sigma, so the sum
-    takes one product of the stacks, by :func:`_vmul`.
+    sigma^2 = theta^2 1 gives [sigma, v] = 2 sigma v - tr(sigma v) 1 and
+    [sigma, [sigma, v]] = 4 theta^2 v - 2 tr(sigma v) sigma, so the sum is
+    (1 + theta^2/3) v - sigma v + tr(sigma v) (1/2 - sigma/6), with one
+    product of the stacks by :func:`_vmul`.  ``theta2`` is
+    :func:`_theta2` of sigma when the caller holds it.
     """
+    if theta2 is None:
+        theta2 = _theta2(sigma)
     sv = _vmul(sigma, v)
     tr = (sv[..., 0, 0] + sv[..., 1, 1])[..., None, None]
-    theta2 = (sigma[..., 0, 0] ** 2 + sigma[..., 0, 1] * sigma[..., 1, 0])[..., None, None]
-    return v + (theta2 / 3.0) * v - sv + tr * (0.5 * _EYE2 - sigma / 6.0)
+    return (1.0 + theta2[..., None, None] / 3.0) * v - sv + tr * (_HALF_EYE2 - sigma / 6.0)
 
 
 def _check_chart(bad: np.ndarray, message: str) -> None:
@@ -137,27 +145,23 @@ def _check_chart(bad: np.ndarray, message: str) -> None:
         raise FactorizationError(f"{message} (first at node {j})")
 
 
-def expm2(x: np.ndarray) -> np.ndarray:
+def expm2(x: np.ndarray, theta2: np.ndarray | None = None) -> np.ndarray:
     """Closed-form exponential of traceless 2x2 matrices, stacked over the
-    leading axes: cosh(theta) 1 + sinh(theta)/theta x with theta^2 = -det x."""
+    leading axes: cosh(theta) 1 + sinh(theta)/theta x with theta^2 =
+    -det x, or ``theta2`` when the caller holds it (see :func:`_theta2`).
+
+    sinh(theta)/theta and cosh(theta) are accurate in floating point for
+    every nonzero theta, so no series is needed near 0; theta^2 = 0 is
+    read as theta = 1e-150, where both round to exactly 1, so a zero or
+    nilpotent x gives exactly 1 + x.
+    """
     x = np.asarray(x, dtype=complex)
-    theta2 = -_det2(x)
-    theta = np.sqrt(theta2)
-    small = np.abs(theta) < 1e-6
-    if small.any():
-        # series for cosh(theta) and sinh(theta)/theta, accurate to ~1e-38,
-        # where theta is small; sinh(theta)/theta only where it is not
-        safe = np.where(small, 1.0, theta)
-        c = np.where(small, 1 + theta2 * (1 / 2 + theta2 * (1 / 24 + theta2 / 720)), np.cosh(safe))
-        s = np.where(small, 1 + theta2 * (1 / 6 + theta2 * (1 / 120 + theta2 / 5040)),
-                     np.sinh(safe) / safe)
-    else:
-        c = np.cosh(theta)
-        s = np.sinh(theta) / theta
-    out = s[..., None, None] * x
-    out[..., 0, 0] += c
-    out[..., 1, 1] += c
-    return out
+    if theta2 is None:
+        theta2 = _theta2(x)
+    theta = np.sqrt(np.where(theta2 == 0, 1e-300, theta2))
+    c = np.cosh(theta)
+    s = np.sinh(theta) / theta
+    return c[..., None, None] * _EYE2 + s[..., None, None] * x
 
 
 def rkmk4(gens, y0: np.ndarray, p0, dt: float):
@@ -169,16 +173,23 @@ def rkmk4(gens, y0: np.ndarray, p0, dt: float):
     closed-form dexp^-1 assumes (both flows meet this).  Each stage
     reaches its point through the exponential of the algebra increment
     and pulls the generator back by dexp^-1, so y stays on its group;
-    returns (y1, p1).
+    the stage's exponential and dexp^-1 share one theta^2 of the
+    increment.  Returns (y1, p1).
     """
     a1, k1 = gens(y0, p0)
     # the first stage sits at sigma = 0, where exp and dexp^-1 are identities
-    a2, k2 = gens(_vmul(expm2(0.5 * dt * a1), y0), p0 + 0.5 * dt * k1)
-    b2 = _vdexpinv(0.5 * dt * a1, a2)
-    a3, k3 = gens(_vmul(expm2(0.5 * dt * b2), y0), p0 + 0.5 * dt * k2)
-    b3 = _vdexpinv(0.5 * dt * b2, a3)
-    a4, k4 = gens(_vmul(expm2(dt * b3), y0), p0 + dt * k3)
-    b4 = _vdexpinv(dt * b3, a4)
+    s2 = 0.5 * dt * a1
+    t2 = _theta2(s2)
+    a2, k2 = gens(_vmul(expm2(s2, t2), y0), p0 + 0.5 * dt * k1)
+    b2 = _vdexpinv(s2, a2, t2)
+    s3 = 0.5 * dt * b2
+    t3 = _theta2(s3)
+    a3, k3 = gens(_vmul(expm2(s3, t3), y0), p0 + 0.5 * dt * k2)
+    b3 = _vdexpinv(s3, a3, t3)
+    s4 = dt * b3
+    t4 = _theta2(s4)
+    a4, k4 = gens(_vmul(expm2(s4, t4), y0), p0 + dt * k3)
+    b4 = _vdexpinv(s4, a4, t4)
     y1 = _vmul(expm2((dt / 6.0) * (a1 + 2 * b2 + 2 * b3 + b4)), y0)
     # renormalize the determinant only: the flow is holomorphic in
     # SL(2, C) and need not stay on a compact real form, so a polar
@@ -302,7 +313,7 @@ class GroupKit:
         dividing by det u, so any other u returns det(u) times both maps.
         """
         lead = u.shape[:-2]
-        both = (_entry_products(u, _vadj(u)) @ self._ad_g_pair_map).reshape(lead + (2, 3, 3))
+        both = _entry_products(u, _vadj(u)).dot(self._ad_g_pair_map).reshape(lead + (2, 3, 3))
         return both[..., 0, :, :], both[..., 1, :, :]
 
     def ad_d(self, k: np.ndarray) -> np.ndarray:

@@ -53,9 +53,15 @@ class LieAlgebra:
 
 
 def bracket_coeffs(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y] of coefficient vectors via the structure constants; leading
-    axes of ``x`` and ``y`` broadcast."""
-    return np.einsum("...i,...j,ijk->...k", x, y, c)
+    """[x, y] of coefficient arrays via the structure constants; leading
+    axes of ``x`` and ``y`` broadcast.
+
+    The n^2 products x_i y_j times c reshaped to (n^2, n) are one
+    product, about half the cost of the three-operand einsum on 3-vectors.
+    """
+    n = c.shape[0]
+    xy = x[..., :, None] * y[..., None, :]
+    return xy.reshape(xy.shape[:-2] + (n * n,)).dot(c.reshape(n * n, n))
 
 
 def ad_matrix(algebra: LieAlgebra, x: np.ndarray) -> np.ndarray:

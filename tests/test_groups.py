@@ -9,6 +9,9 @@ import pytest
 from pltdual.groups import (
     FactorizationError,
     GroupKit,
+    _det2,
+    _theta2,
+    _vdexpinv,
     _vinv,
     expm2,
 )
@@ -77,8 +80,8 @@ def _expm_series(x: np.ndarray, terms: int = 40) -> np.ndarray:
 
 
 def test_expm2_stacked_matches_series():
-    """One call exponentiates a stack, including nodes on the small-theta
-    series and at theta = 0 (zero and nilpotent), without a warning."""
+    """One call exponentiates a stack, including nodes at small theta and
+    at theta = 0 (zero and nilpotent), without a warning."""
     rng = np.random.default_rng(7)
     x = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
     x[:, 1, 1] = -x[:, 0, 0]
@@ -94,6 +97,51 @@ def test_expm2_stacked_matches_series():
     assert np.array_equal(stacked, nested)
     for m, e in zip(x, stacked):
         assert np.max(np.abs(e - _expm_series(m))) < 1e-13 * max(1.0, np.max(np.abs(e)))
+
+
+def _theta2_ladder() -> np.ndarray:
+    """Traceless stacks whose theta^2 spans 0 to 25 on the real and the
+    complex axes: off-diagonal [[0, b], [c, 0]] with theta^2 = b c exactly,
+    a real and a complex nilpotent, and random directions scaled to the
+    same sizes (up to theta^2 = 1, inside the series oracle's range)."""
+    rng = np.random.default_rng(11)
+    sizes = [5e-324, 1e-40, 1e-20, 1e-12, 1e-6, 1e-2, 1.0]
+    xs = [np.zeros((2, 2)), [[0.0, 1.5], [0.0, 0.0]], [[1j, 1.0], [1.0, -1j]]]
+    for phase in (1.0, np.exp(0.7j)):
+        xs += [[[0.0, 1.0], [size * phase, 0.0]] for size in sizes]
+        xs.append([[0.0, 5.0], [5.0 * phase, 0.0]])
+        for size in sizes:
+            x = rng.normal(size=(2, 2)) + (phase != 1.0) * 1j * rng.normal(size=(2, 2))
+            x[1, 1] = -x[0, 0]
+            xs.append(x * np.sqrt(size / abs(-np.linalg.det(x))))
+    return np.array(xs, dtype=complex)
+
+
+def test_expm2_matches_series_across_theta_without_branch():
+    """Without a small-theta series, sinh(theta)/theta and cosh(theta) stay
+    accurate from theta^2 = 5e-324 to 25, theta^2 = 0 gives exactly 1 + x,
+    and passing the shared theta^2 changes no bit."""
+    x = _theta2_ladder()
+    assert np.array_equal(_theta2(x), -_det2(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = expm2(x)
+        shared = expm2(x, _theta2(x))
+    assert np.array_equal(e, shared)
+    for m, em in zip(x, e):
+        assert np.max(np.abs(em - _expm_series(m))) < 1e-13 * max(1.0, np.max(np.abs(em)))
+    zero = _theta2(x) == 0
+    assert zero.sum() == 3
+    assert np.array_equal(e[zero], np.eye(2) + x[zero])
+
+
+def test_vdexpinv_shared_theta2_is_bit_identical():
+    rng = np.random.default_rng(12)
+    sigma = rng.normal(size=(5, 3, 2, 2)) + 1j * rng.normal(size=(5, 3, 2, 2))
+    sigma[..., 1, 1] = -sigma[..., 0, 0]
+    v = rng.normal(size=(5, 3, 2, 2)) + 1j * rng.normal(size=(5, 3, 2, 2))
+    v[..., 1, 1] = -v[..., 0, 0]
+    assert np.array_equal(_vdexpinv(sigma, v, _theta2(sigma)), _vdexpinv(sigma, v))
 
 
 def test_exp_g_lands_in_group(kit):

@@ -62,6 +62,22 @@ def test_ad_matrix_reproduces_bracket(algebra):
     assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "x_shape, y_shape", [((5, 3), (3,)), ((2, 1, 3), (4, 3)), ((3,), (3,))]
+)
+def test_bracket_coeffs_matches_einsum_oracle(algebra, x_shape, y_shape):
+    """The one-product bracket equals the three-operand einsum it replaced,
+    leading axes broadcasting, to roundoff of the largest term."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=x_shape) + 1j * rng.normal(size=x_shape)
+    y = rng.normal(size=y_shape) + 1j * rng.normal(size=y_shape)
+    oracle = np.einsum("...i,...j,ijk->...k", x, y, algebra.c)
+    out = bracket_coeffs(algebra.c, x, y)
+    assert out.shape == oracle.shape
+    largest = np.abs(x).max() * np.abs(y).max() * np.abs(algebra.c).max()
+    assert np.abs(out - oracle).max() <= 1e-14 * largest
+
+
 def test_bilinear_form_pairing(algebra):
     """The double's pairing as the bilinear form x^T P y: <xi (+) phi,
     eta (+) psi> = phi(eta) + psi(xi)."""

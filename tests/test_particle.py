@@ -11,7 +11,9 @@ from pltdual.duality import splitting
 from pltdual.groups import GroupKit, expm2
 from pltdual.liecore import bracket_coeffs
 from pltdual.models import make_preset
+from pltdual import particle
 from pltdual.particle import (
+    ParticleState,
     conjugate_description_residual,
     integrate_particle,
     particle_charges,
@@ -456,6 +458,31 @@ def test_stopped_run_keeps_its_records_and_their_invariants():
         assert abs(traj.hams[j] - h) <= 1e-13 * abs(h)
         assert np.abs(traj.charges_g[j] - qg).max() <= 1e-13 * np.abs(qg).max()
         assert np.abs(traj.moments[j] - moments).max() <= 1e-13 * np.abs(moments).max()
+
+
+@pytest.mark.parametrize(
+    "u, p, failure",
+    [
+        (np.diag([1e200, 1e-200]), [0.1, 0.2, 0.3],
+         "chart margin lost at step 1 (t=0.001): cond(Ad_u) = inf exceeds 1/eps"),
+        (np.eye(2), [0.1, np.nan, 0.3], "non-finite state at step 1 (t=0.001)"),
+        ([[1.0, np.inf], [0.0, 1.0]], [0.1, 0.2, 0.3], "non-finite state at step 1 (t=0.001)"),
+        (np.eye(2), [1e200, 0.0, 0.0], None),
+    ],
+    ids=["norm-overflow", "nan-p", "inf-u", "p-norm-overflow"],
+)
+def test_chart_check_classifies_crafted_steps(monkeypatch, u, p, failure):
+    """The check after each step reads the squared norms of u and p and
+    scans the entries only when a norm is not finite: finite entries whose
+    norm overflows are a lost chart margin (u) or no failure (p), and only
+    a non-finite entry is a non-finite state."""
+    _, kit, split = setup("sl2r")
+    crafted = ParticleState(np.array(u, dtype=complex), np.array(p, dtype=complex))
+    monkeypatch.setattr(particle, "_rk_mk_step", lambda kit, split, state, dt: crafted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = integrate_particle(kit, split, np.eye(2), np.array([0.1, 0.2, 0.3]), 1e-3, 3)
+    assert traj.failure == failure
+    assert traj.completed is (failure is None)
 
 
 def test_completed_run_reports_its_margin():

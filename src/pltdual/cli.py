@@ -33,7 +33,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -46,7 +45,6 @@ from .duality import (
     validation_report,
 )
 from .fieldsim import (
-    CFLWarning,
     duality_check,
     init_pointlike,
     integrate_field,
@@ -566,11 +564,7 @@ def run(argv=None) -> int:
         args = parser.parse_args(_attach_negative_values(argv))
         cfg = _merge_config(args.subcommand, args)
         opts = _checked(args.subcommand, cfg)
-        # stderr carries one JSON document: a field run lists a step past
-        # the CFL bound in its metadata and error document instead
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CFLWarning)
-            return _RUNNERS[args.subcommand](cfg, opts)
+        return _RUNNERS[args.subcommand](cfg, opts)
     except (ConfigError, SplittingError) as exc:
         sys.stderr.write(_error_json("config", str(exc)))
         return EXIT_CONFIG

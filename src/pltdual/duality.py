@@ -46,7 +46,7 @@ from .bialgebra import (
     symmetric_part_invariance_residual,
     tensor_conjugate,
 )
-from .groups import COND_CUTOFF, GroupKit, _vinv
+from .groups import COND_CUTOFF, GroupKit, _vadj, _vdet_normalize
 from .liecore import jacobi_residual
 from .models import ModelPreset, make_preset
 
@@ -244,8 +244,11 @@ def graph_at(
     * ``cocycle``: Ad_{u^-1}(X_e) + Pi(u^-1) with the r2 dressing cocycle
       Pi(v) = Ad_v rho Ad_v^T - rho (equal to r1 - Ad_v r1 Ad_v^T by the
       Ad-invariance of the symmetric part).
+
+    u need not be unimodular: it is normalized once, which leaves Ad_u
+    unchanged, so c u gives the maps of u on every route.
     """
-    uinv = _vinv(u)
+    uinv = _vadj(_vdet_normalize(np.asarray(u, dtype=complex)))
     if route == "transport":
         return graph_slices(split, kit.ad_d(uinv[None]))
     a = kit.ad_g(uinv)

@@ -36,18 +36,16 @@ also serves as the earlier time level of the next residual.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .duality import GraphBlowupError, SplittingData, graph_inverse, graph_slices
-from .groups import FactorizationError, GroupKit, _vadj, _vinv, _vmul, rkmk4
+from .groups import FactorizationError, GroupKit, _vadj, _vmul, rkmk4
 from .liecore import bracket_coeffs
 
 __all__ = [
-    "CFLWarning",
     "LoopState",
     "FieldTrajectory",
     "init_pointlike",
@@ -132,14 +130,14 @@ class LoopState:
     def gm_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(u, s, u^-1, Ad_{u^-1}) at every node, for k = u s."""
         u, s = self.kit.factorize_gm(self.k)
-        uinv = _vinv(u)
+        uinv = _vadj(u)
         return u, s, uinv, self.kit.ad_d(uinv[:, None])
 
     @cached_property
     def mg_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(t, v, t^-1, Ad_{t^-1}) at every node, for k = t v."""
         t, v = self.kit.factorize_mg(self.k)
-        tinv = _vinv(t)
+        tinv = _vadj(t)
         return t, v, tinv, self.kit.ad_d(tinv)
 
 
@@ -338,23 +336,9 @@ def _generator_map(kit: GroupKit, split: SplittingData) -> np.ndarray:
 # ---- time stepping -------------------------------------------------------------
 
 
-class CFLWarning(RuntimeWarning):
-    """A time step past the CFL bound of the grid."""
-
-
-def _cfl_excess(state: LoopState, dt: float) -> str | None:
-    """The message for a time step past the CFL bound CFL * dx, else None."""
-    if dt > CFL * state.dx + 1e-15:
-        return f"dt = {dt:g} exceeds the CFL bound {CFL:g} * dx = {CFL * state.dx:g}"
-    return None
-
-
 def step(state: LoopState, dt: float) -> LoopState:
     """One fourth-order Runge-Kutta-Munthe-Kaas step of the loop flow, on
     the chiral stack of the loop."""
-    message = _cfl_excess(state, dt)
-    if message:
-        warnings.warn(message, CFLWarning, stacklevel=2)
     dx, boundary = state.dx, state.boundary
     maps = state.split.generator_maps
     gen_map = maps.get(state.kit)
@@ -641,13 +625,15 @@ def integrate_field(
     False and ``failure`` set to ``<error> at step i (t=...): <message>``,
     step 0 being the initial record; the rows recorded before it are
     kept, and a row is recorded whole or not at all.  A time step past the
-    CFL bound is listed in ``warnings`` (and warned of by every
-    :func:`step`).
+    CFL bound is listed in ``warnings``, its one report: :func:`step`
+    itself does not warn.
     ``final_state`` is the state of the last recorded row.
     """
     columns = times, hams, moms, fds, gaps, rgs, rts = [], [], [], [], [], [], []
     final_state = failure = None
-    excess = _cfl_excess(state, dt)
+    notes = []
+    if dt > CFL * state.dx + 1e-15:
+        notes.append(f"dt = {dt:g} exceeds the CFL bound {CFL:g} * dx = {CFL * state.dx:g}")
 
     def record(s: LoopState, prev_state: LoopState | None):
         nonlocal final_state
@@ -689,5 +675,5 @@ def integrate_field(
         final_state,
         failure is None,
         failure,
-        [excess] if excess else [],
+        notes,
     )

@@ -27,6 +27,12 @@ which sits diagonally, enters as ``u[..., None, :, :]``, a side axis of
 length one that broadcasts over both sides.  Each operation on the
 double group has one method, which takes and returns chiral stacks.
 
+Every element of G, M or the double is unimodular (the steppers normalize
+the determinant, the factorizations build unit determinants), and the
+operations here assume it of their inputs: the one inverse is the adjugate
+:func:`_vadj` and the one chart margin :func:`_unimodular_cond`.  A public
+entry point that takes a caller's matrix normalizes it once.
+
 The stacked 2x2 kernels are closed forms: a traceless x squares to
 theta^2 1 with theta^2 = -det x, which gives the exponential and the
 dexp^-1 of :func:`rkmk4` without series in commutators or in theta.
@@ -78,10 +84,6 @@ def _vadj(m: np.ndarray) -> np.ndarray:
     return m[..., ::-1, ::-1].swapaxes(-1, -2) * _ADJ_SIGNS
 
 
-def _vinv(m: np.ndarray) -> np.ndarray:
-    return _vadj(m) / _det2(m)[..., None, None]
-
-
 # operands of at most this many entries each keep numpy's @, which beats
 # the broadcast on small stacks such as the particle's (3, 2, 2)
 _VMUL_AT_MOST = 64
@@ -103,12 +105,11 @@ def _vdet_normalize(m: np.ndarray) -> np.ndarray:
     return m / np.sqrt(_det2(m))[..., None, None]
 
 
-def _vcond(m: np.ndarray) -> np.ndarray:
-    """2-norm condition number sigma_1 / sigma_2, in closed form from
-    sigma_1^2 + sigma_2^2 = |m|_F^2 and sigma_1 sigma_2 = |det m|."""
-    f = np.sum(np.abs(m) ** 2, axis=(-2, -1))
-    d = np.abs(_det2(m))
-    return (f + np.sqrt(np.maximum(f * f - 4.0 * d * d, 0.0))) / (2.0 * d)
+def _unimodular_cond(f):
+    """2-norm condition number sigma_1 / sigma_2 of a unimodular 2x2 matrix
+    from f = |m|_F^2, since sigma_1^2 + sigma_2^2 = f and sigma_1 sigma_2
+    = 1; a NaN f gives NaN.  Takes a float or an array of them."""
+    return (f + np.sqrt(np.maximum(f * f - 4.0, 0.0))) / 2.0
 
 
 def _entry_products(u: np.ndarray, u_inv: np.ndarray) -> np.ndarray:
@@ -303,15 +304,11 @@ class GroupKit:
         """3x3 matrix of Ad_u on g (and its complexification)."""
         u = np.asarray(u, dtype=complex)
         lead = u.shape[:-2]
-        return (_entry_products(u, _vinv(u)) @ self._ad_g_map).reshape(lead + (3, 3))
+        return (_entry_products(u, _vadj(u)) @ self._ad_g_map).reshape(lead + (3, 3))
 
     def ad_g_pair(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Ad_{u^-1}, Ad_u) on g from one set of products of the entries of
-        u and u^-1, stacked over the leading axes.
-
-        u must be unimodular: u^-1 is taken as the adjugate of u, without
-        dividing by det u, so any other u returns det(u) times both maps.
-        """
+        u and u^-1, stacked over the leading axes."""
         lead = u.shape[:-2]
         both = _entry_products(u, _vadj(u)).dot(self._ad_g_pair_map).reshape(lead + (2, 3, 3))
         return both[..., 0, :, :], both[..., 1, :, :]
@@ -355,7 +352,7 @@ class GroupKit:
         """
         n = self.b.g.dim
         adt = self.ad_d(t)
-        adtinv = self.ad_d(_vinv(t))
+        adtinv = self.ad_d(_vadj(t))
         return adt[..., n:, n:] @ adtinv[..., n:, :n]
 
     # ---- factorization -----------------------------------------------------
@@ -371,21 +368,23 @@ class GroupKit:
         chiral components; on the compact real form (k_R = (k_L^+)^-1)
         it coincides with the phase-fixed QR of k_L, but the flows treated
         here are holomorphic and need not stay on the real form, where QR
-        would silently return a non-M second factor.  Every chart check
-        is elementwise and names the first failing node.
+        would silently return a non-M second factor.  k_R^-1 is the
+        adjugate, so the det-drift check comes first: each side's det
+        within 2.5e-7 of 1 keeps det z, which the split takes as 1, within
+        1e-6 of 1.  Every chart check is elementwise and names the first
+        failing node.
         """
+        drift = (np.abs(_det2(k) - 1.0) > 2.5e-7).any(axis=-1)
+        _check_chart(drift, "element left the double group (det drift)")
         left = k[..., 0, :, :]
-        z = _vmul(_vinv(k[..., 1, :, :]), left)
+        z = _vmul(_vadj(k[..., 1, :, :]), left)
         _check_chart(np.abs(z[..., 0, 0]) < 1e-12, "factorization chart: zero pivot")
-        l21 = z[..., 1, 0] / z[..., 0, 0]
         d1 = z[..., 0, 0]
-        d2 = z[..., 1, 1] - l21 * z[..., 0, 1]
         if self.flavor == "sl2r":
             _check_chart(
                 (d1.real <= 0) | (np.abs(d1.imag) > 1e-8 * np.abs(d1)),
                 "sl2r factorization chart: diagonal left identity component",
             )
-        _check_chart(np.abs(d1 * d2 - 1.0) > 1e-6, "element left the double group (det drift)")
         # principal branch: positive real on (and continuously near) the
         # locus where d1 is positive real, e.g. the compact real form
         sq1 = np.sqrt(d1.astype(complex))
@@ -393,16 +392,17 @@ class GroupKit:
         s_left[..., 0, 0] = sq1
         s_left[..., 0, 1] = z[..., 0, 1] / sq1
         s_left[..., 1, 1] = 1.0 / sq1
-        u = _vmul(left, _vinv(s_left))
+        u = _vmul(left, _vadj(s_left))
         # written so that a non-finite node fails too
-        _check_chart(~(_vcond(s_left) <= COND_CUTOFF), "factorization is numerically singular")
-        return u, np.stack([s_left, _vmul(_vinv(u), k[..., 1, :, :])], axis=-3)
+        cond = _unimodular_cond(np.sum(np.abs(s_left) ** 2, axis=(-2, -1)))
+        _check_chart(~(cond <= COND_CUTOFF), "factorization is numerically singular")
+        return u, np.stack([s_left, _vmul(_vadj(u), k[..., 1, :, :])], axis=-3)
 
     def factorize_mg(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split the chiral stack k = t v, t in M and v in G, as (t, v),
         via k^-1 = v^-1 t^-1."""
-        uprime, s = self.factorize_gm(_vinv(k))
-        return _vinv(s), _vinv(uprime)
+        uprime, s = self.factorize_gm(_vadj(k))
+        return _vadj(s), _vadj(uprime)
 
     # ---- dual group in vector coordinates (su2 only) ------------------------
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .duality import SplittingData, graph_at, graph_inverse
-from .groups import GroupKit, _vinv, expm2, rkmk4
+from .groups import GroupKit, _unimodular_cond, _vadj, expm2, rkmk4
 from .liecore import bracket_coeffs
 from .models import ModelPreset
 
@@ -102,12 +102,14 @@ class ParticleTrajectory:
 
 # past this cond(Ad_u), Ad_u and Ad_{u^-1} no longer invert each other
 _AD_COND_LIMIT = 1.0 / np.finfo(float).eps
+# the |u|_F^2 of a unimodular u past which cond(Ad_u) = cond(u)^2 exceeds
+# the limit: f = c + 1/c for cond(u) = c
+_F_LIMIT = _AD_COND_LIMIT ** 0.5 + _AD_COND_LIMIT ** -0.5
 
 
 def _ad_cond(f: float) -> float:
-    """cond(Ad_u) = cond(u)^2 of a unimodular u from f = |u|_F^2, whose
-    singular values have s1^2 + s2^2 = f and s1 s2 = 1."""
-    cond = (f + math.sqrt(max(f * f - 4.0, 0.0))) / 2.0
+    """cond(Ad_u) = cond(u)^2 of a unimodular u from f = |u|_F^2."""
+    cond = float(_unimodular_cond(f))
     return cond * cond
 
 
@@ -245,7 +247,9 @@ def integrate_particle(
     state = ParticleState(np.asarray(u0, dtype=complex), np.asarray(p0, dtype=complex))
     times, us, ps = [0.0], [state.u], [state.p]
     failure = None
-    max_ad_cond = _ad_cond(float(np.vdot(state.u, state.u).real))
+    # cond(Ad_u) grows with f = |u|_F^2, so the worst margin is read from the
+    # largest f once, after the loop
+    max_f = float(np.vdot(state.u, state.u).real)
     # a blow-up surfaces as a non-finite state, reported below
     with np.errstate(all="ignore"):
         for i in range(n_steps):
@@ -258,11 +262,10 @@ def integrate_particle(
                     np.isfinite(state.u).all() and np.isfinite(state.p).all()):
                 failure = f"non-finite state at step {i + 1} (t={(i + 1) * dt:g})"
                 break
-            ad_cond = _ad_cond(fu)
-            max_ad_cond = max(max_ad_cond, ad_cond)
-            if ad_cond > _AD_COND_LIMIT:
+            max_f = max(max_f, fu)
+            if fu > _F_LIMIT:
                 failure = (f"chart margin lost at step {i + 1} (t={(i + 1) * dt:g}): "
-                           f"cond(Ad_u) = {ad_cond:.3e} exceeds 1/eps")
+                           f"cond(Ad_u) = {_ad_cond(fu):.3e} exceeds 1/eps")
                 break
             if (i + 1) % record_every == 0 or i == n_steps - 1:
                 times.append((i + 1) * dt)
@@ -280,7 +283,7 @@ def integrate_particle(
         moments,
         failure is None,
         failure,
-        max_ad_cond,
+        _ad_cond(max_f),
     )
 
 
@@ -354,7 +357,7 @@ def conjugate_description_residual(
         ks = composites[i]
         for j in range(2, n_steps - 1):
             deriv = (ks[j - 2] - 8 * ks[j - 1] + 8 * ks[j + 1] - ks[j + 2]) / (12 * dt)
-            res = deriv @ _vinv(ks[j]) - gens[j]
+            res = deriv @ _vadj(ks[j]) - gens[j]
             worst = max(worst, float(np.max(np.abs(res))))
     return worst
 

@@ -369,9 +369,9 @@ def test_shared_parser_matches_fresh_parser(capsys):
 # ---- field and duality ----------------------------------------------------------------
 
 
-# run() reports a step past the CFL bound in its JSON documents, so none
-# may escape it as a Python warning
-@pytest.mark.filterwarnings("error::pltdual.fieldsim.CFLWarning")
+# run() reports a step past the CFL bound in its JSON documents, and no
+# Python warning may escape it
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=15, deadline=None)
 @given(
     algebra=st.sampled_from(ALGEBRA_NAMES),

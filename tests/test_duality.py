@@ -22,7 +22,7 @@ from pltdual.duality import (
     su2_pi_vector,
     su2_trace_lagrangian,
 )
-from pltdual.groups import GroupKit, _vinv
+from pltdual.groups import GroupKit
 from pltdual.models import make_preset
 
 ROUTES = ("transport", "invariant-split", "cocycle")
@@ -89,6 +89,18 @@ def test_three_routes_agree(algebra):
         for e_inv, t_inv in others:
             assert np.max(np.abs(e0 - e_inv)) < 1e-11
             assert np.max(np.abs(t0 - t_inv)) < 1e-11
+
+
+@pytest.mark.parametrize("algebra", ["sl2r", "su2"])
+@pytest.mark.parametrize("route", ROUTES)
+def test_graph_at_ignores_the_scale_of_u(algebra, route):
+    """Ad_{c u} = Ad_u, so a caller's scaled u gives the maps of u."""
+    _, kit, split = setup(algebra)
+    u = kit.exp_g(np.random.default_rng(9).normal(size=3) * 0.6)
+    want = graph_at(kit, split, u, route=route)
+    for c in (2.5, -0.3j):
+        got = graph_at(kit, split, c * u, route=route)
+        assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) < 1e-12
 
 
 @pytest.mark.parametrize("algebra", ["sl2r", "su2"])
@@ -228,7 +240,7 @@ def test_dual_graph_transport_vs_cocycle():
     rng = np.random.default_rng(17)
     t_vec = rng.normal(size=3) * 0.3
     t = kit.su2star_from_vector(t_vec)
-    adt, adtinv = kit.ad_d(t), kit.ad_d(_vinv(t))
+    adt, adtinv = kit.ad_d(t), kit.ad_d(np.linalg.inv(t))
     e_hat, _ = graph_slices(split, adtinv)
     b = adt[3:, 3:]
     e_bar = np.linalg.inv(dual_graph_at(kit, split, t))
@@ -250,7 +262,7 @@ def test_dual_slices_match_solve_route(algebra):
     for _ in range(20):
         p = rng.normal(size=3) * 0.4
         t = kit.exp_m(-1j * p if algebra == "su2" else p)
-        ad = kit.ad_d(_vinv(t))
+        ad = kit.ad_d(np.linalg.inv(t))
         phi = rng.normal(size=3) + 1j * rng.normal(size=3)
         for x_e, x_hat in zip((split.e_matrix, split.t_matrix), graph_slices(split, ad)):
             moved = ad @ np.vstack([np.eye(3), x_e])
@@ -264,7 +276,7 @@ def test_graph_inverse_names_the_singular_node():
     _, kit, split = setup("su2")
     rng = np.random.default_rng(19)
     u = kit.exp_g(rng.normal(size=(16, 3)) * 0.5)
-    e_inv, _ = graph_slices(split, kit.ad_d(_vinv(u)[:, None]))
+    e_inv, _ = graph_slices(split, kit.ad_d(np.linalg.inv(u)[:, None]))
     assert np.allclose(graph_inverse(e_inv, "E_u^-1") @ e_inv, np.eye(3))
     e_inv[11] = np.diag([1.0, 1.0, 1e-12])
     with pytest.raises(GraphBlowupError, match=r"^E_u\^-1 condition number .* \(first at node 11\)$"):

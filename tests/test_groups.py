@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from pltdual.groups import (
+    COND_CUTOFF,
     FactorizationError,
     GroupKit,
     _det2,
     _theta2,
+    _unimodular_cond,
+    _vdet_normalize,
     _vdexpinv,
-    _vinv,
     expm2,
 )
 from pltdual.models import make_preset
@@ -167,12 +169,12 @@ def test_exp_m_is_chiral_pair(kit):
 
 def test_double_element_group_ops(kit):
     """The group law of the chiral stack is sidewise: a product is ``@``,
-    an inverse ``_vinv``, and a G-valued u enters as ``u[None]``."""
+    an inverse ``np.linalg.inv``, and a G-valued u enters as ``u[None]``."""
     rng = np.random.default_rng(3)
     a = random_double(kit, rng)
     b = random_double(kit, rng)
-    assert distance(a @ _vinv(a), IDENTITY) < 1e-12
-    assert distance((a @ b) @ _vinv(b), a) < 1e-12
+    assert distance(a @ np.linalg.inv(a), IDENTITY) < 1e-12
+    assert distance((a @ b) @ np.linalg.inv(b), a) < 1e-12
     u = kit.exp_g(rng.normal(size=3) * 0.4)
     ku = u[None] @ IDENTITY
     assert np.max(np.abs(ku[0] - ku[1])) < 1e-15
@@ -193,7 +195,7 @@ def test_ad_d_matches_finite_conjugation(kit):
     d/de [k exp(e w) k^-1] at e = 0 in coefficients."""
     rng = np.random.default_rng(5)
     k = random_double(kit, rng)
-    kinv = _vinv(k)
+    kinv = np.linalg.inv(k)
     for _ in range(5):
         w = rng.normal(size=6) + 1j * rng.normal(size=6)
         eps = 1e-6
@@ -254,11 +256,34 @@ def test_factorize_identity(kit):
     assert distance(s, IDENTITY) < 1e-14
 
 
-def test_factorize_rejects_det_drift(kit):
+@pytest.mark.parametrize("scales", [(1.05, 1.0), (1.05, 1 / 1.05), (1.05, 1.05)],
+                         ids=["one-side", "opposite", "same"])
+def test_factorize_rejects_det_drift(kit, scales):
+    """A drift of either side's determinant is rejected, also when the two
+    drifts cancel in det k_L det k_R or in det k_L / det k_R."""
     rng = np.random.default_rng(11)
     k = random_double(kit, rng)
-    with pytest.raises(FactorizationError):
-        kit.factorize_gm(np.stack([k[0] * 1.05, k[1]]))
+    with pytest.raises(FactorizationError, match="det drift"):
+        kit.factorize_gm(np.stack([k[0] * scales[0], k[1] * scales[1]]))
+
+
+def test_unimodular_cond_matches_svd(kit):
+    """The closed-form cond of a unimodular stack from |m|_F^2 alone equals
+    numpy's SVD-based cond from 1 to about 1e8, and a NaN entry fails the
+    chart verdict ``cond <= COND_CUTOFF``."""
+    rng = np.random.default_rng(21)
+    xi = rng.normal(size=(200, 3))
+    if kit.flavor == "su2":
+        xi = xi + 1j * rng.normal(size=(200, 3))
+    xi *= (np.geomspace(1e-3, 13.5, 200) / np.linalg.norm(kit.mat(xi), axis=(-2, -1)))[:, None]
+    m = _vdet_normalize(kit.exp_g(xi))
+    want = np.linalg.cond(m)
+    assert 1e7 < want.max() < 2e8
+    got = _unimodular_cond(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
+    assert np.max(np.abs(got / want - 1.0)) < 1e-7
+    m[7, 0, 1] = np.nan
+    verdict = _unimodular_cond(np.sum(np.abs(m) ** 2, axis=(-2, -1))) <= COND_CUTOFF
+    assert verdict[:7].all() and not verdict[7]
 
 
 def test_factorizations_agree_on_group_points(kit):

@@ -493,3 +493,12 @@ def test_completed_run_reports_its_margin():
     assert traj.max_ad_cond == pytest.approx(
         max(float(np.linalg.cond(u)) ** 2 for u in traj.us), rel=1e-9
     )
+
+
+def test_chart_limit_on_the_norm_is_the_limit_on_cond():
+    """The check after each step compares f = |u|_F^2 with ``_F_LIMIT``:
+    cond(Ad_u), from the shared unimodular formula and increasing in f,
+    passes 1/eps exactly from the next float above it."""
+    limit = particle._F_LIMIT
+    assert particle._ad_cond(limit) <= particle._AD_COND_LIMIT
+    assert particle._ad_cond(np.nextafter(limit, np.inf)) > particle._AD_COND_LIMIT

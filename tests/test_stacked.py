@@ -43,7 +43,6 @@ from pltdual.groups import (
     _vadj,
     _vdet_normalize,
     _vdexpinv,
-    _vinv,
     _vmul,
     expm2,
 )
@@ -144,7 +143,7 @@ def ref_duality_check(state):
         wu = adui @ w[j]
         hu = 0.25 * (wu @ ((adui @ pd @ adu).T @ (p.T @ wu)))
         adt = kit.ad_d(t)
-        adti = kit.ad_d(_vinv(t))
+        adti = kit.ad_d(np.linalg.inv(t))
         wt = adti @ w[j]
         ht = 0.25 * (wt @ ((adti @ pd @ adt).T @ (p.T @ wt)))
         gap = max(gap, abs(hu - ht))
@@ -174,7 +173,7 @@ def ref_dual_fields(state):
     kdot = fs._tangent_field(state) @ (split.pi_minus - split.pi_plus).T
     a, b = [], []
     for j, t in enumerate(ts):
-        tinv = _vinv(t)
+        tinv = np.linalg.inv(t)
         phi_x = kit.tangent_coeffs(tinv @ dts[j])[3:]
         ad = kit.ad_d(tinv)
         phi_t = (ad @ kdot[j])[3:]
@@ -284,8 +283,8 @@ def ref_field_step(state, dt):
     """The former unrolled RKMK4 step of the loop flow, one chiral side at a time."""
 
     def gens(kl, kr):
-        wl = fs._x_derivative(kl, state.dx, state.boundary) @ _vinv(kl)
-        wr = fs._x_derivative(kr, state.dx, state.boundary) @ _vinv(kr)
+        wl = fs._x_derivative(kl, state.dx, state.boundary) @ np.linalg.inv(kl)
+        wr = fs._x_derivative(kr, state.dx, state.boundary) @ np.linalg.inv(kr)
         gen = ref_flow_generators(state.kit, state.split, np.stack([wl, wr], axis=1))
         return gen[:, 0], gen[:, 1]
 
@@ -537,7 +536,7 @@ def test_vadj_inverts_unimodular_stacks(nodes, seed, norm):
     x = random_traceless(rng, 2 * nodes)
     x *= norm / np.linalg.norm(x, axis=(-2, -1))[:, None, None]
     k = expm2(x).reshape(nodes, 2, 2, 2)
-    assert rel_err(_vadj(k), _vinv(k)) < 1e-13
+    assert rel_err(_vadj(k), np.linalg.inv(k)) < 1e-13
 
 
 @pytest.mark.parametrize("algebra", ALGEBRA_NAMES)

@@ -359,7 +359,7 @@ def run_particle(cfg: dict, opts: dict) -> int:
         "hamiltonian_drift": float(np.max(np.abs(traj.hams - traj.hams[0]))),
         "charge_drift": float(np.max(np.abs(traj.charges_g - traj.charges_g[0]))),
         "max_ad_cond": traj.max_ad_cond,
-        "steps": n_steps,
+        "steps": traj.steps,
     }
     return _finish(cfg, *particle_table(traj), summary, traj.failure)
 
@@ -403,7 +403,7 @@ def run_field(cfg: dict, opts: dict) -> int:
             np.max(np.abs(hams - hams[0])) / max(abs(hams[0]), 1e-300)
         ) if recorded else None,
         "max_duality_gap": float(np.nanmax(traj.duality_gaps)) if recorded else None,
-        "steps": n_steps,
+        "steps": traj.steps,
         "warnings": traj.warnings,
     }
     return _finish(cfg, *field_table(traj), summary, traj.failure)

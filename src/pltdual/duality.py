@@ -213,9 +213,18 @@ def graph_slices(split: SplittingData, ad: np.ndarray) -> tuple[np.ndarray, np.n
 def graph_inverse(m: np.ndarray, name: str) -> np.ndarray:
     """The inverse of the graph map ``m``, stacked over its leading axes.
 
-    Raises GraphBlowupError where the condition number of ``name`` exceeds
-    ``COND_CUTOFF``, naming the first node of a stack.
+    Raises GraphBlowupError where the 2-norm condition number of ``name``
+    exceeds ``COND_CUTOFF``, naming the first node of a stack.  The bound
+    |m|_F |m^-1|_F is never below that number, so only a stack past the
+    cutoff on the bound (or NaN) or with an exactly singular node runs the SVD.
     """
+    try:
+        inv = np.linalg.inv(m)
+        fro2 = [np.einsum("...ij,...ij->...", a, a.conj()).real for a in (m, inv)]
+        if np.all(fro2[0] * fro2[1] <= COND_CUTOFF * COND_CUTOFF):
+            return inv
+    except np.linalg.LinAlgError:  # an exactly singular node
+        pass
     cond = np.linalg.cond(m)
     bad = np.flatnonzero(cond > COND_CUTOFF)
     if bad.size:

@@ -9,13 +9,13 @@ the grid x_j = j pi / N.  The flow is
 with the constant splitting projectors of the chosen preset; spatial
 derivatives are fourth-order finite differences (one-sided at the ends
 of a double-Neumann run, wrapped for a periodic run) and the time step
-is the fourth-order Runge-Kutta-Munthe-Kaas update :func:`pltdual.groups.rkmk4`
-on that stack, so every grid element stays on the group up to a
-determinant renormalization per step.  Each stage takes one derivative,
-one adjugate and one broadcast product (:func:`pltdual.groups._vmul`) of
-that stack for k_x k^-1, and maps its eight chiral entries to those of
-dk/dt k^-1 by one constant 8x8 matrix built once per splitting (and
-group kit) and held by the splitting.
+is the commutator-free CF4 update of Celledoni, Marthinsen and Owren
+(:func:`pltdual.groups.cf4_step`) on that stack, so every grid element
+stays on the group up to a determinant renormalization per step.  As
+k^-1 is the adjugate of the unimodular k, dk/dt k^-1 is bilinear in k_x
+and k: a stage takes one derivative, one broadcast outer product of the
+entries of k_x and k on each side, and one product with a constant 32x8
+matrix built once per splitting (and group kit) and held by it.
 
 Diagnostics cover the conserved Hamiltonian 4 H = <(pi_+ - pi_-) w, w>
 with w = k_x k^-1, the moment map I_delta = -1/2 int <w, delta> dx, the
@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .duality import GraphBlowupError, SplittingData, graph_inverse, graph_slices
-from .groups import FactorizationError, GroupKit, _vadj, _vmul, rkmk4
+from .groups import FactorizationError, GroupKit, _vadj, _vmul, cf4_step
 from .liecore import bracket_coeffs
 
 __all__ = [
@@ -154,6 +154,7 @@ class FieldTrajectory:
     completed: bool = True
     failure: str | None = None  # the error that stopped an incomplete run
     warnings: list = field(default_factory=list)  # e.g. a time step past the CFL bound
+    steps: int = 0  # steps completed; a stopped run does not count the step that failed
 
 
 def grid_points(n_cells: int, boundary: str = "double-neumann") -> np.ndarray:
@@ -303,8 +304,8 @@ def _right_tangent(k: np.ndarray, dx: float, boundary: str) -> np.ndarray:
     matrices.
 
     k^-1 is taken as the adjugate, with no division by det k, so ``k``
-    must be unimodular: every caller passes RKMK stage points (exponentials
-    times a normalized state), recorded states or the M factor of one.
+    must be unimodular: every caller passes recorded states or the M
+    factor of one.
     """
     return _vmul(_x_derivative(k, dx, boundary), _vadj(k))
 
@@ -321,24 +322,28 @@ def _flow_velocity(state: LoopState) -> np.ndarray:
 
 
 def _generator_map(kit: GroupKit, split: SplittingData) -> np.ndarray:
-    """8x8 map of the chiral entries of k_x k^-1 to those of
-    dk/dt k^-1 = (pi_- - pi_+)(k_x k^-1), both flattened over (side, row,
-    column): :meth:`GroupKit.tangent_coeffs`, the projector difference and
-    :meth:`GroupKit.chiral_mats` composed on the unit entries.  The (1, 1)
-    entries, which a traceless input fixes, get zero rows.  :func:`step`
-    builds it once per (kit, splitting) pair and keeps it in
+    """32x8 map of the products (k_x)_ab k_cd of each side, flattened over
+    (side, a, b, c, d), to the chiral entries of dk/dt k^-1 =
+    (pi_- - pi_+)(k_x adj(k)): per side the map of the products onto
+    k_x adj(k), then :meth:`GroupKit.tangent_coeffs`, the projector
+    difference and :meth:`GroupKit.chiral_mats` on the unit entries (the
+    (1, 1) entries, fixed by a traceless input, get zero rows).  :func:`step`
+    builds it once per (kit, splitting) and keeps it in
     :attr:`SplittingData.generator_maps`."""
     units = np.eye(8).reshape(8, 2, 2, 2)
     w = kit.tangent_coeffs(units) @ (split.pi_minus - split.pi_plus).T
-    return kit.chiral_mats(w).reshape(8, 8)
+    tangent_map = kit.chiral_mats(w).reshape(2, 4, 8)
+    entries = np.eye(4).reshape(4, 2, 2)
+    adj_map = (entries[:, None] @ _vadj(entries)[None]).reshape(16, 4)
+    return (adj_map @ tangent_map).reshape(32, 8)
 
 
 # ---- time stepping -------------------------------------------------------------
 
 
 def step(state: LoopState, dt: float) -> LoopState:
-    """One fourth-order Runge-Kutta-Munthe-Kaas step of the loop flow, on
-    the chiral stack of the loop."""
+    """One fourth-order commutator-free (CF4) step of the loop flow, on the
+    chiral stack of the loop."""
     dx, boundary = state.dx, state.boundary
     maps = state.split.generator_maps
     gen_map = maps.get(state.kit)
@@ -346,29 +351,31 @@ def step(state: LoopState, dt: float) -> LoopState:
         gen_map = maps[state.kit] = _generator_map(state.kit, state.split)
 
     def gens(k: np.ndarray, _):
-        w = _right_tangent(k, dx, boundary)
-        return (w.reshape(-1, 8) @ gen_map).reshape(k.shape), 0.0
+        kx = _x_derivative(k, dx, boundary).reshape(-1, 2, 4, 1)
+        products = (kx * k.reshape(-1, 2, 1, 4)).reshape(-1, 32)
+        return products.dot(gen_map).reshape(k.shape), 0.0
 
-    k1, _ = rkmk4(gens, state.k, 0.0, dt)
+    k1, _ = cf4_step(gens, state.k, 0.0, dt)
     return LoopState(state.kit, state.split, k1, boundary, state.time + dt)
 
 
 # ---- diagnostics ----------------------------------------------------------------
 
 
-def _quadrature(values: np.ndarray, dx: float, boundary: str) -> complex:
+def _quadrature(values: np.ndarray, dx: float, boundary: str, axis: int = 0):
     """Composite Simpson for the Neumann grid (trapezoid on an odd cell
-    count), Riemann sum for periodic."""
+    count), Riemann sum for periodic, over the node axis ``axis``."""
     if boundary == "periodic":
-        return complex(values.sum() * dx)
-    n = len(values) - 1
-    w = np.ones(n + 1)
-    if n % 2:
-        w[[0, -1]] = 0.5
-        return complex((w * values).sum() * dx)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return complex((w * values).sum() * dx / 3.0)
+        total = values.sum(axis=axis) * dx
+    else:
+        w, div = np.ones(values.shape[axis]), 1.0
+        if len(w) % 2 == 0:
+            w[[0, -1]] = 0.5
+        else:
+            w[1:-1:2], w[2:-1:2], div = 4.0, 2.0, 3.0
+        w = w.reshape((-1,) + (1,) * (values.ndim - 1 - axis % values.ndim))
+        total = (w * values).sum(axis=axis) * dx / div
+    return total if np.ndim(total) else complex(total)
 
 
 def hamiltonian_density(state: LoopState) -> np.ndarray:
@@ -385,11 +392,8 @@ def total_hamiltonian(state: LoopState) -> complex:
 def moment_map_basis(state: LoopState) -> np.ndarray:
     """I_delta = -1/2 int <k_x k^-1, delta> dx for every double basis
     vector delta at once."""
-    w = state.tangent
-    vals = -0.5 * (w @ state.split.pairing)
-    return np.array(
-        [_quadrature(vals[:, i], state.dx, state.boundary) for i in range(vals.shape[1])]
-    )
+    vals = -0.5 * (state.tangent @ state.split.pairing)
+    return _quadrature(vals, state.dx, state.boundary, axis=0)
 
 
 def loop_functions(state: LoopState, v: np.ndarray | None = None) -> tuple[complex, complex]:
@@ -648,6 +652,7 @@ def integrate_field(
         final_state = s
 
     where = f"at step 0 (t={state.time:g})"
+    taken = 0
     try:
         record(state, None)
         for i in range(n_steps):
@@ -662,6 +667,7 @@ def integrate_field(
                 break
             if (i + 1) % record_every == 0 or i == n_steps - 1:
                 record(state, prev)
+            taken = i + 1
     except (FactorizationError, GraphBlowupError, np.linalg.LinAlgError) as exc:
         failure = f"{type(exc).__name__} {where}: {exc}"
     return FieldTrajectory(
@@ -676,4 +682,5 @@ def integrate_field(
         failure is None,
         failure,
         notes,
+        taken,
     )

@@ -34,8 +34,11 @@ operations here assume it of their inputs: the one inverse is the adjugate
 entry point that takes a caller's matrix normalizes it once.
 
 The stacked 2x2 kernels are closed forms: a traceless x squares to
-theta^2 1 with theta^2 = -det x, which gives the exponential and the
-dexp^-1 of :func:`rkmk4` without series in commutators or in theta.
+theta^2 1 with theta^2 = -det x, which gives the exponential without a
+series in theta.  Both flows step by :func:`cf4_step`, the fourth-order
+commutator-free Lie group method CF4 of Celledoni, Marthinsen and Owren
+(Future Gener. Comput. Syst. 19, 2003), which composes exponentials of
+linear combinations of the stage generators and needs no dexp^-1.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ __all__ = [
     "COND_CUTOFF",
     "GroupKit",
     "FactorizationError",
+    "cf4_step",
     "expm2",
-    "rkmk4",
 ]
 
 
@@ -118,27 +121,6 @@ def _entry_products(u: np.ndarray, u_inv: np.ndarray) -> np.ndarray:
     return pairs.reshape(u.shape[:-2] + (16,))
 
 
-_EYE2 = np.eye(2)
-_HALF_EYE2 = 0.5 * _EYE2
-
-
-def _vdexpinv(sigma: np.ndarray, v: np.ndarray, theta2: np.ndarray | None = None) -> np.ndarray:
-    """dexp^-1_sigma(v) = v - [sigma, v]/2 + [sigma, [sigma, v]]/12, truncated
-    after the double commutator (order-4 ok), for traceless sigma and v.
-
-    sigma^2 = theta^2 1 gives [sigma, v] = 2 sigma v - tr(sigma v) 1 and
-    [sigma, [sigma, v]] = 4 theta^2 v - 2 tr(sigma v) sigma, so the sum is
-    (1 + theta^2/3) v - sigma v + tr(sigma v) (1/2 - sigma/6), with one
-    product of the stacks by :func:`_vmul`.  ``theta2`` is
-    :func:`_theta2` of sigma when the caller holds it.
-    """
-    if theta2 is None:
-        theta2 = _theta2(sigma)
-    sv = _vmul(sigma, v)
-    tr = (sv[..., 0, 0] + sv[..., 1, 1])[..., None, None]
-    return (1.0 + theta2[..., None, None] / 3.0) * v - sv + tr * (_HALF_EYE2 - sigma / 6.0)
-
-
 def _check_chart(bad: np.ndarray, message: str) -> None:
     """Raise :class:`FactorizationError` naming the first node where ``bad`` holds."""
     if np.any(bad):
@@ -146,10 +128,11 @@ def _check_chart(bad: np.ndarray, message: str) -> None:
         raise FactorizationError(f"{message} (first at node {j})")
 
 
-def expm2(x: np.ndarray, theta2: np.ndarray | None = None) -> np.ndarray:
+def expm2(x: np.ndarray) -> np.ndarray:
     """Closed-form exponential of traceless 2x2 matrices, stacked over the
     leading axes: cosh(theta) 1 + sinh(theta)/theta x with theta^2 =
-    -det x, or ``theta2`` when the caller holds it (see :func:`_theta2`).
+    -det x (see :func:`_theta2`), built as the product s x with c added to
+    its diagonal in place.
 
     sinh(theta)/theta and cosh(theta) are accurate in floating point for
     every nonzero theta, so no series is needed near 0; theta^2 = 0 is
@@ -157,41 +140,38 @@ def expm2(x: np.ndarray, theta2: np.ndarray | None = None) -> np.ndarray:
     nilpotent x gives exactly 1 + x.
     """
     x = np.asarray(x, dtype=complex)
-    if theta2 is None:
-        theta2 = _theta2(x)
+    theta2 = _theta2(x)
     theta = np.sqrt(np.where(theta2 == 0, 1e-300, theta2))
+    out = (np.sinh(theta) / theta)[..., None, None] * x
     c = np.cosh(theta)
-    s = np.sinh(theta) / theta
-    return c[..., None, None] * _EYE2 + s[..., None, None] * x
+    out[..., 0, 0] += c
+    out[..., 1, 1] += c
+    return out
 
 
-def rkmk4(gens, y0: np.ndarray, p0, dt: float):
-    """One fourth-order Runge-Kutta-Munthe-Kaas step (Munthe-Kaas, Appl.
-    Numer. Math. 29, 1999) of dy/dt y^-1 = A(y, p), dp/dt = P(y, p).
+def cf4_step(gens, y0: np.ndarray, p0, dt: float):
+    """One step of the fourth-order commutator-free Lie group method CF4
+    (Celledoni, Marthinsen and Owren, Future Gener. Comput. Syst. 19, 2003)
+    of dy/dt y^-1 = A(y, p), dp/dt = P(y, p) for a stack y0 of unimodular
+    2x2 matrices and an additive p0; ``gens(y, p)`` returns (A, P), with A
+    traceless as :func:`expm2` assumes (both flows meet this).  With F_i
+    the generator at stage i,
 
-    ``y0`` is a stack of unimodular 2x2 matrices, ``p0`` an additive
-    vector and ``gens(y, p)`` returns (A, P); A must be traceless, as the
-    closed-form dexp^-1 assumes (both flows meet this).  Each stage
-    reaches its point through the exponential of the algebra increment
-    and pulls the generator back by dexp^-1, so y stays on its group;
-    the stage's exponential and dexp^-1 share one theta^2 of the
-    increment.  Returns (y1, p1).
+        Y2 = exp(h F1 / 2) y0,   Y3 = exp(h F2 / 2) y0,   Y4 = exp(h F3 - h F1 / 2) Y2,
+        y1 = exp(h (-F1 + 2 F2 + 2 F3 + 3 F4) / 12) exp(h (3 F1 + 2 F2 + 2 F3 - F4) / 12) y0:
+
+    five exponentials and no dexp^-1, while p takes the classical RK4
+    weights, the abelian part of the same method.  Returns (y1, p1).
     """
+    h2 = 0.5 * dt
     a1, k1 = gens(y0, p0)
-    # the first stage sits at sigma = 0, where exp and dexp^-1 are identities
-    s2 = 0.5 * dt * a1
-    t2 = _theta2(s2)
-    a2, k2 = gens(_vmul(expm2(s2, t2), y0), p0 + 0.5 * dt * k1)
-    b2 = _vdexpinv(s2, a2, t2)
-    s3 = 0.5 * dt * b2
-    t3 = _theta2(s3)
-    a3, k3 = gens(_vmul(expm2(s3, t3), y0), p0 + 0.5 * dt * k2)
-    b3 = _vdexpinv(s3, a3, t3)
-    s4 = dt * b3
-    t4 = _theta2(s4)
-    a4, k4 = gens(_vmul(expm2(s4, t4), y0), p0 + dt * k3)
-    b4 = _vdexpinv(s4, a4, t4)
-    y1 = _vmul(expm2((dt / 6.0) * (a1 + 2 * b2 + 2 * b3 + b4)), y0)
+    y2 = _vmul(expm2(h2 * a1), y0)
+    a2, k2 = gens(y2, p0 + h2 * k1)
+    a3, k3 = gens(_vmul(expm2(h2 * a2), y0), p0 + h2 * k2)
+    a4, k4 = gens(_vmul(expm2(dt * a3 - h2 * a1), y2), p0 + dt * k3)
+    mid = 2.0 * (a2 + a3)
+    y1 = _vmul(expm2((dt / 12.0) * (3.0 * a4 + mid - a1)),
+               _vmul(expm2((dt / 12.0) * (3.0 * a1 + mid - a4)), y0))
     # renormalize the determinant only: the flow is holomorphic in
     # SL(2, C) and need not stay on a compact real form, so a polar
     # projection would alter the dynamics rather than remove roundoff

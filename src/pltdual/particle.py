@@ -27,13 +27,14 @@ The conjugate factor a(t) in k = u exp(p x) a evolves in the dual group by
 da/dt a^-1 = (E_u^-1 - T_u^-1)^-1 (E_u^-1 + T_u^-1) p and is integrated
 alongside as a diagnostic of the equivalence with the loop-field flow.
 
-Integration is the fourth-order Runge-Kutta-Munthe-Kaas step
-:func:`pltdual.groups.rkmk4` that also advances the loop field: u^T (whose
-right-translated velocity is the transpose of u^-1 du/dt) and the chiral
-stack of a are stepped as one stack of group matrices, with p as
-the additive variable, so u and a stay on their groups to machine
-precision.  The run stops once cond(Ad_u) = cond(u)^2 passes 1/eps, where
-Ad_u and Ad_{u^-1} no longer invert each other in double precision.  Since
+Integration is the fourth-order commutator-free step CF4 of Celledoni,
+Marthinsen and Owren (:func:`pltdual.groups.cf4_step`) that also advances
+the loop field: u^T (whose right-translated velocity is the transpose of
+u^-1 du/dt) and the chiral stack of a are stepped as one stack of group
+matrices, with p as the additive variable, so u and a stay on their
+groups to machine precision.  The run stops once cond(Ad_u) = cond(u)^2
+passes 1/eps, where Ad_u and Ad_{u^-1} no longer invert each other in
+double precision.  Since
 u is unimodular, cond(u) follows from |u|_F^2 alone: the check after each
 step takes the squared norms of u and p and computes cond(Ad_u) in Python
 floats, and scans the entries for non-finite values only when a norm is
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .duality import SplittingData, graph_at, graph_inverse
-from .groups import GroupKit, _unimodular_cond, _vadj, expm2, rkmk4
+from .groups import GroupKit, _unimodular_cond, _vadj, cf4_step, expm2
 from .liecore import bracket_coeffs
 from .models import ModelPreset
 
@@ -98,6 +99,7 @@ class ParticleTrajectory:
     completed: bool = True  # False if a singularity truncated the run
     failure: str | None = None  # why an incomplete run stopped, with step and t
     max_ad_cond: float = 1.0  # worst chart margin met: the largest cond(Ad_u)
+    steps: int = 0  # steps completed; a stopped run does not count the step that failed
 
 
 # past this cond(Ad_u), Ad_u and Ad_{u^-1} no longer invert each other
@@ -223,7 +225,7 @@ def _rk_mk_step(kit: GroupKit, split: SplittingData, state: ParticleState, dt: f
         udot, pdot, w = particle_rhs(kit, split, y[0].T, p)
         return stack_map.dot(np.concatenate([udot, w])).reshape(3, 2, 2), pdot
 
-    y1, p1 = rkmk4(gens, y0, state.p, dt)
+    y1, p1 = cf4_step(gens, y0, state.p, dt)
     return ParticleState(y1[0].T, p1, y1[1:])
 
 
@@ -271,6 +273,7 @@ def integrate_particle(
                 times.append((i + 1) * dt)
                 us.append(state.u)
                 ps.append(state.p)
+    steps = n_steps if failure is None else i
     us, ps = np.array(us), np.array(ps)
     pair = kit.ad_g_pair(us)
     qg, _, moments = particle_charges(kit, split, us, ps, pair)
@@ -284,6 +287,7 @@ def integrate_particle(
         failure is None,
         failure,
         _ad_cond(max_f),
+        steps,
     )
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,27 @@ def test_particle_stopped_run_reports_on_stderr(capsys, tmp_path):
     rows = out_csv.read_text().splitlines()[2:]
     assert 1 <= len(rows) < 101
     assert json.loads(out_meta.read_text())["summary"]["completed"] is False
+
+
+@pytest.mark.parametrize("argv, failed_at", [
+    (["particle", "--algebra", "sl2r", "--p0=5,5,5", "--dt", "1e-2"], 32),
+    (["field", "--N", "16", "--dt", "0.5", "--T", "2", "--amplitude", "2"], None),
+    (["field", "--algebra", "sl2r", "--amplitude", "2"], 0),
+    (["particle", "--T", "0.05"], None),
+], ids=["particle-non-finite", "field-non-finite", "field-chart-exit", "particle-completed"])
+def test_metadata_steps_counts_the_steps_completed(capsys, tmp_path, argv, failed_at):
+    """A stopped run's metadata counts the steps completed before the one
+    that failed, not the steps requested; a completed run counts them all."""
+    out_meta = tmp_path / "meta.json"
+    code, _, err = run_cli(capsys, *argv, "--output", str(tmp_path / "out.csv"),
+                           "--metadata", str(out_meta))
+    summary = json.loads(out_meta.read_text())["summary"]
+    if code == EXIT_OK:
+        assert summary["completed"] and summary["steps"] == 50
+        return
+    step = int(re.search(r"at step (\d+) ", json.loads(err)["error"]["message"])[1])
+    assert failed_at in (None, step)
+    assert not summary["completed"] and summary["steps"] == max(step - 1, 0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -284,3 +284,71 @@ def test_graph_inverse_names_the_singular_node():
     with pytest.raises(GraphBlowupError) as info:
         graph_inverse(e_inv[11], "E_u^-1")
     assert "node" not in str(info.value)
+
+
+def with_singular_values(rng, sigmas):
+    """A complex 3x3 matrix U diag(sigmas) V^H with random unitary U, V."""
+    def unitary():
+        return np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    return unitary() @ np.diag(sigmas) @ unitary().conj().T
+
+
+def frobenius_bound(m):
+    """|m|_F |m^-1|_F, which is never below the 2-norm condition number."""
+    return np.linalg.norm(m) * np.linalg.norm(np.linalg.inv(m))
+
+
+def graph_stack(rng, j, bad):
+    """Eight well-conditioned maps with ``bad`` at node j."""
+    m = np.stack([with_singular_values(rng, [2.0, 1.0, 0.5]) for _ in range(8)])
+    m[j] = bad
+    return m
+
+
+@pytest.mark.parametrize("j", [0, 5])
+def test_graph_inverse_verdict_at_the_cutoff(j):
+    """A node just inside the cutoff passes and is inverted; one just past it
+    raises with its SVD condition number, naming the first bad node."""
+    rng = np.random.default_rng(20 + j)
+    # the middle singular value at the geometric mean keeps the Frobenius
+    # bound within about 1 + 1/cond of cond itself
+    below = with_singular_values(rng, [1.0, 1e-4, 1.0 / (1e8 * (1 - 1e-6))])
+    assert frobenius_bound(below) <= 1e8
+    m = graph_stack(rng, j, below)
+    got = graph_inverse(m, "T_u^-1")
+    assert np.max(np.abs(got @ m - np.eye(3))) < 1e-6
+    above = with_singular_values(rng, [1.0, 1e-4, 1.0 / (1e8 * (1 + 1e-6))])
+    m = graph_stack(rng, j, above)
+    m[j + 2] = above  # a later bad node is not the one named
+    message = (f"T_u^-1 condition number {np.linalg.cond(m)[j]:.3e} exceeds cutoff "
+               f"(first at node {j})")
+    with pytest.raises(GraphBlowupError) as info:
+        graph_inverse(m, "T_u^-1")
+    assert str(info.value) == message
+
+
+def test_graph_inverse_passes_a_node_past_the_frobenius_bound():
+    """cond_2 below the cutoff with |m|_F |m^-1|_F above it: the node is
+    checked by its SVD condition number, and passes."""
+    rng = np.random.default_rng(21)
+    bad = with_singular_values(rng, [1.0, 1.0 / 0.9e8, 1.0 / 0.9e8])
+    assert np.linalg.cond(bad) < 1e8 < frobenius_bound(bad)
+    m = graph_stack(rng, 3, bad)
+    got = graph_inverse(m, "E_u^-1")
+    assert np.max(np.abs(got[3] @ bad - np.eye(3))) < 1e-6
+    assert np.array_equal(got[:3], np.linalg.inv(m[:3]))
+
+
+def test_graph_inverse_names_an_exactly_singular_node():
+    rng = np.random.default_rng(22)
+    m = graph_stack(rng, 6, np.diag([1.0, 2.0, 0.0]))
+    with pytest.raises(GraphBlowupError,
+                       match=r"^E_u\^-1 condition number inf exceeds cutoff \(first at node 6\)$"):
+        graph_inverse(m, "E_u^-1")
+
+
+def test_graph_inverse_of_a_nan_stack_is_a_linalg_error():
+    rng = np.random.default_rng(23)
+    m = graph_stack(rng, 2, np.full((3, 3), np.nan))
+    with pytest.raises(np.linalg.LinAlgError):
+        graph_inverse(m, "E_u^-1")

@@ -14,7 +14,6 @@ from pltdual.groups import (
     _theta2,
     _unimodular_cond,
     _vdet_normalize,
-    _vdexpinv,
     expm2,
 )
 from pltdual.models import make_preset
@@ -121,29 +120,18 @@ def _theta2_ladder() -> np.ndarray:
 
 def test_expm2_matches_series_across_theta_without_branch():
     """Without a small-theta series, sinh(theta)/theta and cosh(theta) stay
-    accurate from theta^2 = 5e-324 to 25, theta^2 = 0 gives exactly 1 + x,
-    and passing the shared theta^2 changes no bit."""
+    accurate from theta^2 = 5e-324 to 25, and theta^2 = 0 gives exactly
+    1 + x."""
     x = _theta2_ladder()
     assert np.array_equal(_theta2(x), -_det2(x))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         e = expm2(x)
-        shared = expm2(x, _theta2(x))
-    assert np.array_equal(e, shared)
     for m, em in zip(x, e):
         assert np.max(np.abs(em - _expm_series(m))) < 1e-13 * max(1.0, np.max(np.abs(em)))
     zero = _theta2(x) == 0
     assert zero.sum() == 3
     assert np.array_equal(e[zero], np.eye(2) + x[zero])
-
-
-def test_vdexpinv_shared_theta2_is_bit_identical():
-    rng = np.random.default_rng(12)
-    sigma = rng.normal(size=(5, 3, 2, 2)) + 1j * rng.normal(size=(5, 3, 2, 2))
-    sigma[..., 1, 1] = -sigma[..., 0, 0]
-    v = rng.normal(size=(5, 3, 2, 2)) + 1j * rng.normal(size=(5, 3, 2, 2))
-    v[..., 1, 1] = -v[..., 0, 0]
-    assert np.array_equal(_vdexpinv(sigma, v, _theta2(sigma)), _vdexpinv(sigma, v))
 
 
 def test_exp_g_lands_in_group(kit):

@@ -6,15 +6,16 @@ closed-form scalar code, and the chiral stack (..., side, 2, 2) that every
 double-group method takes is checked against the (left, right) argument
 pairs it replaced; ``duality_check``, ``eom_residuals`` and the loop
 initializers are compared with per-node copies of the loops they replaced,
-and the field and particle steps, which share ``groups.rkmk4``, with copies
-of the two hand-unrolled RKMK4 steppers it replaced.  The field step's
-wrapped stencils and its constant 8x8 generator map are compared with the
-``np.roll`` stencils and the coefficient chain they replaced.  The particle
-right-hand side, energy and charges, which conjugate constants by the
-adjoint pair (Ad_{u^-1}, Ad_u), are compared with copies of the graph-map
-and linear-solve code they replaced.  The closed-form dexp^-1 of RKMK4 is
-compared with the commutator form it replaced, which the two unrolled
-steppers use.  The broadcast 2x2 product ``_vmul`` is compared with
+and the field and particle steps, which share ``groups.cf4_step``, with
+hand-unrolled CF4 steps: the field one side at a time, with k^-1 from a
+linear solve, and the particle in the left-invariant form u^-1 du = B that
+the stacked step takes transposed.  The field step's wrapped stencils and
+its constant 32x8 generator map on the products of the entries of k_x and
+k are compared with the ``np.roll`` stencils and the coefficient chain
+they replaced.  The particle right-hand side, energy and charges, which
+conjugate constants by the adjoint pair (Ad_{u^-1}, Ad_u), are compared
+with copies of the graph-map and linear-solve code they replaced.  The
+broadcast 2x2 product ``_vmul`` is compared with
 numpy's ``@`` (and is ``@`` itself on stacks small enough to stay on it),
 the adjugate ``_vadj`` with the inverse on unimodular stacks, and the
 graph slices of one stacked product with the per-basis products they
@@ -40,9 +41,9 @@ from pltdual.duality import graph_at, graph_slices, splitting
 from pltdual.groups import (
     FactorizationError,
     GroupKit,
+    _theta2,
     _vadj,
     _vdet_normalize,
-    _vdexpinv,
     _vmul,
     expm2,
 )
@@ -207,12 +208,6 @@ def ref_eom_residuals(state0, state1):
     )
 
 
-def ref_vdexpinv(sigma, v):
-    """The former dexp^-1 of RKMK4, from two commutators of the stacks."""
-    c1 = sigma @ v - v @ sigma
-    return v - 0.5 * c1 + (sigma @ c1 - c1 @ sigma) / 12.0
-
-
 def ref_expm2(x):
     """The former single-matrix exponential (determinant from LU)."""
     theta2 = -np.linalg.det(x)
@@ -279,8 +274,16 @@ def ref_flow_generators(kit, split, w):
     return kit.chiral_mats(kit.tangent_coeffs(w) @ (split.pi_minus - split.pi_plus).T)
 
 
+def cf4_weights(f1, f2, f3, f4, dt):
+    """The exponents (first, second) of CF4's last update
+    y1 = exp(first) exp(second) y0."""
+    return ((dt / 12.0) * (-f1 + 2 * f2 + 2 * f3 + 3 * f4),
+            (dt / 12.0) * (3 * f1 + 2 * f2 + 2 * f3 - f4))
+
+
 def ref_field_step(state, dt):
-    """The former unrolled RKMK4 step of the loop flow, one chiral side at a time."""
+    """An unrolled CF4 step of the loop flow, one chiral side at a time,
+    with k_x k^-1 from a linear solve and the coefficient chain."""
 
     def gens(kl, kr):
         wl = fs._x_derivative(kl, state.dx, state.boundary) @ np.linalg.inv(kl)
@@ -289,25 +292,22 @@ def ref_field_step(state, dt):
         return gen[:, 0], gen[:, 1]
 
     kl0, kr0 = state.kl, state.kr
-    al1, ar1 = gens(kl0, kr0)
-    bl1, br1 = al1, ar1
-    al2, ar2 = gens(expm2(0.5 * dt * bl1) @ kl0, expm2(0.5 * dt * br1) @ kr0)
-    bl2 = ref_vdexpinv(0.5 * dt * bl1, al2)
-    br2 = ref_vdexpinv(0.5 * dt * br1, ar2)
-    al3, ar3 = gens(expm2(0.5 * dt * bl2) @ kl0, expm2(0.5 * dt * br2) @ kr0)
-    bl3 = ref_vdexpinv(0.5 * dt * bl2, al3)
-    br3 = ref_vdexpinv(0.5 * dt * br2, ar3)
-    al4, ar4 = gens(expm2(dt * bl3) @ kl0, expm2(dt * br3) @ kr0)
-    bl4 = ref_vdexpinv(dt * bl3, al4)
-    br4 = ref_vdexpinv(dt * br3, ar4)
-    sl = (dt / 6.0) * (bl1 + 2 * bl2 + 2 * bl3 + bl4)
-    sr = (dt / 6.0) * (br1 + 2 * br2 + 2 * br3 + br4)
-    return _vdet_normalize(expm2(sl) @ kl0), _vdet_normalize(expm2(sr) @ kr0)
+    fl1, fr1 = gens(kl0, kr0)
+    kl2, kr2 = expm2(0.5 * dt * fl1) @ kl0, expm2(0.5 * dt * fr1) @ kr0
+    fl2, fr2 = gens(kl2, kr2)
+    fl3, fr3 = gens(expm2(0.5 * dt * fl2) @ kl0, expm2(0.5 * dt * fr2) @ kr0)
+    fl4, fr4 = gens(expm2(dt * fl3 - 0.5 * dt * fl1) @ kl2,
+                    expm2(dt * fr3 - 0.5 * dt * fr1) @ kr2)
+    first_l, second_l = cf4_weights(fl1, fl2, fl3, fl4, dt)
+    first_r, second_r = cf4_weights(fr1, fr2, fr3, fr4, dt)
+    return (_vdet_normalize(expm2(first_l) @ expm2(second_l) @ kl0),
+            _vdet_normalize(expm2(first_r) @ expm2(second_r) @ kr0))
 
 
 def ref_particle_step(kit, split, state, dt):
-    """The former unrolled RKMK4 particle step: u by the transposed
-    dexp^-1 chain, then both chiral factors of a on the recorded w stages."""
+    """An unrolled CF4 particle step in the left-invariant form
+    u^-1 du = B, where the exponentials multiply u from the right in
+    reverse order, then both chiral factors of a on the recorded w stages."""
     u0, p0, a0 = state.u, state.p, state.a
 
     def stage(u, dp):
@@ -315,19 +315,16 @@ def ref_particle_step(kit, split, state, dt):
         return kit.mat(udot), pdot, w
 
     b1, kp1, w1 = stage(u0, 0.0)
-    a2, kp2, w2 = stage(u0 @ expm2(0.5 * dt * b1), 0.5 * dt * kp1)
-    b2 = ref_vdexpinv((0.5 * dt * b1).T, a2.T).T
-    a3, kp3, w3 = stage(u0 @ expm2(0.5 * dt * b2), 0.5 * dt * kp2)
-    b3 = ref_vdexpinv((0.5 * dt * b2).T, a3.T).T
-    a4, kp4, w4 = stage(u0 @ expm2(dt * b3), dt * kp3)
-    b4 = ref_vdexpinv((dt * b3).T, a4.T).T
-    u1 = u0 @ expm2((dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4))
+    u2 = u0 @ expm2(0.5 * dt * b1)
+    b2, kp2, w2 = stage(u2, 0.5 * dt * kp1)
+    b3, kp3, w3 = stage(u0 @ expm2(0.5 * dt * b2), 0.5 * dt * kp2)
+    b4, kp4, w4 = stage(u2 @ expm2(dt * b3 - 0.5 * dt * b1), dt * kp3)
+    first, second = cf4_weights(b1, b2, b3, b4, dt)
+    u1 = u0 @ expm2(second) @ expm2(first)
     p1 = p0 + (dt / 6.0) * (kp1 + 2 * kp2 + 2 * kp3 + kp4)
-    c1, m2, m3, m4 = (kit.mat((kit.chi[:, 3:] @ w).reshape(2, 3)) for w in (w1, w2, w3, w4))
-    c2 = ref_vdexpinv(0.5 * dt * c1, m2)
-    c3 = ref_vdexpinv(0.5 * dt * c2, m3)
-    c4 = ref_vdexpinv(dt * c3, m4)
-    a_left, a_right = expm2((dt / 6.0) * (c1 + 2 * c2 + 2 * c3 + c4))
+    c1, c2, c3, c4 = (kit.mat((kit.chi[:, 3:] @ w).reshape(2, 3)) for w in (w1, w2, w3, w4))
+    first, second = cf4_weights(c1, c2, c3, c4, dt)
+    a_left, a_right = expm2(first) @ expm2(second)
     # integrate_particle renormalized u after each step
     return _vdet_normalize(u1), p1, a_left @ a0[0], a_right @ a0[1]
 
@@ -480,7 +477,7 @@ def test_diagnostics_match_per_node_loops(cfg):
         assert abs(got - want) <= 1e-9 * abs(want)
 
 
-# ---- the shared RKMK4 stepper against the unrolled ones --------------------------------
+# ---- the broadcast 2x2 product and the adjugate --------------------------------------
 
 
 def random_traceless(rng, size):
@@ -489,20 +486,22 @@ def random_traceless(rng, size):
     return m
 
 
-@pytest.mark.parametrize("norm", [1e-3, 1e-2, 1e-1, 1.0])
-@pytest.mark.parametrize("size", [1, 3, 32, 128])
-def test_closed_form_dexpinv_matches_commutators(size, norm):
-    rng = np.random.default_rng(size)
-    sigma, v = random_traceless(rng, size), random_traceless(rng, size)
-    sigma *= norm / np.linalg.norm(sigma, axis=(-2, -1))[:, None, None]
-    assert rel_err(_vdexpinv(sigma, v), ref_vdexpinv(sigma, v)) < 1e-13
-
-
-# ---- the broadcast 2x2 product and the adjugate --------------------------------------
-
-
 def random_stack(rng, lead):
     return rng.normal(size=lead + (2, 2)) + 1j * rng.normal(size=lead + (2, 2))
+
+
+@pytest.mark.parametrize("norm", [1e-3, 1e-2, 1e-1, 1.0])
+@pytest.mark.parametrize("size", [1, 3, 32, 128])
+def test_expm2_in_place_matches_sum_form(size, norm):
+    """expm2 adds cosh(theta) to the diagonal of sinh(theta)/theta x in
+    place; the former sum c 1 + s x gives the same values, up to the sign
+    of a zero."""
+    rng = np.random.default_rng(size)
+    x = random_traceless(rng, size)
+    x *= norm / np.linalg.norm(x, axis=(-2, -1))[:, None, None]
+    theta = np.sqrt(_theta2(x))
+    c, s = np.cosh(theta), np.sinh(theta) / theta
+    assert np.array_equal(expm2(x), c[:, None, None] * np.eye(2) + s[:, None, None] * x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -575,12 +574,13 @@ def test_wrapped_stencils_match_rolls(order, n_nodes, shape):
 @pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
 def test_generator_map_matches_coefficient_chain(algebra, preset):
     kit, split = preset_kit_and_split(algebra, preset)
+    """The map on the products (k_x)_ab k_cd of each side against the chain
+    from k_x adj(k), for any k (k_x k^-1 on a unimodular one)."""
     rng = np.random.default_rng(7)
-    wl, wr = (kit.mat(rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3)))
-              for _ in range(2))
-    w = np.stack([wl, wr], axis=1)
-    got = w.reshape(32, 8) @ fs._generator_map(kit, split)
-    want = ref_flow_generators(kit, split, w).reshape(32, 8)
+    kx, k = random_stack(rng, (32, 2)), random_stack(rng, (32, 2))
+    products = (kx.reshape(32, 2, 4, 1) * k.reshape(32, 2, 1, 4)).reshape(32, 32)
+    got = products @ fs._generator_map(kit, split)
+    want = ref_flow_generators(kit, split, kx @ _vadj(k)).reshape(32, 8)
     assert rel_err(got, want) < 1e-14
 
 

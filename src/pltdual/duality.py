@@ -111,7 +111,7 @@ class SplittingData:
     pi_plus: np.ndarray  # 2n x 2n projector onto E_+ along E_-
     pi_minus: np.ndarray
     pairing: np.ndarray  # 2n x 2n hyperbolic pairing matrix
-    # the loop flow's constant 8x8 generator map for each GroupKit, kept by
+    # the loop flow's constant 32x8 generator map for each GroupKit, kept by
     # pltdual.fieldsim.step
     generator_maps: dict = field(default_factory=dict, repr=False, compare=False)
 

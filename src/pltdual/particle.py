@@ -34,11 +34,10 @@ u^-1 du/dt) and the chiral stack of a are stepped as one stack of group
 matrices, with p as the additive variable, so u and a stay on their
 groups to machine precision.  The run stops once cond(Ad_u) = cond(u)^2
 passes 1/eps, where Ad_u and Ad_{u^-1} no longer invert each other in
-double precision.  Since
-u is unimodular, cond(u) follows from |u|_F^2 alone: the check after each
-step takes the squared norms of u and p and computes cond(Ad_u) in Python
-floats, and scans the entries for non-finite values only when a norm is
-not finite.
+double precision.  Since u is unimodular, cond(u) follows from |u|_F^2
+alone: the check after each step takes the squared norms of u and p and
+computes cond(Ad_u) in Python floats, and scans the entries for
+non-finite values only when a norm is not finite.
 """
 
 from __future__ import annotations

@@ -46,9 +46,9 @@ from .bialgebra import (
     symmetric_part_invariance_residual,
     tensor_conjugate,
 )
-from .groups import COND_CUTOFF, GroupKit, _vadj, _vdet_normalize
+from .groups import COND_CUTOFF, GroupKit, _vdet_normalize
 from .liecore import jacobi_residual
-from .models import ModelPreset, make_preset
+from .models import _EPS, ModelPreset, make_preset
 
 __all__ = [
     "SplittingError",
@@ -257,10 +257,10 @@ def graph_at(
     u need not be unimodular: it is normalized once, which leaves Ad_u
     unchanged, so c u gives the maps of u on every route.
     """
-    uinv = _vadj(_vdet_normalize(np.asarray(u, dtype=complex)))
+    u = _vdet_normalize(np.asarray(u, dtype=complex))
     if route == "transport":
-        return graph_slices(split, kit.ad_d(uinv[None]))
-    a = kit.ad_g(uinv)
+        return graph_slices(split, kit.ad_d(u[None])[0])
+    a = kit.ad_g(u)[0]
     if route == "invariant-split":
         c = split.shifted_maps
         return tensor_conjugate(c.e_shift, a) + c.r1, tensor_conjugate(c.t_shift, a) + c.r1
@@ -347,13 +347,6 @@ def su2_dual_vector_lagrangian(
 
 
 # ---- su2 closed forms -------------------------------------------------------
-
-_EPS = np.zeros((3, 3, 3))
-for _i in range(3):
-    for _j in range(3):
-        for _k in range(3):
-            _EPS[_i, _j, _k] = (_i - _j) * (_j - _k) * (_k - _i) / 2.0
-
 
 def su2_pi_vector(u: np.ndarray) -> np.ndarray:
     """pi = (Re(a conj(b)), Im(a conj(b)), -|b|^2) for u = [[a, b], [-b*, a*]]."""

@@ -29,9 +29,9 @@ axis: the factorizations, adjoint actions and graph slices come stacked
 from :mod:`pltdual.groups` and :mod:`pltdual.duality`, and every chart
 check is elementwise, naming the first node that fails.  A state computes
 the quantities they share (its tangent field, both factorizations with
-the inverse first factor and its double adjoint action) once, on first
-use, so a recorded state is factorized once in each order even when it
-also serves as the earlier time level of the next residual.
+the inverse first factor and both halves of its double adjoint pair)
+once, on first use, so a recorded state is factorized once in each order
+even when it also serves as the earlier time level of the next residual.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .duality import GraphBlowupError, SplittingData, graph_inverse, graph_slices
-from .groups import FactorizationError, GroupKit, _vadj, _vmul, cf4_step
+from .groups import FactorizationError, GroupKit, _entry_products, _vadj, _vmul, cf4_step
 from .liecore import bracket_coeffs
 
 __all__ = [
@@ -127,18 +127,16 @@ class LoopState:
         return _tangent_field(self)
 
     @cached_property
-    def gm_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(u, s, u^-1, Ad_{u^-1}) at every node, for k = u s."""
+    def gm_factors(self) -> tuple[np.ndarray, ...]:
+        """(u, s, u^-1, Ad_{u^-1}, Ad_u) at every node, for k = u s."""
         u, s = self.kit.factorize_gm(self.k)
-        uinv = _vadj(u)
-        return u, s, uinv, self.kit.ad_d(uinv[:, None])
+        return u, s, _vadj(u), *self.kit.ad_d(u[:, None])
 
     @cached_property
-    def mg_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(t, v, t^-1, Ad_{t^-1}) at every node, for k = t v."""
+    def mg_factors(self) -> tuple[np.ndarray, ...]:
+        """(t, v, t^-1, Ad_{t^-1}, Ad_t) at every node, for k = t v."""
         t, v = self.kit.factorize_mg(self.k)
-        tinv = _vadj(t)
-        return t, v, tinv, self.kit.ad_d(tinv)
+        return t, v, _vadj(t), *self.kit.ad_d(t)
 
 
 @dataclass
@@ -299,21 +297,24 @@ def _x_derivative(f: np.ndarray, dx: float, boundary: str, order: int = 4) -> np
     return out
 
 
-def _right_tangent(k: np.ndarray, dx: float, boundary: str) -> np.ndarray:
-    """k_x k^-1 at every node of a node-first stack of unimodular 2x2
-    matrices.
+def _right_tangent(k: np.ndarray, dx: float, boundary: str, out_map: np.ndarray) -> np.ndarray:
+    """k_x k^-1 of a node-first chiral stack, read through ``out_map`` from
+    the products (k_x)_ab k_cd of each side: :attr:`GroupKit.tangent_map`
+    gives its (nodes, 2n) double-algebra coefficients, the map of
+    :func:`_generator_map` the chiral entries of dk/dt k^-1.
 
-    k^-1 is taken as the adjugate, with no division by det k, so ``k``
-    must be unimodular: every caller passes recorded states or the M
-    factor of one.
+    k^-1 is read as the adjugate, with no division by det k, so ``k``
+    must be unimodular: every caller passes recorded states, stage points
+    or the M factor of one.
     """
-    return _vmul(_x_derivative(k, dx, boundary), _vadj(k))
+    products = _entry_products(_x_derivative(k, dx, boundary), k)
+    return products.reshape(len(k), 32).dot(out_map)
 
 
 def _tangent_field(state: LoopState) -> np.ndarray:
     """w = k_x k^-1 as (nodes, 2n) double-algebra coefficients, from one
     derivative of the chiral stack (read it as :attr:`LoopState.tangent`)."""
-    return state.kit.tangent_coeffs(_right_tangent(state.k, state.dx, state.boundary))
+    return _right_tangent(state.k, state.dx, state.boundary, state.kit.tangent_map)
 
 
 def _flow_velocity(state: LoopState) -> np.ndarray:
@@ -322,20 +323,14 @@ def _flow_velocity(state: LoopState) -> np.ndarray:
 
 
 def _generator_map(kit: GroupKit, split: SplittingData) -> np.ndarray:
-    """32x8 map of the products (k_x)_ab k_cd of each side, flattened over
-    (side, a, b, c, d), to the chiral entries of dk/dt k^-1 =
-    (pi_- - pi_+)(k_x adj(k)): per side the map of the products onto
-    k_x adj(k), then :meth:`GroupKit.tangent_coeffs`, the projector
-    difference and :meth:`GroupKit.chiral_mats` on the unit entries (the
-    (1, 1) entries, fixed by a traceless input, get zero rows).  :func:`step`
-    builds it once per (kit, splitting) and keeps it in
-    :attr:`SplittingData.generator_maps`."""
-    units = np.eye(8).reshape(8, 2, 2, 2)
-    w = kit.tangent_coeffs(units) @ (split.pi_minus - split.pi_plus).T
-    tangent_map = kit.chiral_mats(w).reshape(2, 4, 8)
-    entries = np.eye(4).reshape(4, 2, 2)
-    adj_map = (entries[:, None] @ _vadj(entries)[None]).reshape(16, 4)
-    return (adj_map @ tangent_map).reshape(32, 8)
+    """32x8 map of the products (k_x)_ab k_cd of each side to the chiral
+    entries of dk/dt k^-1 = (pi_- - pi_+)(k_x k^-1): :attr:`GroupKit.tangent_map`,
+    the projector difference and :meth:`GroupKit.chiral_mats` of the unit
+    coefficients.  :func:`step` builds it once per (kit, splitting) and keeps
+    it in :attr:`SplittingData.generator_maps`."""
+    n2 = 2 * kit.b.g.dim
+    entries = kit.chiral_mats(np.eye(n2)).reshape(n2, 8)
+    return kit.tangent_map @ (split.pi_minus - split.pi_plus).T @ entries
 
 
 # ---- time stepping -------------------------------------------------------------
@@ -351,9 +346,7 @@ def step(state: LoopState, dt: float) -> LoopState:
         gen_map = maps[state.kit] = _generator_map(state.kit, state.split)
 
     def gens(k: np.ndarray, _):
-        kx = _x_derivative(k, dx, boundary).reshape(-1, 2, 4, 1)
-        products = (kx * k.reshape(-1, 2, 1, 4)).reshape(-1, 32)
-        return products.dot(gen_map).reshape(k.shape), 0.0
+        return _right_tangent(k, dx, boundary, gen_map).reshape(k.shape), 0.0
 
     k1, _ = cf4_step(gens, state.k, 0.0, dt)
     return LoopState(state.kit, state.split, k1, boundary, state.time + dt)
@@ -362,19 +355,19 @@ def step(state: LoopState, dt: float) -> LoopState:
 # ---- diagnostics ----------------------------------------------------------------
 
 
-def _quadrature(values: np.ndarray, dx: float, boundary: str, axis: int = 0):
+def _quadrature(values: np.ndarray, dx: float, boundary: str):
     """Composite Simpson for the Neumann grid (trapezoid on an odd cell
-    count), Riemann sum for periodic, over the node axis ``axis``."""
+    count), Riemann sum for periodic, over the node axis 0."""
     if boundary == "periodic":
-        total = values.sum(axis=axis) * dx
+        total = values.sum(axis=0) * dx
     else:
-        w, div = np.ones(values.shape[axis]), 1.0
+        w, div = np.ones(len(values)), 1.0
         if len(w) % 2 == 0:
             w[[0, -1]] = 0.5
         else:
             w[1:-1:2], w[2:-1:2], div = 4.0, 2.0, 3.0
-        w = w.reshape((-1,) + (1,) * (values.ndim - 1 - axis % values.ndim))
-        total = (w * values).sum(axis=axis) * dx / div
+        w = w.reshape((-1,) + (1,) * (values.ndim - 1))
+        total = (w * values).sum(axis=0) * dx / div
     return total if np.ndim(total) else complex(total)
 
 
@@ -393,7 +386,7 @@ def moment_map_basis(state: LoopState) -> np.ndarray:
     """I_delta = -1/2 int <k_x k^-1, delta> dx for every double basis
     vector delta at once."""
     vals = -0.5 * (state.tangent @ state.split.pairing)
-    return _quadrature(vals, state.dx, state.boundary, axis=0)
+    return _quadrature(vals, state.dx, state.boundary)
 
 
 def loop_functions(state: LoopState, v: np.ndarray | None = None) -> tuple[complex, complex]:
@@ -436,18 +429,17 @@ def _transported_density(split: SplittingData, ad: np.ndarray, ad_inv: np.ndarra
 def duality_check(state: LoopState) -> float:
     """Max gap between the (u, s) and (t, v) Hamiltonian densities plus
     the reconstruction defects of both factorizations."""
-    kit, k = state.kit, state.k
-    w = state.tangent
-    u, s, _, ad_uinv = state.gm_factors
-    t, v, _, ad_tinv = state.mg_factors
+    k, w = state.k, state.tangent
+    u, s, _, ad_uinv, ad_u = state.gm_factors
+    t, v, _, ad_tinv, ad_t = state.mg_factors
     u, v = u[:, None], v[:, None]
     # the reconstruction defects, summed over both sides
     recon_gm = np.linalg.norm(_vmul(u, s) - k, axis=(-2, -1)).sum(axis=-1)
     recon_mg = np.linalg.norm(_vmul(t, v) - k, axis=(-2, -1)).sum(axis=-1)
     # primal description: transport by Ad_{u^-1}
-    hu = _transported_density(state.split, kit.ad_d(u), ad_uinv, w)
+    hu = _transported_density(state.split, ad_u, ad_uinv, w)
     # dual description: transport by Ad_{t^-1}
-    ht = _transported_density(state.split, kit.ad_d(t), ad_tinv, w)
+    ht = _transported_density(state.split, ad_t, ad_tinv, w)
     return float(np.abs(hu - ht).max() + max(recon_gm.max(), recon_mg.max()))
 
 
@@ -463,7 +455,7 @@ def _primal_lightcone_fields(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
     """
     kit = state.kit
     n = kit.b.g.dim
-    u, _, uinv, ad = state.gm_factors
+    u, _, uinv, ad, _ = state.gm_factors
     xi_x = kit.coeffs(_vmul(uinv, _x_derivative(u, state.dx, state.boundary, order=2)))
     xi_t = _matvec(ad, _flow_velocity(state))[..., :n]
     e_inv, t_inv = graph_slices(state.split, ad)
@@ -476,7 +468,7 @@ def _dual_lightcone_fields(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
     Ehat_t and That_t the transported slices over m at Ad_{t^-1}."""
     kit = state.kit
     n = kit.b.g.dim
-    t, _, tinv, ad = state.mg_factors
+    t, _, tinv, ad, _ = state.mg_factors
     phi_x = kit.tangent_coeffs(
         _vmul(tinv, _x_derivative(t, state.dx, state.boundary, order=2)))[..., n:]
     phi_t = _matvec(ad, _flow_velocity(state))[..., n:]
@@ -538,12 +530,12 @@ def dressing_relation_residual(state: LoopState) -> float:
     kit = state.kit
     n = kit.b.g.dim
     dx, bd = state.dx, state.boundary
-    u, s, uinv, ad = state.gm_factors
+    u, s, uinv, ad, _ = state.gm_factors
     dec = _matvec(ad, _flow_velocity(state))
     xi_t = dec[..., :n]
     s_t = dec[..., n:]  # ds/dt s^-1 in m-coefficients
     xi_x = kit.coeffs(_vmul(uinv, _x_derivative(u, dx, bd)))
-    s_x = kit.tangent_coeffs(_right_tangent(s, dx, bd))[..., n:]
+    s_x = _right_tangent(s, dx, bd, kit.tangent_map)[..., n:]
     e_inv, t_inv = graph_slices(state.split, ad)
     e, t = graph_inverse(e_inv, "E_u^-1"), graph_inverse(t_inv, "T_u^-1")
     lhs_p = 0.5 * (s_t + s_x) - _matvec(t, 0.5 * (xi_t + xi_x))
@@ -603,7 +595,7 @@ def symplectic_form(state: LoopState, var_y: np.ndarray, var_z: np.ndarray) -> c
     dyx = np.tensordot(d, y, axes=(1, 0))
     bulk = complex(np.einsum("n,ni,ij,nj->", h, dyx, p, z))
     ends = [state.n_nodes - 1, 0]
-    ads = kit.ad_d(kit.factorize_gm(state.k[ends])[1])
+    ads = kit.ad_d(kit.factorize_gm(state.k[ends])[1])[1]
     wy = _matvec(ads, y[ends])
     wz = _matvec(ads, z[ends])
     at_pi, at_0 = np.einsum("ni,ni->n", wz[:, n:], wy[:, :n])

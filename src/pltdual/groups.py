@@ -27,6 +27,14 @@ which sits diagonally, enters as ``u[..., None, :, :]``, a side axis of
 length one that broadcasts over both sides.  Each operation on the
 double group has one method, which takes and returns chiral stacks.
 
+Both adjoint actions are bilinear in the entries of an element and of its
+inverse, so each is one method that returns the pair: :meth:`GroupKit.ad_g`
+gives (Ad_{u^-1}, Ad_u) on g and :meth:`GroupKit.ad_d` gives (Ad_{k^-1},
+Ad_k) on the double, each from one product of the entry products with a
+constant map.  The loop tangent k_x k^-1 = k_x adj(k) is likewise bilinear
+in k_x and k: :attr:`GroupKit.tangent_map` takes the entry products of
+each side to its double-algebra coefficients.
+
 Every element of G, M or the double is unimodular (the steppers normalize
 the determinant, the factorizations build unit determinants), and the
 operations here assume it of their inputs: the one inverse is the adjugate
@@ -115,10 +123,10 @@ def _unimodular_cond(f):
     return (f + np.sqrt(np.maximum(f * f - 4.0, 0.0))) / 2.0
 
 
-def _entry_products(u: np.ndarray, u_inv: np.ndarray) -> np.ndarray:
-    """The 16 products u_ab (u^-1)_cd, flattened over (a, b, c, d)."""
-    pairs = u[..., :, :, None, None] * u_inv[..., None, None, :, :]
-    return pairs.reshape(u.shape[:-2] + (16,))
+def _entry_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The 16 products x_ab y_cd, flattened over (a, b, c, d)."""
+    pairs = x[..., :, :, None, None] * y[..., None, None, :, :]
+    return pairs.reshape(pairs.shape[:-4] + (16,))
 
 
 def _check_chart(bad: np.ndarray, message: str) -> None:
@@ -222,16 +230,18 @@ class GroupKit:
         self.chi_inv = np.linalg.inv(self.chi)
         # Ad_u on g is bilinear in the entries of u and u^-1:
         # (Ad_u)_ij = sum u_ab (e_j)_bc (u^-1)_cd C_iad, where C maps the
-        # (a, d) entry of a traceless matrix to its coefficient i
+        # (a, d) entry of a traceless matrix to its coefficient i; Ad_{u^-1}
+        # reads the same 16 products with the (u, u^-1) slots swapped
         entry_coeffs = np.zeros((n, 2, 2), dtype=complex)
         entry_coeffs[:, 0, 0], entry_coeffs[:, 0, 1], entry_coeffs[:, 1, 0] = self._demat.T
-        self._ad_g_map = np.einsum("jbc,iad->abcdij", self.basis, entry_coeffs).reshape(16, 9)
-        # Ad_{u^-1} reads the same 16 products with the (u, u^-1) slots swapped
-        swapped = self._ad_g_map.reshape(2, 2, 2, 2, 9).transpose(2, 3, 0, 1, 4).reshape(16, 9)
-        self._ad_g_pair_map = np.hstack([swapped, self._ad_g_map])
-        # Ad_k on the double is chi^-1 diag(Ad_kL, Ad_kR) chi, linear in both blocks
+        ad_u = np.einsum("jbc,iad->abcdij", self.basis, entry_coeffs)
+        self._ad_g_map = np.stack([ad_u.transpose(2, 3, 0, 1, 4, 5), ad_u], axis=4).reshape(16, 18)
+        # Ad_k on the double is chi^-1 diag(Ad_kL, Ad_kR) chi, linear in both
+        # blocks: the 32 products of both sides map to (Ad_{k^-1}, Ad_k)
         blocks = np.einsum("ia,bj->abij", self.chi_inv, self.chi)
-        self._ad_d_maps = (blocks[:n, :n].reshape(9, 36), blocks[n:, n:].reshape(9, 36))
+        sides = np.stack([blocks[:n, :n].reshape(9, 36), blocks[n:, n:].reshape(9, 36)])
+        self._ad_d_map = np.einsum("phx,sxy->sphy", self._ad_g_map.reshape(16, 2, 9),
+                                   sides).reshape(32, 72)
 
     # ---- algebra <-> matrix ------------------------------------------------
 
@@ -266,6 +276,17 @@ class GroupKit:
         z = self.coeffs(m)
         return z.reshape(z.shape[:-2] + (-1,)) @ self.chi_inv.T
 
+    @cached_property
+    def tangent_map(self) -> np.ndarray:
+        """32 x 2n map of the products (k_x)_ab k_cd of each side, flattened
+        over (side, a, b, c, d) as :func:`_entry_products` gives them per
+        side, to the d-coefficients of k_x adj(k), which is k_x k^-1 for a
+        unimodular k: per side the products onto the entries of k_x adj(k),
+        then :meth:`tangent_coeffs` on the unit chiral entries."""
+        units = np.eye(4).reshape(4, 2, 2)
+        adj_map = (units[:, None] @ _vadj(units)[None]).reshape(16, 4)
+        return np.kron(np.eye(2), adj_map) @ self.tangent_coeffs(np.eye(8).reshape(8, 2, 2, 2))
+
     # ---- exponentials (stacked over leading axes) ----------------------------
 
     def exp_g(self, xi: np.ndarray) -> np.ndarray:
@@ -280,38 +301,30 @@ class GroupKit:
 
     # ---- adjoint actions ---------------------------------------------------
 
-    def ad_g(self, u: np.ndarray) -> np.ndarray:
-        """3x3 matrix of Ad_u on g (and its complexification)."""
-        u = np.asarray(u, dtype=complex)
+    def ad_g(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Ad_{u^-1}, Ad_u) on g (and its complexification), stacked over
+        the leading axes, from one set of products of the entries of u and
+        u^-1."""
         lead = u.shape[:-2]
-        return (_entry_products(u, _vadj(u)) @ self._ad_g_map).reshape(lead + (3, 3))
-
-    def ad_g_pair(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Ad_{u^-1}, Ad_u) on g from one set of products of the entries of
-        u and u^-1, stacked over the leading axes."""
-        lead = u.shape[:-2]
-        both = _entry_products(u, _vadj(u)).dot(self._ad_g_pair_map).reshape(lead + (2, 3, 3))
+        both = _entry_products(u, _vadj(u)).dot(self._ad_g_map).reshape(lead + (2, 3, 3))
         return both[..., 0, :, :], both[..., 1, :, :]
 
-    def ad_d(self, k: np.ndarray) -> np.ndarray:
-        """6x6 matrix of Ad_k on the double for the chiral stack k, exact
-        via the chiral pair.
-
-        A G-valued u passed as ``u[..., None, :, :]`` computes Ad_u on g
-        once, for both sides.
-        """
-        a = self.ad_g(k)
-        lead = a.shape[:-3]
-        map_l, map_r = self._ad_d_maps
-        flat = (a[..., 0, :, :].reshape(lead + (9,)) @ map_l
-                + a[..., -1, :, :].reshape(lead + (9,)) @ map_r)
-        return flat.reshape(lead + (6, 6))
+    def ad_d(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Ad_{k^-1}, Ad_k) on the double for the chiral stack k, exact via
+        the chiral pair, from one product of the entry products of both
+        sides; a G-valued u passed as ``u[..., None, :, :]`` forms its
+        products once and broadcasts them over the side axis."""
+        products = _entry_products(k, _vadj(k))
+        lead = products.shape[:-2]
+        products = np.broadcast_to(products, lead + (2, 16)).reshape(lead + (32,))
+        both = products.dot(self._ad_d_map).reshape(lead + (2, 6, 6))
+        return both[..., 0, :, :], both[..., 1, :, :]
 
     # ---- Poisson / dressing cocycles ----------------------------------------
 
     def pi(self, u: np.ndarray) -> np.ndarray:
         """Pi(u) = Ad_u r - r as a g(x)g coefficient matrix (m -> g map)."""
-        a = self.ad_g(u)
+        a = self.ad_g(u)[1]
         return tensor_conjugate(self.b.rho, a) - self.b.rho
 
     def b_cocycle(self, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -331,9 +344,8 @@ class GroupKit:
         with Ad_t.
         """
         n = self.b.g.dim
-        adt = self.ad_d(t)
-        adtinv = self.ad_d(_vadj(t))
-        return adt[..., n:, n:] @ adtinv[..., n:, :n]
+        ad_tinv, ad_t = self.ad_d(t)
+        return ad_t[..., n:, n:] @ ad_tinv[..., n:, :n]
 
     # ---- factorization -----------------------------------------------------
 

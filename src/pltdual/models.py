@@ -32,6 +32,9 @@ __all__ = [
 
 ALGEBRA_NAMES = ("sl2r", "su2")
 
+# the Levi-Civita symbol eps_ijk
+_EPS = np.fromfunction(lambda i, j, k: (i - j) * (j - k) * (k - i) / 2.0, (3, 3, 3))
+
 PRESET_NAMES = (
     "modified-principal",
     "pure-qt",
@@ -58,20 +61,11 @@ def make_sl2r() -> QuasiBialgebra:
 
 
 def make_su2() -> QuasiBialgebra:
-    c = np.zeros((3, 3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                c[i, j, k] = _eps(i, j, k)
-    g = LieAlgebra(c, ("e1", "e2", "e3"), name="su2")
+    g = LieAlgebra(_EPS.astype(complex), ("e1", "e2", "e3"), name="su2")
     rho = -np.eye(3, dtype=complex)
     rho[0, 1] += 1j
     rho[1, 0] -= 1j
     return QuasiBialgebra(g, rho, name="su2")
-
-
-def _eps(i: int, j: int, k: int) -> float:
-    return float((i - j) * (j - k) * (k - i)) / 2.0
 
 
 def make_algebra(name: str) -> QuasiBialgebra:

@@ -75,7 +75,7 @@ __all__ = [
 class ParticleState:
     """The particle's (u, p) and conjugate factor a.
 
-    u must be unimodular, as :meth:`GroupKit.ad_g_pair` assumes; a step
+    u must be unimodular, as :meth:`GroupKit.ad_g` assumes; a step
     keeps it so.  A step's stages each build their own adjoint pair, and
     the records of a trajectory are evaluated together on their stacks by
     :func:`integrate_particle`, so a state holds no derived data.
@@ -131,7 +131,7 @@ def particle_rhs(
     ``ndarray.dot``, which skips the matmul gufunc's dispatch and costs
     about half of ``@`` on these sizes.
     """
-    a, b = kit.ad_g_pair(u)
+    a, b = kit.ad_g(u)
     c = split.shifted_maps
     zw = c.fold_q.dot(p.dot(a)) + c.fold_rp.dot(b.dot(c.r1.dot(p)))
     xw = zw.reshape(2, 3).dot(b)
@@ -187,7 +187,7 @@ def particle_hamiltonian(
     H then has those axes; ``pair`` is (Ad_{u^-1}, Ad_u) of the same
     stack when the caller holds it.
     """
-    a, b = kit.ad_g_pair(u) if pair is None else pair
+    a, b = kit.ad_g(u) if pair is None else pair
     c = split.shifted_maps
     s = (np.einsum("...ji,...j->...i", a, p) @ c.e_shift.T
          + np.einsum("...ij,...j->...i", b, p @ c.r1.T))
@@ -205,7 +205,7 @@ def particle_charges(
     in :func:`particle_hamiltonian`, and ``pair`` is (Ad_{u^-1}, Ad_u) of
     the same stack when the caller holds it.
     """
-    a, b = kit.ad_g_pair(u) if pair is None else pair
+    a, b = kit.ad_g(u) if pair is None else pair
     r1t = split.shifted_maps.r1.T
     qg = np.einsum("...ji,...j->...i", a, p)
     qm = qg @ r1t - np.einsum("...ij,...j->...i", b, p @ r1t)
@@ -274,7 +274,7 @@ def integrate_particle(
                 ps.append(state.p)
     steps = n_steps if failure is None else i
     us, ps = np.array(us), np.array(ps)
-    pair = kit.ad_g_pair(us)
+    pair = kit.ad_g(us)
     qg, _, moments = particle_charges(kit, split, us, ps, pair)
     return ParticleTrajectory(
         np.array(times),
@@ -351,7 +351,7 @@ def conjugate_description_residual(
             composites[i].append(_compose_k(kit, state, x))
         w = np.zeros(2 * n, dtype=complex)
         w[n:] = state.p
-        gen = pid @ (kit.ad_d(state.u[None]) @ w)
+        gen = pid @ (kit.ad_d(state.u[None])[1] @ w)
         gens.append(kit.chiral_mats(gen))
         if step < n_steps:
             state = _rk_mk_step(kit, split, state, dt)

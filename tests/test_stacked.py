@@ -4,7 +4,9 @@ The stacked factorizations and adjoint actions are compared node by node
 with the same ``GroupKit`` calls on one node and with a copy of the former
 closed-form scalar code, and the chiral stack (..., side, 2, 2) that every
 double-group method takes is checked against the (left, right) argument
-pairs it replaced; ``duality_check``, ``eom_residuals`` and the loop
+pairs it replaced; the adjoint pairs of ``ad_g`` and ``ad_d`` are checked
+against the per-element block-diagonal oracle at the inverse and against
+each other; ``duality_check``, ``eom_residuals`` and the loop
 initializers are compared with per-node copies of the loops they replaced,
 and the field and particle steps, which share ``groups.cf4_step``, with
 hand-unrolled CF4 steps: the field one side at a time, with k^-1 from a
@@ -24,7 +26,8 @@ graph slices of one stacked product with the per-basis products they
 replaced.  The particle's energy and charges of stacked records, with one
 stacked adjoint pair, are compared with their per-record calls.  Counts
 show that the field step builds its generator map once per splitting,
-that a recorded loop state is factorized once in each order and that a
+that a recorded loop state is factorized once in each order and builds
+one ``ad_d`` pair per factorization, that ``hat_pi`` builds one, and that a
 particle trajectory builds one adjoint pair per stage and one for all its
 records.
 """
@@ -114,14 +117,20 @@ def ref_ad_d(kit, k):
 
 
 def ref_ad_d_pair(kit, left, right):
-    """The former two-argument ad_d, which computed Ad_u on g once when
-    passed the same array twice."""
-    al = kit.ad_g(left)
-    ar = al if right is left else kit.ad_g(right)
-    lead = al.shape[:-2]
-    map_l, map_r = kit._ad_d_maps
-    flat = al.reshape(lead + (9,)) @ map_l + ar.reshape(lead + (9,)) @ map_r
-    return flat.reshape(lead + (6, 6))
+    """Ad on the double of the chiral components (left, right), stacked
+    over their leading axes: chi^-1 diag(Ad_left, Ad_right) chi per element."""
+    out = np.zeros(left.shape[:-2] + (6, 6), dtype=complex)
+    for idx in np.ndindex(left.shape[:-2]):
+        out[idx] = ref_ad_d(kit, (left[idx], right[idx]))
+    return out
+
+
+def ref_ad_g_stack(kit, u):
+    """ref_ad_g per element of a stack over the leading axes."""
+    out = np.zeros(u.shape[:-2] + (3, 3), dtype=complex)
+    for idx in np.ndindex(u.shape[:-2]):
+        out[idx] = ref_ad_g(kit, u[idx])
+    return out
 
 
 def side_distance(a, b):
@@ -142,12 +151,12 @@ def ref_duality_check(state):
         t, v = kit.factorize_mg(k)
         recon = max(recon, side_distance(u @ s, k), side_distance(t @ v, k))
         uinv = np.linalg.inv(u)
-        adu = kit.ad_d(u[None])
-        adui = kit.ad_d(uinv[None])
+        adu = kit.ad_d(u[None])[1]
+        adui = kit.ad_d(uinv[None])[1]
         wu = adui @ w[j]
         hu = 0.25 * (wu @ ((adui @ pd @ adu).T @ (p.T @ wu)))
-        adt = kit.ad_d(t)
-        adti = kit.ad_d(np.linalg.inv(t))
+        adt = kit.ad_d(t)[1]
+        adti = kit.ad_d(np.linalg.inv(t))[1]
         wt = adti @ w[j]
         ht = 0.25 * (wt @ ((adti @ pd @ adt).T @ (p.T @ wt)))
         gap = max(gap, abs(hu - ht))
@@ -163,7 +172,7 @@ def ref_primal_fields(state):
     for j, u in enumerate(us):
         uinv = np.linalg.inv(u)
         xi_x = kit.coeffs(uinv @ dux[j])
-        xi_t = (kit.ad_d(uinv[None]) @ kdot[j])[:3]
+        xi_t = (kit.ad_d(uinv[None])[1] @ kdot[j])[:3]
         e_inv, t_inv = graph_at(kit, split, u)
         a.append(np.linalg.inv(e_inv) @ (0.5 * (xi_t - xi_x)))
         b.append(np.linalg.inv(t_inv) @ (0.5 * (xi_t + xi_x)))
@@ -179,7 +188,7 @@ def ref_dual_fields(state):
     for j, t in enumerate(ts):
         tinv = np.linalg.inv(t)
         phi_x = kit.tangent_coeffs(tinv @ dts[j])[3:]
-        ad = kit.ad_d(tinv)
+        ad = kit.ad_d(tinv)[1]
         phi_t = (ad @ kdot[j])[3:]
         # Ehat_t^-1, That_t^-1 (g -> m): Ad_{t^-1} [1; X_e] sliced over g
         moved = [ad @ np.vstack([np.eye(3), xe]) for xe in (split.e_matrix, split.t_matrix)]
@@ -359,7 +368,7 @@ def ref_particle_charges(kit, split, u, p):
     """The former charges from the 6x6 Ad_u of the double."""
     w = np.zeros(6, dtype=complex)
     w[3:] = p
-    moved = kit.ad_d(u[None]) @ w
+    moved = kit.ad_d(u[None])[1] @ w
     return moved[3:], moved[:3], -0.5 * (split.pairing @ moved)
 
 
@@ -375,10 +384,10 @@ def rel_err(got, want):
 def test_stacked_kernels_match_single_element_calls(cfg):
     state = make_loop(cfg)
     kit = state.kit
-    stacked = (*kit.factorize_gm(state.k), *kit.factorize_mg(state.k), kit.ad_d(state.k))
+    stacked = (*kit.factorize_gm(state.k), *kit.factorize_mg(state.k), kit.ad_d(state.k)[1])
     for j in range(state.n_nodes):
         k = state.k[j]
-        single = (*kit.factorize_gm(k), *kit.factorize_mg(k), kit.ad_d(k))
+        single = (*kit.factorize_gm(k), *kit.factorize_mg(k), kit.ad_d(k)[1])
         for got, want in zip(stacked, single):
             assert np.abs(got[j] - want).max() < 1e-13
         for got, want in zip(stacked[:2], ref_factorize_gm(kit, k)):
@@ -422,12 +431,31 @@ def random_group_points(kit, rng, lead):
 def test_ad_d_broadcast_side_matches_pair(algebra, lead):
     kit, _ = kit_and_split(algebra)
     u = random_group_points(kit, np.random.default_rng(len(lead)), lead)
-    got = kit.ad_d(u[..., None, :, :])
+    got = kit.ad_d(u[..., None, :, :])[1]
     assert got.shape == lead + (6, 6)
-    assert rel_err(got, kit.ad_d(np.stack([u, u], -3))) < 1e-13
+    assert rel_err(got, kit.ad_d(np.stack([u, u], -3))[1]) < 1e-13
     assert rel_err(got, ref_ad_d_pair(kit, u, u)) < 1e-13
     k = np.stack([u, random_group_points(kit, np.random.default_rng(9), lead)], -3)
-    assert rel_err(kit.ad_d(k), ref_ad_d_pair(kit, k[..., 0, :, :], k[..., 1, :, :])) < 1e-13
+    assert rel_err(kit.ad_d(k)[1], ref_ad_d_pair(kit, k[..., 0, :, :], k[..., 1, :, :])) < 1e-13
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (7,), (3, 4)])
+@pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
+def test_adjoint_pairs_are_the_action_of_the_inverse(algebra, lead):
+    """ad_g and ad_d return (Ad at the inverse, Ad), which invert each other,
+    for a chiral stack, a G-valued u on a broadcast side axis and u on g."""
+    kit, _ = kit_and_split(algebra)
+    u = random_group_points(kit, np.random.default_rng(len(lead)), lead)
+    k = np.stack([u, random_group_points(kit, np.random.default_rng(9), lead)], -3)
+    for x in (k, u[..., None, :, :]):
+        xinv = np.broadcast_to(np.linalg.inv(x), lead + (2, 2, 2))
+        ad_inv, ad = kit.ad_d(x)
+        assert rel_err(ad_inv, ref_ad_d_pair(kit, xinv[..., 0, :, :], xinv[..., 1, :, :])) < 1e-13
+        assert np.abs(ad_inv @ ad - np.eye(6)).max() < 1e-13
+    ad_inv, ad = kit.ad_g(u)
+    assert rel_err(ad_inv, ref_ad_g_stack(kit, np.linalg.inv(u))) < 1e-13
+    assert rel_err(ad, ref_ad_g_stack(kit, u)) < 1e-13
+    assert np.abs(ad_inv @ ad - np.eye(3)).max() < 1e-13
 
 
 @pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
@@ -589,7 +617,7 @@ def test_vadj_inverts_unimodular_stacks(nodes, seed, norm):
 def test_graph_slices_match_per_basis_products(algebra, lead):
     kit, split = kit_and_split(algebra)
     rng = np.random.default_rng(len(lead))
-    ad = kit.ad_d(random_group_points(kit, rng, lead)[..., None, :, :])
+    ad = kit.ad_d(random_group_points(kit, rng, lead)[..., None, :, :])[1]
     n = kit.b.g.dim
     for got, basis in zip(graph_slices(split, ad), (split.basis_plus, split.basis_minus)):
         x = ad @ basis
@@ -619,12 +647,14 @@ def test_wrapped_stencils_match_rolls(order, n_nodes, shape):
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 @pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
 def test_generator_map_matches_coefficient_chain(algebra, preset):
+    """The maps on the products (k_x)_ab k_cd of each side, GroupKit.tangent_map
+    and the generator map, against the chain from k_x adj(k), for any k
+    (k_x k^-1 on a unimodular one)."""
     kit, split = preset_kit_and_split(algebra, preset)
-    """The map on the products (k_x)_ab k_cd of each side against the chain
-    from k_x adj(k), for any k (k_x k^-1 on a unimodular one)."""
     rng = np.random.default_rng(7)
     kx, k = random_stack(rng, (32, 2)), random_stack(rng, (32, 2))
     products = (kx.reshape(32, 2, 4, 1) * k.reshape(32, 2, 1, 4)).reshape(32, 32)
+    assert rel_err(products @ kit.tangent_map, kit.tangent_coeffs(kx @ _vadj(k))) < 1e-14
     got = products @ fs._generator_map(kit, split)
     want = ref_flow_generators(kit, split, kx @ _vadj(k)).reshape(32, 8)
     assert rel_err(got, want) < 1e-14
@@ -668,7 +698,7 @@ def test_particle_kernels_match_solve_route(algebra, preset, seed):
     # complex coefficients put u off the real form of the group
     u = expm2(kit.mat(rng.uniform(-0.4, 0.4, 3) + 1j * rng.uniform(-0.4, 0.4, 3)))
     p = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
-    a, b = kit.ad_g_pair(u)
+    a, b = kit.ad_g(u)
     assert rel_err(a, ref_ad_g(kit, np.linalg.inv(u))) < 1e-13
     assert rel_err(b, ref_ad_g(kit, u)) < 1e-13
 
@@ -714,13 +744,13 @@ def test_stacked_particle_records_match_per_record_calls(algebra, preset, seed, 
     shape = (n_records, 3)
     us = expm2(kit.mat(rng.uniform(-0.4, 0.4, shape) + 1j * rng.uniform(-0.4, 0.4, shape)))
     ps = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
-    pair = kit.ad_g_pair(us)
+    pair = kit.ad_g(us)
     hams = pt.particle_hamiltonian(kit, split, us, ps, pair)
     charges = pt.particle_charges(kit, split, us, ps, pair)
     assert hams.shape == (n_records,)
     assert [q.shape for q in charges] == [shape, shape, (n_records, 6)]
     for j in range(n_records):
-        a, b = kit.ad_g_pair(us[j])
+        a, b = kit.ad_g(us[j])
         assert rel_err(pair[0][j], a) < 1e-13
         assert rel_err(pair[1][j], b) < 1e-13
         size_h, sizes = particle_term_sizes(split, a, b, ps[j])
@@ -808,10 +838,27 @@ def test_recorded_loop_state_is_factorized_once_in_each_order(monkeypatch):
     assert calls == Counter(gm=n_records, mg=n_records, tangent=n_records)
 
 
+def test_adjoint_pairs_built_twice_per_loop_state_and_once_per_hat_pi(monkeypatch):
+    """A run with duality and residuals builds one ad_d pair per
+    factorization of a recorded state (none in duality_check), and hat_pi
+    reads both halves of one."""
+    kit, split = kit_and_split("su2")
+    calls = Counter()
+    monkeypatch.setattr(GroupKit, "ad_d", counted(calls, "ad_d", GroupKit.ad_d))
+    state = fs.random_smooth_loop(kit, split, 16, boundary="periodic", seed=3)
+    traj = fs.integrate_field(state, 0.25 * state.dx, 6, record_every=1,
+                              with_duality=True, with_residuals=True)
+    assert traj.completed and np.isfinite(traj.duality_gaps).all()
+    assert calls["ad_d"] == 2 * len(traj.times)
+    calls.clear()
+    kit.hat_pi(kit.exp_m(np.array([0.1, -0.2, 0.3j])))
+    assert calls["ad_d"] == 1
+
+
 def test_recorded_particle_state_builds_one_adjoint_pair(monkeypatch):
     kit, split = kit_and_split("su2")
     calls = Counter()
-    monkeypatch.setattr(GroupKit, "ad_g_pair", counted(calls, "pair", GroupKit.ad_g_pair))
+    monkeypatch.setattr(GroupKit, "ad_g", counted(calls, "pair", GroupKit.ad_g))
     n_steps = 5
     traj = pt.integrate_particle(kit, split, np.eye(2), np.array([0.3, 0.1, -0.2]), 1e-2, n_steps)
     assert traj.completed and len(traj.times) == n_steps + 1

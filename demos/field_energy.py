@@ -25,7 +25,7 @@ config = {"preset": preset.name, "algebra": "su2", "N": 64, "dt": 2.5e-3,
 state = random_smooth_loop(kit, split, config["N"], boundary="periodic",
                            seed=config["seed"], amplitude=config["amplitude"])
 traj = integrate_field(state, config["dt"], int(config["T"] / config["dt"]),
-                       record_every=40, with_duality=True, with_residuals=True)
+                       record_every=40, diagnostics=True)
 
 h = traj.hamiltonians
 print(f"energy drift (relative):   {np.max(np.abs(h - h[0])) / abs(h[0]):.2e}")

@@ -263,16 +263,13 @@ def _checked(command: str, cfg: dict) -> dict:
 
 
 def _build_preset(opts: dict):
+    """The preset named by the options; a degenerate splitting is left to
+    :func:`~pltdual.duality.splitting`, whose error is a config error."""
     try:
-        preset = make_preset(opts["preset"], algebra=opts["algebra"], lam=opts["lam"],
-                             mu=opts["mu"])
+        return make_preset(opts["preset"], algebra=opts["algebra"], lam=opts["lam"],
+                           mu=opts["mu"])
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if not preset.is_factorisable():
-        raise ConfigError(
-            f"degenerate splitting: lam + 1 + 2 mu = {preset.split_denominator:.3e}"
-        )
-    return preset
 
 
 def _emit(cfg: dict, text: str) -> None:
@@ -287,7 +284,7 @@ def _emit(cfg: dict, text: str) -> None:
 def _public_config(cfg: dict) -> dict:
     """Configuration without output locations or worker counts, so artifact
     hashes depend only on what was computed, not where or how it ran."""
-    hidden = ("output", "metadata", "config", "output_dir", "max_workers")
+    hidden = ("output", "metadata", "output_dir", "max_workers")
     return {k: v for k, v in cfg.items() if k not in hidden}
 
 
@@ -392,8 +389,7 @@ def run_field(cfg: dict, opts: dict) -> int:
         dt,
         n_steps,
         record_every=opts["record_every"],
-        with_duality=True,
-        with_residuals=True,
+        diagnostics=True,
     )
     hams = traj.hamiltonians
     recorded = len(traj.times) > 0

@@ -283,14 +283,14 @@ def lagrangian(
     u: np.ndarray,
     xi_plus: np.ndarray,
     xi_minus: np.ndarray,
-    route: str = "transport",
 ) -> complex:
     """Sigma-model Lagrangian density < E_u(u^-1 u_+), u^-1 u_- >.
 
     ``xi_plus`` and ``xi_minus`` are the left-translated lightcone
-    derivatives of the path as g coefficient vectors.
+    derivatives of the path as g coefficient vectors; E_u^-1 comes by the
+    ``transport`` route of :func:`graph_at`.
     """
-    e = graph_inverse(graph_at(kit, split, u, route=route)[0], "E_u^-1")
+    e = graph_inverse(graph_at(kit, split, u)[0], "E_u^-1")
     return complex(np.asarray(xi_minus, dtype=complex) @ (e @ np.asarray(xi_plus, dtype=complex)))
 
 

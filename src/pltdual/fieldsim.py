@@ -446,17 +446,17 @@ def duality_check(state: LoopState) -> float:
 # ---- field-equation residuals ------------------------------------------------
 
 
-def _primal_lightcone_fields(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
+def _primal_lightcone_fields(state: LoopState, order: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """(E_u(u^-1 u_-), T_u(u^-1 u_+)) at every node, for k = u s.
 
     The time derivative comes exactly from the loop flow: decomposing
     Ad_{u^-1}(dk/dt k^-1) = u^-1 du/dt (+) ds/dt s^-1 for k = u s, so no
-    time levels are consumed; the spatial part is the 2nd-order stencil.
+    time levels are consumed; the spatial part is the stencil of ``order``.
     """
     kit = state.kit
     n = kit.b.g.dim
     u, _, uinv, ad, _ = state.gm_factors
-    xi_x = kit.coeffs(_vmul(uinv, _x_derivative(u, state.dx, state.boundary, order=2)))
+    xi_x = kit.coeffs(_vmul(uinv, _x_derivative(u, state.dx, state.boundary, order)))
     xi_t = _matvec(ad, _flow_velocity(state))[..., :n]
     e_inv, t_inv = graph_slices(state.split, ad)
     e, t = graph_inverse(e_inv, "E_u^-1"), graph_inverse(t_inv, "T_u^-1")
@@ -529,17 +529,12 @@ def dressing_relation_residual(state: LoopState) -> float:
     """
     kit = state.kit
     n = kit.b.g.dim
-    dx, bd = state.dx, state.boundary
-    u, s, uinv, ad, _ = state.gm_factors
-    dec = _matvec(ad, _flow_velocity(state))
-    xi_t = dec[..., :n]
-    s_t = dec[..., n:]  # ds/dt s^-1 in m-coefficients
-    xi_x = kit.coeffs(_vmul(uinv, _x_derivative(u, dx, bd)))
-    s_x = _right_tangent(s, dx, bd, kit.tangent_map)[..., n:]
-    e_inv, t_inv = graph_slices(state.split, ad)
-    e, t = graph_inverse(e_inv, "E_u^-1"), graph_inverse(t_inv, "T_u^-1")
-    lhs_p = 0.5 * (s_t + s_x) - _matvec(t, 0.5 * (xi_t + xi_x))
-    lhs_m = 0.5 * (s_t - s_x) - _matvec(e, 0.5 * (xi_t - xi_x))
+    _, s, _, ad, _ = state.gm_factors
+    s_t = _matvec(ad, _flow_velocity(state))[..., n:]  # ds/dt s^-1 in m-coefficients
+    s_x = _right_tangent(s, state.dx, state.boundary, kit.tangent_map)[..., n:]
+    e_minus, t_plus = _primal_lightcone_fields(state, order=4)
+    lhs_p = 0.5 * (s_t + s_x) - t_plus
+    lhs_m = 0.5 * (s_t - s_x) - e_minus
     return float(max(np.abs(lhs_p).max(), np.abs(lhs_m).max()))
 
 
@@ -610,11 +605,14 @@ def integrate_field(
     dt: float,
     n_steps: int,
     record_every: int = 1,
-    with_duality: bool = False,
-    with_residuals: bool = False,
+    diagnostics: bool = False,
 ) -> FieldTrajectory:
     """Integrate the loop flow, recording diagnostics every ``record_every``
     steps and after the last one.
+
+    With ``diagnostics`` every row also holds the duality gap and, from
+    the second row on, the field-equation residuals against the row
+    before; without it those three columns stay NaN.
 
     A chart exit (factorization, graph blow-up or a singular matrix) or a
     state that turns non-finite ends the run early with ``completed``
@@ -634,11 +632,9 @@ def integrate_field(
     def record(s: LoopState, prev_state: LoopState | None):
         nonlocal final_state
         row = [s.time, total_hamiltonian(s), moment_map_basis(s), loop_functions(s)[1]]
-        row.append(duality_check(s) if with_duality else np.nan)
-        if with_residuals and prev_state is not None:
-            row.extend(eom_residuals(prev_state, s))
-        else:
-            row.extend([np.nan, np.nan])
+        row.append(duality_check(s) if diagnostics else np.nan)
+        row.extend(eom_residuals(prev_state, s) if diagnostics and prev_state is not None
+                   else (np.nan, np.nan))
         for column, value in zip(columns, row):
             column.append(value)
         final_state = s

@@ -116,11 +116,18 @@ def _vdet_normalize(m: np.ndarray) -> np.ndarray:
     return m / np.sqrt(_det2(m))[..., None, None]
 
 
-def _unimodular_cond(f):
-    """2-norm condition number sigma_1 / sigma_2 of a unimodular 2x2 matrix
-    from f = |m|_F^2, since sigma_1^2 + sigma_2^2 = f and sigma_1 sigma_2
-    = 1; a NaN f gives NaN.  Takes a float or an array of them."""
-    return (f + np.sqrt(np.maximum(f * f - 4.0, 0.0))) / 2.0
+def _unimodular_cond(m: np.ndarray) -> np.ndarray:
+    """2-norm condition number sigma_1 / sigma_2 of unimodular 2x2 matrices,
+    stacked over leading axes; a NaN entry gives NaN.
+
+    sigma_1^2 + sigma_2^2 = |m|_F^2 = f and sigma_1 sigma_2 = 1 give
+    cond = (f + sqrt(f^2 - 4)) / 2.  It is read from g = f - 2 =
+    |m_00 - conj(m_11)|^2 + |m_01 + conj(m_10)|^2 (as det m = 1), in which
+    nothing cancels, so cond - 1 keeps its relative accuracy down to a
+    well-conditioned m."""
+    g = (np.abs(m[..., 0, 0] - m[..., 1, 1].conj()) ** 2
+         + np.abs(m[..., 0, 1] + m[..., 1, 0].conj()) ** 2)
+    return 1.0 + 0.5 * (g + np.sqrt(g * (g + 4.0)))
 
 
 def _entry_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -386,7 +393,7 @@ class GroupKit:
         s_left[..., 1, 1] = 1.0 / sq1
         u = _vmul(left, _vadj(s_left))
         # written so that a non-finite node fails too
-        cond = _unimodular_cond(np.sum(np.abs(s_left) ** 2, axis=(-2, -1)))
+        cond = _unimodular_cond(s_left)
         _check_chart(~(cond <= COND_CUTOFF), "factorization is numerically singular")
         return u, np.stack([s_left, _vmul(_vadj(u), k[..., 1, :, :])], axis=-3)
 

@@ -34,10 +34,11 @@ u^-1 du/dt) and the chiral stack of a are stepped as one stack of group
 matrices, with p as the additive variable, so u and a stay on their
 groups to machine precision.  The run stops once cond(Ad_u) = cond(u)^2
 passes 1/eps, where Ad_u and Ad_{u^-1} no longer invert each other in
-double precision.  Since u is unimodular, cond(u) follows from |u|_F^2
-alone: the check after each step takes the squared norms of u and p and
-computes cond(Ad_u) in Python floats, and scans the entries for
-non-finite values only when a norm is not finite.
+double precision.  Since u is unimodular, cond(u) grows with |u|_F^2
+alone: the check after each step takes the squared norms of u and p,
+compares that of u with the norm at which cond(Ad_u) reaches 1/eps, and
+scans the entries for non-finite values only when a norm is not finite.
+The worst margin is reported from the entries of the u of largest norm.
 """
 
 from __future__ import annotations
@@ -108,9 +109,9 @@ _AD_COND_LIMIT = 1.0 / np.finfo(float).eps
 _F_LIMIT = _AD_COND_LIMIT ** 0.5 + _AD_COND_LIMIT ** -0.5
 
 
-def _ad_cond(f: float) -> float:
-    """cond(Ad_u) = cond(u)^2 of a unimodular u from f = |u|_F^2."""
-    cond = float(_unimodular_cond(f))
+def _ad_cond(u: np.ndarray) -> float:
+    """cond(Ad_u) = cond(u)^2 of a unimodular u."""
+    cond = float(_unimodular_cond(u))
     return cond * cond
 
 
@@ -248,9 +249,9 @@ def integrate_particle(
     state = ParticleState(np.asarray(u0, dtype=complex), np.asarray(p0, dtype=complex))
     times, us, ps = [0.0], [state.u], [state.p]
     failure = None
-    # cond(Ad_u) grows with f = |u|_F^2, so the worst margin is read from the
-    # largest f once, after the loop
-    max_f = float(np.vdot(state.u, state.u).real)
+    # cond(Ad_u) grows with f = |u|_F^2, so the worst margin is read once,
+    # after the loop, from the u of largest f
+    max_f, worst_u = float(np.vdot(state.u, state.u).real), state.u
     # a blow-up surfaces as a non-finite state, reported below
     with np.errstate(all="ignore"):
         for i in range(n_steps):
@@ -263,10 +264,11 @@ def integrate_particle(
                     np.isfinite(state.u).all() and np.isfinite(state.p).all()):
                 failure = f"non-finite state at step {i + 1} (t={(i + 1) * dt:g})"
                 break
-            max_f = max(max_f, fu)
+            if fu > max_f:
+                max_f, worst_u = fu, state.u
             if fu > _F_LIMIT:
                 failure = (f"chart margin lost at step {i + 1} (t={(i + 1) * dt:g}): "
-                           f"cond(Ad_u) = {_ad_cond(fu):.3e} exceeds 1/eps")
+                           f"cond(Ad_u) = {_ad_cond(state.u):.3e} exceeds 1/eps")
                 break
             if (i + 1) % record_every == 0 or i == n_steps - 1:
                 times.append((i + 1) * dt)
@@ -285,7 +287,7 @@ def integrate_particle(
         moments,
         failure is None,
         failure,
-        _ad_cond(max_f),
+        _ad_cond(worst_u),
         steps,
     )
 

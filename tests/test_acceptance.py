@@ -287,7 +287,7 @@ def test_acceptance_6_field_simulation():
     # main smooth run with all diagnostics
     st = fs.random_smooth_loop(kit, split, 64, boundary="periodic", seed=2, amplitude=0.1)
     main = fs.integrate_field(
-        st, 2.5e-3, 400, record_every=40, with_duality=True, with_residuals=True
+        st, 2.5e-3, 400, record_every=40, diagnostics=True
     )
     h = main.hamiltonians
     h_drift = float(np.max(np.abs(h - h[0])) / abs(h[0]))
@@ -301,7 +301,7 @@ def test_acceptance_6_field_simulation():
             kit, split, n_cells, boundary="periodic", seed=3, amplitude=0.3
         )
         n_steps = int(round(0.2 / dt))
-        tr = fs.integrate_field(st_r, dt, n_steps, record_every=n_steps, with_residuals=True)
+        tr = fs.integrate_field(st_r, dt, n_steps, record_every=n_steps, diagnostics=True)
         res[n_cells] = (tr.eom_residuals_g[-1], tr.eom_residuals_dual[-1])
     ratios = [res[64][k] / res[128][k] for k in (0, 1)]
     ratio_ok = all(abs(r - 4.0) < 0.8 for r in ratios)

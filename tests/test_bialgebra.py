@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pltdual.bialgebra import (
+    QuasiBialgebra,
     build_double,
     chiral_iso_defects,
     chiral_matrix,
@@ -15,7 +16,7 @@ from pltdual.bialgebra import (
     symmetric_part_invariance_residual,
     tensor_conjugate,
 )
-from pltdual.liecore import jacobi_residual
+from pltdual.liecore import LieAlgebra, ad_matrix, jacobi_residual
 from pltdual.models import make_sl2r, make_su2
 
 
@@ -79,6 +80,63 @@ def test_su2_cobracket_closed_form():
         expected[2, a] = -1j
         assert np.max(np.abs(t - expected)) < 1e-14
     assert np.max(np.abs(cobracket_matrix(b.g, b.rho, eye[2]))) < 1e-14
+
+
+def test_cobracket_stack_matches_single_vectors(bialg):
+    """Row k of the cached stack is delta(e_k), for the bialgebra and for a
+    rescaled one, which builds its own stack."""
+    eye = np.eye(3)
+    for b in (bialg, bialg.rescaled(-2.5)):
+        for k in range(3):
+            assert np.max(np.abs(b.cobracket[k] - cobracket_matrix(b.g, b.rho, eye[k]))) < 1e-15
+    assert np.max(np.abs(bialg.rescaled(-2.5).cobracket + 2.5 * bialg.cobracket)) < 1e-14
+
+
+def _loop_residuals(b: QuasiBialgebra, double) -> tuple[float, float, float]:
+    """(cocycle, symmetric-part invariance, pairing invariance) defects
+    evaluated one basis vector at a time."""
+    g, rho, n = b.g, b.rho, b.g.dim
+    eye = np.eye(n)
+    cocycle = sym = pair = 0.0
+    s = rho + rho.T
+    for i in range(n):
+        ai = ad_matrix(g, eye[i])
+        di = cobracket_matrix(g, rho, eye[i])
+        sym = max(sym, float(np.max(np.abs(ai @ s + s @ ai.T))))
+        for j in range(n):
+            aj = ad_matrix(g, eye[j])
+            dj = cobracket_matrix(g, rho, eye[j])
+            dbr = cobracket_matrix(g, rho, g.c[i, j])
+            res = dbr - (ai @ dj + dj @ ai.T) + (aj @ di + di @ aj.T)
+            cocycle = max(cocycle, float(np.max(np.abs(res))))
+    d, p = double.algebra, double.pairing
+    for i in range(d.dim):
+        a = ad_matrix(d, np.eye(d.dim)[i])
+        pair = max(pair, float(np.max(np.abs(a.T @ p + p @ a))))
+    return cocycle, sym, pair
+
+
+def test_stacked_residuals_match_loop_oracle_off_solutions(bialg):
+    """Off a CYBE solution (rho plus a seeded random matrix) the symmetric
+    part and the pairing lose invariance at O(1), and so does the cocycle
+    condition once the structure constants break Jacobi (for a Lie algebra
+    the cobracket of any rho is a coboundary, hence a cocycle): each stacked
+    residual equals the per-basis-vector loop to 1e-13 relative."""
+    rng = np.random.default_rng(17)
+    off = QuasiBialgebra(bialg.g, bialg.rho + rng.normal(size=(3, 3)))
+    c = rng.normal(size=(3, 3, 3))
+    broken = QuasiBialgebra(LieAlgebra(c - np.swapaxes(c, 0, 1), bialg.g.labels), off.rho)
+    for b in (off, broken):
+        double = build_double(b)
+        got = (cocycle_residual(b), symmetric_part_invariance_residual(b.g, b.rho),
+               pairing_ad_invariance_residual(double))
+        want = _loop_residuals(b, double)
+        for x, y in zip(got[1:], want[1:]):
+            assert y > 0.1
+            assert abs(x - y) <= 1e-13 * y
+        if b is broken:
+            assert want[0] > 0.1
+        assert abs(got[0] - want[0]) <= 1e-13 * max(want[0], 1.0)
 
 
 def test_double_jacobi(bialg):

@@ -29,9 +29,7 @@ def main_run(su2_mp):
     """Smooth periodic run with full diagnostics enabled."""
     kit, split = su2_mp
     st = fs.random_smooth_loop(kit, split, 64, boundary="periodic", seed=2, amplitude=0.1)
-    return fs.integrate_field(
-        st, 2.5e-3, 400, record_every=40, with_duality=True, with_residuals=True
-    )
+    return fs.integrate_field(st, 2.5e-3, 400, record_every=40, diagnostics=True)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +82,7 @@ def test_eom_residuals_second_order(su2_mp):
             kit, split, n_cells, boundary="periodic", seed=3, amplitude=0.3
         )
         n_steps = int(round(0.2 / dt))
-        traj = fs.integrate_field(st, dt, n_steps, record_every=n_steps, with_residuals=True)
+        traj = fs.integrate_field(st, dt, n_steps, record_every=n_steps, diagnostics=True)
         res[n_cells] = (traj.eom_residuals_g[-1], traj.eom_residuals_dual[-1])
     for k in (0, 1):
         ratio = res[64][k] / res[128][k]
@@ -324,6 +322,26 @@ def test_hamiltonian_density_matches_total(su2_mp):
     assert abs(fs._quadrature(dens, st.dx, st.boundary) - fs.total_hamiltonian(st)) < 1e-14
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "double-neumann"])
+def test_diagnostics_switch_fills_exactly_its_columns(su2_mp, boundary):
+    """Without ``diagnostics`` the duality gap and both field-equation
+    residuals are NaN on every row; with it the gap is filled from row 0
+    and the residuals, which need the row before, from row 1.  The other
+    columns are the same either way."""
+    kit, split = su2_mp
+    st = fs.random_smooth_loop(kit, split, 16, boundary=boundary, seed=4, amplitude=0.2)
+    off = fs.integrate_field(st, 0.01, 6, record_every=2)
+    on = fs.integrate_field(st, 0.01, 6, record_every=2, diagnostics=True)
+    assert len(off.times) == len(on.times) == 4
+    for col in (off.duality_gaps, off.eom_residuals_g, off.eom_residuals_dual):
+        assert np.isnan(col).all()
+    assert np.isfinite(on.duality_gaps).all()
+    for col in (on.eom_residuals_g, on.eom_residuals_dual):
+        assert np.isnan(col[0]) and np.isfinite(col[1:]).all()
+    for a, b in ((off.hamiltonians, on.hamiltonians), (off.moments, on.moments), (off.f_d, on.f_d)):
+        assert np.array_equal(a, b)
+
+
 # ---- early stops ---------------------------------------------------------------------
 
 
@@ -333,7 +351,7 @@ def test_chart_exit_keeps_whole_rows(amplitude, seed, rows):
     exit, and each row whole: the failing record appends nothing."""
     _, kit, split = setup("sl2r")
     st = fs.random_smooth_loop(kit, split, 16, boundary="periodic", seed=seed, amplitude=amplitude)
-    traj = fs.integrate_field(st, 0.01, 80, record_every=4, with_duality=True, with_residuals=True)
+    traj = fs.integrate_field(st, 0.01, 80, record_every=4, diagnostics=True)
     assert not traj.completed
     at = {10: "step 40 (t=0.4)", 0: "step 0 (t=0)"}[rows]  # the failing record's step
     assert traj.failure.startswith(f"FactorizationError at {at}: sl2r factorization chart")
@@ -349,8 +367,7 @@ def test_nonfinite_state_stops_run(su2_mp, diagnostics):
     its time, before any diagnostic sees it, with or without diagnostics."""
     kit, split = su2_mp
     st = fs.random_smooth_loop(kit, split, 16, boundary="periodic", seed=0, amplitude=2)
-    traj = fs.integrate_field(st, 0.02, 40, record_every=10,
-                              with_duality=diagnostics, with_residuals=diagnostics)
+    traj = fs.integrate_field(st, 0.02, 40, record_every=10, diagnostics=diagnostics)
     assert not traj.completed
     assert traj.failure == "non-finite state at step 15 (t=0.3)"
     assert np.allclose(traj.times, [0.0, 0.2])

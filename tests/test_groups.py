@@ -256,7 +256,7 @@ def test_factorize_rejects_det_drift(kit, scales):
 
 
 def test_unimodular_cond_matches_svd(kit):
-    """The closed-form cond of a unimodular stack from |m|_F^2 alone equals
+    """The closed-form cond of a unimodular stack from its entries equals
     numpy's SVD-based cond from 1 to about 1e8, and a NaN entry fails the
     chart verdict ``cond <= COND_CUTOFF``."""
     rng = np.random.default_rng(21)
@@ -267,10 +267,10 @@ def test_unimodular_cond_matches_svd(kit):
     m = _vdet_normalize(kit.exp_g(xi))
     want = np.linalg.cond(m)
     assert 1e7 < want.max() < 2e8
-    got = _unimodular_cond(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
+    got = _unimodular_cond(m)
     assert np.max(np.abs(got / want - 1.0)) < 1e-7
     m[7, 0, 1] = np.nan
-    verdict = _unimodular_cond(np.sum(np.abs(m) ** 2, axis=(-2, -1))) <= COND_CUTOFF
+    verdict = _unimodular_cond(m) <= COND_CUTOFF
     assert verdict[:7].all() and not verdict[7]
 
 

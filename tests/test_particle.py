@@ -498,7 +498,26 @@ def test_completed_run_reports_its_margin():
 def test_chart_limit_on_the_norm_is_the_limit_on_cond():
     """The check after each step compares f = |u|_F^2 with ``_F_LIMIT``:
     cond(Ad_u), from the shared unimodular formula and increasing in f,
-    passes 1/eps exactly from the next float above it."""
+    passes 1/eps exactly from the next float above it.  The unimodular
+    u = [[1, y], [0, 1]] has f = 2 + y^2, and y = 2^13 - 2^-13 and the next
+    float above it give f at ``_F_LIMIT`` and at the next float above it."""
     limit = particle._F_LIMIT
-    assert particle._ad_cond(limit) <= particle._AD_COND_LIMIT
-    assert particle._ad_cond(np.nextafter(limit, np.inf)) > particle._AD_COND_LIMIT
+    y = 2.0 ** 13 - 2.0 ** -13
+    at, past = (np.array([[1.0, b], [0.0, 1.0]], dtype=complex) for b in (y, np.nextafter(y, np.inf)))
+    assert np.vdot(at, at).real == limit
+    assert np.vdot(past, past).real == np.nextafter(limit, np.inf)
+    assert particle._ad_cond(at) <= particle._AD_COND_LIMIT
+    assert particle._ad_cond(past) > particle._AD_COND_LIMIT
+
+
+def test_reported_margin_is_the_svd_margin_of_a_well_conditioned_run():
+    """A default-like su2 run keeps u nearly unitary, where cond(Ad_u) - 1 is
+    roundoff: the reported margin equals the largest SVD cond(u)^2 over
+    its records to 1e-12, not only to the 1e-8 that a form in |u|_F^2
+    alone can resolve."""
+    _, kit, split = setup("su2")
+    u0 = kit.exp_g(np.array([0.3, -0.2, 0.4]))
+    traj = integrate_particle(kit, split, u0, np.array([0.5, 0.3, -0.2]), 1e-2, 200)
+    assert traj.completed
+    want = max(float(np.linalg.cond(u)) ** 2 for u in traj.us)
+    assert abs(traj.max_ad_cond - want) < 1e-12

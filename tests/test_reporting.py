@@ -118,7 +118,7 @@ def test_tables_match_columns():
     assert cols[0] == "t" and "H_re" in cols and "Q_G0_re" in cols and "u3_im" in cols
 
     st = random_smooth_loop(kit, split, 16, boundary="periodic", seed=0, amplitude=0.1)
-    ftraj = integrate_field(st, 5e-3, 2, with_duality=True, with_residuals=True)
+    ftraj = integrate_field(st, 5e-3, 2, diagnostics=True)
     cols, table = field_table(ftraj)
     assert table.shape == (len(ftraj.times), len(cols)) and table.dtype == np.float64
     assert "duality_gap" in cols and "f_d_re" in cols
@@ -219,7 +219,7 @@ def _particle_case():
 def _field_case():
     kit, split = _su2()
     st = random_smooth_loop(kit, split, 16, boundary="periodic", seed=1, amplitude=0.2)
-    traj = integrate_field(st, 5e-3, 6, record_every=2, with_duality=True, with_residuals=True)
+    traj = integrate_field(st, 5e-3, 6, record_every=2, diagnostics=True)
     assert np.isnan(traj.eom_residuals_g[0]) and np.isnan(traj.eom_residuals_dual[0])
     return traj, field_table, oracle_field_table
 
@@ -228,7 +228,7 @@ def _field_t0_exit_case():
     pre = make_preset("modified-principal", algebra="sl2r")
     kit = GroupKit(pre.bialgebra)
     st = random_smooth_loop(kit, splitting(pre), 16, boundary="periodic", seed=3, amplitude=1.8)
-    traj = integrate_field(st, 0.01, 4, with_duality=True, with_residuals=True)
+    traj = integrate_field(st, 0.01, 4, diagnostics=True)
     assert len(traj.times) == 0 and traj.failure.startswith("FactorizationError at step 0")
     return traj, field_table, oracle_field_table
 

@@ -832,7 +832,7 @@ def test_recorded_loop_state_is_factorized_once_in_each_order(monkeypatch):
     monkeypatch.setattr(fs, "_tangent_field", counted(calls, "tangent", fs._tangent_field))
     state = fs.random_smooth_loop(kit, split, 16, boundary="periodic", seed=3)
     traj = fs.integrate_field(state, 0.25 * state.dx, 6, record_every=1,
-                              with_duality=True, with_residuals=True)
+                              diagnostics=True)
     assert traj.completed and np.isfinite(traj.eom_residuals_g[1:]).all()
     n_records = len(traj.times)
     assert calls == Counter(gm=n_records, mg=n_records, tangent=n_records)
@@ -847,7 +847,7 @@ def test_adjoint_pairs_built_twice_per_loop_state_and_once_per_hat_pi(monkeypatc
     monkeypatch.setattr(GroupKit, "ad_d", counted(calls, "ad_d", GroupKit.ad_d))
     state = fs.random_smooth_loop(kit, split, 16, boundary="periodic", seed=3)
     traj = fs.integrate_field(state, 0.25 * state.dx, 6, record_every=1,
-                              with_duality=True, with_residuals=True)
+                              diagnostics=True)
     assert traj.completed and np.isfinite(traj.duality_gaps).all()
     assert calls["ad_d"] == 2 * len(traj.times)
     calls.clear()

@@ -44,7 +44,6 @@ __all__ = [
     "cybe_residual",
     "symmetric_part_invariance_residual",
     "cobracket_matrix",
-    "cocycle_residual",
     "dual_algebra",
     "hyperbolic_pairing",
     "build_double",
@@ -85,16 +84,6 @@ def symmetric_part_invariance_residual(algebra: LieAlgebra, rho: np.ndarray) -> 
 def cobracket_matrix(algebra: LieAlgebra, rho: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Coefficient matrix of delta(xi) = (ad_xi (x) 1 + 1 (x) ad_xi) r."""
     return _ad_act(ad_matrix(algebra, xi), np.asarray(rho, dtype=complex))
-
-
-def cocycle_residual(bialgebra: "QuasiBialgebra") -> float:
-    """1-cocycle defect of the cobracket over all basis pairs:
-    delta([e_i, e_j]) - ad_{e_i} delta(e_j) + ad_{e_j} delta(e_i)."""
-    c, delta = bialgebra.g.c, bialgebra.cobracket
-    # ad_{e_i} delta(e_j) at [i, j]
-    acted = _ad_act(_basis_ads(bialgebra.g)[:, None], delta[None])
-    res = np.einsum("ijk,kab->ijab", c, delta) - acted + np.swapaxes(acted, 0, 1)
-    return float(np.max(np.abs(res)))
 
 
 def dual_algebra(bialgebra: "QuasiBialgebra") -> LieAlgebra:

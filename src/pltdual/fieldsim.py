@@ -37,7 +37,7 @@ even when it also serves as the earlier time level of the next residual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -50,7 +50,6 @@ __all__ = [
     "FieldTrajectory",
     "init_pointlike",
     "random_smooth_loop",
-    "centered_bump_loop",
     "step",
     "integrate_field",
     "hamiltonian_density",
@@ -182,22 +181,8 @@ def init_pointlike(
     return LoopState(kit, split, np.asarray(u0, dtype=complex) @ s, boundary)
 
 
-def _loop_from_coeffs(
-    kit: GroupKit, split: SplittingData, w: np.ndarray, boundary: str
-) -> LoopState:
-    """The loop exp(w(x)) from real (nodes, 2n) double-algebra coefficients,
-    with the m-part taken in the dual real form for su2."""
-    n = kit.b.g.dim
-    wc = w.astype(complex)
-    if kit.flavor == "su2":
-        wc[:, n:] = -1j * w[:, n:]
-    return LoopState(kit, split, kit.exp_d(wc), boundary)
-
-
 # highest cosine mode of a random smooth loop
 _N_MODES = 2
-# half-width of the support of a centred bump loop
-_BUMP_RADIUS = 0.45
 
 
 def random_smooth_loop(
@@ -208,11 +193,12 @@ def random_smooth_loop(
     seed: int = 0,
     amplitude: float = 0.3,
 ) -> LoopState:
-    """Smooth random loop from the cosine modes 0 to ``_N_MODES``.
+    """Smooth random loop exp(w(x)) from the cosine modes 0 to ``_N_MODES``.
 
-    The double-algebra coefficients are real combinations of cos(m x)
+    The double-algebra coefficients w are real combinations of cos(m x)
     for the double-Neumann run (k_x vanishes at both ends) and of
-    cos(2 m x) for the periodic run (period pi, matching the grid).
+    cos(2 m x) for the periodic run (period pi, matching the grid), with
+    the m-part taken in the dual real form for su2.
     """
     rng = np.random.default_rng(seed)
     xs = grid_points(n_cells, boundary)
@@ -222,37 +208,10 @@ def random_smooth_loop(
     w = np.zeros((len(xs), 2 * n))
     for m in range(_N_MODES + 1):
         w = w + np.cos(mode_step * m * xs)[:, None] * coeffs[m]
-    return _loop_from_coeffs(kit, split, w, boundary)
-
-
-def centered_bump_loop(
-    kit: GroupKit,
-    split: SplittingData,
-    n_cells: int,
-    boundary: str = "double-neumann",
-    seed: int = 0,
-    amplitude: float = 0.3,
-) -> LoopState:
-    """Smooth loop concentrated around x = pi/2 with compact support.
-
-    The double-algebra coefficients carry the C-infinity bump envelope
-    exp(1 - 1/(1 - y^2)) with y = (x - pi/2)/r and r = ``_BUMP_RADIUS``,
-    so k_x vanishes identically within a distance pi/2 - r of both ends.
-    The disturbance (propagating at unit speed) cannot reach either
-    boundary before t = pi/2 - r - epsilon, which makes this the
-    reference data for energy-conservation runs under the double-Neumann
-    condition.
-    """
-    rng = np.random.default_rng(seed)
-    xs = grid_points(n_cells, boundary)
-    n = kit.b.g.dim
-    coeffs = rng.normal(size=(2, 2 * n)) * amplitude
-    y = (xs - np.pi / 2) / _BUMP_RADIUS
-    inside = np.abs(y) < 1.0
-    env = np.zeros_like(xs)
-    env[inside] = np.exp(1.0 - 1.0 / (1.0 - y[inside] * y[inside]))
-    w = env[:, None] * (coeffs[0] + np.sin(np.pi * y)[:, None] * coeffs[1])
-    return _loop_from_coeffs(kit, split, w, boundary)
+    wc = w.astype(complex)
+    if kit.flavor == "su2":
+        wc[:, n:] = -1j * w[:, n:]
+    return LoopState(kit, split, kit.exp_d(wc), boundary)
 
 
 # ---- spatial derivative ---------------------------------------------------------
@@ -262,10 +221,15 @@ _EDGE_STENCIL = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _NEAR_STENCIL = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 
 
-def _wrapped(f: np.ndarray, width: int) -> np.ndarray:
-    """``f`` with ``width`` nodes of its periodic continuation on either
-    side (as ``np.pad(..., mode="wrap")``), for any node count."""
-    return np.take(f, np.arange(-width, f.shape[0] + width), axis=0, mode="wrap")
+@lru_cache(maxsize=None)
+def _wrap_index(n_nodes: int, width: int) -> np.ndarray:
+    """The node indices that take ``n_nodes`` nodes to themselves with
+    ``width`` nodes of their periodic continuation on either side (as
+    ``np.pad(..., mode="wrap")``), for any node count; built once per
+    (n_nodes, width) and read-only."""
+    index = np.arange(-width, n_nodes + width) % n_nodes
+    index.flags.writeable = False
+    return index
 
 
 def _x_derivative(f: np.ndarray, dx: float, boundary: str, order: int = 4) -> np.ndarray:
@@ -278,7 +242,7 @@ def _x_derivative(f: np.ndarray, dx: float, boundary: str, order: int = 4) -> np
     """
     if order == 2:
         if boundary == "periodic":
-            p = _wrapped(f, 1)
+            p = f.take(_wrap_index(len(f), 1), axis=0)
             return (p[2:] - p[:-2]) / (2 * dx)
         out = np.empty_like(f)
         out[1:-1] = (f[2:] - f[:-2]) / (2 * dx)
@@ -286,7 +250,7 @@ def _x_derivative(f: np.ndarray, dx: float, boundary: str, order: int = 4) -> np
         out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * dx)
         return out
     if boundary == "periodic":
-        p = _wrapped(f, 2)
+        p = f.take(_wrap_index(len(f), 2), axis=0)
         return (-p[4:] + 8 * p[3:-1] - 8 * p[1:-3] + p[:-4]) / (12 * dx)
     out = np.empty_like(f)
     out[2:-2] = (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * dx)
@@ -428,7 +392,12 @@ def _transported_density(split: SplittingData, ad: np.ndarray, ad_inv: np.ndarra
 
 def duality_check(state: LoopState) -> float:
     """Max gap between the (u, s) and (t, v) Hamiltonian densities plus
-    the reconstruction defects of both factorizations."""
+    the reconstruction defects of both factorizations.
+
+    A transported density equals 1/4 <(pi_+ - pi_-) w, w> for every Ad
+    that preserves the pairing, so the gap reads roundoff plus the defects
+    |us - k| and |tv - k|, and nothing of E_u or Ehat_t.
+    """
     k, w = state.k, state.tangent
     u, s, _, ad_uinv, ad_u = state.gm_factors
     t, v, _, ad_tinv, ad_t = state.mg_factors

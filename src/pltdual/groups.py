@@ -334,15 +334,6 @@ class GroupKit:
         a = self.ad_g(u)[1]
         return tensor_conjugate(self.b.rho, a) - self.b.rho
 
-    def b_cocycle(self, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """The dressing derivative of M acting on u, left-translated to g.
-
-        Equals the derivative at e of the G-factor of exp(eps phi) u times
-        u^-1; the closed form -Pi(u) phi is verified against Richardson-
-        extrapolated finite differences in the tests.
-        """
-        return -self.pi(u) @ np.asarray(phi, dtype=complex)
-
     def hat_pi(self, t: np.ndarray) -> np.ndarray:
         """Pi-hat(t) for t in M, as an m(x)m coefficient matrix (g -> m map).
 
@@ -428,28 +419,6 @@ class GroupKit:
         zl = c * (s[0] - 1j * s[1]) / x
         zr = -c * (s[0] + 1j * s[1]) / x
         return np.array([[[x, zl], [0.0, 1.0 / x]], [[1.0 / x, 0.0], [zr, x]]], dtype=complex)
-
-    def su2star_to_vector(self, t: np.ndarray) -> np.ndarray:
-        if self.flavor != "su2":
-            raise ValueError("vector coordinates exist for the su2 dual only")
-        c = self.dual_scale
-        x, z = t[0, 0]
-        if abs(x.imag) > 1e-9 or x.real <= 0:
-            raise FactorizationError("element is not in the dual-group chart")
-        w = z * x / c
-        s = np.array([w.real, -w.imag, ((x * x - 1.0) / c).real])
-        return s
-
-    def su2star_exp_vector(self, w: np.ndarray) -> np.ndarray:
-        """Exponential coordinates to vector coordinates."""
-        c = self.dual_scale
-        w = np.asarray(w, dtype=float)
-        a = c * w[2]
-        if abs(a) < 1e-12:
-            f = 1.0 + a / 2 + a * a / 6
-        else:
-            f = (np.exp(a) - 1.0) / a
-        return w * f.real
 
     def su2star_nabla(self, s: np.ndarray, sdot: np.ndarray) -> np.ndarray:
         """Right-translated velocity t_dot t^-1 in vector coordinates."""

@@ -105,9 +105,6 @@ class ModelPreset:
     def is_factorisable(self) -> bool:
         return abs(self.split_denominator) > 1e-8
 
-    def is_g_invariant(self) -> bool:
-        return abs(self.lam) < 1e-14
-
 
 def make_preset(
     name: str,

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import SplittingData, graph_at, graph_inverse
+from .duality import SplittingData
 from .groups import GroupKit, _unimodular_cond, _vadj, cf4_step, expm2
 from .liecore import bracket_coeffs
 from .models import ModelPreset
@@ -57,8 +57,6 @@ __all__ = [
     "ParticleState",
     "ParticleTrajectory",
     "particle_rhs",
-    "particle_rhs_inverse_form",
-    "particle_rhs_invariant_form",
     "particle_hamiltonian",
     "particle_charges",
     "integrate_particle",
@@ -139,43 +137,6 @@ def particle_rhs(
     udot = a.dot(c.t_shift2.dot(zw[:3])) + c.r1_2.dot(xw[0])
     pdot = bracket_coeffs(split.preset.bialgebra.m.c, xw[1], p)
     return udot, pdot, xw[1]
-
-
-def particle_rhs_inverse_form(
-    kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Velocities via the inverted graph maps E_u, T_u (g -> m).
-
-    u^-1 du/dt = -2 (E_u - T_u)^-1 p; agrees with :func:`particle_rhs`
-    wherever E_u and T_u exist, but requires invertible E_u^-1, T_u^-1,
-    so the primary right-hand side works with the un-inverted maps.
-    """
-    e_inv, t_inv = graph_at(kit, split, u, route="invariant-split")
-    e, t = graph_inverse(e_inv, "E_u^-1"), graph_inverse(t_inv, "T_u^-1")
-    udot = -2.0 * np.linalg.solve(e - t, p)
-    w = np.linalg.solve(e_inv - t_inv, (e_inv + t_inv) @ p)
-    pdot = bracket_coeffs(split.preset.bialgebra.m.c, w, p)
-    return udot, pdot
-
-
-def particle_rhs_invariant_form(
-    kit: GroupKit, split: SplittingData, p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decoupled velocities for G-invariant splittings (lam = 0).
-
-    The graph maps are u-independent, so with U = 2 (T_e - E_e)^-1 and
-    V = (E_e + T_e) / 2 the system reads u^-1 du/dt = U p,
-    dp/dt = [V U p, p]; u drops out entirely.
-    """
-    if not split.preset.is_g_invariant():
-        raise ValueError("the decoupled form needs a G-invariant splitting (lam = 0)")
-    e = split.e_matrix
-    t = split.t_matrix
-    big_u = 2.0 * np.linalg.inv(t - e)
-    big_v = 0.5 * (e + t)
-    udot = big_u @ p
-    pdot = bracket_coeffs(split.preset.bialgebra.m.c, big_v @ udot, p)
-    return udot, pdot
 
 
 def particle_hamiltonian(

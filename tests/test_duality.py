@@ -1,8 +1,13 @@
 """Splitting family, graph coordinates, closed forms and Lagrangians."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pltdual import bialgebra as bialgebra_module
+from pltdual import duality as duality_module
+from pltdual.bialgebra import QuasiBialgebra
 from pltdual.duality import (
     GraphBlowupError,
     SplittingError,
@@ -21,8 +26,10 @@ from pltdual.duality import (
     su2_e_inv_closed,
     su2_pi_vector,
     su2_trace_lagrangian,
+    validation_report,
 )
 from pltdual.groups import GroupKit
+from pltdual.liecore import LieAlgebra
 from pltdual.models import make_preset
 
 ROUTES = ("transport", "invariant-split", "cocycle")
@@ -264,7 +271,7 @@ def test_dual_slices_match_solve_route(algebra):
         t = kit.exp_m(-1j * p if algebra == "su2" else p)
         ad = kit.ad_d(np.linalg.inv(t))[1]
         phi = rng.normal(size=3) + 1j * rng.normal(size=3)
-        for x_e, x_hat in zip((split.e_matrix, split.t_matrix), graph_slices(split, ad)):
+        for x_e, x_hat in zip((split.e_matrix, np.linalg.inv(split.t_inv)), graph_slices(split, ad)):
             moved = ad @ np.vstack([np.eye(3), x_e])
             want = np.linalg.solve(moved[3:] @ np.linalg.inv(moved[:3]), phi)
             assert np.max(np.abs(x_hat @ phi - want)) < 1e-12 * np.max(np.abs(want))
@@ -352,3 +359,99 @@ def test_graph_inverse_of_a_nan_stack_is_a_linalg_error():
     m = graph_stack(rng, 2, np.full((3, 3), np.nan))
     with pytest.raises(np.linalg.LinAlgError):
         graph_inverse(m, "E_u^-1")
+
+
+# ---- every validation residual can fail -------------------------------------------
+
+
+def _with(preset, g=None, rho=None):
+    """The preset on the bialgebra (g, rho), each defaulting to its own."""
+    b = preset.bialgebra
+    bialg = QuasiBialgebra(b.g if g is None else g, b.rho if rho is None else rho, b.name)
+    return dataclasses.replace(preset, bialgebra=bialg, rescale=1.0)
+
+
+def _rho_noise(mp, preset):
+    rho = preset.bialgebra.rho
+    return _with(preset, rho=rho + 0.3 * np.random.default_rng(5).normal(size=rho.shape))
+
+
+def _part_doubled(sign):
+    """r with its antisymmetric (sign -1) or symmetric (sign +1) part doubled."""
+    def mutate(mp, preset):
+        rho = preset.bialgebra.rho
+        return _with(preset, rho=rho + 0.5 * (rho + sign * rho.T))
+    return mutate
+
+
+def _broken_constants(mp, preset):
+    b = preset.bialgebra
+    c = np.random.default_rng(5).normal(size=b.g.c.shape)
+    return _with(preset, g=LieAlgebra(c - np.swapaxes(c, 0, 1), b.g.labels, name=b.g.name))
+
+
+def _chiral_r2_for_r1(mp, preset):
+    """A code defect: chiral_matrix's right block takes -r2 in place of -r1."""
+    def defective(rho):
+        eye = np.eye(rho.shape[0])
+        return np.block([[eye, rho], [eye, -rho]])
+    mp.setattr(bialgebra_module, "chiral_matrix", defective)
+    return preset
+
+
+def _split_field(name, change):
+    """The splitting with one of its fields changed."""
+    def mutated(p):
+        split = splitting(p)
+        return dataclasses.replace(split, **{name: change(getattr(split, name))})
+
+    def mutate(mp, preset):
+        mp.setattr(duality_module, "splitting", mutated)
+        return preset
+    return mutate
+
+
+def _graph_block_doubled(basis):
+    return np.vstack([2.0 * basis[:3], basis[3:]])
+
+
+def _ad_g_swapped(mp, preset):
+    """A group-kit defect: ad_g returns (Ad_u, Ad_{u^-1})."""
+    ad_g = GroupKit.ad_g
+    mp.setattr(GroupKit, "ad_g", lambda kit, u: ad_g(kit, u)[::-1])
+    return preset
+
+
+# each residual key of validation_report: a named, seeded mutation that it
+# must flag.  chiral_iso_pairing and the four splitting keys are identities
+# of their constructions for every r, lam and mu, so only a code defect in
+# chiral_matrix or the splitting flags them
+MUTATIONS = {
+    "cybe": ("antisymmetric part of r doubled", _part_doubled(-1.0)),
+    "symmetric_part_invariance": ("r plus seeded noise", _rho_noise),
+    "dual_jacobi": ("r plus seeded noise", _rho_noise),
+    "double_jacobi": ("broken structure constants", _broken_constants),
+    "pairing_ad_invariance": ("r plus seeded noise", _rho_noise),
+    "chiral_iso_morphism": ("symmetric part of r doubled", _part_doubled(1.0)),
+    "chiral_iso_pairing": ("chiral_matrix with r2 in place of r1", _chiral_r2_for_r1),
+    "splitting_orthogonality": ("E_e^-1 doubled in the E_+ basis",
+                                _split_field("basis_plus", _graph_block_doubled)),
+    "splitting_diagonal_plus": ("E_e^-1 doubled in the E_+ basis",
+                                _split_field("basis_plus", _graph_block_doubled)),
+    "splitting_diagonal_minus": ("T_e^-1 doubled in the E_- basis",
+                                 _split_field("basis_minus", _graph_block_doubled)),
+    "splitting_projectors": ("pi_+ transposed", _split_field("pi_plus", np.transpose)),
+    "graph_route_agreement": ("ad_g returns its pair swapped", _ad_g_swapped),
+}
+
+
+@pytest.mark.parametrize("algebra", ["su2", "sl2r"])
+def test_every_validation_residual_flags_its_mutation(monkeypatch, algebra):
+    preset = make_preset("modified-principal", algebra=algebra)
+    clean = validation_report(preset)["residuals"]
+    assert set(clean) == set(MUTATIONS)
+    assert max(clean.values()) < 1e-12
+    for key, (name, mutate) in MUTATIONS.items():
+        with monkeypatch.context() as mp:
+            flagged = validation_report(mutate(mp, preset))["residuals"][key]
+        assert flagged > 1e-6, f"{key} reads {flagged:.1e} under '{name}'"

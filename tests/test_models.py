@@ -60,7 +60,7 @@ def test_named_presets(algebra):
     assert pq.split_denominator == pytest.approx(1.0)
 
     gi = make_preset("g-invariant", algebra=algebra)
-    assert gi.lam == 0.0 and gi.is_g_invariant()
+    assert gi.lam == 0.0
 
     pl = make_preset("principal-limit", algebra=algebra, mu=100.0)
     assert pl.mu == 100.0

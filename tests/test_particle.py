@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pltdual.duality import splitting
+from pltdual.duality import graph_at, graph_inverse, splitting
 from pltdual.groups import GroupKit, expm2
 from pltdual.liecore import bracket_coeffs
 from pltdual.models import make_preset
@@ -19,8 +19,6 @@ from pltdual.particle import (
     particle_charges,
     particle_hamiltonian,
     particle_rhs,
-    particle_rhs_invariant_form,
-    particle_rhs_inverse_form,
     point_phase_matrices,
     poisson_matrix,
     principal_limit_solution,
@@ -171,6 +169,31 @@ def test_su2_componentwise_equations():
 # ---- alternative right-hand sides ---------------------------------------------------
 
 
+def particle_rhs_inverse_form(kit, split, u, p):
+    """Velocities via the inverted graph maps E_u, T_u (g -> m):
+    u^-1 du/dt = -2 (E_u - T_u)^-1 p.  Agrees with particle_rhs wherever
+    E_u and T_u exist, which the primary right-hand side does not need."""
+    e_inv, t_inv = graph_at(kit, split, u, route="invariant-split")
+    e, t = graph_inverse(e_inv, "E_u^-1"), graph_inverse(t_inv, "T_u^-1")
+    udot = -2.0 * np.linalg.solve(e - t, p)
+    w = np.linalg.solve(e_inv - t_inv, (e_inv + t_inv) @ p)
+    return udot, bracket_coeffs(split.preset.bialgebra.m.c, w, p)
+
+
+def particle_rhs_invariant_form(kit, split, p):
+    """Decoupled velocities for G-invariant splittings (lam = 0).
+
+    The graph maps are u-independent, so with U = 2 (T_e - E_e)^-1 and
+    V = (E_e + T_e) / 2 the system reads u^-1 du/dt = U p,
+    dp/dt = [V U p, p]; u drops out entirely.
+    """
+    if split.preset.lam != 0:
+        raise ValueError("the decoupled form needs a G-invariant splitting (lam = 0)")
+    e, t = split.e_matrix, np.linalg.inv(split.t_inv)
+    udot = 2.0 * np.linalg.inv(t - e) @ p
+    return udot, bracket_coeffs(split.preset.bialgebra.m.c, 0.5 * (e + t) @ udot, p)
+
+
 @pytest.mark.parametrize("algebra", ["sl2r", "su2"])
 def test_inverse_form_agrees(algebra):
     _, kit, split = setup(algebra)
@@ -208,8 +231,6 @@ def test_dual_factor_generator_identity():
     da a^-1 = -(E_u + T_u)(E_u - T_u)^-1 p."""
     _, kit, split = setup("su2")
     rng = np.random.default_rng(3)
-    from pltdual.duality import graph_at
-
     for _ in range(5):
         u = kit.exp_g(rng.normal(size=3) * 0.5)
         p = rng.normal(size=3).astype(complex)

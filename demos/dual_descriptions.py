@@ -21,7 +21,8 @@ split = splitting(preset)
 
 print(f"model: {preset.name} on {preset.bialgebra.g.name}")
 print(f"splitting denominator lam + 1 + 2 mu = {preset.split_denominator}")
-print(f"orthogonality defect: {split.orthogonality_defect():.2e}")
+plus, minus = split.basis_pair
+print(f"orthogonality defect: {np.max(np.abs(plus.T @ split.pairing @ minus)):.2e}")
 
 rng = np.random.default_rng(0)
 u = kit.exp_g(rng.normal(size=3) * 0.5)

@@ -25,7 +25,7 @@ from .bialgebra import (
     hyperbolic_pairing,
     build_double,
     chiral_matrix,
-    chiral_iso_defects,
+    chiral_iso_defect,
 )
 from .models import ModelPreset, make_sl2r, make_su2, make_preset, PRESET_NAMES
 from .duality import SplittingData, splitting, graph_at
@@ -44,7 +44,7 @@ __all__ = [
     "hyperbolic_pairing",
     "build_double",
     "chiral_matrix",
-    "chiral_iso_defects",
+    "chiral_iso_defect",
     "ModelPreset",
     "make_sl2r",
     "make_su2",

@@ -81,7 +81,7 @@ class ConfigError(ValueError):
 _MODEL = {
     "algebra": ("choice", "su2", ALGEBRA_NAMES, "base algebra"),
     "preset": ("choice", "modified-principal", PRESET_NAMES, "model preset name"),
-    "lam": ("complex", None, None, "custom splitting parameter lambda"),
+    "lam": ("complex", None, None, "splitting parameter lambda (pure-qt and custom only)"),
     "mu": ("complex", None, None, "custom splitting parameter mu"),
 }
 _OUTPUT = ("path", None, False, "output path (default stdout)")

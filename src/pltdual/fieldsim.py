@@ -283,7 +283,7 @@ def _tangent_field(state: LoopState) -> np.ndarray:
 
 def _flow_velocity(state: LoopState) -> np.ndarray:
     """dk/dt k^-1 = (pi_- - pi_+)(k_x k^-1) as (nodes, 2n) coefficients."""
-    return state.tangent @ (state.split.pi_minus - state.split.pi_plus).T
+    return state.tangent @ -state.split.pi_diff.T
 
 
 def _generator_map(kit: GroupKit, split: SplittingData) -> np.ndarray:
@@ -294,7 +294,7 @@ def _generator_map(kit: GroupKit, split: SplittingData) -> np.ndarray:
     it in :attr:`SplittingData.generator_maps`."""
     n2 = 2 * kit.b.g.dim
     entries = kit.chiral_mats(np.eye(n2)).reshape(n2, 8)
-    return kit.tangent_map @ (split.pi_minus - split.pi_plus).T @ entries
+    return kit.tangent_map @ -split.pi_diff.T @ entries
 
 
 # ---- time stepping -------------------------------------------------------------

@@ -113,7 +113,7 @@ def make_preset(
     mu: complex | None = None,
     completely_real: bool = False,
 ) -> ModelPreset:
-    """Build a named preset; ``custom`` requires explicit (lam, mu)."""
+    """Build a named preset; ``custom`` needs lam and mu, and only it and ``pure-qt`` take lam."""
     b = make_algebra(algebra)
     rescale: complex = 1.0
     if name == "modified-principal":
@@ -135,6 +135,8 @@ def make_preset(
         lam_, mu_ = complex(lam), complex(mu)
     else:
         raise ValueError(f"unknown preset '{name}' (choose from {PRESET_NAMES})")
+    if lam is not None and name not in ("pure-qt", "custom"):
+        raise ValueError(f"the {name} preset fixes lam; only pure-qt and custom take one")
     if name in ("modified-principal", "pure-qt") and mu is not None:
         mu_ = complex(mu)
     if name in ("pure-qt",) and lam is not None:

@@ -308,7 +308,7 @@ def conjugate_description_residual(
     state = ParticleState(np.asarray(u0, complex), np.asarray(p0, complex))
     composites: list[list[np.ndarray]] = [[] for _ in x_samples]
     gens: list[np.ndarray] = []
-    pid = split.pi_minus - split.pi_plus
+    pid = -split.pi_diff
     for step in range(n_steps + 1):
         for i, x in enumerate(x_samples):
             composites[i].append(_compose_k(kit, state, x))

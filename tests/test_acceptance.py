@@ -10,7 +10,8 @@ import pytest
 from pltdual import fieldsim as fs
 from pltdual.bialgebra import (
     build_double,
-    chiral_iso_defects,
+    chiral_iso_defect,
+    chiral_matrix,
     cybe_residual,
     dual_algebra,
     pairing_ad_invariance_residual,
@@ -42,6 +43,8 @@ from pltdual.particle import (
     riccati_h,
 )
 
+from identities import chiral_pairing_defect, splitting_defects
+
 ALGEBRAS = ("sl2r", "su2")
 
 
@@ -71,7 +74,8 @@ def test_acceptance_1_structure():
         worst["dual_jacobi"] = max(worst["dual_jacobi"], jacobi_residual(dual_algebra(b)))
         double = build_double(b)
         worst["double_jacobi"] = max(worst["double_jacobi"], jacobi_residual(double.algebra))
-        worst["chiral_iso"] = max(worst["chiral_iso"], *chiral_iso_defects(double))
+        worst["chiral_iso"] = max(worst["chiral_iso"], chiral_iso_defect(double),
+                                  chiral_pairing_defect(b, chiral_matrix(b.rho)))
         worst.setdefault("pairing", 0.0)
         worst["pairing"] = max(worst["pairing"], pairing_ad_invariance_residual(double))
     ok = (
@@ -99,10 +103,11 @@ def test_acceptance_2_splitting_family():
             if abs(lam + 1.0 + 2.0 * mu) <= 0.1:
                 continue
             count += 1
-            split = splitting(make_preset("custom", algebra=algebra, lam=lam, mu=mu))
-            worst_orth = max(worst_orth, split.orthogonality_defect())
-            worst_diag = max(worst_diag, *split.diagonal_pairing_defects())
-            worst_proj = max(worst_proj, split.projector_defects())
+            defects = splitting_defects(
+                splitting(make_preset("custom", algebra=algebra, lam=lam, mu=mu)))
+            worst_orth = max(worst_orth, defects["orthogonality"])
+            worst_diag = max(worst_diag, defects["diagonal_plus"], defects["diagonal_minus"])
+            worst_proj = max(worst_proj, defects["projectors"])
         try:
             splitting(make_preset("custom", algebra=algebra, lam=1.0, mu=-1.0))
             rank_drop_detected = False

@@ -37,13 +37,17 @@ def test_validate_passes(capsys, algebra):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert doc["max_residual"] < 1e-10
-    assert doc["subspace_rank_plus"] == 3
-    assert set(doc["residuals"]) >= {
+    assert set(doc) == {
+        "algebra", "config_hash", "lam", "max_residual", "mu", "passed", "preset",
+        "residuals", "split_denominator", "version",
+    }
+    assert set(doc["residuals"]) == {
         "cybe",
+        "symmetric_part_invariance",
         "dual_jacobi",
         "double_jacobi",
+        "pairing_ad_invariance",
         "chiral_iso_morphism",
-        "splitting_orthogonality",
         "graph_route_agreement",
     }
 
@@ -296,6 +300,11 @@ REPRODUCERS = {
         [command, "--preset", "principal-limit", "--mu", "0"], EXIT_CONFIG,
         "principal-limit preset needs a nonzero mu") for command in ("validate", "particle",
                                                                      "duality")},
+    # a lam that the preset ignores would still change the config hash
+    **{f"validate-{preset}-lam": (
+        ["validate", "--preset", preset, "--lam", "0.5"], EXIT_CONFIG,
+        f"the {preset} preset fixes lam") for preset in ("modified-principal", "principal-limit",
+                                                         "g-invariant")},
 }
 
 

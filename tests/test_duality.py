@@ -5,8 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pltdual import bialgebra as bialgebra_module
-from pltdual import duality as duality_module
 from pltdual.bialgebra import QuasiBialgebra
 from pltdual.duality import (
     GraphBlowupError,
@@ -32,6 +30,8 @@ from pltdual.groups import GroupKit
 from pltdual.liecore import LieAlgebra
 from pltdual.models import make_preset
 
+from identities import chiral_pairing_defect, splitting_defects
+
 ROUTES = ("transport", "invariant-split", "cocycle")
 
 
@@ -56,11 +56,10 @@ def test_splitting_family_random_parameters(algebra):
             continue
         count += 1
         pre = make_preset("custom", algebra=algebra, lam=lam, mu=mu)
-        split = splitting(pre)
-        assert split.orthogonality_defect() < 1e-10
-        dp, dm = split.diagonal_pairing_defects()
-        assert dp < 1e-10 and dm < 1e-10
-        assert split.projector_defects() < 1e-12
+        defects = splitting_defects(splitting(pre))
+        assert defects["orthogonality"] < 1e-10
+        assert defects["diagonal_plus"] < 1e-10 and defects["diagonal_minus"] < 1e-10
+        assert defects["projectors"] < 1e-12
 
 
 @pytest.mark.parametrize("algebra", ["sl2r", "su2"])
@@ -75,10 +74,10 @@ def test_rank_drop_detected(algebra):
 @pytest.mark.parametrize("algebra", ["sl2r", "su2"])
 def test_subspaces_reassemble_double(algebra):
     _, _, split = setup(algebra)
-    joint = np.hstack([split.basis_plus, split.basis_minus])
-    assert np.linalg.matrix_rank(joint) == 6
-    assert np.max(np.abs(split.pi_diff @ split.basis_plus - split.basis_plus)) < 1e-12
-    assert np.max(np.abs(split.pi_diff @ split.basis_minus + split.basis_minus)) < 1e-12
+    plus, minus = split.basis_pair
+    assert np.linalg.matrix_rank(np.hstack([plus, minus])) == 6
+    assert np.max(np.abs(split.pi_diff @ plus - plus)) < 1e-12
+    assert np.max(np.abs(split.pi_diff @ minus + minus)) < 1e-12
 
 
 # ---- graph coordinate routes ------------------------------------------------------
@@ -390,31 +389,6 @@ def _broken_constants(mp, preset):
     return _with(preset, g=LieAlgebra(c - np.swapaxes(c, 0, 1), b.g.labels, name=b.g.name))
 
 
-def _chiral_r2_for_r1(mp, preset):
-    """A code defect: chiral_matrix's right block takes -r2 in place of -r1."""
-    def defective(rho):
-        eye = np.eye(rho.shape[0])
-        return np.block([[eye, rho], [eye, -rho]])
-    mp.setattr(bialgebra_module, "chiral_matrix", defective)
-    return preset
-
-
-def _split_field(name, change):
-    """The splitting with one of its fields changed."""
-    def mutated(p):
-        split = splitting(p)
-        return dataclasses.replace(split, **{name: change(getattr(split, name))})
-
-    def mutate(mp, preset):
-        mp.setattr(duality_module, "splitting", mutated)
-        return preset
-    return mutate
-
-
-def _graph_block_doubled(basis):
-    return np.vstack([2.0 * basis[:3], basis[3:]])
-
-
 def _ad_g_swapped(mp, preset):
     """A group-kit defect: ad_g returns (Ad_u, Ad_{u^-1})."""
     ad_g = GroupKit.ad_g
@@ -423,9 +397,7 @@ def _ad_g_swapped(mp, preset):
 
 
 # each residual key of validation_report: a named, seeded mutation that it
-# must flag.  chiral_iso_pairing and the four splitting keys are identities
-# of their constructions for every r, lam and mu, so only a code defect in
-# chiral_matrix or the splitting flags them
+# must flag
 MUTATIONS = {
     "cybe": ("antisymmetric part of r doubled", _part_doubled(-1.0)),
     "symmetric_part_invariance": ("r plus seeded noise", _rho_noise),
@@ -433,14 +405,6 @@ MUTATIONS = {
     "double_jacobi": ("broken structure constants", _broken_constants),
     "pairing_ad_invariance": ("r plus seeded noise", _rho_noise),
     "chiral_iso_morphism": ("symmetric part of r doubled", _part_doubled(1.0)),
-    "chiral_iso_pairing": ("chiral_matrix with r2 in place of r1", _chiral_r2_for_r1),
-    "splitting_orthogonality": ("E_e^-1 doubled in the E_+ basis",
-                                _split_field("basis_plus", _graph_block_doubled)),
-    "splitting_diagonal_plus": ("E_e^-1 doubled in the E_+ basis",
-                                _split_field("basis_plus", _graph_block_doubled)),
-    "splitting_diagonal_minus": ("T_e^-1 doubled in the E_- basis",
-                                 _split_field("basis_minus", _graph_block_doubled)),
-    "splitting_projectors": ("pi_+ transposed", _split_field("pi_plus", np.transpose)),
     "graph_route_agreement": ("ad_g returns its pair swapped", _ad_g_swapped),
 }
 
@@ -455,3 +419,33 @@ def test_every_validation_residual_flags_its_mutation(monkeypatch, algebra):
         with monkeypatch.context() as mp:
             flagged = validation_report(mutate(mp, preset))["residuals"][key]
         assert flagged > 1e-6, f"{key} reads {flagged:.1e} under '{name}'"
+
+
+def _graph_block_doubled(split, side):
+    """The splitting with the graph block of basis ``side`` (0: E_+, 1: E_-)
+    doubled."""
+    pair = split.basis_pair.copy()
+    pair[side, :3] *= 2.0
+    return dataclasses.replace(split, basis_pair=pair)
+
+
+@pytest.mark.parametrize("algebra", ["su2", "sl2r"])
+def test_identity_checks_flag_code_defects(algebra):
+    """Each identity that no model can move still flags a defect in the
+    code that builds it: in splitting's bases or projector difference, or
+    in chiral_matrix."""
+    pre, _, split = setup(algebra)
+    b = pre.bialgebra
+    eye = np.eye(3)
+    flagged = {
+        "chiral_matrix with r2 in place of r1":
+            chiral_pairing_defect(b, np.block([[eye, b.rho], [eye, -b.rho]])),
+        "pi_diff transposed": splitting_defects(
+            dataclasses.replace(split, pi_diff=split.pi_diff.T))["projectors"],
+    }
+    for side, name in enumerate(("E_+", "E_-")):
+        defects = splitting_defects(_graph_block_doubled(split, side))
+        for key in ("orthogonality", ("diagonal_plus", "diagonal_minus")[side], "projectors"):
+            flagged[f"{name} graph block doubled: {key}"] = defects[key]
+    for name, value in flagged.items():
+        assert value > 1e-6, f"{value:.1e} under '{name}'"

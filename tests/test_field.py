@@ -124,10 +124,8 @@ def test_flow_reversible(su2_mp):
         split.preset,
         split.t_inv,
         split.e_inv,
-        split.basis_minus,
-        split.basis_plus,
-        split.pi_minus,
-        split.pi_plus,
+        split.basis_pair[::-1],
+        -split.pi_diff,
         split.pairing,
     )
     st0 = fs.random_smooth_loop(kit, split, 32, boundary="periodic", seed=4, amplitude=0.3)
@@ -229,7 +227,7 @@ def test_flow_is_hamiltonian(su2_mp):
             kit, split, n_cells, boundary="periodic", seed=6, amplitude=0.3
         )
         xs = fs.grid_points(n_cells, "periodic")
-        kdot_r = fs._tangent_field(st) @ (split.pi_minus - split.pi_plus).T
+        kdot_r = fs._tangent_field(st) @ -split.pi_diff.T
         kdot_l = np.stack(
             [kit.ad_d(np.linalg.inv(st.k[j]))[1] @ kdot_r[j]
              for j in range(st.n_nodes)]
@@ -253,7 +251,7 @@ def test_neumann_flow_vanishes_at_ends(su2_mp):
     (pi_- - pi_+) k_x k^-1 is small there and O(1) in the interior."""
     kit, split = su2_mp
     st = fs.random_smooth_loop(kit, split, 32, boundary="double-neumann", seed=6, amplitude=0.3)
-    kd = fs._tangent_field(st) @ (split.pi_minus - split.pi_plus).T
+    kd = fs._tangent_field(st) @ -split.pi_diff.T
     assert np.abs(kd[0]).max() < 1e-3
     assert np.abs(kd[-1]).max() < 1e-3
     assert np.abs(kd[st.n_nodes // 2]).max() > 1e-2

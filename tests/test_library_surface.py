@@ -1,11 +1,14 @@
 """Guard against library code that only the tests call.
 
-Every public function or method of ``src/pltdual`` must have a caller in
-the library, the demos or the benchmark harness, be exported from
-``pltdual/__init__.py``, or be a paper result on the allowlist below,
-which the tests check against the paper or against independent oracles.
-A reference counts as a call: a name, an attribute, or a string equal to
-the name (the benchmark tracer wraps functions by name).
+Every public function, and every public method of a public class, of
+``src/pltdual`` must have a caller in the library, the demos or the
+benchmark harness, be exported from ``pltdual/__init__.py``, or be a paper
+result on the allowlist below, which the tests check against the paper or
+against independent oracles.
+A function counts as called by a name, an attribute or a string equal to
+its name (the benchmark tracer wraps functions by name); a method only by
+an attribute.  An attribute of a module imported from outside the package
+(``np.pi``, ``math.inf``) counts as neither.
 """
 
 import ast
@@ -32,29 +35,40 @@ ALLOWLIST = {
     "conjugate_description_residual": "the particle's equivalence with the loop flow",
     "riccati_h": "the closed-form Riccati reduction of the pure-qt flow",
     "pure_qt_reduced_solution": "the closed-form reduced (h, x, y) pure-qt flow",
+    "pi": "the Poisson cocycle Pi(u) = Ad_u r - r of G",
 }
 
 
 def _public_definitions() -> dict:
-    """Each public module-level function and method of the package, as
-    name -> "file:line"."""
+    """Each public module-level function and public class's method of the
+    package, as name -> ("file:line", whether it is a method)."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        bodies = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
-        for body in bodies:
+        bodies = [(tree.body, False)] + [
+            (n.body, True) for n in tree.body
+            if isinstance(n, ast.ClassDef) and not n.name.startswith("_")]
+        for body, is_method in bodies:
             for node in body:
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                    found.setdefault(node.name, f"{path.name}:{node.lineno}")
+                    found.setdefault(node.name, (f"{path.name}:{node.lineno}", is_method))
     return found
 
 
 class _References(ast.NodeVisitor):
     """Every name, attribute and string constant of a tree, outside its
-    ``__all__`` list."""
+    ``__all__`` list, leaving out attributes of modules imported from
+    outside the package."""
 
     def __init__(self):
         self.names = set()
+        self.attributes = set()
+        self.foreign_modules = set()
+
+    def visit_Import(self, node):
+        for alias in node.names:
+            if alias.name.split(".")[0] != "pltdual":
+                self.foreign_modules.add(alias.asname or alias.name.split(".")[0])
 
     def visit_Assign(self, node):
         if not any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
@@ -64,7 +78,8 @@ class _References(ast.NodeVisitor):
         self.names.add(node.id)
 
     def visit_Attribute(self, node):
-        self.names.add(node.attr)
+        if not (isinstance(node.value, ast.Name) and node.value.id in self.foreign_modules):
+            self.attributes.add(node.attr)
         self.generic_visit(node)
 
     def visit_Constant(self, node):
@@ -72,18 +87,30 @@ class _References(ast.NodeVisitor):
             self.names.add(node.value)
 
 
-def _references() -> set:
-    """The names used in the caller trees."""
-    refs = _References()
+def _references() -> tuple[set, set]:
+    """(names, attributes) used in the caller trees: a function is called
+    by either, a method by an attribute."""
+    names, attributes = set(), set()
     for root in CALLER_TREES:
         for path in root.rglob("*.py"):
+            refs = _References()
             refs.visit(ast.parse(path.read_text(), filename=str(path)))
-    return refs.names
+            names |= refs.names
+            attributes |= refs.attributes
+    return names | attributes, attributes
+
+
+def _called() -> set:
+    """The public definitions that the caller trees or the package exports use."""
+    names, attributes = _references()
+    exported = set(pltdual.__all__)
+    return {name for name, (_, is_method) in _public_definitions().items()
+            if name in exported or name in (attributes if is_method else names)}
 
 
 def test_every_public_function_has_a_caller_outside_the_tests():
-    used = _references() | set(pltdual.__all__) | set(ALLOWLIST)
-    orphans = {name: where for name, where in _public_definitions().items()
+    used = _called() | set(ALLOWLIST)
+    orphans = {name: where for name, (where, _) in _public_definitions().items()
                if name not in used}
     assert not orphans, f"public code that only the tests call: {orphans}"
 
@@ -92,6 +119,13 @@ def test_allowlist_names_existing_functions_without_other_callers():
     defined = _public_definitions()
     stale = [name for name in ALLOWLIST if name not in defined]
     assert not stale, f"allowlisted names that are not defined: {stale}"
-    called = _references() | set(pltdual.__all__)
-    redundant = [name for name in ALLOWLIST if name in called]
+    redundant = [name for name in ALLOWLIST if name in _called()]
     assert not redundant, f"allowlisted names that have a caller: {redundant}"
+
+
+def test_module_attributes_do_not_count_and_methods_need_an_attribute():
+    refs = _References()
+    refs.visit(ast.parse("import numpy as np\nfrom pltdual import groups\n"
+                         "pi = np.pi\ngroups.expm2(kit.ad_d(u))\n"))
+    assert "pi" in refs.names and "pi" not in refs.attributes
+    assert {"expm2", "ad_d"} <= refs.attributes

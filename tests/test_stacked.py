@@ -167,7 +167,7 @@ def ref_primal_fields(state):
     kit, split = state.kit, state.split
     us = [kit.factorize_gm(state.k[j])[0] for j in range(state.n_nodes)]
     dux = fs._x_derivative(np.stack(us), state.dx, state.boundary, order=2)
-    kdot = fs._tangent_field(state) @ (split.pi_minus - split.pi_plus).T
+    kdot = fs._tangent_field(state) @ -split.pi_diff.T
     a, b = [], []
     for j, u in enumerate(us):
         uinv = np.linalg.inv(u)
@@ -183,7 +183,7 @@ def ref_dual_fields(state):
     kit, split = state.kit, state.split
     ts = [kit.factorize_mg(state.k[j])[0] for j in range(state.n_nodes)]
     dts = fs._x_derivative(np.stack(ts), state.dx, state.boundary, order=2)
-    kdot = fs._tangent_field(state) @ (split.pi_minus - split.pi_plus).T
+    kdot = fs._tangent_field(state) @ -split.pi_diff.T
     a, b = [], []
     for j, t in enumerate(ts):
         tinv = np.linalg.inv(t)
@@ -272,7 +272,7 @@ def ref_roll_derivative(f, dx, order):
 
 def ref_flow_generators(kit, split, w):
     """The former chain from the chiral stack of k_x k^-1 to that of dk/dt k^-1."""
-    return kit.chiral_mats(kit.tangent_coeffs(w) @ (split.pi_minus - split.pi_plus).T)
+    return kit.chiral_mats(kit.tangent_coeffs(w) @ -split.pi_diff.T)
 
 
 def cf4_weights(f1, f2, f3, f4, dt):
@@ -607,7 +607,7 @@ def test_graph_slices_match_per_basis_products(algebra, lead):
     rng = np.random.default_rng(len(lead))
     ad = kit.ad_d(random_group_points(kit, rng, lead)[..., None, :, :])[1]
     n = kit.b.g.dim
-    for got, basis in zip(graph_slices(split, ad), (split.basis_plus, split.basis_minus)):
+    for got, basis in zip(graph_slices(split, ad), split.basis_pair):
         x = ad @ basis
         assert rel_err(got, x[..., :n, :] @ np.linalg.inv(x[..., n:, :])) < 1e-13
 

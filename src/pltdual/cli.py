@@ -305,11 +305,18 @@ def run_validate(cfg: dict, opts: dict) -> int:
 
 
 def _time_steps(opts: dict) -> tuple[float, int]:
-    """(dt, number of steps covering T)."""
-    dt = opts["dt"]
-    n_steps = round(_finite("T / dt", opts["T"] / dt))
+    """(dt, number of steps covering T), where T must be a whole number of
+    steps up to a relative 1e-9 (T = 0.025 at dt = 1e-3 is 25.000000000000004)."""
+    dt, horizon = opts["dt"], opts["T"]
+    ratio = _finite("T / dt", horizon / dt)
+    n_steps = round(ratio)
     if n_steps < 1:
         raise ConfigError("T must cover at least one step")
+    if abs(ratio - n_steps) > 1e-9 * ratio:
+        reachable = [f"{k * dt:.12g}" for k in (math.floor(ratio), math.ceil(ratio)) if k >= 1]
+        raise ConfigError(
+            f"T = {horizon:.12g} is not a whole number of steps of dt = {dt:.12g} "
+            f"(nearest reachable horizons: {' and '.join(reachable)})")
     return dt, n_steps
 
 

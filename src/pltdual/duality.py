@@ -45,7 +45,7 @@ from .bialgebra import (
     symmetric_part_invariance_residual,
     tensor_conjugate,
 )
-from .groups import COND_CUTOFF, GroupKit, _vdet_normalize
+from .groups import COND_CUTOFF, GroupKit, _entry_products, _realization, _vadj, _vdet_normalize
 from .liecore import jacobi_residual
 from .models import _EPS, ModelPreset, make_preset
 
@@ -54,6 +54,7 @@ __all__ = [
     "GraphBlowupError",
     "SplittingData",
     "ShiftedMaps",
+    "ParticleStage",
     "splitting",
     "graph_slices",
     "graph_inverse",
@@ -76,18 +77,24 @@ __all__ = [
 
 class ShiftedMaps(NamedTuple):
     """Constants of the graph maps at u, X_u^-1 = Ad_{u^-1} (X_e^-1 - r1)
-    Ad_{u^-1}^T + r1, and the particle's right-hand side folded from them
-    (see :mod:`pltdual.particle`), with D = (E_e^-1 - T_e^-1)^-1 and the
-    shifts E' = E_e^-1 - r1, T' = T_e^-1 - r1 and S' = E' + T'."""
+    Ad_{u^-1}^T + r1, with D = (E_e^-1 - T_e^-1)^-1 and the shifts
+    E' = E_e^-1 - r1 and T' = T_e^-1 - r1."""
 
     r1: np.ndarray
     e_shift: np.ndarray  # E'
     t_shift: np.ndarray  # T'
     d_inv: np.ndarray  # D
-    fold_q: np.ndarray  # F = [D E'; D S'], 6x3
-    fold_rp: np.ndarray  # G = [D; 2 D], 6x3
-    t_shift2: np.ndarray  # 2 T'
-    r1_2: np.ndarray  # 2 r1
+
+
+class ParticleStage(NamedTuple):
+    """Constant maps of one stage of the particle's right-hand side (see
+    :func:`pltdual.particle.particle_rhs`), with S' = E' + T'."""
+
+    # the 16 products u_ab u_cd, flattened over (a, b, c, d), to the rows of
+    # A = [Ad_{u^-1}^T; Ad_u r1], U = 2 Ad_{u^-1} T' + 2 r1 Ad_u^T and B = Ad_u^T
+    blocks: np.ndarray  # 16 x 36
+    fold: np.ndarray  # [F | G] = [D E', D; D S', 2 D], 6 x 6
+    bracket: np.ndarray  # 9 x 3, c_ijk of m over (i, k) by j: [w, p]_m = w (bracket p)
 
 
 class SplittingError(ValueError):
@@ -120,12 +127,31 @@ class SplittingData:
     @cached_property
     def shifted_maps(self) -> ShiftedMaps:
         r1 = np.ascontiguousarray(self.preset.bialgebra.rho.T)
-        e_shift, t_shift = self.e_inv - r1, self.t_inv - r1
         d = np.linalg.inv(self.e_inv - self.t_inv)
-        return ShiftedMaps(
-            r1, e_shift, t_shift, d,
-            np.vstack([d @ e_shift, d @ (e_shift + t_shift)]), np.vstack([d, 2.0 * d]),
-            2.0 * t_shift, 2.0 * r1,
+        return ShiftedMaps(r1, self.e_inv - r1, self.t_inv - r1, d)
+
+    @cached_property
+    def particle_stage(self) -> ParticleStage:
+        """The maps of :class:`ParticleStage`.  u^-1 = adj(u) is a signed
+        permutation of u, so the products u_ab (u^-1)_cd of the flavor's
+        adjoint-pair map are a signed permutation of the u_ab u_cd, read off
+        :func:`~pltdual.groups._vadj` on the unit matrices and folded into
+        the map."""
+        c = self.shifted_maps
+        units = np.eye(4).reshape(4, 2, 2)
+        adj_fold = _entry_products(units[:, None], _vadj(units)[None]).reshape(16, 16)
+        ad_map = _realization(self.preset.bialgebra.g.name)[3]
+        pair = (adj_fold @ ad_map).reshape(16, 2, 3, 3)
+        a, b = pair[:, 0], pair[:, 1]
+        bt = b.transpose(0, 2, 1)
+        blocks = np.concatenate([a.transpose(0, 2, 1), b @ c.r1,
+                                 2.0 * (a @ c.t_shift) + 2.0 * (c.r1 @ bt), bt], axis=1)
+        d, s_shift = c.d_inv, c.e_shift + c.t_shift
+        m = self.preset.bialgebra.m.c
+        return ParticleStage(
+            blocks.reshape(16, 36),
+            np.block([[d @ c.e_shift, d], [d @ s_shift, 2.0 * d]]),
+            np.ascontiguousarray(m.transpose(0, 2, 1)).reshape(9, 3),
         )
 
 

@@ -212,37 +212,47 @@ _SL2R_BASIS = np.array(
 )
 
 
+def _realize(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``basis``, the decomposition of traceless 2x2 matrices in it and the
+    16 x 18 map of the products u_ab (u^-1)_cd to (Ad_{u^-1}, Ad_u).
+
+    Ad_u on g is bilinear in the entries of u and u^-1:
+    (Ad_u)_ij = sum u_ab (e_j)_bc (u^-1)_cd C_iad, where C maps the (a, d)
+    entry of a traceless matrix to its coefficient i; Ad_{u^-1} reads the
+    same 16 products with the (u, u^-1) slots swapped.
+    """
+    cols = np.stack([np.array([e[0, 0], e[0, 1], e[1, 0]]) for e in basis], axis=1)
+    demat = np.linalg.inv(cols)
+    entry_coeffs = np.zeros((len(basis), 2, 2), dtype=complex)
+    entry_coeffs[:, 0, 0], entry_coeffs[:, 0, 1], entry_coeffs[:, 1, 0] = demat.T
+    ad_u = np.einsum("jbc,iad->abcdij", basis, entry_coeffs)
+    return basis, demat, np.stack([ad_u.transpose(2, 3, 0, 1, 4, 5), ad_u], axis=4).reshape(16, 18)
+
+
+_REALIZATIONS = {"su2": _realize(_SU2_BASIS), "sl2r": _realize(_SL2R_BASIS)}
+
+
+def _realization(name: str) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
+    """The flavor ("su2" or "sl2r") of the algebra ``name``, with its basis,
+    decomposition and adjoint-pair product map, built once per flavor."""
+    for flavor, realization in _REALIZATIONS.items():
+        if name.startswith(flavor):
+            return (flavor, *realization)
+    raise ValueError(f"no matrix realization for algebra '{name}'")
+
+
 class GroupKit:
     """Exact group operations for the double of one bialgebra model."""
 
     def __init__(self, bialgebra: QuasiBialgebra):
         self.b = bialgebra
-        name = bialgebra.g.name
-        if name.startswith("su2"):
-            self.flavor = "su2"
-            self.basis = _SU2_BASIS
-        elif name.startswith("sl2r"):
-            self.flavor = "sl2r"
-            self.basis = _SL2R_BASIS
-        else:
-            raise ValueError(f"no matrix realization for algebra '{name}'")
+        # decomposition of traceless 2x2 matrices in the g-basis, and the
+        # products of the entries of u and u^-1 to (Ad_{u^-1}, Ad_u)
+        self.flavor, self.basis, self._demat, self._ad_g_map = _realization(bialgebra.g.name)
         n = bialgebra.g.dim
-        # decomposition of traceless 2x2 matrices in the g-basis
-        cols = np.stack(
-            [np.array([e[0, 0], e[0, 1], e[1, 0]]) for e in self.basis], axis=1
-        )
-        self._demat = np.linalg.inv(cols)
         # chiral projection matrices d -> g (L and R) and their joint inverse
         self.chi = chiral_matrix(bialgebra.rho)
         self.chi_inv = np.linalg.inv(self.chi)
-        # Ad_u on g is bilinear in the entries of u and u^-1:
-        # (Ad_u)_ij = sum u_ab (e_j)_bc (u^-1)_cd C_iad, where C maps the
-        # (a, d) entry of a traceless matrix to its coefficient i; Ad_{u^-1}
-        # reads the same 16 products with the (u, u^-1) slots swapped
-        entry_coeffs = np.zeros((n, 2, 2), dtype=complex)
-        entry_coeffs[:, 0, 0], entry_coeffs[:, 0, 1], entry_coeffs[:, 1, 0] = self._demat.T
-        ad_u = np.einsum("jbc,iad->abcdij", self.basis, entry_coeffs)
-        self._ad_g_map = np.stack([ad_u.transpose(2, 3, 0, 1, 4, 5), ad_u], axis=4).reshape(16, 18)
         # Ad_k on the double is chi^-1 diag(Ad_kL, Ad_kR) chi, linear in both
         # blocks: the 32 products of both sides map to (Ad_{k^-1}, Ad_k)
         blocks = np.einsum("ia,bj->abij", self.chi_inv, self.chi)

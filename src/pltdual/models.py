@@ -113,7 +113,8 @@ def make_preset(
     mu: complex | None = None,
     completely_real: bool = False,
 ) -> ModelPreset:
-    """Build a named preset; ``custom`` needs lam and mu, and only it and ``pure-qt`` take lam."""
+    """Build a named preset; ``custom`` needs lam and mu, only it and ``pure-qt``
+    take lam, and the completely-real variant takes no mu."""
     b = make_algebra(algebra)
     rescale: complex = 1.0
     if name == "modified-principal":
@@ -144,6 +145,9 @@ def make_preset(
     if completely_real:
         if algebra != "su2":
             raise ValueError("the completely-real variant is su2-only")
+        if mu is not None:
+            raise ValueError(f"the completely-real variant fixes mu = i; the {name} preset "
+                             "takes no mu with it")
         mu_ = 1j
         rescale = -1j
     return ModelPreset(name, b, lam_, mu_, rescale)

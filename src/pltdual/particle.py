@@ -15,13 +15,16 @@ r1 shifts cancel in their difference and
 one constant matrix conjugated by the adjoint pair (Ad_{u^-1}, Ad_u).  The
 right-hand side, the energy and the charges are therefore 3x3 products
 with that pair and the constants of :attr:`SplittingData.shifted_maps`,
-with no linear solve.  The right-hand side folds its chain of constant
-3x3 products into two constant 6x3 maps, so that a stage costs a dozen
-small products; at these sizes a numpy call costs about the same whatever
-its operands, so the count of calls is the cost.  A trajectory keeps only
-(t, u, p) per record while it steps, and the energy and the charges of
-all its records are computed afterwards in one pass on the stacked
-records, with one stacked adjoint pair.
+with no linear solve.  The pair is linear in the products of the entries
+of u and u^-1 = adj(u), a signed permutation of u, so every matrix of the
+right-hand side is linear in the 16 products u_ab u_cd: a stage reads
+them from one constant map (:attr:`SplittingData.particle_stage`) and
+builds no adjoint pair, in one multiply and seven products; at these
+sizes a numpy call costs about the same whatever its operands, so the
+count of calls is the cost.  A trajectory keeps only (t, u, p) per
+record while it steps, and the energy and the charges of all its records
+are computed afterwards in one pass on the stacked records, with one
+stacked adjoint pair.
 
 The conjugate factor a(t) in k = u exp(p x) a evolves in the dual group by
 da/dt a^-1 = (E_u^-1 - T_u^-1)^-1 (E_u^-1 + T_u^-1) p and is integrated
@@ -50,7 +53,6 @@ import numpy as np
 
 from .duality import SplittingData
 from .groups import GroupKit, _unimodular_cond, _vadj, cf4_step, expm2
-from .liecore import bracket_coeffs
 from .models import ModelPreset
 
 __all__ = [
@@ -74,10 +76,11 @@ __all__ = [
 class ParticleState:
     """The particle's (u, p) and conjugate factor a.
 
-    u must be unimodular, as :meth:`GroupKit.ad_g` assumes; a step
-    keeps it so.  A step's stages each build their own adjoint pair, and
-    the records of a trajectory are evaluated together on their stacks by
-    :func:`integrate_particle`, so a state holds no derived data.
+    u must be unimodular, as :meth:`GroupKit.ad_g` and
+    :func:`particle_rhs` assume; a step keeps it so.  A step's stages read
+    the products of the entries of u, and the records of a trajectory are
+    evaluated together on their stacks by :func:`integrate_particle`, so a
+    state holds no derived data.
     """
 
     u: np.ndarray  # 2x2 group matrix
@@ -113,30 +116,39 @@ def _ad_cond(u: np.ndarray) -> float:
     return cond * cond
 
 
+# the flat indices of u_ab and u_cd in the product u_ab u_cd at 4 (2a + b) + 2c + d
+_LEFT, _RIGHT = np.divmod(np.arange(16), 4)
+
+
 def particle_rhs(
     kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left-translated velocities (u^-1 du, dp, da a^-1) of a unimodular u.
 
-    With (a, b) = (Ad_{u^-1}, Ad_u), D = (E_e^-1 - T_e^-1)^-1 and the
-    shifts E', T', S' of :class:`~pltdual.duality.ShiftedMaps`,
+    With (a, b) = (Ad_{u^-1}, Ad_u), D = (E_e^-1 - T_e^-1)^-1, the shifts
+    E', T' of :class:`~pltdual.duality.ShiftedMaps` and S' = E' + T',
     x = (E_u^-1 - T_u^-1)^-1 E_u^-1 p is b^T z with
-    z = D (E' a^T p + b r1 p), and a^T x = z gives T_u^-1 x.
+    z = D (E' a^T p + b r1 p), and a^T x = z gives
+    u^-1 du = 2 T_u^-1 x = (2 a T' + 2 r1 b^T) z.
     da a^-1 = w is formed the same way from (E_u^-1 + T_u^-1) p as b^T w'
     with w' = D (S' a^T p + 2 b r1 p), not as 2 x - p, which cancels in
-    the principal limit.  The constant maps F = [D E'; D S'] and
-    G = [D; 2 D] give [z; w'] = F a^T p + G b r1 p in two products, and
-    the rows of [z; w'] times b give x and w in one.  The products are
+    the principal limit.  So [z; w'] = [F | G] A p with the constant
+    F = [D E'; D S'] and G = [D; 2 D] and A = [a^T; b r1], and the
+    velocities are U z and B w' with U = 2 a T' + 2 r1 b^T and B = b^T.
+    adj(u) is a signed permutation of u, so A, U and B are linear in the
+    16 products u_ab u_cd: one gathered multiply and one product with
+    the constant 16x36 map of :attr:`SplittingData.particle_stage` give
+    all three, with no adjoint pair.  The bracket [w, p]_m is w times the
+    structure constants of m contracted with p.  The products are
     ``ndarray.dot``, which skips the matmul gufunc's dispatch and costs
     about half of ``@`` on these sizes.
     """
-    a, b = kit.ad_g(u)
-    c = split.shifted_maps
-    zw = c.fold_q.dot(p.dot(a)) + c.fold_rp.dot(b.dot(c.r1.dot(p)))
-    xw = zw.reshape(2, 3).dot(b)
-    udot = a.dot(c.t_shift2.dot(zw[:3])) + c.r1_2.dot(xw[0])
-    pdot = bracket_coeffs(split.preset.bialgebra.m.c, xw[1], p)
-    return udot, pdot, xw[1]
+    stage = split.particle_stage
+    entries = u.ravel()
+    blocks = (entries[_LEFT] * entries[_RIGHT]).dot(stage.blocks).reshape(12, 3)
+    zw = stage.fold.dot(blocks[:6].dot(p))
+    w = blocks[9:].dot(zw[3:])
+    return blocks[6:9].dot(zw[:3]), w.dot(stage.bracket.dot(p).reshape(3, 3)), w
 
 
 def particle_hamiltonian(

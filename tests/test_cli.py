@@ -242,6 +242,12 @@ REPRODUCERS = {
     "dt-nan": (["particle", "--T", "0.01", "--dt", "nan"], EXIT_CONFIG,
                "'dt' must be a finite number"),
     "steps-overflow": (["particle", "--T", "1e300", "--dt", "1e-300"], EXIT_CONFIG, "'T / dt'"),
+    # a T between two step counts used to run to the rounded horizon
+    "T-not-whole-steps": (["particle", "--T", "1", "--dt", "0.3"], EXIT_CONFIG,
+                          "T = 1 is not a whole number of steps of dt = 0.3 (nearest "
+                          "reachable horizons: 0.9 and 1.2)"),
+    "field-T-not-whole-steps": (["field", "--N", "16", "--T", "0.01", "--dt", "0.004"],
+                                EXIT_CONFIG, "(nearest reachable horizons: 0.008 and 0.012)"),
     "mus-not-numeric": (["limits", "--mus", "10,abc"], EXIT_CONFIG,
                         "'mus' must be a finite number"),
     "mus-negative": (["limits", "--mus", "-10,100"], EXIT_CONFIG, "'mus' must be positive"),

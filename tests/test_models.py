@@ -104,6 +104,10 @@ def test_completely_real_variant():
     assert cybe_residual(p.bialgebra.g, p.bialgebra.rho) < 1e-13
     with pytest.raises(ValueError):
         make_preset("g-invariant", algebra="sl2r", completely_real=True)
+    # the variant's mu = i used to replace an explicit mu silently
+    for name in ("modified-principal", "pure-qt", "principal-limit", "g-invariant"):
+        with pytest.raises(ValueError, match="completely-real variant fixes mu"):
+            make_preset(name, algebra="su2", mu=0.3, completely_real=True)
 
 
 def test_preset_names_complete():

@@ -845,11 +845,12 @@ def test_adjoint_pairs_built_twice_per_loop_state_and_once_per_hat_pi(monkeypatc
 
 def test_recorded_particle_state_builds_one_adjoint_pair(monkeypatch):
     kit, split = kit_and_split("su2")
-    calls = Counter()
-    monkeypatch.setattr(GroupKit, "ad_g", counted(calls, "pair", GroupKit.ad_g))
+    shapes = []
+    ad_g = GroupKit.ad_g
+    monkeypatch.setattr(GroupKit, "ad_g", lambda self, u: shapes.append(u.shape) or ad_g(self, u))
     n_steps = 5
     traj = pt.integrate_particle(kit, split, np.eye(2), np.array([0.3, 0.1, -0.2]), 1e-2, n_steps)
     assert traj.completed and len(traj.times) == n_steps + 1
-    # one pair for each of a step's four stages, and one stacked pair for
-    # all the records together
-    assert calls["pair"] == 1 + 4 * n_steps
+    # no pair for a step's stages, which read the products of u, and one
+    # stacked pair for all the records together
+    assert shapes == [(n_steps + 1, 2, 2)]

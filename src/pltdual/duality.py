@@ -200,7 +200,8 @@ def graph_inverse(m: np.ndarray, name: str) -> np.ndarray:
     """The inverse of the graph map ``m``, stacked over its leading axes.
 
     Raises GraphBlowupError where the 2-norm condition number of ``name``
-    exceeds ``COND_CUTOFF``, naming the first node of a stack.  The bound
+    exceeds ``COND_CUTOFF``, naming the first node of a stack by its index
+    on the last stacked axis.  The bound
     |m|_F |m^-1|_F is never below that number, so only a stack past the
     cutoff on the bound (or NaN) or with an exactly singular node runs the SVD.
     """
@@ -215,7 +216,7 @@ def graph_inverse(m: np.ndarray, name: str) -> np.ndarray:
     bad = np.flatnonzero(cond > COND_CUTOFF)
     if bad.size:
         j = bad[0]
-        node = f" (first at node {j})" if np.ndim(cond) else ""
+        node = f" (first at node {j % cond.shape[-1]})" if np.ndim(cond) else ""
         raise GraphBlowupError(
             f"{name} condition number {np.ravel(cond)[j]:.3e} exceeds cutoff{node}"
         )

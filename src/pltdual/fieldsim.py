@@ -43,7 +43,7 @@ import numpy as np
 
 from .duality import GraphBlowupError, SplittingData, graph_inverse, graph_slices
 from .groups import FactorizationError, GroupKit, _entry_products, _vadj, _vmul, cf4_step
-from .liecore import bracket_coeffs
+from .liecore import _flat_dot, bracket_coeffs
 
 __all__ = [
     "LoopState",
@@ -73,7 +73,11 @@ CFL = 0.5
 
 @dataclass
 class LoopState:
-    """A loop in the double group sampled on the spatial grid.
+    """A loop in the double group sampled on the spatial grid, or a stack of
+    loops on leading axes: ``k`` is (..., nodes, side, 2, 2) and ``time``
+    a float or an array over the leading axes.  Every diagnostic below
+    returns one value per loop of a stack, and a float (or an array over
+    the basis) for a single loop.
 
     ``k`` must be unimodular at every node (det k = 1 on both sides): the
     loop tangent k_x k^-1 takes k^-1 as the adjugate, with no division by
@@ -86,9 +90,9 @@ class LoopState:
 
     kit: GroupKit
     split: SplittingData
-    k: np.ndarray  # (nodes, side, 2, 2) chiral stack
+    k: np.ndarray  # (..., nodes, side, 2, 2) chiral stack
     boundary: str = "double-neumann"
-    time: float = 0.0
+    time: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.boundary not in BOUNDARIES:
@@ -98,16 +102,16 @@ class LoopState:
     @property
     def kl(self) -> np.ndarray:
         """The left chiral matrices, a view of ``k``."""
-        return self.k[:, 0]
+        return self.k[..., 0, :, :]
 
     @property
     def kr(self) -> np.ndarray:
         """The right chiral matrices, a view of ``k``."""
-        return self.k[:, 1]
+        return self.k[..., 1, :, :]
 
     @property
     def n_nodes(self) -> int:
-        return self.k.shape[0]
+        return self.k.shape[-4]
 
     @property
     def n_cells(self) -> int:
@@ -122,14 +126,14 @@ class LoopState:
 
     @cached_property
     def tangent(self) -> np.ndarray:
-        """w = k_x k^-1 as (nodes, 2n) double-algebra coefficients."""
+        """w = k_x k^-1 as (..., nodes, 2n) double-algebra coefficients."""
         return _tangent_field(self)
 
     @cached_property
     def gm_factors(self) -> tuple[np.ndarray, ...]:
         """(u, s, u^-1, Ad_{u^-1}, Ad_u) at every node, for k = u s."""
         u, s = self.kit.factorize_gm(self.k)
-        return u, s, _vadj(u), *self.kit.ad_d(u[:, None])
+        return u, s, _vadj(u), *self.kit.ad_d(u[..., None, :, :])
 
     @cached_property
     def mg_factors(self) -> tuple[np.ndarray, ...]:
@@ -232,32 +236,45 @@ def _wrap_index(n_nodes: int, width: int) -> np.ndarray:
     return index
 
 
-def _x_derivative(f: np.ndarray, dx: float, boundary: str, order: int = 4) -> np.ndarray:
-    """Spatial derivative of samples stacked node first (centred, wrapped
+def _x_derivative(f: np.ndarray, dx: float, boundary: str, order: int = 4,
+                  axis: int = 0) -> np.ndarray:
+    """Spatial derivative along the node ``axis`` of ``f`` (centred, wrapped
     for periodic runs, one-sided at Neumann ends).
 
-    The integrator uses the fourth-order stencils; the field-equation
-    residual diagnostics use order 2 so their leading error is the known
-    O(dx^2) stencil truncation.
+    The node axis is the one just before an element's own axes: -4 for
+    chiral stacks, -3 for 2x2 stacks, -2 for coefficients and 0 for samples
+    stacked node first; the axes before it broadcast.  The integrator uses
+    the fourth-order stencils; the field-equation residual diagnostics use
+    order 2 so their leading error is the known O(dx^2) stencil truncation.
     """
+    lead = (slice(None),) * (axis % f.ndim)
+
+    def at(nodes):
+        return lead + (nodes,)
+
+    def edge(stencil, nodes):
+        return np.einsum("s,s...->...", stencil, np.moveaxis(f[at(nodes)], len(lead), 0)) / dx
+
     if order == 2:
         if boundary == "periodic":
-            p = f.take(_wrap_index(len(f), 1), axis=0)
-            return (p[2:] - p[:-2]) / (2 * dx)
+            p = f.take(_wrap_index(f.shape[axis], 1), axis=axis)
+            return (p[at(slice(2, None))] - p[at(slice(-2))]) / (2 * dx)
         out = np.empty_like(f)
-        out[1:-1] = (f[2:] - f[:-2]) / (2 * dx)
-        out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * dx)
-        out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * dx)
+        out[at(slice(1, -1))] = (f[at(slice(2, None))] - f[at(slice(-2))]) / (2 * dx)
+        out[at(0)] = (-3 * f[at(0)] + 4 * f[at(1)] - f[at(2)]) / (2 * dx)
+        out[at(-1)] = (3 * f[at(-1)] - 4 * f[at(-2)] + f[at(-3)]) / (2 * dx)
         return out
     if boundary == "periodic":
-        p = f.take(_wrap_index(len(f), 2), axis=0)
-        return (-p[4:] + 8 * p[3:-1] - 8 * p[1:-3] + p[:-4]) / (12 * dx)
+        p = f.take(_wrap_index(f.shape[axis], 2), axis=axis)
+        return (-p[at(slice(4, None))] + 8 * p[at(slice(3, -1))] - 8 * p[at(slice(1, -3))]
+                + p[at(slice(-4))]) / (12 * dx)
     out = np.empty_like(f)
-    out[2:-2] = (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * dx)
-    out[0] = np.einsum("s,s...->...", _EDGE_STENCIL, f[:5]) / dx
-    out[1] = np.einsum("s,s...->...", _NEAR_STENCIL, f[:5]) / dx
-    out[-1] = -np.einsum("s,s...->...", _EDGE_STENCIL, f[-5:][::-1]) / dx
-    out[-2] = -np.einsum("s,s...->...", _NEAR_STENCIL, f[-5:][::-1]) / dx
+    out[at(slice(2, -2))] = (-f[at(slice(4, None))] + 8 * f[at(slice(3, -1))]
+                             - 8 * f[at(slice(1, -3))] + f[at(slice(-4))]) / (12 * dx)
+    out[at(0)] = edge(_EDGE_STENCIL, slice(5))
+    out[at(1)] = edge(_NEAR_STENCIL, slice(5))
+    out[at(-1)] = -edge(_EDGE_STENCIL, slice(-1, -6, -1))
+    out[at(-2)] = -edge(_NEAR_STENCIL, slice(-1, -6, -1))
     return out
 
 
@@ -269,20 +286,21 @@ def _right_tangent(k: np.ndarray, dx: float, boundary: str, out_map: np.ndarray)
 
     k^-1 is read as the adjugate, with no division by det k, so ``k``
     must be unimodular: every caller passes recorded states, stage points
-    or the M factor of one.
+    or the M factor of one.  Leading axes broadcast, and the products are
+    one 2-D product with the map.
     """
-    products = _entry_products(_x_derivative(k, dx, boundary), k)
-    return products.reshape(len(k), 32).dot(out_map)
+    products = _entry_products(_x_derivative(k, dx, boundary, axis=-4), k)
+    return _flat_dot(products.reshape(k.shape[:-3] + (32,)), out_map)
 
 
 def _tangent_field(state: LoopState) -> np.ndarray:
-    """w = k_x k^-1 as (nodes, 2n) double-algebra coefficients, from one
+    """w = k_x k^-1 as (..., nodes, 2n) double-algebra coefficients, from one
     derivative of the chiral stack (read it as :attr:`LoopState.tangent`)."""
     return _right_tangent(state.k, state.dx, state.boundary, state.kit.tangent_map)
 
 
 def _flow_velocity(state: LoopState) -> np.ndarray:
-    """dk/dt k^-1 = (pi_- - pi_+)(k_x k^-1) as (nodes, 2n) coefficients."""
+    """dk/dt k^-1 = (pi_- - pi_+)(k_x k^-1) as (..., nodes, 2n) coefficients."""
     return state.tangent @ -state.split.pi_diff.T
 
 
@@ -319,19 +337,25 @@ def step(state: LoopState, dt: float) -> LoopState:
 # ---- diagnostics ----------------------------------------------------------------
 
 
-def _quadrature(values: np.ndarray, dx: float, boundary: str):
+def _per_state(value: np.ndarray) -> float | np.ndarray:
+    """A float for a single state, the array over the leading axes of a stack."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _quadrature(values: np.ndarray, dx: float, boundary: str, axis: int = 0):
     """Composite Simpson for the Neumann grid (trapezoid on an odd cell
-    count), Riemann sum for periodic, over the node axis 0."""
+    count), Riemann sum for periodic, over the node ``axis`` (as in
+    :func:`_x_derivative`)."""
     if boundary == "periodic":
-        total = values.sum(axis=0) * dx
+        total = values.sum(axis=axis) * dx
     else:
-        w, div = np.ones(len(values)), 1.0
+        w, div = np.ones(values.shape[axis]), 1.0
         if len(w) % 2 == 0:
             w[[0, -1]] = 0.5
         else:
             w[1:-1:2], w[2:-1:2], div = 4.0, 2.0, 3.0
-        w = w.reshape((-1,) + (1,) * (values.ndim - 1))
-        total = (w * values).sum(axis=0) * dx / div
+        w = w.reshape((-1,) + (1,) * (values.ndim - 1 - axis % values.ndim))
+        total = (w * values).sum(axis=axis) * dx / div
     return total if np.ndim(total) else complex(total)
 
 
@@ -339,25 +363,25 @@ def hamiltonian_density(state: LoopState) -> np.ndarray:
     """Nodewise 1/4 <(pi_+ - pi_-) w, w> with w = k_x k^-1."""
     w = state.tangent
     pw = w @ (state.split.pi_diff.T @ state.split.pairing.T)
-    return 0.25 * np.einsum("ni,ni->n", pw, w)
+    return 0.25 * np.einsum("...i,...i->...", pw, w)
 
 
-def total_hamiltonian(state: LoopState) -> complex:
-    return _quadrature(hamiltonian_density(state), state.dx, state.boundary)
+def total_hamiltonian(state: LoopState) -> complex | np.ndarray:
+    return _quadrature(hamiltonian_density(state), state.dx, state.boundary, axis=-1)
 
 
 def moment_map_basis(state: LoopState) -> np.ndarray:
     """I_delta = -1/2 int <k_x k^-1, delta> dx for every double basis
     vector delta at once."""
     vals = -0.5 * (state.tangent @ state.split.pairing)
-    return _quadrature(vals, state.dx, state.boundary)
+    return _quadrature(vals, state.dx, state.boundary, axis=-2)
 
 
 def loop_functions(state: LoopState, v: np.ndarray | None = None) -> tuple[complex, complex]:
     """(f_v, f_d): f_v = -1/2 int <w, v> dx and f_d = -1/4 int <w, w> dx.
 
-    ``v`` is a (nodes, 2n) coefficient field; it must vanish at the ends
-    of a double-Neumann run.
+    ``v`` is a (..., nodes, 2n) coefficient field; it must vanish at the
+    ends of a double-Neumann run.
     """
     w = state.tangent
     p = state.split.pairing
@@ -365,12 +389,12 @@ def loop_functions(state: LoopState, v: np.ndarray | None = None) -> tuple[compl
         f_v = 0.0 + 0.0j
     else:
         v = np.asarray(v, dtype=complex)
-        if state.boundary == "double-neumann" and (
-            np.abs(v[0]).max() > 1e-12 or np.abs(v[-1]).max() > 1e-12
-        ):
+        if state.boundary == "double-neumann" and np.abs(v[..., [0, -1], :]).max() > 1e-12:
             raise ValueError("loop direction v must vanish at the endpoints")
-        f_v = _quadrature(-0.5 * np.einsum("ni,ij,nj->n", w, p, v), state.dx, state.boundary)
-    f_d = _quadrature(-0.25 * np.einsum("ni,ij,nj->n", w, p, w), state.dx, state.boundary)
+        f_v = _quadrature(-0.5 * np.einsum("...i,ij,...j->...", w, p, v), state.dx,
+                          state.boundary, axis=-1)
+    f_d = _quadrature(-0.25 * np.einsum("...i,ij,...j->...", w, p, w), state.dx,
+                      state.boundary, axis=-1)
     return f_v, f_d
 
 
@@ -390,7 +414,7 @@ def _transported_density(split: SplittingData, ad: np.ndarray, ad_inv: np.ndarra
     return 0.25 * np.sum(wt * _matvec(np.swapaxes(pd, -1, -2), wt @ split.pairing), axis=-1)
 
 
-def duality_check(state: LoopState) -> float:
+def duality_check(state: LoopState) -> float | np.ndarray:
     """Max gap between the (u, s) and (t, v) Hamiltonian densities plus
     the reconstruction defects of both factorizations.
 
@@ -401,7 +425,7 @@ def duality_check(state: LoopState) -> float:
     k, w = state.k, state.tangent
     u, s, _, ad_uinv, ad_u = state.gm_factors
     t, v, _, ad_tinv, ad_t = state.mg_factors
-    u, v = u[:, None], v[:, None]
+    u, v = u[..., None, :, :], v[..., None, :, :]
     # the reconstruction defects, summed over both sides
     recon_gm = np.linalg.norm(_vmul(u, s) - k, axis=(-2, -1)).sum(axis=-1)
     recon_mg = np.linalg.norm(_vmul(t, v) - k, axis=(-2, -1)).sum(axis=-1)
@@ -409,7 +433,8 @@ def duality_check(state: LoopState) -> float:
     hu = _transported_density(state.split, ad_u, ad_uinv, w)
     # dual description: transport by Ad_{t^-1}
     ht = _transported_density(state.split, ad_t, ad_tinv, w)
-    return float(np.abs(hu - ht).max() + max(recon_gm.max(), recon_mg.max()))
+    return _per_state(np.abs(hu - ht).max(axis=-1)
+                      + np.maximum(recon_gm.max(axis=-1), recon_mg.max(axis=-1)))
 
 
 # ---- field-equation residuals ------------------------------------------------
@@ -425,7 +450,7 @@ def _primal_lightcone_fields(state: LoopState, order: int = 2) -> tuple[np.ndarr
     kit = state.kit
     n = kit.b.g.dim
     u, _, uinv, ad, _ = state.gm_factors
-    xi_x = kit.coeffs(_vmul(uinv, _x_derivative(u, state.dx, state.boundary, order)))
+    xi_x = kit.coeffs(_vmul(uinv, _x_derivative(u, state.dx, state.boundary, order, axis=-3)))
     xi_t = _matvec(ad, _flow_velocity(state))[..., :n]
     e_inv, t_inv = graph_slices(state.split, ad)
     e, t = graph_inverse(e_inv, "E_u^-1"), graph_inverse(t_inv, "T_u^-1")
@@ -439,7 +464,7 @@ def _dual_lightcone_fields(state: LoopState) -> tuple[np.ndarray, np.ndarray]:
     n = kit.b.g.dim
     t, _, tinv, ad, _ = state.mg_factors
     phi_x = kit.tangent_coeffs(
-        _vmul(tinv, _x_derivative(t, state.dx, state.boundary, order=2)))[..., n:]
+        _vmul(tinv, _x_derivative(t, state.dx, state.boundary, order=2, axis=-4)))[..., n:]
     phi_t = _matvec(ad, _flow_velocity(state))[..., n:]
     e_hat, t_hat = graph_slices(state.split, ad)
     return _matvec(e_hat, 0.5 * (phi_t - phi_x)), _matvec(t_hat, 0.5 * (phi_t + phi_x))
@@ -457,37 +482,39 @@ def eom_residuals(state0: LoopState, state1: LoopState) -> tuple[float, float]:
         (T_u(u^-1 u_+))_- - (E_u(u^-1 u_-))_+ = [E_u(u^-1 u_-), T_u(u^-1 u_+)]
 
     in m, and the dual equation is the same shape on the dual group in g.
+    Stacks of states of one shape give a residual per leading index.
     """
-    split = state0.split
-    dt = state1.time - state0.time
-    dx = state0.dx
-    bd = state0.boundary
+    levels = LoopState(state0.kit, state0.split, np.stack([state0.k, state1.k]),
+                       state0.boundary, np.array([state0.time, state1.time]))
+    return _level_residuals(levels, 0, 1)
+
+
+def _level_residuals(levels: LoopState, i0, i1) -> tuple[float | np.ndarray, ...]:
+    """The field-equation residuals of :func:`eom_residuals` between the
+    time levels ``levels[i0]`` and ``levels[i1]`` (indices or index arrays
+    on the first axis), with the lightcone fields and their x-derivatives
+    computed once per level of the stack."""
+    split = levels.split
+    dx, bd = levels.dx, levels.boundary
+    dt = np.asarray(levels.time[i1] - levels.time[i0])[..., None, None]
     interior = slice(2, -2) if bd == "double-neumann" else slice(None)
 
-    def residual(fields0, fields1, c_rhs):
-        (a0, b0), (a1, b1) = fields0, fields1
+    def residual(fields, c_rhs):
+        (a, b), (a_x, b_x) = fields, [_x_derivative(f, dx, bd, order=2, axis=-2) for f in fields]
+        a0, a1, b0, b1 = a[i0], a[i1], b[i0], b[i1]
         a_mid, b_mid = 0.5 * (a0 + a1), 0.5 * (b0 + b1)
         da_t, db_t = (a1 - a0) / dt, (b1 - b0) / dt
-        da_x = 0.5 * (_x_derivative(a0, dx, bd, order=2) + _x_derivative(a1, dx, bd, order=2))
-        db_x = 0.5 * (_x_derivative(b0, dx, bd, order=2) + _x_derivative(b1, dx, bd, order=2))
+        da_x, db_x = 0.5 * (a_x[i0] + a_x[i1]), 0.5 * (b_x[i0] + b_x[i1])
         lhs = 0.5 * (db_t - db_x) - 0.5 * (da_t + da_x)
         rhs = bracket_coeffs(c_rhs, a_mid, b_mid)
-        return float(np.abs((lhs - rhs)[interior]).max())
+        return _per_state(np.abs(lhs - rhs)[..., interior, :].max(axis=(-2, -1)))
 
-    res_g = residual(
-        _primal_lightcone_fields(state0),
-        _primal_lightcone_fields(state1),
-        split.preset.bialgebra.m.c,
-    )
-    res_t = residual(
-        _dual_lightcone_fields(state0),
-        _dual_lightcone_fields(state1),
-        split.preset.bialgebra.g.c,
-    )
-    return res_g, res_t
+    bialgebra = split.preset.bialgebra
+    res_g = residual(_primal_lightcone_fields(levels), bialgebra.m.c)
+    return res_g, residual(_dual_lightcone_fields(levels), bialgebra.g.c)
 
 
-def dressing_relation_residual(state: LoopState) -> float:
+def dressing_relation_residual(state: LoopState) -> float | np.ndarray:
     """Defect of the factor relations tying s to the graph images of u.
 
     For k = u s on a flow trajectory the dual factor obeys
@@ -504,7 +531,8 @@ def dressing_relation_residual(state: LoopState) -> float:
     e_minus, t_plus = _primal_lightcone_fields(state, order=4)
     lhs_p = 0.5 * (s_t + s_x) - t_plus
     lhs_m = 0.5 * (s_t - s_x) - e_minus
-    return float(max(np.abs(lhs_p).max(), np.abs(lhs_m).max()))
+    return _per_state(np.maximum(np.abs(lhs_p).max(axis=(-2, -1)),
+                                 np.abs(lhs_m).max(axis=(-2, -1))))
 
 
 # ---- symplectic form ------------------------------------------------------------
@@ -569,6 +597,98 @@ def symplectic_form(state: LoopState, var_y: np.ndarray, var_z: np.ndarray) -> c
 # ---- driver ----------------------------------------------------------------------
 
 
+# the most stacked nodes (states times grid nodes) one record pass holds
+_PASS_NODES = 2048
+_CHART_ERRORS = (FactorizationError, GraphBlowupError, np.linalg.LinAlgError)
+
+
+def _substack(states: LoopState, index: slice, shared: tuple[str, ...]) -> LoopState:
+    """The states ``index`` of a stack, holding the slices of the quantities
+    ``shared`` (attributes of :class:`LoopState`), each computed once on the
+    whole stack."""
+    sub = LoopState(states.kit, states.split, states.k[index], states.boundary,
+                    states.time[index])
+    for name in shared:
+        value = getattr(states, name)
+        sub.__dict__[name] = value[index] if name == "tangent" else tuple(a[index] for a in value)
+    return sub
+
+
+def _stack_records(records: list, diagnostics: bool) -> tuple[LoopState, np.ndarray]:
+    """The record states, then each state one step before a record that
+    is not itself a record (kept only with ``diagnostics``), as one stack,
+    with the index in it of the state before each record (-1 for none)."""
+    states, before = [s for s, _ in records], []
+    for j, (_, prev) in enumerate(records):
+        if not diagnostics or prev is None:
+            before.append(-1)
+        elif j and prev is records[j - 1][0]:
+            before.append(j - 1)
+        else:
+            before.append(len(states))
+            states.append(prev)
+    first = states[0]
+    return LoopState(first.kit, first.split, np.stack([s.k for s in states]), first.boundary,
+                     np.array([s.time for s in states])), np.array(before)
+
+
+def _record_columns(states: LoopState, before: np.ndarray, diagnostics: bool) -> list:
+    """H, the moments, f_d, the duality gap and both field-equation
+    residuals of the records ``states[:len(before)]`` of a stack built by
+    :func:`_stack_records`, in one pass: every state is factorized once in
+    each order and its tangent and lightcone fields are computed once.
+
+    The chart checks meet the states in the order in which a record
+    evaluated on its own meets them, so that a pass of one record (R = 1)
+    raises what that evaluation raised: both factorizations, of the record
+    first and then of the step before it, then the graph maps, of the step
+    before the record first (the residuals read the stack reversed).
+    """
+    n_records = len(before)
+    shared = ("tangent", "gm_factors", "mg_factors") if diagnostics else ("tangent",)
+    records = _substack(states, slice(n_records), shared)
+    columns = [total_hamiltonian(records), moment_map_basis(records), loop_functions(records)[1]]
+    nan = np.full(n_records, np.nan)
+    if not diagnostics:
+        return columns + [nan, nan, nan]
+    res_g, res_t = nan.copy(), nan.copy()
+    paired = before >= 0
+    if paired.any():
+        # the time levels, reversed: all states but a first record that no
+        # residual reads
+        unread = not paired[0] and 0 not in before
+        levels = _substack(states, slice(None, 0 if unread else None, -1), shared)
+        last = len(states.k) - 1
+        res_g[paired], res_t[paired] = _level_residuals(
+            levels, last - before[paired], last - np.flatnonzero(paired))
+    return columns + [duality_check(records), res_g, res_t]
+
+
+def _pass_records(records: list, diagnostics: bool, columns: list) -> tuple | None:
+    """Append the rows of ``records``, a list of (state, the state one step
+    before it or None), to ``columns`` from one stacked pass.
+
+    If the pass leaves a chart, the records are passed again one at a time
+    (at R = 1) and the rows before the first failing record are appended;
+    that record's index and exception are returned.
+    """
+    try:
+        block = _record_columns(*_stack_records(records, diagnostics), diagnostics)
+    except _CHART_ERRORS as exc:
+        if len(records) == 1:
+            return 0, exc
+        for j, record in enumerate(records):
+            stop = _pass_records([record], diagnostics, columns)
+            if stop:
+                return j, stop[1]
+        # every record passed alone, at a roundoff from the stacked pass
+        return None
+    columns[0].extend(s.time for s, _ in records)
+    for column, values in zip(columns[1:], block):
+        column.extend(values)
+    return None
+
+
 def integrate_field(
     state: LoopState,
     dt: float,
@@ -583,13 +703,19 @@ def integrate_field(
     the second row on, the field-equation residuals against the row
     before; without it those three columns stay NaN.
 
+    The loop keeps each record's state and, for the residuals, the state
+    one step before it; the rows are computed from them in stacked passes
+    (:func:`_record_columns`), each of records whose states stack at most
+    ``_PASS_NODES`` nodes, during the loop and after it.
+
     A chart exit (factorization, graph blow-up or a singular matrix) or a
     state that turns non-finite ends the run early with ``completed``
     False and ``failure`` set to ``<error> at step i (t=...): <message>``,
     step 0 being the initial record; the rows recorded before it are
-    kept, and a row is recorded whole or not at all.  A time step past the
-    CFL bound is listed in ``warnings``, its one report: :func:`step`
-    itself does not warn.
+    kept, and a row is recorded whole or not at all.  The earliest stop in
+    time wins, so a chart exit at a record before a non-finite state is
+    the one reported.  A time step past the CFL bound is listed in
+    ``warnings``, its one report: :func:`step` itself does not warn.
     ``final_state`` is the state of the last recorded row.
     """
     columns = times, hams, moms, fds, gaps, rgs, rts = [], [], [], [], [], [], []
@@ -597,36 +723,43 @@ def integrate_field(
     notes = []
     if dt > CFL * state.dx + 1e-15:
         notes.append(f"dt = {dt:g} exceeds the CFL bound {CFL:g} * dx = {CFL * state.dx:g}")
-
-    def record(s: LoopState, prev_state: LoopState | None):
-        nonlocal final_state
-        row = [s.time, total_hamiltonian(s), moment_map_basis(s), loop_functions(s)[1]]
-        row.append(duality_check(s) if diagnostics else np.nan)
-        row.extend(eom_residuals(prev_state, s) if diagnostics and prev_state is not None
-                   else (np.nan, np.nan))
-        for column, value in zip(columns, row):
-            column.append(value)
-        final_state = s
-
-    where = f"at step 0 (t={state.time:g})"
+    pending = []  # (state, the state one step before or None, step) of the records to pass
     taken = 0
-    try:
-        record(state, None)
+
+    def flush() -> bool:
+        """Pass the pending records; False if one leaves a chart."""
+        nonlocal final_state, failure, taken
+        stop = _pass_records([r[:2] for r in pending], diagnostics, columns)
+        passed = pending[:stop[0]] if stop else pending
+        if passed:
+            final_state = passed[-1][0]
+        if stop:
+            s, _, at = pending[stop[0]]
+            failure = f"{type(stop[1]).__name__} at step {at} (t={s.time:g}): {stop[1]}"
+            taken = max(at - 1, 0)
+        pending.clear()
+        return stop is None
+
+    def record(s: LoopState, prev: LoopState | None, at: int) -> bool:
+        pending.append((s, prev, at))
+        # a record stacks at most two states
+        return 2 * len(pending) * s.n_nodes < _PASS_NODES or flush()
+
+    if record(state, None, 0):
         for i in range(n_steps):
-            where = f"at step {i + 1} (t={state.time + dt:g})"
             prev = state
             # a blow-up surfaces as a non-finite state, checked before any
             # diagnostic sees it
             with np.errstate(all="ignore"):
                 state = step(state, dt)
             if not np.isfinite(state.k).all():
-                failure = f"non-finite state {where}"
+                failure, taken = f"non-finite state at step {i + 1} (t={state.time:g})", i
                 break
-            if (i + 1) % record_every == 0 or i == n_steps - 1:
-                record(state, prev)
             taken = i + 1
-    except (FactorizationError, GraphBlowupError, np.linalg.LinAlgError) as exc:
-        failure = f"{type(exc).__name__} {where}: {exc}"
+            if ((i + 1) % record_every == 0 or i == n_steps - 1) and not record(state, prev, i + 1):
+                break
+    if pending:
+        flush()
     return FieldTrajectory(
         np.array(times),
         np.array(hams, dtype=complex),

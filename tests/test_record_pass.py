@@ -176,3 +176,33 @@ def test_chart_exit_at_t0():
     traj = fs.integrate_field(state, 0.01, 80, record_every=4, diagnostics=True)
     assert traj.failure.startswith("FactorizationError at step 0 (t=0): ")
     assert len(traj.times) == 0 and traj.steps == 0 and traj.final_state is None
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "double-neumann"])
+@pytest.mark.parametrize("algebra", ["su2", "sl2r"])
+def test_diagnostics_of_a_stack_are_those_of_its_loops(algebra, boundary):
+    """A LoopState holding a stack of loops on a leading axis gives, per
+    loop, what each diagnostic gives that loop alone (24 cells, where a
+    loop and a stack take the same 2x2 product kernel, so to the bit)."""
+    kit, split = kit_and_split(algebra)
+    state = fs.random_smooth_loop(kit, split, 24, boundary=boundary, seed=7, amplitude=0.3)
+    loops = [state]
+    for _ in range(3):
+        loops.append(fs.step(loops[-1], 0.25 * state.dx))
+    stack = fs.LoopState(kit, split, np.stack([s.k for s in loops]), boundary,
+                         np.array([s.time for s in loops]))
+    assert stack.n_nodes == state.n_nodes and stack.kl.shape == (4, state.n_nodes, 2, 2)
+    for name in ("total_hamiltonian", "moment_map_basis", "duality_check",
+                 "dressing_relation_residual"):
+        fn = getattr(fs, name)
+        assert np.array_equal(fn(stack), np.array([fn(s) for s in loops])), name
+    f_v, f_d = fs.loop_functions(stack)
+    assert np.array_equal(f_d, [fs.loop_functions(s)[1] for s in loops])
+    pairs = fs.eom_residuals(fs.LoopState(kit, split, stack.k[:-1], boundary, stack.time[:-1]),
+                             fs.LoopState(kit, split, stack.k[1:], boundary, stack.time[1:]))
+    assert np.array_equal(np.transpose(pairs),
+                          [fs.eom_residuals(a, b) for a, b in zip(loops, loops[1:])])
+    for f, axis in ((stack.k, -4), (stack.gm_factors[0], -3), (stack.tangent, -2)):
+        for order in (2, 4):
+            got = fs._x_derivative(f, state.dx, boundary, order, axis=axis)
+            assert np.array_equal(got, [fs._x_derivative(g, state.dx, boundary, order) for g in f])

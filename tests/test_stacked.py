@@ -42,7 +42,7 @@ from hypothesis import strategies as st
 
 from pltdual import fieldsim as fs
 from pltdual import particle as pt
-from pltdual.duality import graph_at, graph_slices, splitting
+from pltdual.duality import GraphBlowupError, graph_at, graph_inverse, graph_slices, splitting
 from pltdual.groups import (
     FactorizationError,
     GroupKit,
@@ -773,9 +773,17 @@ def test_off_chart_node_is_named(algebra):
     j = 17
     # k_R^-1 k_L = [[0, 1], [-1, 0]] has a zero pivot, which is off every chart
     state.k[j, 0] = state.k[j, 1] @ np.array([[0.0, 1.0], [-1.0, 0.0]])
-    for call in (lambda: kit.factorize_gm(state.k), lambda: fs.duality_check(state)):
+    # in a stack of loops the node is named on its loop's node axis
+    clean = fs.random_smooth_loop(kit, split, 24, boundary="periodic", seed=5, amplitude=0.2)
+    stack = fs.LoopState(kit, split, np.stack([clean.k, state.k]), "periodic", np.zeros(2))
+    for call in (lambda: kit.factorize_gm(state.k), lambda: fs.duality_check(state),
+                 lambda: kit.factorize_gm(stack.k), lambda: fs.duality_check(stack)):
         with pytest.raises(FactorizationError, match=f"node {j}\\b"):
             call()
+    maps = np.tile(np.eye(3, dtype=complex), (2, 24, 1, 1))
+    maps[1, j, 2] = 0.0
+    with pytest.raises(GraphBlowupError, match=f"node {j}\\b"):
+        graph_inverse(maps, "E_u^-1")
 
 
 # ---- work done once per splitting and per state ----------------------------------------

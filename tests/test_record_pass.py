@@ -1,6 +1,6 @@
 """The field's stacked record pass against the per-record loop it replaced.
 
-``oracle_integrate`` is the former driver of :func:`fieldsim.integrate_field`:
+``oracle_integrate`` is the former record loop of :func:`fieldsim.integrate_field`:
 it evaluates each record on its own state as the loop reaches it, with the
 field-equation residuals built from per-state lightcone fields.  The stacked
 pass must give the same rows, failure text and step count.

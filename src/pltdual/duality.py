@@ -20,7 +20,8 @@ machine precision and are kept separate deliberately (:func:`graph_at`);
 the dual model's bar form Ebar-hat_t^-1 = E_e + Pi-hat(t) is
 :func:`dual_graph_at`.  :func:`graph_inverse` is the one chart check: it
 inverts a graph map inside its chart and raises :class:`GraphBlowupError`,
-naming the first node of a stack, outside it.
+naming the first node of a stack, outside it; given a list, it appends
+a failing check to it instead, as the factorizations of :mod:`pltdual.groups` do.
 
 Two reports close the module: :func:`validation_report` collects every
 structural residual of one preset, and :func:`limit_slopes` fits the
@@ -45,7 +46,8 @@ from .bialgebra import (
     symmetric_part_invariance_residual,
     tensor_conjugate,
 )
-from .groups import COND_CUTOFF, GroupKit, _entry_products, _realization, _vadj, _vdet_normalize
+from .groups import (COND_CUTOFF, GroupKit, _chart_check, _entry_products, _realization, _vadj,
+                     _vdet_normalize)
 from .liecore import jacobi_residual
 from .models import _EPS, ModelPreset, make_preset
 
@@ -188,22 +190,35 @@ def graph_slices(split: SplittingData, ad: np.ndarray) -> tuple[np.ndarray, np.n
     ``transport`` route of :func:`graph_at`; at Ad_{t^-1} they are the dual
     model's (Ehat_t, That_t), the inverses of its graph maps g -> m.
     Both come from one product with the stacked bases and one stacked
-    inverse of their lower blocks.
+    inverse of their lower blocks.  A node whose lower block is exactly
+    singular has no graph over m and reads NaN; at Ad_{u^-1} that block is
+    the coadjoint action of u, of determinant 1.
     """
     n = split.preset.bialgebra.g.dim
     x = ad[..., None, :, :] @ split.basis_pair
-    graphs = x[..., :n, :] @ np.linalg.inv(x[..., n:, :])
+    lower = x[..., n:, :]
+    try:
+        inv = np.linalg.inv(lower)
+    except np.linalg.LinAlgError:  # an exactly singular node
+        inv = np.linalg.inv(np.where((np.linalg.det(lower) != 0)[..., None, None], lower, np.nan))
+    graphs = x[..., :n, :] @ inv
     return graphs[..., 0, :, :], graphs[..., 1, :, :]
 
 
-def graph_inverse(m: np.ndarray, name: str) -> np.ndarray:
+def graph_inverse(m: np.ndarray, name: str, checks: list | None = None) -> np.ndarray:
     """The inverse of the graph map ``m``, stacked over its leading axes.
 
     Raises GraphBlowupError where the 2-norm condition number of ``name``
     exceeds ``COND_CUTOFF``, naming the first node of a stack by its index
-    on the last stacked axis.  The bound
-    |m|_F |m^-1|_F is never below that number, so only a stack past the
-    cutoff on the bound (or NaN) or with an exactly singular node runs the SVD.
+    on the last stacked axis (:func:`pltdual.groups._chart_error`).  The
+    bound |m|_F |m^-1|_F is never below that number, so only a stack past
+    the cutoff on the bound (or NaN) or with an exactly singular node runs
+    the SVD.
+
+    With a list ``checks`` a failing check is appended to it instead of
+    raised (:func:`pltdual.groups._chart_check`): a non-finite node then
+    fails with a NaN condition number, and every failing node's inverse is
+    NaN.
     """
     try:
         inv = np.linalg.inv(m)
@@ -211,16 +226,17 @@ def graph_inverse(m: np.ndarray, name: str) -> np.ndarray:
         if np.all(fro2[0] * fro2[1] <= COND_CUTOFF * COND_CUTOFF):
             return inv
     except np.linalg.LinAlgError:  # an exactly singular node
-        pass
-    cond = np.linalg.cond(m)
-    bad = np.flatnonzero(cond > COND_CUTOFF)
-    if bad.size:
-        j = bad[0]
-        node = f" (first at node {j % cond.shape[-1]})" if np.ndim(cond) else ""
-        raise GraphBlowupError(
-            f"{name} condition number {np.ravel(cond)[j]:.3e} exceeds cutoff{node}"
-        )
-    return np.linalg.inv(m)
+        inv = None
+    # the SVD cannot take a non-finite node: a collected check reads NaN there
+    finite = (checks is None) | np.isfinite(m).all(axis=(-2, -1))
+    safe = np.where(finite[..., None, None], m, np.eye(m.shape[-1]))
+    cond = np.where(finite, np.linalg.cond(safe), np.nan)
+    bad = ~(cond <= COND_CUTOFF)
+    _chart_check(checks, bad, f"{name} condition number {{:.3e}} exceeds cutoff", cond,
+                 error=GraphBlowupError)
+    if inv is None or bad.any():
+        inv = np.linalg.inv(np.where(bad[..., None, None], np.nan, m))
+    return inv
 
 
 def graph_at(

@@ -30,7 +30,7 @@ stacks, -3 for 2x2 stacks, -2 for coefficients); the axes before it
 broadcast, so a stack of loops gets one value per loop and a single loop
 what it got alone.  The factorizations, adjoint actions and graph slices
 come stacked from :mod:`pltdual.groups` and :mod:`pltdual.duality`, and
-every chart check is elementwise, naming the first node that fails.  A
+every chart check is a per-node mask, naming the first node that fails.  A
 state computes the quantities they share (its tangent field, both
 factorizations with the inverse first factor and both halves of its
 double adjoint pair) once, on first use.
@@ -40,7 +40,8 @@ before it, and computes the rows in stacked passes on a leading record
 axis: each distinct state is factorized once in each order, and the
 tangents, lightcone fields, duality gap and quadratures are computed on
 the stack, so the per-call cost of numpy is paid once per pass rather
-than once per state.
+than once per state; it collects its chart checks as masks, and the first
+record in time that fails one stops the run after the rows before it.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .duality import GraphBlowupError, SplittingData, graph_inverse, graph_slices
-from .groups import FactorizationError, GroupKit, _entry_products, _vadj, _vmul, cf4_step
+from .duality import SplittingData, graph_inverse, graph_slices
+from .groups import GroupKit, _chart_error, _entry_products, _vadj, _vmul, cf4_step
 from .liecore import _stack_dot, bracket_coeffs
 
 __all__ = [
@@ -141,14 +142,19 @@ class LoopState:
     @cached_property
     def gm_factors(self) -> tuple[np.ndarray, ...]:
         """(u, s, u^-1, Ad_{u^-1}, Ad_u) at every node, for k = u s."""
-        u, s = self.kit.factorize_gm(self.k)
-        return u, s, _vadj(u), *self.kit.ad_d(u[..., None, :, :])
+        return _factors(self, "gm")
 
     @cached_property
     def mg_factors(self) -> tuple[np.ndarray, ...]:
         """(t, v, t^-1, Ad_{t^-1}, Ad_t) at every node, for k = t v."""
-        t, v = self.kit.factorize_mg(self.k)
-        return t, v, _vadj(t), *self.kit.ad_d(t)
+        return _factors(self, "mg")
+
+
+def _factors(state: LoopState, order: str, checks: list | None = None) -> tuple[np.ndarray, ...]:
+    """:attr:`LoopState.gm_factors` (``order`` "gm") or ``mg_factors`` ("mg"),
+    with the chart checks collected in ``checks`` as by :meth:`GroupKit.factorize_gm`."""
+    x, y = (state.kit.factorize_gm if order == "gm" else state.kit.factorize_mg)(state.k, checks)
+    return x, y, _vadj(x), *state.kit.ad_d(x[..., None, :, :] if order == "gm" else x)
 
 
 @dataclass
@@ -443,12 +449,14 @@ def duality_check(state: LoopState) -> float | np.ndarray:
 # ---- field-equation residuals ------------------------------------------------
 
 
-def _primal_lightcone_fields(state: LoopState, order: int = 2) -> tuple[np.ndarray, np.ndarray]:
+def _primal_lightcone_fields(state: LoopState, order: int = 2,
+                             checks: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(E_u(u^-1 u_-), T_u(u^-1 u_+)) at every node, for k = u s.
 
     The time derivative comes exactly from the loop flow: decomposing
     Ad_{u^-1}(dk/dt k^-1) = u^-1 du/dt (+) ds/dt s^-1 for k = u s, so no
     time levels are consumed; the spatial part is the stencil of ``order``.
+    ``checks`` is that of :func:`~pltdual.duality.graph_inverse`.
     """
     kit = state.kit
     n = kit.b.g.dim
@@ -456,7 +464,7 @@ def _primal_lightcone_fields(state: LoopState, order: int = 2) -> tuple[np.ndarr
     xi_x = kit.coeffs(_vmul(uinv, _x_derivative(u, state.dx, state.boundary, order, axis=-3)))
     xi_t = _matvec(ad, _flow_velocity(state))[..., :n]
     e_inv, t_inv = graph_slices(state.split, ad)
-    e, t = graph_inverse(e_inv, "E_u^-1"), graph_inverse(t_inv, "T_u^-1")
+    e, t = graph_inverse(e_inv, "E_u^-1", checks), graph_inverse(t_inv, "T_u^-1", checks)
     return _matvec(e, 0.5 * (xi_t - xi_x)), _matvec(t, 0.5 * (xi_t + xi_x))
 
 
@@ -492,11 +500,12 @@ def eom_residuals(state0: LoopState, state1: LoopState) -> tuple[float, float]:
     return _level_residuals(levels, 0, 1)
 
 
-def _level_residuals(levels: LoopState, i0, i1) -> tuple[float | np.ndarray, ...]:
+def _level_residuals(levels: LoopState, i0, i1,
+                     checks: list | None = None) -> tuple[float | np.ndarray, ...]:
     """The field-equation residuals of :func:`eom_residuals` between the
     time levels ``levels[i0]`` and ``levels[i1]`` (indices or index arrays
     on the first axis), with the lightcone fields and their x-derivatives
-    computed once per level of the stack."""
+    computed once per level of the stack (``checks`` as in :func:`graph_inverse`)."""
     split = levels.split
     dx, bd = levels.dx, levels.boundary
     dt = np.asarray(levels.time[i1] - levels.time[i0])[..., None, None]
@@ -513,7 +522,7 @@ def _level_residuals(levels: LoopState, i0, i1) -> tuple[float | np.ndarray, ...
         return _per_state(np.abs(lhs - rhs)[..., interior, :].max(axis=(-2, -1)))
 
     bialgebra = split.preset.bialgebra
-    res_g = residual(_primal_lightcone_fields(levels), bialgebra.m.c)
+    res_g = residual(_primal_lightcone_fields(levels, checks=checks), bialgebra.m.c)
     return res_g, residual(_dual_lightcone_fields(levels), bialgebra.g.c)
 
 
@@ -602,7 +611,6 @@ def symplectic_form(state: LoopState, var_y: np.ndarray, var_z: np.ndarray) -> c
 
 # the most stacked nodes (states times grid nodes) one record pass holds
 _PASS_NODES = 2048
-_CHART_ERRORS = (FactorizationError, GraphBlowupError, np.linalg.LinAlgError)
 
 
 def _substack(states: LoopState, index: slice, shared: tuple[str, ...]) -> LoopState:
@@ -617,78 +625,65 @@ def _substack(states: LoopState, index: slice, shared: tuple[str, ...]) -> LoopS
     return sub
 
 
-def _stack_records(records: list, diagnostics: bool) -> tuple[LoopState, np.ndarray]:
-    """The record states, then each state one step before a record that
-    is not itself a record (kept only with ``diagnostics``), as one stack,
-    with the index in it of the state before each record (-1 for none)."""
-    states, before = [s for s, _ in records], []
+def _record_columns(records: list, diagnostics: bool) -> tuple:
+    """The times, H, the moments, f_d, the duality gap and both
+    field-equation residuals of ``records``, a list of (state, the state one
+    step before it or None), in one pass on a stack of the record states and
+    then of each step before a record that is not itself a record (kept only
+    with ``diagnostics``): every state is factorized once in each order and
+    its tangent and lightcone fields are computed once.  The chart checks
+    are collected, not raised, and the first record that fails one comes
+    with the columns (:func:`_first_failure`)."""
+    loops, before = [s for s, _ in records], []
     for j, (_, prev) in enumerate(records):
         if not diagnostics or prev is None:
             before.append(-1)
         elif j and prev is records[j - 1][0]:
             before.append(j - 1)
         else:
-            before.append(len(states))
-            states.append(prev)
-    first = states[0]
-    return LoopState(first.kit, first.split, np.stack([s.k for s in states]), first.boundary,
-                     np.array([s.time for s in states])), np.array(before)
-
-
-def _record_columns(states: LoopState, before: np.ndarray, diagnostics: bool) -> list:
-    """H, the moments, f_d, the duality gap and both field-equation
-    residuals of the records ``states[:len(before)]`` of a stack built by
-    :func:`_stack_records`, in one pass: every state is factorized once in
-    each order and its tangent and lightcone fields are computed once.
-
-    The chart checks meet the states in the order in which a record
-    evaluated on its own meets them, so that a pass of one record (R = 1)
-    raises what that evaluation raised: both factorizations, of the record
-    first and then of the step before it, then the graph maps, of the step
-    before the record first (the residuals read the stack reversed).
-    """
-    n_records = len(before)
-    shared = ("tangent", "gm_factors", "mg_factors") if diagnostics else ("tangent",)
-    records = _substack(states, slice(n_records), shared)
-    columns = [total_hamiltonian(records), moment_map_basis(records), loop_functions(records)[1]]
-    nan = np.full(n_records, np.nan)
+            before.append(len(loops))
+            loops.append(prev)
+    states = LoopState(loops[0].kit, loops[0].split, np.stack([s.k for s in loops]),
+                       loops[0].boundary, np.array([s.time for s in loops]))
+    n_records, before = len(records), np.array(before)
+    shared, checks = ("tangent",), ([], [], [])
+    if diagnostics:
+        states.__dict__.update(gm_factors=_factors(states, "gm", checks[0]),
+                               mg_factors=_factors(states, "mg", checks[1]))
+        shared += ("gm_factors", "mg_factors")
+    recorded = _substack(states, slice(n_records), shared)
+    columns = [recorded.time, total_hamiltonian(recorded), moment_map_basis(recorded),
+               loop_functions(recorded)[1]]
+    gap, res_g, res_t = np.full((3, n_records), np.nan)
     if not diagnostics:
-        return columns + [nan, nan, nan]
-    res_g, res_t = nan.copy(), nan.copy()
+        return columns + [gap, res_g, res_t], None
     paired = before >= 0
+    # the time levels: all states but a first record that no residual reads
+    first = int(not paired[0] and 0 not in before)
     if paired.any():
-        # the time levels, reversed: all states but a first record that no
-        # residual reads
-        unread = not paired[0] and 0 not in before
-        levels = _substack(states, slice(None, 0 if unread else None, -1), shared)
-        last = len(states.k) - 1
+        levels = _substack(states, slice(first, None), shared)
         res_g[paired], res_t[paired] = _level_residuals(
-            levels, last - before[paired], last - np.flatnonzero(paired))
-    return columns + [duality_check(records), res_g, res_t]
+            levels, before[paired] - first, np.flatnonzero(paired) - first, checks[2])
+    return columns + [duality_check(recorded), res_g, res_t], _first_failure(checks, before, first)
 
 
-def _pass_records(records: list, diagnostics: bool, columns: list) -> tuple | None:
-    """Append the rows of ``records``, a list of (state, the state one step
-    before it or None), to ``columns`` from one stacked pass.
-
-    If the pass leaves a chart, the records are passed again one at a time
-    (at R = 1) and the rows before the first failing record are appended;
-    that record's index and exception are returned.
-    """
-    try:
-        block = _record_columns(*_stack_records(records, diagnostics), diagnostics)
-    except _CHART_ERRORS as exc:
-        if len(records) == 1:
-            return 0, exc
-        for j, record in enumerate(records):
-            stop = _pass_records([record], diagnostics, columns)
-            if stop:
-                return j, stop[1]
-        # every record passed alone, at a roundoff from the stacked pass
+def _first_failure(checks: tuple, before: np.ndarray, first: int) -> tuple | None:
+    """The index and error of the first record of a pass that fails one of
+    its failing ``checks`` (G.M, M.G and the graph maps of the levels from
+    ``first`` on), or None, in the order of a record evaluated on its own:
+    its G.M and M.G factorizations, G.M of the step before it, E_u^-1 and
+    T_u^-1 of that step and then of the record, M.G of the step before it."""
+    gm, mg, graphs = checks
+    if not any(checks):
         return None
-    columns[0].extend(s.time for s, _ in records)
-    for column, values in zip(columns[1:], block):
-        column.extend(values)
+    for r, p in enumerate(before):
+        sites = [(c, r) for c in gm + mg]
+        if p >= 0:
+            sites += [(c, p) for c in gm] + [(c, i - first) for i in (p, r) for c in graphs]
+            sites += [(c, p) for c in mg]
+        for (bad, message, figures, error), i in sites:
+            if exc := _chart_error(bad[i], message, [f[i] for f in figures], error):
+                return r, exc
     return None
 
 
@@ -711,15 +706,16 @@ def integrate_field(
     (:func:`_record_columns`), each of records whose states stack at most
     ``_PASS_NODES`` nodes, during the loop and after it.
 
-    A chart exit (factorization, graph blow-up or a singular matrix) or a
-    state that turns non-finite ends the run early with ``completed``
-    False and ``failure`` set to ``<error> at step i (t=...): <message>``,
-    step 0 being the initial record; the rows recorded before it are
-    kept, and a row is recorded whole or not at all.  The earliest stop in
-    time wins, so a chart exit at a record before a non-finite state is
-    the one reported.  A time step past the CFL bound is listed in
-    ``warnings``, its one report: :func:`step` itself does not warn.
-    ``final_state`` is the state of the last recorded row.
+    A chart exit (factorization or graph blow-up) or a state that turns
+    non-finite ends the run early with ``completed`` False and ``failure``
+    set to ``<error> at step i (t=...): <message>``, step 0 being the
+    initial record, as the first record in time that fails a check of its
+    pass meets it evaluated on its own (:func:`_first_failure`); the rows
+    before it are kept, and a row is recorded whole or not at all.  The
+    earliest stop in time wins, so a chart exit at a record before a
+    non-finite state is the one reported.  A time step past the CFL bound
+    is listed in ``warnings``, its one report: :func:`step` itself does not
+    warn.  ``final_state`` is the state of the last recorded row.
     """
     columns = times, hams, moms, fds, gaps, rgs, rts = [], [], [], [], [], [], []
     final_state = failure = None
@@ -730,12 +726,15 @@ def integrate_field(
     taken = 0
 
     def flush() -> bool:
-        """Pass the pending records; False if one leaves a chart."""
+        """Pass the pending records; False if one fails a chart check."""
         nonlocal final_state, failure, taken
-        stop = _pass_records([r[:2] for r in pending], diagnostics, columns)
+        # a node off the chart leaves non-finite values in its own record's columns
+        with np.errstate(all="ignore"):
+            block, stop = _record_columns([r[:2] for r in pending], diagnostics)
         passed = pending[:stop[0]] if stop else pending
-        if passed:
-            final_state = passed[-1][0]
+        for column, values in zip(columns, block):
+            column.extend(values[:len(passed)])
+        final_state = passed[-1][0] if passed else final_state
         if stop:
             s, _, at = pending[stop[0]]
             failure = f"{type(stop[1]).__name__} at step {at} (t={s.time:g}): {stop[1]}"

@@ -16,7 +16,9 @@ the test suite).
 For su2 the k_L chiral factor of M is upper triangular with positive
 diagonal, so the factorization D = G.M is the Iwasawa (QR) decomposition
 of k_L.  For sl2r the factorization is local and LU-based; leaving the
-factorisable chart raises :class:`FactorizationError`.
+factorisable chart raises :class:`FactorizationError`, or, given a list,
+appends the failing checks to it: per-node masks with a message template
+(:func:`_chart_check`), from which a caller finds each loop's first error.
 
 An element k of the double is one array, the chiral stack
 ``k[..., side, :, :]`` with the side axis at -3 (side 0 = k_L, 1 = k_R);
@@ -137,13 +139,28 @@ def _entry_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return pairs.reshape(pairs.shape[:-4] + (16,))
 
 
-def _check_chart(bad: np.ndarray, message: str) -> None:
-    """Raise :class:`FactorizationError` naming the first node where ``bad``
-    holds, by its index on the last axis (the nodes of one loop or of each
-    loop of a stack)."""
-    if np.any(bad):
-        j = int(np.flatnonzero(bad)[0]) % (bad.shape[-1] if bad.ndim else 1)
-        raise FactorizationError(f"{message} (first at node {j})")
+def _chart_error(bad: np.ndarray, message: str, figures=(),
+                 error: type = FactorizationError) -> Exception | None:
+    """The error of a chart check that fails where the per-node mask ``bad``
+    holds, or None, naming the first such node by its index on the last
+    axis (the nodes of one loop or of each loop of a stack; none for a 0-d
+    mask), with ``message`` filled with the entries of ``figures`` there."""
+    if not np.any(bad):
+        return None
+    j = int(np.flatnonzero(bad)[0])
+    node = f" (first at node {j % bad.shape[-1]})" if np.ndim(bad) else ""
+    return error(message.format(*(np.ravel(f)[j] for f in figures)) + node)
+
+
+def _chart_check(checks: list | None, bad: np.ndarray, message: str, *figures,
+                 error: type = FactorizationError) -> None:
+    """Raise the :func:`_chart_error` of a chart check that fails, or with a
+    list ``checks`` append the check (bad, message, figures, error) to it."""
+    if not np.any(bad):
+        return
+    if checks is None:
+        raise _chart_error(bad, message, figures, error)
+    checks.append((bad, message, figures, error))
 
 
 def expm2(x: np.ndarray) -> np.ndarray:
@@ -359,7 +376,8 @@ class GroupKit:
 
     # ---- factorization -----------------------------------------------------
 
-    def factorize_gm(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def factorize_gm(self, k: np.ndarray, checks: list | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
         """Split the chiral stack k = u s, u in G and s in M, as (u, s).
 
         Both flavors factor through the triangular decomposition of
@@ -373,20 +391,25 @@ class GroupKit:
         would silently return a non-M second factor.  k_R^-1 is the
         adjugate, so the det-drift check comes first: each side's det
         within 2.5e-7 of 1 keeps det z, which the split takes as 1, within
-        1e-6 of 1.  Every chart check is elementwise and names the first
-        failing node.
+        1e-6 of 1.
+
+        Every chart check is elementwise and names the first failing node
+        (a single element as node 0).  With a list ``checks`` the checks
+        that fail are appended to it in this order (see :func:`_chart_check`)
+        instead of raised, and the factors of a failing node are not meaningful.
         """
+        def check(bad, message):
+            _chart_check(checks, np.atleast_1d(bad), message)
+
         drift = (np.abs(_det2(k) - 1.0) > 2.5e-7).any(axis=-1)
-        _check_chart(drift, "element left the double group (det drift)")
+        check(drift, "element left the double group (det drift)")
         left = k[..., 0, :, :]
         z = _vmul(_vadj(k[..., 1, :, :]), left)
-        _check_chart(np.abs(z[..., 0, 0]) < 1e-12, "factorization chart: zero pivot")
+        check(np.abs(z[..., 0, 0]) < 1e-12, "factorization chart: zero pivot")
         d1 = z[..., 0, 0]
         if self.flavor == "sl2r":
-            _check_chart(
-                (d1.real <= 0) | (np.abs(d1.imag) > 1e-8 * np.abs(d1)),
-                "sl2r factorization chart: diagonal left identity component",
-            )
+            check((d1.real <= 0) | (np.abs(d1.imag) > 1e-8 * np.abs(d1)),
+                  "sl2r factorization chart: diagonal left identity component")
         # principal branch: positive real on (and continuously near) the
         # locus where d1 is positive real, e.g. the compact real form
         sq1 = np.sqrt(d1.astype(complex))
@@ -397,13 +420,14 @@ class GroupKit:
         u = _vmul(left, _vadj(s_left))
         # written so that a non-finite node fails too
         cond = _unimodular_cond(s_left)
-        _check_chart(~(cond <= COND_CUTOFF), "factorization is numerically singular")
+        check(~(cond <= COND_CUTOFF), "factorization is numerically singular")
         return u, np.stack([s_left, _vmul(_vadj(u), k[..., 1, :, :])], axis=-3)
 
-    def factorize_mg(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def factorize_mg(self, k: np.ndarray, checks: list | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
         """Split the chiral stack k = t v, t in M and v in G, as (t, v),
-        via k^-1 = v^-1 t^-1."""
-        uprime, s = self.factorize_gm(_vadj(k))
+        via k^-1 = v^-1 t^-1; ``checks`` as in :meth:`factorize_gm`."""
+        uprime, s = self.factorize_gm(_vadj(k), checks)
         return _vadj(s), _vadj(uprime)
 
     # ---- dual group in vector coordinates (su2 only) ------------------------

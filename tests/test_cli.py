@@ -408,7 +408,8 @@ def test_shared_parser_matches_fresh_parser(capsys):
 
 # run() reports a step past the CFL bound in its JSON documents, and no
 # Python warning may escape it
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings(
+    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(max_examples=15, deadline=None)
 @given(
     algebra=st.sampled_from(ALGEBRA_NAMES),
@@ -484,6 +485,27 @@ def test_field_stderr_is_one_json_document(tmp_path):
     error = json.loads(proc.stderr)["error"]
     assert error["kind"] == "numerical" and "non-finite state" in error["message"]
     assert error["warnings"] == ["dt = 0.5 exceeds the CFL bound 0.5 * dx = 0.0981748"]
+
+
+def test_artifacts_independent_of_blas_threads(tmp_path):
+    """The default field run (CSV and metadata) and duality --N 256 write
+    the same bytes with one and with two OpenBLAS threads."""
+    src = str(Path(pltdual.__file__).resolve().parents[1])
+    artifacts = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = tmp_path / threads
+        out.mkdir()
+        for argv in (["field", "--output", str(out / "field.csv"),
+                      "--metadata", str(out / "field.json")],
+                     ["duality", "--N", "256", "--output", str(out / "duality.json")]):
+            proc = subprocess.run([sys.executable, "-m", "pltdual.cli", *argv],
+                                  capture_output=True, env=env, timeout=120)
+            assert proc.returncode == EXIT_OK, proc.stderr
+        artifacts[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(artifacts["1"]) == ["duality.json", "field.csv", "field.json"]
+    assert artifacts["1"] == artifacts["2"]
 
 
 def test_field_neumann_odd_cell_count(capsys, tmp_path):

@@ -178,6 +178,46 @@ def test_chart_exit_at_t0():
     assert len(traj.times) == 0 and traj.steps == 0 and traj.final_state is None
 
 
+# k_R^-1 k_L = J, or k_R k_L^-1 = J, has a zero pivot in G.M, or in M.G
+J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+DEFECTS = {"gm pivot": lambda kl, kr: (kr @ J, kr), "mg pivot": lambda kl, kr: (kl, J @ kl),
+           "det drift": lambda kl, kr: (1.05 * kl, kr),
+           # a det drift whose factors give an exactly singular graph map's lower block
+           "singular side": lambda kl, kr: (np.diag([1.0, 0.0]), kr)}
+
+
+@pytest.mark.parametrize("record_every, plants", [
+    # the record fails G.M, the step before it fails an earlier check of G.M
+    (3, {3: (5, "gm pivot"), 2: (2, "det drift")}),
+    # the record fails M.G, the step before it G.M
+    (3, {3: (5, "mg pivot"), 2: (2, "gm pivot")}),
+    # a later record of the pass fails an earlier check than the first one
+    (1, {2: (5, "mg pivot"), 4: (2, "det drift")}),
+    # no later stacked call of the pass may raise for a failing node
+    (1, {4: (3, "singular side")}),
+], ids=["record-before-step", "orders", "later-record", "singular-side"])
+@pytest.mark.parametrize("algebra", ["su2", "sl2r"])
+def test_chart_exit_meets_the_checks_in_the_order_of_its_record(monkeypatch, algebra,
+                                                                 record_every, plants):
+    """A stopped pass names the error that the first failing record, and
+    the step before it, met evaluated on their own: ``plants`` writes a
+    defect into one node of the state of each listed step."""
+    kit, split = kit_and_split(algebra)
+    state = fs.random_smooth_loop(kit, split, 16, boundary="periodic", seed=5, amplitude=0.3)
+    dt = 0.25 * state.dx
+    step = fs.step
+
+    def planted(s, h):
+        new = step(s, h)
+        if (plant := plants.get(round(new.time / dt))) is not None:
+            node, defect = plant
+            new.k[node] = DEFECTS[defect](*new.k[node])
+        return new
+
+    monkeypatch.setattr(fs, "step", planted)
+    assert_matches_oracle(state, dt, 8, record_every)
+
+
 @pytest.mark.parametrize("boundary", ["periodic", "double-neumann"])
 @pytest.mark.parametrize("algebra", ["su2", "sl2r"])
 def test_diagnostics_of_a_stack_are_those_of_its_loops(algebra, boundary):

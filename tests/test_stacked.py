@@ -46,6 +46,7 @@ from pltdual.duality import GraphBlowupError, graph_at, graph_inverse, graph_sli
 from pltdual.groups import (
     FactorizationError,
     GroupKit,
+    _chart_error,
     _theta2,
     _vadj,
     _vdet_normalize,
@@ -784,6 +785,27 @@ def test_off_chart_node_is_named(algebra):
     maps[1, j, 2] = 0.0
     with pytest.raises(GraphBlowupError, match=f"node {j}\\b"):
         graph_inverse(maps, "E_u^-1")
+    # collected, the checks hold a mask per loop, and only the second loop's
+    # errors name a node, node j, first the zero pivot
+    checks = []
+    with np.errstate(all="ignore"):
+        kit.factorize_gm(stack.k, checks)
+    errors = [[_chart_error(bad[i], message, [f[i] for f in figures], error)
+               for bad, message, figures, error in checks] for i in (0, 1)]
+    assert all(bad.shape == (2, 24) for bad, *_ in checks)
+    assert not any(errors[0])
+    named = [str(e) for e in errors[1] if e is not None]
+    assert named[0] == f"factorization chart: zero pivot (first at node {j})"
+    assert all(text.endswith(f"(first at node {j})") for text in named)
+    # a NaN node fails its collected check without the SVD, and its inverse is NaN
+    maps[1, j] = np.nan
+    checks = []
+    inverse = graph_inverse(maps, "E_u^-1", checks)
+    (bad, message, figures, error), = checks
+    assert np.array_equal(np.flatnonzero(bad), [24 + j])
+    assert str(_chart_error(bad[1], message, [f[1] for f in figures], error)) == (
+        f"E_u^-1 condition number nan exceeds cutoff (first at node {j})")
+    assert np.isnan(inverse[1, j]).all() and np.isfinite(np.delete(inverse[1], j, axis=0)).all()
 
 
 # ---- work done once per splitting and per state ----------------------------------------
@@ -825,17 +847,17 @@ def test_recorded_loop_state_is_factorized_once_in_each_order(monkeypatch):
     factorize_gm, factorize_mg = GroupKit.factorize_gm, GroupKit.factorize_mg
     inside_mg = []
 
-    def gm(self, k):
+    def gm(self, k, checks=None):
         # factorize_mg factors k^-1 by factorize_gm, which is part of its one request
         if not inside_mg:
             stacks["gm"].append(k)
-        return factorize_gm(self, k)
+        return factorize_gm(self, k, checks)
 
-    def mg(self, k):
+    def mg(self, k, checks=None):
         stacks["mg"].append(k)
         inside_mg.append(k)
         try:
-            return factorize_mg(self, k)
+            return factorize_mg(self, k, checks)
         finally:
             inside_mg.pop()
 

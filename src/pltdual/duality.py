@@ -30,7 +30,7 @@ deviation slopes of the two limiting families against their closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -118,9 +118,6 @@ class SplittingData:
     basis_pair: np.ndarray  # 2 x 2n x n, columns of [0] span E_+, of [1] E_-
     pi_diff: np.ndarray  # 2n x 2n, pi_+ - pi_-
     pairing: np.ndarray  # 2n x 2n hyperbolic pairing matrix
-    # the loop flow's constant 32x8 generator map for each GroupKit, kept by
-    # pltdual.fieldsim.step
-    generator_maps: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def e_matrix(self) -> np.ndarray:
@@ -131,6 +128,18 @@ class SplittingData:
         r1 = np.ascontiguousarray(self.preset.bialgebra.rho.T)
         d = np.linalg.inv(self.e_inv - self.t_inv)
         return ShiftedMaps(r1, self.e_inv - r1, self.t_inv - r1, d)
+
+    @cached_property
+    def generator_map(self) -> np.ndarray:
+        """32x8 map of the products (k_x)_ab k_cd of each side to the chiral
+        entries of the loop flow's dk/dt k^-1 = (pi_- - pi_+)(k_x k^-1)
+        (:func:`pltdual.fieldsim.step`): :attr:`GroupKit.tangent_map`, the
+        projector difference and :meth:`GroupKit.chiral_mats` of the unit
+        coefficients."""
+        kit = GroupKit(self.preset.bialgebra)
+        n2 = 2 * kit.b.g.dim
+        entries = kit.chiral_mats(np.eye(n2)).reshape(n2, 8)
+        return kit.tangent_map @ -self.pi_diff.T @ entries
 
     @cached_property
     def particle_stage(self) -> ParticleStage:
@@ -215,10 +224,10 @@ def graph_inverse(m: np.ndarray, name: str, checks: list | None = None) -> np.nd
     the cutoff on the bound (or NaN) or with an exactly singular node runs
     the SVD.
 
-    With a list ``checks`` a failing check is appended to it instead of
-    raised (:func:`pltdual.groups._chart_check`): a non-finite node then
-    fails with a NaN condition number, and every failing node's inverse is
-    NaN.
+    A non-finite node fails with a NaN condition number.  With a list
+    ``checks`` a failing check is appended to it instead of raised
+    (:func:`pltdual.groups._chart_check`), and every failing node's inverse
+    is NaN.
     """
     try:
         inv = np.linalg.inv(m)
@@ -227,8 +236,8 @@ def graph_inverse(m: np.ndarray, name: str, checks: list | None = None) -> np.nd
             return inv
     except np.linalg.LinAlgError:  # an exactly singular node
         inv = None
-    # the SVD cannot take a non-finite node: a collected check reads NaN there
-    finite = (checks is None) | np.isfinite(m).all(axis=(-2, -1))
+    # the SVD cannot take a non-finite node: its check reads NaN there
+    finite = np.isfinite(m).all(axis=(-2, -1))
     safe = np.where(finite[..., None, None], m, np.eye(m.shape[-1]))
     cond = np.where(finite, np.linalg.cond(safe), np.nan)
     bad = ~(cond <= COND_CUTOFF)
@@ -323,12 +332,11 @@ def dual_lagrangian(
     """Dual sigma-model Lagrangian < (E_e + Pi-hat(t))^-1 (t_+ t^-1), t_- t^-1 >.
 
     ``phi_plus`` / ``phi_minus`` are the right-translated lightcone
-    derivatives of the dual path as m coefficient vectors.
+    derivatives of the dual path as m coefficient vectors.  The value is
+    numpy's complex scalar, a subclass of ``complex``.
     """
     e_bar = graph_inverse(dual_graph_at(kit, split, t), "Ebar-hat_t^-1")
-    return complex(
-        np.asarray(phi_plus, dtype=complex) @ (e_bar @ np.asarray(phi_minus, dtype=complex))
-    )
+    return np.asarray(phi_plus, dtype=complex) @ (e_bar @ np.asarray(phi_minus, dtype=complex))
 
 
 def su2_dual_vector_lagrangian(
@@ -482,8 +490,7 @@ def limit_slopes(algebra: str = "su2", mus=(10.0, 100.0, 1000.0), samples: int =
             t = kit.su2star_from_vector(svec)
             phi_p = -1j * c * kit.su2star_nabla(svec, c * tp)
             phi_m = -1j * c * kit.su2star_nabla(svec, c * tm)
-            e_bar = graph_inverse(dual_graph_at(kit, split, t), "Ebar-hat_t^-1")
-            lag = phi_p @ (e_bar @ phi_m)
+            lag = dual_lagrangian(kit, split, t, phi_p, phi_m)
             ref = 2.0 * tp @ tm
             worst = max(worst, abs(lag / c**4 - ref) / abs(ref))
         devs_dual.append(worst)

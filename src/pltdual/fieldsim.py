@@ -14,8 +14,8 @@ is the commutator-free CF4 update of Celledoni, Marthinsen and Owren
 stays on the group up to a determinant renormalization per step.  As
 k^-1 is the adjugate of the unimodular k, dk/dt k^-1 is bilinear in k_x
 and k: a stage takes one derivative, one broadcast outer product of the
-entries of k_x and k on each side, and one product with a constant 32x8
-matrix built once per splitting (and group kit) and held by it.
+entries of k_x and k on each side, and one product with the constant 32x8
+matrix :attr:`SplittingData.generator_map`, built once per splitting.
 
 Diagnostics cover the conserved Hamiltonian 4 H = <(pi_+ - pi_-) w, w>
 with w = k_x k^-1, the moment map I_delta = -1/2 int <w, delta> dx, the
@@ -290,8 +290,8 @@ def _x_derivative(f: np.ndarray, dx: float, boundary: str, order: int = 4,
 def _right_tangent(k: np.ndarray, dx: float, boundary: str, out_map: np.ndarray) -> np.ndarray:
     """k_x k^-1 of a node-first chiral stack, read through ``out_map`` from
     the products (k_x)_ab k_cd of each side: :attr:`GroupKit.tangent_map`
-    gives its (nodes, 2n) double-algebra coefficients, the map of
-    :func:`_generator_map` the chiral entries of dk/dt k^-1.
+    gives its (nodes, 2n) double-algebra coefficients,
+    :attr:`SplittingData.generator_map` the chiral entries of dk/dt k^-1.
 
     k^-1 is read as the adjugate, with no division by det k, so ``k``
     must be unimodular: every caller passes recorded states, stage points
@@ -313,28 +313,13 @@ def _flow_velocity(state: LoopState) -> np.ndarray:
     return state.tangent @ -state.split.pi_diff.T
 
 
-def _generator_map(kit: GroupKit, split: SplittingData) -> np.ndarray:
-    """32x8 map of the products (k_x)_ab k_cd of each side to the chiral
-    entries of dk/dt k^-1 = (pi_- - pi_+)(k_x k^-1): :attr:`GroupKit.tangent_map`,
-    the projector difference and :meth:`GroupKit.chiral_mats` of the unit
-    coefficients.  :func:`step` builds it once per (kit, splitting) and keeps
-    it in :attr:`SplittingData.generator_maps`."""
-    n2 = 2 * kit.b.g.dim
-    entries = kit.chiral_mats(np.eye(n2)).reshape(n2, 8)
-    return kit.tangent_map @ -split.pi_diff.T @ entries
-
-
 # ---- time stepping -------------------------------------------------------------
 
 
 def step(state: LoopState, dt: float) -> LoopState:
     """One fourth-order commutator-free (CF4) step of the loop flow, on the
     chiral stack of the loop."""
-    dx, boundary = state.dx, state.boundary
-    maps = state.split.generator_maps
-    gen_map = maps.get(state.kit)
-    if gen_map is None:
-        gen_map = maps[state.kit] = _generator_map(state.kit, state.split)
+    dx, boundary, gen_map = state.dx, state.boundary, state.split.generator_map
 
     def gens(k: np.ndarray, _):
         return _right_tangent(k, dx, boundary, gen_map).reshape(k.shape), 0.0

@@ -269,15 +269,19 @@ class GroupKit:
         # decomposition of traceless 2x2 matrices in the g-basis, and the
         # products of the entries of u and u^-1 to (Ad_{u^-1}, Ad_u)
         self.flavor, self.basis, self._demat, self._ad_g_map = _realization(bialgebra.g.name)
-        n = bialgebra.g.dim
         # chiral projection matrices d -> g (L and R) and their joint inverse
         self.chi = chiral_matrix(bialgebra.rho)
         self.chi_inv = np.linalg.inv(self.chi)
-        # Ad_k on the double is chi^-1 diag(Ad_kL, Ad_kR) chi, linear in both
-        # blocks: the 32 products of both sides map to (Ad_{k^-1}, Ad_k)
+
+    @cached_property
+    def _ad_d_map(self) -> np.ndarray:
+        """Ad_k on the double is chi^-1 diag(Ad_kL, Ad_kR) chi, linear in both
+        blocks: this 32 x 72 map takes the products of both sides to
+        (Ad_{k^-1}, Ad_k)."""
+        n = self.b.g.dim
         blocks = np.einsum("ia,bj->abij", self.chi_inv, self.chi)
         sides = np.stack([blocks[:n, :n].reshape(9, 36), blocks[n:, n:].reshape(9, 36)])
-        self._ad_d_map = (self._ad_g_map.reshape(16, 2, 9) @ sides[:, None]).reshape(32, 72)
+        return (self._ad_g_map.reshape(16, 2, 9) @ sides[:, None]).reshape(32, 72)
 
     # ---- algebra <-> matrix ------------------------------------------------
 
@@ -295,16 +299,9 @@ class GroupKit:
 
     @cached_property
     def particle_stack_map(self) -> np.ndarray:
-        """12 x 6 map of (xi, phi) in g (+) m to the entries of the stack
-        (mat(xi)^T, L(phi), R(phi)), the generators of the particle's
-        (u^T, a_L, a_R) for u^-1 du = xi and da a^-1 = phi."""
-        n = self.b.g.dim
-        entries = self.basis.reshape(n, 4).T
-        out = np.zeros((12, 2 * n), dtype=complex)
-        out[:4, :n] = self.basis.transpose(0, 2, 1).reshape(n, 4).T
-        out[4:8, n:] = entries @ self.chi[:n, n:]
-        out[8:, n:] = entries @ self.chi[n:, n:]
-        return out
+        """4 x n map of xi in g to the entries of mat(xi)^T, the generator of
+        the particle's u^T for u^-1 du = xi."""
+        return np.ascontiguousarray(self.basis.transpose(0, 2, 1).reshape(self.b.g.dim, 4).T)
 
     def tangent_coeffs(self, m: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`chiral_mats`: the d-coefficients (..., 2n) of a
@@ -321,7 +318,8 @@ class GroupKit:
         then :meth:`tangent_coeffs` on the unit chiral entries."""
         units = np.eye(4).reshape(4, 2, 2)
         adj_map = (units[:, None] @ _vadj(units)[None]).reshape(16, 4)
-        return np.kron(np.eye(2), adj_map) @ self.tangent_coeffs(np.eye(8).reshape(8, 2, 2, 2))
+        coeffs = self.tangent_coeffs(np.eye(8).reshape(8, 2, 2, 2))
+        return (adj_map @ coeffs.reshape(2, 4, -1)).reshape(32, -1)
 
     # ---- exponentials (stacked over leading axes) ----------------------------
 

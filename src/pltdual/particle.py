@@ -27,18 +27,18 @@ are computed afterwards in one pass on the stacked records, with one
 stacked adjoint pair.
 
 The conjugate factor a(t) in k = u exp(p x) a evolves in the dual group by
-da/dt a^-1 = (E_u^-1 - T_u^-1)^-1 (E_u^-1 + T_u^-1) p; a state that holds
-it steps it alongside, which only the diagnostic of the equivalence with
-the loop-field flow (:func:`conjugate_description_residual`) does.
+da/dt a^-1 = w = (E_u^-1 - T_u^-1)^-1 (E_u^-1 + T_u^-1) p.  Only the check
+that this reduction reproduces the loop-field flow,
+:func:`conjugate_description_residual`, reads a: it steps its own stack
+(u^T, a_L, a_R), with the chiral matrices of 0 (+) w as a's generator.
 
 Integration is the fourth-order commutator-free step CF4 of Celledoni,
 Marthinsen and Owren (:func:`pltdual.groups.cf4_step`) that also advances
-the loop field: u^T (whose right-translated velocity is the transpose of
-u^-1 du/dt), with the chiral stack of a when it is stepped, is one stack of
-group matrices, with p as the additive variable, so u and a stay on their
-groups to machine precision.  The run stops once cond(Ad_u) = cond(u)^2
-passes 1/eps, where Ad_u and Ad_{u^-1} no longer invert each other in
-double precision.  Since u is unimodular, cond(u) grows with |u|_F^2
+the loop field: it steps u^T, whose right-translated velocity is the
+transpose of u^-1 du/dt, with p as the additive variable, so u stays on
+its group to machine precision.  The run stops once cond(Ad_u) =
+cond(u)^2 passes 1/eps, where Ad_u and Ad_{u^-1} no longer invert each
+other in double precision.  Since u is unimodular, cond(u) grows with |u|_F^2
 alone: the check after each step takes the squared norms of u and p,
 compares that of u with the norm at which cond(Ad_u) reaches 1/eps, and
 scans the entries for non-finite values only when a norm is not finite.
@@ -57,7 +57,6 @@ from .groups import GroupKit, _unimodular_cond, _vadj, cf4_step, expm2
 from .models import ModelPreset
 
 __all__ = [
-    "ParticleState",
     "ParticleTrajectory",
     "particle_rhs",
     "particle_hamiltonian",
@@ -71,24 +70,6 @@ __all__ = [
     "pure_qt_solution",
     "principal_limit_solution",
 ]
-
-
-@dataclass
-class ParticleState:
-    """The particle's (u, p) and conjugate factor a.
-
-    u must be unimodular, as :meth:`GroupKit.ad_g` and
-    :func:`particle_rhs` assume; a step keeps it so.  A step's stages read
-    the products of the entries of u, and the records of a trajectory are
-    evaluated together on their stacks by :func:`integrate_particle`, so a
-    state holds no derived data.
-    """
-
-    u: np.ndarray  # 2x2 group matrix
-    p: np.ndarray  # dual-algebra coefficients
-    # conjugate dual-group factor, a (side, 2, 2) chiral stack; None when
-    # it is not stepped
-    a: np.ndarray | None = None
 
 
 @dataclass
@@ -189,21 +170,18 @@ def particle_charges(
     return qg, qm, moments
 
 
-def _rk_mk_step(kit: GroupKit, split: SplittingData, state: ParticleState, dt: float) -> ParticleState:
-    """One CF4 step of (u, p), and of a when the state holds it."""
-    y0 = state.u.T[None] if state.a is None else np.concatenate([state.u.T[None], state.a])
-    stack_map = kit.particle_stack_map[:y0.size]
+def _rk_mk_step(kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray, dt: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """One CF4 step of (u, p), stepping u^T: u^-1 du = B is the
+    right-invariant d(u^T) (u^T)^-1 = B^T."""
+    stack_map = kit.particle_stack_map
 
     def gens(y: np.ndarray, p: np.ndarray):
-        # y stacks u^T and maybe (a_L, a_R): u^-1 du = B is the
-        # right-invariant d(u^T) (u^T)^-1 = B^T, and da a^-1 = w acts on both
-        # chiral factors through the m-columns of the chiral matrix,
-        # w -> (r2 w, -r1 w)
-        udot, pdot, w = particle_rhs(kit, split, y[0].T, p)
-        return stack_map.dot(np.concatenate([udot, w])).reshape(y.shape), pdot
+        udot, pdot, _ = particle_rhs(kit, split, y.T, p)
+        return stack_map.dot(udot).reshape(2, 2), pdot
 
-    y1, p1 = cf4_step(gens, y0, state.p, dt)
-    return ParticleState(y1[0].T, p1, None if state.a is None else y1[1:])
+    y1, p1 = cf4_step(gens, u.T, p, dt)
+    return y1.T, p1
 
 
 def integrate_particle(
@@ -223,34 +201,34 @@ def integrate_particle(
     all records are computed after the loop, stopped or not, on the
     stacked records with one stacked adjoint pair.
     """
-    state = ParticleState(np.asarray(u0, dtype=complex), np.asarray(p0, dtype=complex))
-    times, us, ps = [0.0], [state.u], [state.p]
+    u, p = np.asarray(u0, dtype=complex), np.asarray(p0, dtype=complex)
+    times, us, ps = [0.0], [u], [p]
     failure = None
     # cond(Ad_u) grows with f = |u|_F^2, so the worst margin is read once,
     # after the loop, from the u of largest f
-    max_f, worst_u = float(np.vdot(state.u, state.u).real), state.u
+    max_f, worst_u = float(np.vdot(u, u).real), u
     # a blow-up surfaces as a non-finite state, reported below
     with np.errstate(all="ignore"):
         for i in range(n_steps):
-            state = _rk_mk_step(kit, split, state, dt)
-            fu = float(np.vdot(state.u, state.u).real)
+            u, p = _rk_mk_step(kit, split, u, p, dt)
+            fu = float(np.vdot(u, u).real)
             # finite norms imply finite entries; only when one is not are the
             # entries scanned, so that finite entries whose norm overflows
             # report the lost chart margin, not a non-finite state
-            if not (math.isfinite(fu) and math.isfinite(np.vdot(state.p, state.p).real)) and not (
-                    np.isfinite(state.u).all() and np.isfinite(state.p).all()):
+            if not (math.isfinite(fu) and math.isfinite(np.vdot(p, p).real)) and not (
+                    np.isfinite(u).all() and np.isfinite(p).all()):
                 failure = f"non-finite state at step {i + 1} (t={(i + 1) * dt:g})"
                 break
             if fu > max_f:
-                max_f, worst_u = fu, state.u
+                max_f, worst_u = fu, u
             if fu > _F_LIMIT:
                 failure = (f"chart margin lost at step {i + 1} (t={(i + 1) * dt:g}): "
-                           f"cond(Ad_u) = {_ad_cond(state.u):.3e} exceeds 1/eps")
+                           f"cond(Ad_u) = {_ad_cond(u):.3e} exceeds 1/eps")
                 break
             if (i + 1) % record_every == 0 or i == n_steps - 1:
                 times.append((i + 1) * dt)
-                us.append(state.u)
-                ps.append(state.p)
+                us.append(u)
+                ps.append(p)
     steps = n_steps if failure is None else i
     us, ps = np.array(us), np.array(ps)
     pair = kit.ad_g(us)
@@ -321,32 +299,36 @@ def conjugate_description_residual(
     at order 4 (any structural sign error would leave an O(1) defect).
     """
     n = kit.b.g.dim
-    state = ParticleState(np.asarray(u0, complex), np.asarray(p0, complex),
-                          np.tile(np.eye(2, dtype=complex), (2, 1, 1)))
+    stack_map = kit.particle_stack_map
+    zero = np.zeros(n, dtype=complex)
+
+    def gens(y: np.ndarray, p: np.ndarray):
+        # y stacks u^T and the chiral factors (a_L, a_R); da a^-1 = w acts on
+        # both through the chiral matrices of 0 (+) w
+        udot, pdot, w = particle_rhs(kit, split, y[0].T, p)
+        return np.concatenate([stack_map.dot(udot).reshape(1, 2, 2),
+                               kit.chiral_mats(np.concatenate([zero, w]))]), pdot
+
+    y = np.concatenate([np.asarray(u0, complex).T[None], np.tile(np.eye(2), (2, 1, 1))])
+    p = np.asarray(p0, complex)
     composites: list[list[np.ndarray]] = [[] for _ in x_samples]
-    gens: list[np.ndarray] = []
+    flows: list[np.ndarray] = []
     pid = -split.pi_diff
     for step in range(n_steps + 1):
+        u = y[0].T
         for i, x in enumerate(x_samples):
-            composites[i].append(_compose_k(kit, state, x))
-        w = np.zeros(2 * n, dtype=complex)
-        w[n:] = state.p
-        gen = pid @ (kit.ad_d(state.u[None])[1] @ w)
-        gens.append(kit.chiral_mats(gen))
+            composites[i].append(u @ kit.exp_m(x * p) @ y[1:])
+        flows.append(kit.chiral_mats(pid @ (kit.ad_d(u[None])[1] @ np.concatenate([zero, p]))))
         if step < n_steps:
-            state = _rk_mk_step(kit, split, state, dt)
+            y, p = cf4_step(gens, y, p, dt)
     worst = 0.0
     for i in range(len(x_samples)):
         ks = composites[i]
         for j in range(2, n_steps - 1):
             deriv = (ks[j - 2] - 8 * ks[j - 1] + 8 * ks[j + 1] - ks[j + 2]) / (12 * dt)
-            res = deriv @ _vadj(ks[j]) - gens[j]
+            res = deriv @ _vadj(ks[j]) - flows[j]
             worst = max(worst, float(np.max(np.abs(res))))
     return worst
-
-
-def _compose_k(kit: GroupKit, state: ParticleState, x: float) -> np.ndarray:
-    return state.u @ kit.exp_m(x * state.p) @ state.a
 
 
 # ---- closed-form solutions (regression oracles) ---------------------------------

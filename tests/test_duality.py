@@ -353,10 +353,12 @@ def test_graph_inverse_names_an_exactly_singular_node():
         graph_inverse(m, "E_u^-1")
 
 
-def test_graph_inverse_of_a_nan_stack_is_a_linalg_error():
+def test_graph_inverse_of_a_nan_stack_is_a_graph_blowup():
+    """A non-finite node fails as it does in a collected check."""
     rng = np.random.default_rng(23)
     m = graph_stack(rng, 2, np.full((3, 3), np.nan))
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(GraphBlowupError,
+                       match=r"^E_u\^-1 condition number nan exceeds cutoff \(first at node 2\)$"):
         graph_inverse(m, "E_u^-1")
 
 

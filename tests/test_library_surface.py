@@ -28,7 +28,6 @@ ALLOWLIST = {
     "su2_e_closed": "the paper's closed form of E_u for su2",
     "su2_dual_e_inv_closed": "the paper's closed form of the dual graph map",
     "su2_dual_e_closed": "the paper's closed form of the inverse dual graph map",
-    "dual_lagrangian": "the dual sigma model's Lagrangian in operator form",
     "symplectic_form": "the loop-space symplectic form with its boundary term",
     "dressing_relation_residual": "the dressing relation s_+- s^-1 = T_u/E_u(u^-1 u_+-)",
     "poisson_matrix": "the Poisson tensor of the point phase space",

@@ -13,7 +13,6 @@ from pltdual.liecore import bracket_coeffs
 from pltdual.models import make_preset
 from pltdual import particle
 from pltdual.particle import (
-    ParticleState,
     conjugate_description_residual,
     integrate_particle,
     particle_charges,
@@ -498,8 +497,8 @@ def test_chart_check_classifies_crafted_steps(monkeypatch, u, p, failure):
     norm overflows are a lost chart margin (u) or no failure (p), and only
     a non-finite entry is a non-finite state."""
     _, kit, split = setup("sl2r")
-    crafted = ParticleState(np.array(u, dtype=complex), np.array(p, dtype=complex))
-    monkeypatch.setattr(particle, "_rk_mk_step", lambda kit, split, state, dt: crafted)
+    crafted = np.array(u, dtype=complex), np.array(p, dtype=complex)
+    monkeypatch.setattr(particle, "_rk_mk_step", lambda kit, split, u, p, dt: crafted)
     with np.errstate(over="ignore", invalid="ignore"):
         traj = integrate_particle(kit, split, np.eye(2), np.array([0.1, 0.2, 0.3]), 1e-3, 3)
     assert traj.failure == failure

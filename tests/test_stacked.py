@@ -10,13 +10,15 @@ each other; ``duality_check``, ``eom_residuals`` and the loop
 initializers are compared with per-node copies of the loops they replaced,
 and the field and particle steps, which share ``groups.cf4_step``, with
 hand-unrolled CF4 steps: the field one side at a time, with k^-1 from a
-linear solve, and the particle in the left-invariant form u^-1 du = B that
-the stacked step takes transposed.  The field step's wrapped stencils and
-its constant 32x8 generator map on the products of the entries of k_x and
-k are compared with the ``np.roll`` stencils and the coefficient chain
-they replaced.  The particle right-hand side, energy and charges, which
-conjugate constants by the adjoint pair (Ad_{u^-1}, Ad_u), are compared
-with copies of the graph-map and linear-solve code they replaced.  The
+linear solve, and the particle, with the conjugate factor a of the
+equivalence check, in the left-invariant form u^-1 du = B that the step
+takes transposed.  The field step's wrapped stencils and its constant
+32x8 generator map (``SplittingData.generator_map``) on the products of
+the entries of k_x and k are compared with the ``np.roll`` stencils and
+the coefficient chain they replaced.  The particle right-hand side,
+energy and charges, which conjugate constants by the adjoint pair
+(Ad_{u^-1}, Ad_u), are compared with copies of the graph-map and
+linear-solve code they replaced.  The
 broadcast 2x2 product ``_vmul`` is compared with
 numpy's ``@`` (and is ``@`` itself on stacks small enough to stay on it),
 the adjugate ``_vadj`` with the inverse on unimodular stacks, the
@@ -40,6 +42,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pltdual import duality
 from pltdual import fieldsim as fs
 from pltdual import particle as pt
 from pltdual.duality import GraphBlowupError, graph_at, graph_inverse, graph_slices, splitting
@@ -306,11 +309,10 @@ def ref_field_step(state, dt):
             _vdet_normalize(expm2(first_r) @ expm2(second_r) @ kr0))
 
 
-def ref_particle_step(kit, split, state, dt):
+def ref_particle_step(kit, split, u0, p0, a0, dt):
     """An unrolled CF4 particle step in the left-invariant form
     u^-1 du = B, where the exponentials multiply u from the right in
     reverse order, then both chiral factors of a on the recorded w stages."""
-    u0, p0, a0 = state.u, state.p, state.a
 
     def stage(u, dp):
         udot, pdot, w = pt.particle_rhs(kit, split, u, p0 + dp)
@@ -644,7 +646,7 @@ def test_generator_map_matches_coefficient_chain(algebra, preset):
     kx, k = random_stack(rng, (32, 2)), random_stack(rng, (32, 2))
     products = (kx.reshape(32, 2, 4, 1) * k.reshape(32, 2, 1, 4)).reshape(32, 32)
     assert rel_err(products @ kit.tangent_map, kit.tangent_coeffs(kx @ _vadj(k))) < 1e-14
-    got = products @ fs._generator_map(kit, split)
+    got = products @ split.generator_map
     want = ref_flow_generators(kit, split, kx @ _vadj(k)).reshape(32, 8)
     assert rel_err(got, want) < 1e-14
 
@@ -656,22 +658,38 @@ def test_generator_map_matches_coefficient_chain(algebra, preset):
     st.floats(min_value=1e-3, max_value=0.1),
 )
 def test_particle_step_matches_unrolled_stepper(algebra, seed, dt):
+    """The conjugate diagnostic's step of its (u^T, a_L, a_R) stack against
+    the unrolled step, and its (u, p) against the particle's own step, to
+    the bit."""
     kit, split = kit_and_split(algebra)
     rng = np.random.default_rng(seed)
     u0 = kit.exp_g(rng.normal(size=3) * 0.3)
     p0 = (rng.normal(size=3) * 0.4).astype(complex)
     a0 = kit.exp_m(rng.normal(size=3) * 0.2)
-    stepped = pt._rk_mk_step(kit, split, pt.ParticleState(u0, p0, a0), dt)
-    u1, p1, a_left, a_right = ref_particle_step(kit, split, pt.ParticleState(u0, p0, a0), dt)
-    assert rel_err(stepped.u, u1) < 1e-13
-    assert rel_err(stepped.p, p1) < 1e-13
-    assert stepped.a.shape == (2, 2, 2)
-    assert rel_err(stepped.a[0], a_left) < 1e-13
-    assert rel_err(stepped.a[1], a_right) < 1e-13
-    # a state without a steps (u, p) alone, to the same bits
-    alone = pt._rk_mk_step(kit, split, pt.ParticleState(u0, p0), dt)
-    assert alone.a is None
-    assert np.array_equal(alone.u, stepped.u) and np.array_equal(alone.p, stepped.p)
+    y1, p1 = cf4_step(conjugate_generators(kit, split), np.concatenate([u0.T[None], a0]), p0, dt)
+    u1, ref_p1, a_left, a_right = ref_particle_step(kit, split, u0, p0, a0, dt)
+    assert rel_err(y1[0].T, u1) < 1e-13
+    assert rel_err(p1, ref_p1) < 1e-13
+    assert rel_err(y1[1], a_left) < 1e-13
+    assert rel_err(y1[2], a_right) < 1e-13
+    alone = pt._rk_mk_step(kit, split, u0, p0, dt)
+    assert np.array_equal(alone[0], y1[0].T) and np.array_equal(alone[1], p1)
+
+
+def conjugate_generators(kit, split):
+    """The generators with which ``conjugate_description_residual`` steps
+    its (u^T, a_L, a_R) stack, taken from its first step; they read u and
+    p alone, so they step any a."""
+    taken = []
+
+    def taking(gens, y0, p0, dt):
+        taken.append(gens)
+        return cf4_step(gens, y0, p0, dt)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pt, "cf4_step", taking)
+        pt.conjugate_description_residual(kit, split, np.eye(2), np.zeros(3), 0.1, 1)
+    return taken[0]
 
 
 @lru_cache(maxsize=None)
@@ -758,10 +776,9 @@ def test_stacked_particle_records_match_per_record_calls(algebra, preset, seed, 
 def test_particle_stack_map_matches_chiral_route(algebra, seed):
     kit, _ = kit_and_split(algebra)
     rng = np.random.default_rng(seed)
-    udot, w = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-    got = (kit.particle_stack_map @ np.concatenate([udot, w])).reshape(3, 2, 2)
-    a_left, a_right = kit.mat((kit.chi[:, 3:] @ w).reshape(2, 3))
-    assert rel_err(got, np.stack([kit.mat(udot).T, a_left, a_right])) < 1e-13
+    udot = rng.normal(size=3) + 1j * rng.normal(size=3)
+    got = (kit.particle_stack_map @ udot).reshape(2, 2)
+    assert rel_err(got, kit.mat(udot).T) < 1e-13
 
 
 # ---- chart checks name the first bad node -------------------------------------------
@@ -818,15 +835,19 @@ def counted(calls, name, fn):
     return wrapper
 
 
-def test_generator_map_built_once_per_kit_and_splitting(monkeypatch):
+def test_generator_map_built_once_per_splitting(monkeypatch):
+    """The map builds a GroupKit of its own, counted here, once per
+    splitting, whatever kit the stepped state carries."""
     preset = make_preset("modified-principal", algebra="su2")
     kit, split = GroupKit(preset.bialgebra), splitting(preset)
     calls = Counter()
-    monkeypatch.setattr(fs, "_generator_map", counted(calls, "map", fs._generator_map))
+    monkeypatch.setattr(duality, "GroupKit", counted(calls, "map", GroupKit))
     state = fs.random_smooth_loop(kit, split, 16, boundary="periodic", seed=3)
     traj = fs.integrate_field(state, 0.25 * state.dx, 10)
     assert traj.completed and calls["map"] == 1
     fs.step(fs.LoopState(GroupKit(preset.bialgebra), split, state.k, "periodic"), 0.01)
+    assert calls["map"] == 1
+    fs.step(fs.LoopState(kit, splitting(preset), state.k, "periodic"), 0.01)
     assert calls["map"] == 2
 
 

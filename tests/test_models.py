@@ -118,3 +118,63 @@ def test_preset_names_complete():
         "g-invariant",
         "custom",
     }
+
+
+_TAKES_NO_LAM = "the {} preset fixes lam; only pure-qt and custom take one"
+_CUSTOM_NEEDS = "custom preset needs explicit lam and mu"
+_PRESET_TABLE = [
+    # (name, keyword arguments, (lam, mu, rescale) or the exact error text)
+    ("modified-principal", {}, (-1.0, 1.0, 1.0)),
+    ("modified-principal", {"lam": 0.5}, _TAKES_NO_LAM.format("modified-principal")),
+    ("modified-principal", {"mu": 0.25}, (-1.0, 0.25, 1.0)),
+    ("modified-principal", {"mu": 0.0}, (-1.0, 0.0, 1.0)),
+    ("pure-qt", {}, (0.0, 0.0, 1.0)),
+    ("pure-qt", {"lam": 0.5}, (0.5, 0.0, 1.0)),
+    ("pure-qt", {"mu": 0.25}, (0.0, 0.25, 1.0)),
+    ("pure-qt", {"mu": 0.0}, (0.0, 0.0, 1.0)),
+    ("principal-limit", {}, (0.0, 1e3, 1.0 / (1e3 + 0j))),
+    ("principal-limit", {"lam": 0.5}, _TAKES_NO_LAM.format("principal-limit")),
+    ("principal-limit", {"mu": 0.25}, (0.0, 0.25, 4.0)),
+    ("principal-limit", {"mu": 0.0}, "principal-limit preset needs a nonzero mu"),
+    ("g-invariant", {}, (0.0, 1.0, 1.0)),
+    ("g-invariant", {"lam": 0.5}, _TAKES_NO_LAM.format("g-invariant")),
+    ("g-invariant", {"mu": 0.25}, (0.0, 0.25, 1.0)),
+    ("g-invariant", {"mu": 0.0}, (0.0, 0.0, 1.0)),
+    ("custom", {}, _CUSTOM_NEEDS),
+    ("custom", {"lam": 0.5}, _CUSTOM_NEEDS),
+    ("custom", {"mu": 0.25}, _CUSTOM_NEEDS),
+    ("custom", {"mu": 0.0}, _CUSTOM_NEEDS),
+    ("custom", {"lam": 0.5, "mu": 0.25}, (0.5, 0.25, 1.0)),
+    # the order of the checks: mu before lam, the algebra before mu
+    ("principal-limit", {"lam": 0.5, "mu": 0.0}, "principal-limit preset needs a nonzero mu"),
+    ("no-such-preset", {"lam": 0.5}, "unknown preset 'no-such-preset' (choose from "
+     "('modified-principal', 'pure-qt', 'principal-limit', 'g-invariant', 'custom'))"),
+    # the su2 completely-real variant: mu = i and rescale = -i
+    ("modified-principal", {"completely_real": True}, (-1.0, 1j, -1j)),
+    ("pure-qt", {"completely_real": True}, (0.0, 1j, -1j)),
+    ("pure-qt", {"lam": 0.5, "completely_real": True}, (0.5, 1j, -1j)),
+    ("principal-limit", {"completely_real": True}, (0.0, 1j, -1j)),
+    ("g-invariant", {"completely_real": True}, (0.0, 1j, -1j)),
+    ("custom", {"lam": 0.5, "completely_real": True}, _CUSTOM_NEEDS),
+    ("g-invariant", {"lam": 0.5, "completely_real": True}, _TAKES_NO_LAM.format("g-invariant")),
+    ("principal-limit", {"mu": 0.0, "completely_real": True},
+     "principal-limit preset needs a nonzero mu"),
+    ("custom", {"lam": 0.5, "mu": 0.25, "completely_real": True},
+     "the completely-real variant fixes mu = i; the custom preset takes no mu with it"),
+    ("g-invariant", {"mu": 0.25, "algebra": "sl2r", "completely_real": True},
+     "the completely-real variant is su2-only"),
+]
+
+
+@pytest.mark.parametrize("name, kwargs, expected", _PRESET_TABLE)
+def test_preset_parameter_table(name, kwargs, expected):
+    """Every preset with nothing, lam, mu or mu = 0 given, and the completely-real
+    variant: its (lam, mu, rescale), or the exact error text in the order of the checks."""
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as err:
+            make_preset(name, **kwargs)
+        assert str(err.value) == expected
+        return
+    p = make_preset(name, **kwargs)
+    assert isinstance(p.lam, complex) and isinstance(p.mu, complex)
+    assert (p.lam, p.mu, p.rescale) == expected

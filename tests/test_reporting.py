@@ -53,6 +53,45 @@ def test_canonical_json_numpy_types():
     }
 
 
+# numpy and Python scalars, complex numbers with zero and non-zero imaginary parts,
+# a complex array, a tuple and a nested dict, with their text captured once
+_MIXED_PAYLOAD = {
+    "f": np.float64(0.1),
+    "i": np.int64(-7),
+    "b": np.bool_(False),
+    "z0": 2.5 + 0j,
+    "z1": 1.5 - 2j,
+    "nz0": np.complex128(3.0),
+    "nz1": np.complex64(0.5 + 0.25j),
+    "arr": np.array([[1 + 0j, 0.5j], [2 - 1j, -3 + 0j]]),
+    "tup": (1, 2.0, "x"),
+    "nest": {"b": {"c": [np.float64(1e-300), None, True]}, "a": 1},
+}
+
+
+def test_canonical_json_literal_text():
+    assert canonical_json(_MIXED_PAYLOAD) == (
+        '{"arr":[[1.0,{"im":0.5,"re":0.0}],[{"im":-1.0,"re":2.0},-3.0]],"b":false,'
+        '"f":0.1,"i":-7,"nest":{"a":1,"b":{"c":[1e-300,null,true]}},"nz0":3.0,'
+        '"nz1":{"im":0.25,"re":0.5},"tup":[1,2.0,"x"],"z0":2.5,"z1":{"im":-2.0,"re":1.5}}'
+    )
+
+
+def test_render_json_literal_text():
+    text = render_json({"seed": np.int64(0)}, _MIXED_PAYLOAD)
+    assert text == (
+        '{\n  "arr": [\n    [\n      1.0,\n      {\n        "im": 0.5,\n'
+        '        "re": 0.0\n      }\n    ],\n    [\n      {\n        "im": -1.0,\n'
+        '        "re": 2.0\n      },\n      -3.0\n    ]\n  ],\n  "b": false,\n'
+        '  "config_hash": "bd0488843468e63c62bb6d1df790f0a83de90616c0906e9dbd3275d3b4100d97",\n'
+        '  "f": 0.1,\n  "i": -7,\n  "nest": {\n    "a": 1,\n    "b": {\n      "c": [\n'
+        '        1e-300,\n        null,\n        true\n      ]\n    }\n  },\n'
+        '  "nz0": 3.0,\n  "nz1": {\n    "im": 0.25,\n    "re": 0.5\n  },\n  "tup": [\n'
+        '    1,\n    2.0,\n    "x"\n  ],\n  "version": "0.1.0",\n  "z0": 2.5,\n'
+        '  "z1": {\n    "im": -2.0,\n    "re": 1.5\n  }\n}\n'
+    )
+
+
 def test_hash_changes_with_content():
     assert config_hash({"seed": 0}) != config_hash({"seed": 1})
     assert len(config_hash({})) == 64

@@ -170,18 +170,6 @@ def pairing_ad_invariance_residual(double: DoubleAlgebra) -> float:
     return float(np.max(np.abs(np.swapaxes(a, -1, -2) @ p + p @ a)))
 
 
-def direct_sum_algebra(g: LieAlgebra) -> LieAlgebra:
-    """g (+) g with componentwise brackets (left/right chiral copies)."""
-    n = g.dim
-    c = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
-    c[:n, :n, :n] = g.c
-    c[n:, n:, n:] = g.c
-    labels = tuple(f"{lab}_L" for lab in g.labels) + tuple(
-        f"{lab}_R" for lab in g.labels
-    )
-    return LieAlgebra(c, labels, name=f"{g.name}(+){g.name}" if g.name else "sum")
-
-
 def chiral_matrix(rho: np.ndarray) -> np.ndarray:
     """Matrix of the isomorphism d -> g_L (+) g_R,
     xi (+) phi -> (xi + r2 phi, xi - r1 phi), for the r-matrix ``rho``."""
@@ -195,9 +183,11 @@ def chiral_iso_defect(double: DoubleAlgebra) -> float:
     componentwise bracket of g_L (+) g_R."""
     b = double.base
     mat = chiral_matrix(b.rho)
-    # images of [e_i, e_j] against brackets of the images, over all pairs
+    # images of [e_i, e_j] against brackets of the images, over all pairs;
+    # g_L (+) g_R brackets each chiral half of an image with g's constants
     lhs = np.einsum("ijk,mk->ijm", double.algebra.c, mat)
-    rhs = bracket_coeffs(direct_sum_algebra(b.g).c, mat.T[:, None, :], mat.T[None, :, :])
+    halves = mat.T.reshape(len(mat), 2, b.g.dim)
+    rhs = bracket_coeffs(b.g.c, halves[:, None], halves[None]).reshape(lhs.shape)
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -82,7 +82,7 @@ _MODEL = {
     "algebra": ("choice", "su2", ALGEBRA_NAMES, "base algebra"),
     "preset": ("choice", "modified-principal", PRESET_NAMES, "model preset name"),
     "lam": ("complex", None, None, "splitting parameter lambda (pure-qt and custom only)"),
-    "mu": ("complex", None, None, "custom splitting parameter mu"),
+    "mu": ("complex", None, None, "splitting parameter mu (default: the preset's)"),
 }
 _OUTPUT = ("path", None, False, "output path (default stdout)")
 _METADATA = ("path", None, False, "metadata JSON output path")
@@ -120,7 +120,7 @@ _OPTIONS = {
                     "command to replicate"),
         "replicas": ("int", 4, 1, "number of seeds (0..R-1)"),
         "base": ("object", {}, None, "options of every replica (config file only)"),
-        "max_workers": ("int", 4, None, "replicas run at once"),
+        "max_workers": ("int", 4, 1, "replicas run at once"),
     },
     "limits": {
         "output": _OUTPUT, "algebra": ("choice", "su2", ("su2",), "base algebra"),
@@ -203,7 +203,10 @@ def _positives(key: str, value, count: int) -> list:
     entries = _entries(value)
     if len(entries) < count:
         raise ConfigError(f"'{key}' needs at least {count} values, got {value!r}")
-    return [_positive(key, entry) for entry in entries]
+    values = [_positive(key, entry) for entry in entries]
+    if len(set(values)) < len(values):
+        raise ConfigError(f"'{key}' must not repeat a value, got {value!r}")
+    return values
 
 
 def _choice(key: str, value, choices: tuple):
@@ -358,10 +361,14 @@ def run_particle(cfg: dict, opts: dict) -> int:
     traj = integrate_particle(
         kit, split, kit.exp_g(u0_log), p0, dt, n_steps, record_every=opts["record_every"]
     )
+
+    def drift(values):
+        return float(np.max(np.abs(values - values[0]))) if len(values) else None
+
     summary = {
         "completed": traj.completed,
-        "hamiltonian_drift": float(np.max(np.abs(traj.hams - traj.hams[0]))),
-        "charge_drift": float(np.max(np.abs(traj.charges_g - traj.charges_g[0]))),
+        "hamiltonian_drift": drift(traj.hams),
+        "charge_drift": drift(traj.charges_g),
         "max_ad_cond": traj.max_ad_cond,
         "steps": traj.steps,
     }
@@ -448,7 +455,7 @@ def _sweep_one(command: str, base_cfg: dict, seed: int, output_dir: str) -> dict
         cfg["metadata"] = f"{output_dir}/{stem}.json"
     else:
         cfg["output"] = f"{output_dir}/{stem}.json"
-    code = _RUNNERS[command](cfg, _checked(command, cfg))
+    code = _execute(command, cfg, _checked(command, cfg))
     return {
         "seed": seed,
         "exit_code": code,
@@ -468,7 +475,7 @@ def run_sweep(cfg: dict, opts: dict) -> int:
     output_dir = opts["output_dir"]
     # replicas run concurrently and write only their own files; the
     # manifest is assembled and written once by this (single) writer
-    with ThreadPoolExecutor(max_workers=max(1, opts["max_workers"])) as pool:
+    with ThreadPoolExecutor(max_workers=opts["max_workers"]) as pool:
         entries = list(
             pool.map(
                 lambda s: _sweep_one(command, base_cfg, s, output_dir), range(replicas)
@@ -504,6 +511,15 @@ _RUNNERS = {
     "sweep": run_sweep,
     "limits": run_limits,
 }
+
+
+def _execute(command: str, cfg: dict, opts: dict) -> int:
+    """Run ``command`` with numpy's floating-point warnings off: a run
+    reports a numerical failure by its exit code and one JSON error
+    document, from the initial data on.  The setting is per thread, so a
+    sweep's replicas set it again."""
+    with np.errstate(all="ignore"):
+        return _RUNNERS[command](cfg, opts)
 
 
 # ---- argument parsing ----------------------------------------------------------
@@ -567,7 +583,7 @@ def run(argv=None) -> int:
         args = parser.parse_args(_attach_negative_values(argv))
         cfg = _merge_config(args.subcommand, args)
         opts = _checked(args.subcommand, cfg)
-        return _RUNNERS[args.subcommand](cfg, opts)
+        return _execute(args.subcommand, cfg, opts)
     except (ConfigError, SplittingError) as exc:
         sys.stderr.write(_error_json("config", str(exc)))
         return EXIT_CONFIG

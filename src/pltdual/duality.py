@@ -277,8 +277,7 @@ def graph_at(
         c = split.shifted_maps
         return tensor_conjugate(c.e_shift, a) + c.r1, tensor_conjugate(c.t_shift, a) + c.r1
     if route == "cocycle":
-        rho = split.preset.bialgebra.rho
-        pi2 = tensor_conjugate(rho, a) - rho  # r2 cocycle at u^-1
+        pi2 = kit.pi(_vadj(u))  # r2 cocycle at u^-1
         return tensor_conjugate(split.e_inv, a) + pi2, tensor_conjugate(split.t_inv, a) + pi2
     raise ValueError(f"unknown graph route '{route}'")
 
@@ -359,6 +358,13 @@ def su2_dual_vector_lagrangian(
 
 # ---- su2 closed forms -------------------------------------------------------
 
+def _su2_metric(c: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c (1 + i eps.v) and its inverse (1 - i eps.v - v v^T) / (c (1 - v.v)),
+    the one shape of the su2 graph maps and of their duals."""
+    eps_v = 1j * np.einsum("ijk,k->ij", _EPS, v)
+    return c * (np.eye(3) + eps_v), (np.eye(3) - eps_v - np.outer(v, v)) / (c * (1.0 - v @ v))
+
+
 def su2_pi_vector(u: np.ndarray) -> np.ndarray:
     """pi = (Re(a conj(b)), Im(a conj(b)), -|b|^2) for u = [[a, b], [-b*, a*]]."""
     a, b = u[0, 0], u[0, 1]
@@ -372,20 +378,12 @@ def su2_e_inv_closed(u: np.ndarray) -> np.ndarray:
     Operator convention: columns act on dual coefficients, which is the
     transpose of the row-evaluated display -2(delta_ij + i eps_ijk pi_k).
     """
-    pi = su2_pi_vector(u)
-    return (-2.0 * (np.eye(3) + 1j * np.einsum("ijk,k->ij", _EPS, pi))).T
+    return _su2_metric(-2.0, su2_pi_vector(u))[0].T
 
 
 def su2_e_closed(u: np.ndarray) -> np.ndarray:
     """Closed-form inverse E_u (m -> g reversed) of :func:`su2_e_inv_closed`."""
-    pi = su2_pi_vector(u)
-    pi2 = float(pi @ pi)
-    m = (
-        np.eye(3)
-        - 1j * np.einsum("ijk,k->ij", _EPS, pi)
-        - np.outer(pi, pi)
-    ) / (-2.0 * (1.0 - pi2))
-    return m.T
+    return _su2_metric(-2.0, su2_pi_vector(u))[1].T
 
 
 def su2_dual_pi_vector(t_vec: np.ndarray) -> np.ndarray:
@@ -397,16 +395,12 @@ def su2_dual_pi_vector(t_vec: np.ndarray) -> np.ndarray:
 
 def su2_dual_e_inv_closed(t_vec: np.ndarray) -> np.ndarray:
     """Closed-form Ebar-hat_t^-1 = -1/2 (delta + i eps pi-hat) (g -> m)."""
-    ph = su2_dual_pi_vector(t_vec)
-    return -0.5 * (np.eye(3) + 1j * np.einsum("ijk,k->ij", _EPS, ph))
+    return _su2_metric(-0.5, su2_dual_pi_vector(t_vec))[0]
 
 
 def su2_dual_e_closed(t_vec: np.ndarray) -> np.ndarray:
-    ph = su2_dual_pi_vector(t_vec)
-    ph2 = float(ph @ ph)
-    return (
-        np.eye(3) - 1j * np.einsum("ijk,k->ij", _EPS, ph) - np.outer(ph, ph)
-    ) * (-2.0 / (1.0 - ph2))
+    """Closed-form inverse of :func:`su2_dual_e_inv_closed`."""
+    return _su2_metric(-0.5, su2_dual_pi_vector(t_vec))[1]
 
 
 # ---- reports ----------------------------------------------------------------

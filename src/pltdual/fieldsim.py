@@ -691,16 +691,17 @@ def integrate_field(
     (:func:`_record_columns`), each of records whose states stack at most
     ``_PASS_NODES`` nodes, during the loop and after it.
 
-    A chart exit (factorization or graph blow-up) or a state that turns
-    non-finite ends the run early with ``completed`` False and ``failure``
-    set to ``<error> at step i (t=...): <message>``, step 0 being the
-    initial record, as the first record in time that fails a check of its
-    pass meets it evaluated on its own (:func:`_first_failure`); the rows
-    before it are kept, and a row is recorded whole or not at all.  The
-    earliest stop in time wins, so a chart exit at a record before a
-    non-finite state is the one reported.  A time step past the CFL bound
-    is listed in ``warnings``, its one report: :func:`step` itself does not
-    warn.  ``final_state`` is the state of the last recorded row.
+    A chart exit (factorization or graph blow-up) or a non-finite state,
+    the initial one included, ends the run early with ``completed`` False
+    and ``failure`` set to ``<error> at step i (t=...): <message>``, step 0
+    being the initial record, as the first record in time that fails a
+    check of its pass meets it evaluated on its own
+    (:func:`_first_failure`); the rows before it are kept, and a row is
+    recorded whole or not at all.  The earliest stop in time wins, so a
+    chart exit at a record before a non-finite state is the one reported.
+    A time step past the CFL bound is listed in ``warnings``, its one
+    report: :func:`step` itself does not warn.  ``final_state`` is the
+    state of the last recorded row.
     """
     columns = times, hams, moms, fds, gaps, rgs, rts = [], [], [], [], [], [], []
     final_state = failure = None
@@ -713,9 +714,7 @@ def integrate_field(
     def flush() -> bool:
         """Pass the pending records; False if one fails a chart check."""
         nonlocal final_state, failure, taken
-        # a node off the chart leaves non-finite values in its own record's columns
-        with np.errstate(all="ignore"):
-            block, stop = _record_columns([r[:2] for r in pending], diagnostics)
+        block, stop = _record_columns([r[:2] for r in pending], diagnostics)
         passed = pending[:stop[0]] if stop else pending
         for column, values in zip(columns, block):
             column.extend(values[:len(passed)])
@@ -732,21 +731,22 @@ def integrate_field(
         # a record stacks at most two states
         return 2 * len(pending) * s.n_nodes < _PASS_NODES or flush()
 
-    if record(state, None, 0):
-        for i in range(n_steps):
-            prev = state
-            # a blow-up surfaces as a non-finite state, checked before any
-            # diagnostic sees it
-            with np.errstate(all="ignore"):
-                state = step(state, dt)
+    prev = None
+    # a blow-up surfaces as a non-finite state, checked before any
+    # diagnostic sees it, and a node off the chart leaves non-finite values
+    # in its own record's columns
+    with np.errstate(all="ignore"):
+        for i in range(n_steps + 1):
+            if i:
+                prev, state = state, step(state, dt)
             if not np.isfinite(state.k).all():
-                failure, taken = f"non-finite state at step {i + 1} (t={state.time:g})", i
+                failure, taken = f"non-finite state at step {i} (t={state.time:g})", max(i - 1, 0)
                 break
-            taken = i + 1
-            if ((i + 1) % record_every == 0 or i == n_steps - 1) and not record(state, prev, i + 1):
+            taken = i
+            if (i % record_every == 0 or i == n_steps) and not record(state, prev, i):
                 break
-    if pending:
-        flush()
+        if pending:
+            flush()
     return FieldTrajectory(
         np.array(times),
         np.array(hams, dtype=complex),

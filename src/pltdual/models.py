@@ -35,13 +35,16 @@ ALGEBRA_NAMES = ("sl2r", "su2")
 # the Levi-Civita symbol eps_ijk
 _EPS = np.fromfunction(lambda i, j, k: (i - j) * (j - k) * (k - i) / 2.0, (3, 3, 3))
 
-PRESET_NAMES = (
-    "modified-principal",
-    "pure-qt",
-    "principal-limit",
-    "g-invariant",
-    "custom",
-)
+# each preset's lam default, mu default and whether it takes a lam; a
+# None default must be given
+_PRESETS = {
+    "modified-principal": (-1.0, 1.0, False),
+    "pure-qt": (0.0, 0.0, True),
+    "principal-limit": (0.0, 1e3, False),
+    "g-invariant": (0.0, 1.0, False),
+    "custom": (None, None, True),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def make_sl2r() -> QuasiBialgebra:
@@ -113,41 +116,30 @@ def make_preset(
     mu: complex | None = None,
     completely_real: bool = False,
 ) -> ModelPreset:
-    """Build a named preset; ``custom`` needs lam and mu, only it and ``pure-qt``
-    take lam, and the completely-real variant takes no mu."""
+    """Build a named preset from its row of ``_PRESETS``: a given lam or mu
+    replaces the default, a preset that does not take lam rejects one, and
+    the completely-real variant takes no mu."""
     b = make_algebra(algebra)
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset '{name}' (choose from {PRESET_NAMES})")
+    lam_default, mu_default, takes_lam = _PRESETS[name]
+    if (lam_default is None and lam is None) or (mu_default is None and mu is None):
+        raise ValueError(f"{name} preset needs explicit lam and mu")
+    lam_ = complex(lam_default if lam is None else lam)
+    mu_ = complex(mu_default if mu is None else mu)
     rescale: complex = 1.0
-    if name == "modified-principal":
-        lam_, mu_ = -1.0 + 0j, 1.0 + 0j
-    elif name == "pure-qt":
-        lam_, mu_ = 0j, 0j
-    elif name == "principal-limit":
-        lam_ = 0j
-        mu_ = 1e3 + 0j if mu is None else complex(mu)
+    if name == "principal-limit":
         if abs(mu_) < 1e-300:
             raise ValueError("principal-limit preset needs a nonzero mu")
         rescale = 1.0 / mu_
-    elif name == "g-invariant":
-        lam_ = 0j
-        mu_ = 1.0 + 0j if mu is None else complex(mu)
-    elif name == "custom":
-        if lam is None or mu is None:
-            raise ValueError("custom preset needs explicit lam and mu")
-        lam_, mu_ = complex(lam), complex(mu)
-    else:
-        raise ValueError(f"unknown preset '{name}' (choose from {PRESET_NAMES})")
-    if lam is not None and name not in ("pure-qt", "custom"):
-        raise ValueError(f"the {name} preset fixes lam; only pure-qt and custom take one")
-    if name in ("modified-principal", "pure-qt") and mu is not None:
-        mu_ = complex(mu)
-    if name in ("pure-qt",) and lam is not None:
-        lam_ = complex(lam)
+    if lam is not None and not takes_lam:
+        takers = " and ".join(n for n, row in _PRESETS.items() if row[2])
+        raise ValueError(f"the {name} preset fixes lam; only {takers} take one")
     if completely_real:
         if algebra != "su2":
             raise ValueError("the completely-real variant is su2-only")
         if mu is not None:
             raise ValueError(f"the completely-real variant fixes mu = i; the {name} preset "
                              "takes no mu with it")
-        mu_ = 1j
-        rescale = -1j
+        mu_, rescale = 1j, -1j
     return ModelPreset(name, b, lam_, mu_, rescale)

@@ -82,7 +82,8 @@ class ParticleTrajectory:
     moments: np.ndarray  # moment-map values I_delta over the double basis
     completed: bool = True  # False if a singularity truncated the run
     failure: str | None = None  # why an incomplete run stopped, with step and t
-    max_ad_cond: float = 1.0  # worst chart margin met: the largest cond(Ad_u)
+    # worst chart margin met: the largest cond(Ad_u), None if u(0) is not finite
+    max_ad_cond: float | None = 1.0
     steps: int = 0  # steps completed; a stopped run does not count the step that failed
 
 
@@ -194,56 +195,61 @@ def integrate_particle(
     record_every: int = 1,
 ) -> ParticleTrajectory:
     """Step (u, p) from a unimodular u0 and record every ``record_every``
-    steps and the last; a run that turns non-finite or loses its chart
-    margin stops and keeps the records before the failing step.
+    steps and the last; a state that is non-finite or has lost its chart
+    margin, the initial one (step 0) included, stops the run, which keeps
+    the records before it.
 
     Only (t, u, p) is kept while stepping; the energy and the charges of
     all records are computed after the loop, stopped or not, on the
     stacked records with one stacked adjoint pair.
     """
     u, p = np.asarray(u0, dtype=complex), np.asarray(p0, dtype=complex)
-    times, us, ps = [0.0], [u], [p]
+    times, us, ps = [], [], []
     failure = None
     # cond(Ad_u) grows with f = |u|_F^2, so the worst margin is read once,
     # after the loop, from the u of largest f
-    max_f, worst_u = float(np.vdot(u, u).real), u
-    # a blow-up surfaces as a non-finite state, reported below
+    max_f, worst_u = -1.0, None
+    # a blow-up surfaces as a non-finite state, reported below, and a
+    # record of huge entries as non-finite energies and charges
     with np.errstate(all="ignore"):
-        for i in range(n_steps):
-            u, p = _rk_mk_step(kit, split, u, p, dt)
+        for i in range(n_steps + 1):
+            if i:
+                u, p = _rk_mk_step(kit, split, u, p, dt)
             fu = float(np.vdot(u, u).real)
             # finite norms imply finite entries; only when one is not are the
             # entries scanned, so that finite entries whose norm overflows
             # report the lost chart margin, not a non-finite state
             if not (math.isfinite(fu) and math.isfinite(np.vdot(p, p).real)) and not (
                     np.isfinite(u).all() and np.isfinite(p).all()):
-                failure = f"non-finite state at step {i + 1} (t={(i + 1) * dt:g})"
+                failure = f"non-finite state at step {i} (t={i * dt:g})"
                 break
             if fu > max_f:
                 max_f, worst_u = fu, u
             if fu > _F_LIMIT:
-                failure = (f"chart margin lost at step {i + 1} (t={(i + 1) * dt:g}): "
+                failure = (f"chart margin lost at step {i} (t={i * dt:g}): "
                            f"cond(Ad_u) = {_ad_cond(u):.3e} exceeds 1/eps")
                 break
-            if (i + 1) % record_every == 0 or i == n_steps - 1:
-                times.append((i + 1) * dt)
+            if i % record_every == 0 or i == n_steps:
+                times.append(i * dt)
                 us.append(u)
                 ps.append(p)
-    steps = n_steps if failure is None else i
-    us, ps = np.array(us), np.array(ps)
-    pair = kit.ad_g(us)
-    qg, _, moments = particle_charges(kit, split, us, ps, pair)
+        us = np.array(us, dtype=complex).reshape((len(us),) + u.shape)
+        ps = np.array(ps, dtype=complex).reshape((len(ps),) + p.shape)
+        pair = kit.ad_g(us)
+        qg, _, moments = particle_charges(kit, split, us, ps, pair)
+        hams = particle_hamiltonian(kit, split, us, ps, pair)
+        margin = None if worst_u is None else _ad_cond(worst_u)
     return ParticleTrajectory(
         np.array(times),
         us,
         ps,
-        particle_hamiltonian(kit, split, us, ps, pair),
+        hams,
         qg,
         moments,
         failure is None,
         failure,
-        _ad_cond(worst_u),
-        steps,
+        margin,
+        n_steps if failure is None else max(i - 1, 0),
     )
 
 

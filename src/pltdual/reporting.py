@@ -3,7 +3,9 @@
 Every artifact opens with a metadata header carrying the sha256 hash of
 the canonicalized run configuration and the package version, and never a
 timestamp, so a rerun with the same configuration and seed reproduces
-the output byte for byte.
+the output byte for byte.  ``json`` itself walks every container; its
+``default`` hook converts only the leaves it cannot write, numpy scalars
+and arrays and complex numbers.
 
 A run's table is one real float64 array, one row per record, built from
 an ordered list of named blocks that gives its column names too.  A
@@ -38,30 +40,20 @@ __all__ = [
 
 
 def _jsonable(value):
-    """Map numpy scalars/arrays and complex numbers onto plain JSON types."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.complexfloating, complex)):
-        c = complex(value)
-        if c.imag == 0.0:
-            return c.real
-        return {"re": c.real, "im": c.imag}
-    return value
+    """The plain JSON form of a leaf ``json`` cannot write: a numpy scalar
+    or array as its Python value, a complex number as its real part when
+    that is all of it and as ``{"re", "im"}`` otherwise.  ``json`` walks the
+    containers and calls this again on whatever it returns."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, complex):
+        return value.real if value.imag == 0.0 else {"re": value.real, "im": value.imag}
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
     """Sorted-key, separator-normalized JSON used for hashing and headers."""
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, default=_jsonable, sort_keys=True, separators=(",", ":"))
 
 
 def config_hash(config: dict) -> str:
@@ -89,9 +81,8 @@ def write_csv(path, config: dict, columns: list, table) -> None:
 
 
 def render_json(config: dict, payload: dict) -> str:
-    doc = dict(artifact_header(config))
-    doc.update(_jsonable(payload))
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    doc = {**artifact_header(config), **payload}
+    return json.dumps(doc, default=_jsonable, indent=2, sort_keys=True) + "\n"
 
 
 def write_json(path, config: dict, payload: dict) -> None:

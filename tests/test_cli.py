@@ -251,6 +251,13 @@ REPRODUCERS = {
     "mus-not-numeric": (["limits", "--mus", "10,abc"], EXIT_CONFIG,
                         "'mus' must be a finite number"),
     "mus-negative": (["limits", "--mus", "-10,100"], EXIT_CONFIG, "'mus' must be positive"),
+    # a repeated abscissa used to reach the slope fit, which warned and fitted one point
+    "mus-repeated": (["limits", "--mus", "10,10"], EXIT_CONFIG,
+                     "'mus' must not repeat a value, got '10,10'"),
+    # a worker count below 1 used to be clamped silently
+    "sweep-max-workers-negative": (["sweep", "--command", "duality", "--replicas", "1",
+                                    "--output-dir", "{tmp}", "--max-workers", "-3"],
+                                   EXIT_CONFIG, "'max_workers' must be at least 1, got -3"),
     "config-N-not-numeric": (["field", "--config", "{tmp}/bad.json"], EXIT_CONFIG,
                              "'N' must be an integer"),
     "config-fractional": (["field", "--config", "{tmp}/fractional.json"], EXIT_CONFIG,
@@ -327,6 +334,60 @@ def test_reproducers_keep_the_exit_contract(capsys, tmp_path, case):
         assert message in json.loads(err)["error"]["message"]
     if expected == EXIT_CONFIG:  # and no artifact
         assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == sorted(CONFIG_FILES)
+
+
+# initial data that overflows: (arguments, the stderr error message, the
+# metadata summary's expected entries, or None where nothing writes one)
+HUGE_INITIAL_DATA = {
+    "particle-u0-log": (["particle", "--u0-log", "1e300,0,0", "--T", "0.003"],
+                        "non-finite state at step 0 (t=0)",
+                        {"steps": 0, "hamiltonian_drift": None, "charge_drift": None}),
+    "particle-p0": (["particle", "--p0", "1e300,0,0", "--T", "0.01"],
+                    "non-finite state at step 1 (t=0.001)", {"steps": 0}),
+    "field-amplitude": (["field", "--amplitude", "1e308", "--T", "0.01"],
+                        "non-finite state at step 0 (t=0)", {"steps": 0}),
+    "field-pointlike-amplitude": (["field", "--pointlike", "--amplitude", "1e300", "--T", "0.01"],
+                                  "non-finite state at step 0 (t=0)", {"steps": 0}),
+    "duality-amplitude": (["duality", "--amplitude", "1e308"],
+                          "factorization is numerically singular (first at node 0)", None),
+}
+
+
+@pytest.mark.filterwarnings(
+    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@pytest.mark.parametrize("case", HUGE_INITIAL_DATA)
+def test_huge_initial_data_stops_with_one_error_document(capsys, tmp_path, case):
+    """Initial data that is not finite, or whose energy overflows, stops the
+    run with exit code 3 and exactly one JSON document on stderr, no numpy
+    warning; a u(0) or a loop that is not finite stops at step 0 with no row."""
+    argv, message, summary = HUGE_INITIAL_DATA[case]
+    meta = tmp_path / "meta.json"
+    writes = ["--output", str(tmp_path / "out.csv")]
+    if summary is not None:
+        writes += ["--metadata", str(meta)]
+    code, out, err = run_cli(capsys, *argv, *writes)
+    assert code == EXIT_NUMERICAL and out == ""
+    assert json.loads(err) == {"error": {"kind": "numerical", "message": message}}
+    if summary is not None:
+        rows = (tmp_path / "out.csv").read_text().splitlines()[2:]
+        assert (rows == []) is ("step 0" in message)
+        got = json.loads(meta.read_text())["summary"]
+        assert {key: got[key] for key in summary} == summary
+
+
+@pytest.mark.filterwarnings(
+    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+def test_sweep_replicas_with_huge_initial_data_stay_quiet(capsys, tmp_path):
+    """numpy's warning setting is per thread: each replica of a sweep stops
+    at step 0 with its own error document and no warning."""
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"command": "field", "replicas": 2, "max_workers": 2,
+                               "base": {"amplitude": 1e308, "T": 0.01},
+                               "output_dir": str(tmp_path)}))
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == EXIT_NUMERICAL
+    assert [json.loads(line)["error"]["message"] for line in err.splitlines()] == [
+        "non-finite state at step 0 (t=0)"] * 2
 
 
 # config_hash of accepted configurations, which artifacts already written

@@ -370,3 +370,17 @@ def test_nonfinite_state_stops_run(su2_mp, diagnostics):
     assert traj.failure == "non-finite state at step 15 (t=0.3)"
     assert np.allclose(traj.times, [0.0, 0.2])
     assert np.all(np.isfinite(traj.hamiltonians))
+
+
+def test_nonfinite_initial_loop_stops_at_step_0(su2_mp):
+    """The initial loop meets the check of every stepped state: a non-finite
+    node stops the run at step 0, with no row and no step."""
+    kit, split = su2_mp
+    st = fs.random_smooth_loop(kit, split, 16, boundary="periodic", seed=0, amplitude=0.1)
+    k = st.k.copy()
+    k[3] = np.nan
+    traj = fs.integrate_field(fs.LoopState(kit, split, k, st.boundary, st.time), 0.01, 4,
+                              diagnostics=True)
+    assert not traj.completed and traj.failure == "non-finite state at step 0 (t=0)"
+    assert len(traj.times) == traj.steps == 0 and traj.final_state is None
+    assert traj.moments.shape == (0, 2 * kit.b.g.dim)

@@ -34,7 +34,6 @@ ALLOWLIST = {
     "conjugate_description_residual": "the particle's equivalence with the loop flow",
     "riccati_h": "the closed-form Riccati reduction of the pure-qt flow",
     "pure_qt_reduced_solution": "the closed-form reduced (h, x, y) pure-qt flow",
-    "pi": "the Poisson cocycle Pi(u) = Ad_u r - r of G",
 }
 
 

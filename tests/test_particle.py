@@ -505,6 +505,28 @@ def test_chart_check_classifies_crafted_steps(monkeypatch, u, p, failure):
     assert traj.completed is (failure is None)
 
 
+@pytest.mark.parametrize(
+    "u0, failure, margin",
+    [
+        (np.diag([1e200, 1e-200]),
+         "chart margin lost at step 0 (t=0): cond(Ad_u) = inf exceeds 1/eps", np.inf),
+        ([[np.nan, 0.0], [0.0, 1.0]], "non-finite state at step 0 (t=0)", None),
+    ],
+    ids=["norm-overflow", "nan-u"],
+)
+def test_initial_state_meets_the_check_of_every_step(u0, failure, margin):
+    """u(0) is checked as every stepped state is: one that fails stops the
+    run at step 0 with no record and no step, and a non-finite u(0)
+    reports no margin."""
+    _, kit, split = setup("sl2r")
+    traj = integrate_particle(kit, split, np.array(u0, dtype=complex),
+                              np.array([0.1, 0.2, 0.3]), 1e-3, 3)
+    assert not traj.completed and traj.failure == failure
+    assert len(traj.times) == len(traj.hams) == len(traj.moments) == traj.steps == 0
+    assert traj.us.shape == (0, 2, 2) and traj.ps.shape == (0, 3)
+    assert traj.max_ad_cond == margin
+
+
 def test_completed_run_reports_its_margin():
     _, kit, split = setup("sl2r")
     u0 = expm2(kit.mat(np.array([0.4, 0.3, -0.2])))

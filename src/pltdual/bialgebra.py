@@ -88,10 +88,7 @@ def cobracket_matrix(algebra: LieAlgebra, rho: np.ndarray, xi: np.ndarray) -> np
 
 def dual_algebra(bialgebra: "QuasiBialgebra") -> LieAlgebra:
     """The dual m with bracket dual to the cobracket (opposite twist)."""
-    g = bialgebra.g
-    labels = tuple(f"{lab}*" for lab in g.labels)
-    return LieAlgebra(-np.moveaxis(bialgebra.cobracket, 0, -1), labels,
-                      name=f"{g.name}*" if g.name else "dual")
+    return LieAlgebra(-np.moveaxis(bialgebra.cobracket, 0, -1))
 
 
 @dataclass
@@ -100,7 +97,6 @@ class QuasiBialgebra:
 
     g: LieAlgebra
     rho: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=complex)
@@ -126,9 +122,9 @@ class QuasiBialgebra:
     def k_matrix(self) -> np.ndarray:
         return np.linalg.inv(self.kinv_matrix)
 
-    def rescaled(self, factor: complex, name: str = "") -> "QuasiBialgebra":
+    def rescaled(self, factor: complex) -> "QuasiBialgebra":
         """Same algebra with r multiplied by a scalar (still a CYBE solution)."""
-        return QuasiBialgebra(self.g, self.rho * factor, name or self.name)
+        return QuasiBialgebra(self.g, self.rho * factor)
 
 
 @dataclass
@@ -159,9 +155,7 @@ def build_double(bialgebra: QuasiBialgebra) -> DoubleAlgebra:
     c[n:, :n, :n] = np.swapaxes(bialgebra.cobracket, 0, 1)
     c[n:, :n, n:] = -g.c.T
     c[:n, n:] = -np.swapaxes(c[n:, :n], 0, 1)
-    labels = g.labels + m.labels
-    double = LieAlgebra(c, labels, name=f"D({g.name})" if g.name else "double")
-    return DoubleAlgebra(bialgebra, double, hyperbolic_pairing(n))
+    return DoubleAlgebra(bialgebra, LieAlgebra(c), hyperbolic_pairing(n))
 
 
 def pairing_ad_invariance_residual(double: DoubleAlgebra) -> float:

@@ -73,6 +73,19 @@ class ConfigError(ValueError):
     """A run configuration that cannot be executed."""
 
 
+class RunStopped(RuntimeError):
+    """A numerical failure that stopped a run after it wrote ``files``;
+    ``warnings`` go into its error document."""
+
+    def __init__(self, message: str, warnings: list | None = None, files: list | None = None):
+        super().__init__(message)
+        self.warnings, self.files = warnings, files or []
+
+
+# the errors that end a run with exit code 3
+_NUMERICAL_ERRORS = (RunStopped, FactorizationError, GraphBlowupError, np.linalg.LinAlgError)
+
+
 # ---- configuration ----------------------------------------------------------------
 
 # an option: (kind, default, bound, help); the bound is an int kind's
@@ -291,17 +304,19 @@ def _public_config(cfg: dict) -> dict:
     return {k: v for k, v in cfg.items() if k not in hidden}
 
 
+def _report(cfg: dict, report: dict) -> int:
+    """Write ``report`` and return its exit code, by its ``passed`` gate."""
+    _emit(cfg, render_json(_public_config(cfg), report))
+    return EXIT_OK if report["passed"] else EXIT_NUMERICAL
+
+
 # ---- validate ---------------------------------------------------------------------
 
 
 def run_validate(cfg: dict, opts: dict) -> int:
     """structural residual report"""
-    preset = _build_preset(opts)
-    report = validation_report(preset, samples=opts["samples"], seed=opts["seed"])
-    ok = report["max_residual"] < 1e-10
-    report["passed"] = bool(ok)
-    _emit(cfg, render_json(_public_config(cfg), report))
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return _report(cfg, validation_report(_build_preset(opts), samples=opts["samples"],
+                                          seed=opts["seed"]))
 
 
 # ---- shared run scaffolding -------------------------------------------------------
@@ -329,17 +344,23 @@ def _model(opts: dict):
     return preset, GroupKit(preset.bialgebra), splitting(preset)
 
 
+def _number(value) -> float | None:
+    """A summary number as a float, or None (JSON null) where there is
+    none or it is not finite."""
+    return None if value is None or not math.isfinite(value) else float(value)
+
+
 def _finish(cfg: dict, columns: list, table, summary: dict, failure: str | None) -> int:
     """Write the trajectory table (to the output path, else stdout) and the
-    metadata, report a stopped run on stderr, and return the exit code."""
+    metadata; a stopped run then raises its stop, with the run's warnings."""
     public = _public_config(cfg)
     _emit(cfg, render_csv(public, columns, table))
     if cfg.get("metadata"):
         write_json(cfg["metadata"], public, {"config": public, "summary": summary})
-    if failure is None:
-        return EXIT_OK
-    sys.stderr.write(_error_json("numerical", failure, summary.get("warnings")))
-    return EXIT_NUMERICAL
+    if failure is not None:
+        written = [cfg[key] for key in ("output", "metadata") if cfg.get(key)]
+        raise RunStopped(failure, summary.get("warnings"), written)
+    return EXIT_OK
 
 
 # ---- particle ---------------------------------------------------------------------
@@ -363,13 +384,13 @@ def run_particle(cfg: dict, opts: dict) -> int:
     )
 
     def drift(values):
-        return float(np.max(np.abs(values - values[0]))) if len(values) else None
+        return _number(np.max(np.abs(values - values[0]))) if len(values) else None
 
     summary = {
         "completed": traj.completed,
         "hamiltonian_drift": drift(traj.hams),
         "charge_drift": drift(traj.charges_g),
-        "max_ad_cond": traj.max_ad_cond,
+        "max_ad_cond": _number(traj.max_ad_cond),
         "steps": traj.steps,
     }
     return _finish(cfg, *particle_table(traj), summary, traj.failure)
@@ -409,10 +430,10 @@ def run_field(cfg: dict, opts: dict) -> int:
     recorded = len(traj.times) > 0
     summary = {
         "completed": traj.completed,
-        "hamiltonian_rel_drift": float(
+        "hamiltonian_rel_drift": _number(
             np.max(np.abs(hams - hams[0])) / max(abs(hams[0]), 1e-300)
         ) if recorded else None,
-        "max_duality_gap": float(np.nanmax(traj.duality_gaps)) if recorded else None,
+        "max_duality_gap": _number(np.nanmax(traj.duality_gaps)) if recorded else None,
         "steps": traj.steps,
         "warnings": traj.warnings,
     }
@@ -426,17 +447,17 @@ def run_duality(cfg: dict, opts: dict) -> int:
     """two-description Hamiltonian gap"""
     preset, kit, split = _model(opts)
     state = _field_state(opts, preset, kit, split)
+    if not np.isfinite(state.k).all():
+        raise RunStopped("non-finite state at step 0 (t=0)")
     gap = duality_check(state)
-    report = {
+    return _report(cfg, {
         "preset": preset.name,
         "algebra": preset.bialgebra.g.name,
         "n_cells": state.n_cells,
         "boundary": state.boundary,
         "duality_gap": gap,
         "passed": bool(gap < 1e-9),
-    }
-    _emit(cfg, render_json(_public_config(cfg), report))
-    return EXIT_OK if report["passed"] else EXIT_NUMERICAL
+    })
 
 
 # ---- sweep ------------------------------------------------------------------------
@@ -446,7 +467,8 @@ def run_duality(cfg: dict, opts: dict) -> int:
 _REPLICA_KEYS = ("seed", "output", "metadata")
 
 
-def _sweep_one(command: str, base_cfg: dict, seed: int, output_dir: str) -> dict:
+def _sweep_one(command: str, base_cfg: dict, seed: int, output_dir: str) -> tuple:
+    """(manifest entry, the error that stopped the replica or None)."""
     cfg = dict(base_cfg)
     cfg["seed"] = seed
     stem = f"{command}_seed{seed}"
@@ -455,13 +477,18 @@ def _sweep_one(command: str, base_cfg: dict, seed: int, output_dir: str) -> dict
         cfg["metadata"] = f"{output_dir}/{stem}.json"
     else:
         cfg["output"] = f"{output_dir}/{stem}.json"
-    code = _execute(command, cfg, _checked(command, cfg))
+    files, error = [v for k, v in cfg.items() if k in ("output", "metadata") and v], None
+    try:
+        code = _execute(command, cfg, _checked(command, cfg))
+    except _NUMERICAL_ERRORS as exc:
+        # a stop raised after writing names the files written, a chart error none
+        code, error, files = EXIT_NUMERICAL, exc, getattr(exc, "files", [])
     return {
         "seed": seed,
         "exit_code": code,
         "config_hash": config_hash(_public_config(cfg)),
-        "files": [v for k, v in cfg.items() if k in ("output", "metadata") and v],
-    }
+        "files": files,
+    }, error
 
 
 def run_sweep(cfg: dict, opts: dict) -> int:
@@ -474,20 +501,19 @@ def run_sweep(cfg: dict, opts: dict) -> int:
     _checked(command, base_cfg)
     output_dir = opts["output_dir"]
     # replicas run concurrently and write only their own files; the
-    # manifest is assembled and written once by this (single) writer
+    # manifest is assembled and written once by this (single) writer, and
+    # the replicas' stops are reported once, after it, in seed order
     with ThreadPoolExecutor(max_workers=opts["max_workers"]) as pool:
-        entries = list(
-            pool.map(
-                lambda s: _sweep_one(command, base_cfg, s, output_dir), range(replicas)
-            )
-        )
-    manifest = {
-        "command": command,
-        "replicas": replicas,
-        "base": base,
-        "runs": sorted(entries, key=lambda e: e["seed"]),
-    }
+        runs = list(pool.map(lambda s: _sweep_one(command, base_cfg, s, output_dir),
+                             range(replicas)))
+    entries = [entry for entry, _ in runs]
+    manifest = {"command": command, "replicas": replicas, "base": base, "runs": entries}
     write_json(f"{output_dir}/manifest.json", _public_config(cfg), manifest)
+    stops = [(entry["seed"], error) for entry, error in runs if error is not None]
+    if stops:
+        notes = [note for _, error in stops for note in getattr(error, "warnings", None) or ()]
+        raise RunStopped("; ".join(f"seed {seed}: {error}" for seed, error in stops),
+                         list(dict.fromkeys(notes)))
     worst = max(e["exit_code"] for e in entries)
     return EXIT_OK if worst == EXIT_OK else EXIT_NUMERICAL
 
@@ -497,10 +523,8 @@ def run_sweep(cfg: dict, opts: dict) -> int:
 
 def run_limits(cfg: dict, opts: dict) -> int:
     """limiting-family slope report"""
-    report = limit_slopes(algebra=opts["algebra"], mus=opts["mus"], samples=opts["samples"],
-                          seed=opts["seed"])
-    _emit(cfg, render_json(_public_config(cfg), report))
-    return EXIT_OK if report["passed"] else EXIT_NUMERICAL
+    return _report(cfg, limit_slopes(algebra=opts["algebra"], mus=opts["mus"],
+                                     samples=opts["samples"], seed=opts["seed"]))
 
 
 _RUNNERS = {
@@ -590,8 +614,8 @@ def run(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(_error_json("io", str(exc)))
         return EXIT_CONFIG
-    except (FactorizationError, GraphBlowupError, np.linalg.LinAlgError) as exc:
-        sys.stderr.write(_error_json("numerical", str(exc)))
+    except _NUMERICAL_ERRORS as exc:
+        sys.stderr.write(_error_json("numerical", str(exc), getattr(exc, "warnings", None)))
         return EXIT_NUMERICAL
 
 

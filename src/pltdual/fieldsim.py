@@ -167,10 +167,13 @@ class FieldTrajectory:
     eom_residuals_g: np.ndarray
     eom_residuals_dual: np.ndarray
     final_state: LoopState | None = None  # the state of the last recorded row
-    completed: bool = True
     failure: str | None = None  # the error that stopped an incomplete run
     warnings: list = field(default_factory=list)  # e.g. a time step past the CFL bound
     steps: int = 0  # steps completed; a stopped run does not count the step that failed
+
+    @property
+    def completed(self) -> bool:
+        return self.failure is None
 
 
 def grid_points(n_cells: int, boundary: str = "double-neumann") -> np.ndarray:
@@ -266,20 +269,21 @@ def _x_derivative(f: np.ndarray, dx: float, boundary: str, order: int = 4,
         # a stack of loops: the stencils below act on a view with the nodes first
         moved = _x_derivative(np.moveaxis(f, axis, 0), dx, boundary, order)
         return np.moveaxis(moved, 0, axis)
+    # the centred stencil, on the periodic continuation or the Neumann interior
+    half = order // 2
+    p = f.take(_wrap_index(len(f), half), axis=0) if boundary == "periodic" else f
     if order == 2:
-        if boundary == "periodic":
-            p = f.take(_wrap_index(len(f), 1), axis=0)
-            return (p[2:] - p[:-2]) / (2 * dx)
-        out = np.empty_like(f)
-        out[1:-1] = (f[2:] - f[:-2]) / (2 * dx)
+        centred = (p[2:] - p[:-2]) / (2 * dx)
+    else:
+        centred = (-p[4:] + 8 * p[3:-1] - 8 * p[1:-3] + p[:-4]) / (12 * dx)
+    if boundary == "periodic":
+        return centred
+    out = np.empty_like(f)
+    out[half:-half] = centred
+    if order == 2:
         out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * dx)
         out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * dx)
         return out
-    if boundary == "periodic":
-        p = f.take(_wrap_index(len(f), 2), axis=0)
-        return (-p[4:] + 8 * p[3:-1] - 8 * p[1:-3] + p[:-4]) / (12 * dx)
-    out = np.empty_like(f)
-    out[2:-2] = (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * dx)
     out[0] = np.einsum("s,s...->...", _EDGE_STENCIL, f[:5]) / dx
     out[1] = np.einsum("s,s...->...", _NEAR_STENCIL, f[:5]) / dx
     out[-1] = -np.einsum("s,s...->...", _EDGE_STENCIL, f[-5:][::-1]) / dx
@@ -331,11 +335,6 @@ def step(state: LoopState, dt: float) -> LoopState:
 # ---- diagnostics ----------------------------------------------------------------
 
 
-def _per_state(value: np.ndarray) -> float | np.ndarray:
-    """A float for a single state, the array over the leading axes of a stack."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def _quadrature(values: np.ndarray, dx: float, boundary: str, axis: int = 0):
     """Composite Simpson for the Neumann grid (trapezoid on an odd cell
     count), Riemann sum for periodic, over the node ``axis`` (as in
@@ -350,7 +349,7 @@ def _quadrature(values: np.ndarray, dx: float, boundary: str, axis: int = 0):
             w[1:-1:2], w[2:-1:2], div = 4.0, 2.0, 3.0
         w = w.reshape((-1,) + (1,) * (values.ndim - 1 - axis % values.ndim))
         total = (w * values).sum(axis=axis) * dx / div
-    return total if np.ndim(total) else complex(total)
+    return total
 
 
 def hamiltonian_density(state: LoopState) -> np.ndarray:
@@ -427,8 +426,7 @@ def duality_check(state: LoopState) -> float | np.ndarray:
     hu = _transported_density(state.split, ad_u, ad_uinv, w)
     # dual description: transport by Ad_{t^-1}
     ht = _transported_density(state.split, ad_t, ad_tinv, w)
-    return _per_state(np.abs(hu - ht).max(axis=-1)
-                      + np.maximum(recon_gm.max(axis=-1), recon_mg.max(axis=-1)))
+    return np.abs(hu - ht).max(axis=-1) + np.maximum(recon_gm.max(axis=-1), recon_mg.max(axis=-1))
 
 
 # ---- field-equation residuals ------------------------------------------------
@@ -504,7 +502,7 @@ def _level_residuals(levels: LoopState, i0, i1,
         da_x, db_x = 0.5 * (a_x[i0] + a_x[i1]), 0.5 * (b_x[i0] + b_x[i1])
         lhs = 0.5 * (db_t - db_x) - 0.5 * (da_t + da_x)
         rhs = bracket_coeffs(c_rhs, a_mid, b_mid)
-        return _per_state(np.abs(lhs - rhs)[..., interior, :].max(axis=(-2, -1)))
+        return np.abs(lhs - rhs)[..., interior, :].max(axis=(-2, -1))
 
     bialgebra = split.preset.bialgebra
     res_g = residual(_primal_lightcone_fields(levels, checks=checks), bialgebra.m.c)
@@ -528,8 +526,7 @@ def dressing_relation_residual(state: LoopState) -> float | np.ndarray:
     e_minus, t_plus = _primal_lightcone_fields(state, order=4)
     lhs_p = 0.5 * (s_t + s_x) - t_plus
     lhs_m = 0.5 * (s_t - s_x) - e_minus
-    return _per_state(np.maximum(np.abs(lhs_p).max(axis=(-2, -1)),
-                                 np.abs(lhs_m).max(axis=(-2, -1))))
+    return np.maximum(np.abs(lhs_p).max(axis=(-2, -1)), np.abs(lhs_m).max(axis=(-2, -1)))
 
 
 # ---- symplectic form ------------------------------------------------------------
@@ -709,20 +706,19 @@ def integrate_field(
     if dt > CFL * state.dx + 1e-15:
         notes.append(f"dt = {dt:g} exceeds the CFL bound {CFL:g} * dx = {CFL * state.dx:g}")
     pending = []  # (state, the state one step before or None, step) of the records to pass
-    taken = 0
+    stopped = 0  # the step that stopped the run, if one did
 
     def flush() -> bool:
         """Pass the pending records; False if one fails a chart check."""
-        nonlocal final_state, failure, taken
+        nonlocal final_state, failure, stopped
         block, stop = _record_columns([r[:2] for r in pending], diagnostics)
         passed = pending[:stop[0]] if stop else pending
         for column, values in zip(columns, block):
             column.extend(values[:len(passed)])
         final_state = passed[-1][0] if passed else final_state
         if stop:
-            s, _, at = pending[stop[0]]
-            failure = f"{type(stop[1]).__name__} at step {at} (t={s.time:g}): {stop[1]}"
-            taken = max(at - 1, 0)
+            s, _, stopped = pending[stop[0]]
+            failure = f"{type(stop[1]).__name__} at step {stopped} (t={s.time:g}): {stop[1]}"
         pending.clear()
         return stop is None
 
@@ -740,9 +736,8 @@ def integrate_field(
             if i:
                 prev, state = state, step(state, dt)
             if not np.isfinite(state.k).all():
-                failure, taken = f"non-finite state at step {i} (t={state.time:g})", max(i - 1, 0)
+                failure, stopped = f"non-finite state at step {i} (t={state.time:g})", i
                 break
-            taken = i
             if (i % record_every == 0 or i == n_steps) and not record(state, prev, i):
                 break
         if pending:
@@ -756,8 +751,7 @@ def integrate_field(
         np.array(rgs),
         np.array(rts),
         final_state,
-        failure is None,
         failure,
         notes,
-        taken,
+        n_steps if failure is None else max(stopped - 1, 0),
     )

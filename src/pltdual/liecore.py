@@ -12,7 +12,7 @@ contracted by :func:`bracket_coeffs` and :func:`ad_matrix`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,22 +30,18 @@ class LieAlgebra:
     """A Lie algebra given by structure constants.
 
     ``c[i, j, k]`` is the coefficient of ``e_k`` in ``[e_i, e_j]``.
-    ``labels`` names the basis vectors for reports.
+    ``name`` (keyword only) selects the group realization and heads reports.
     """
 
     c: np.ndarray
-    labels: tuple[str, ...]
-    name: str = ""
+    name: str = field(default="", kw_only=True)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=complex)
         n = c.shape[0]
         if c.shape != (n, n, n):
             raise ValueError(f"structure constants must be cubic, got {c.shape}")
-        if len(self.labels) != n:
-            raise ValueError("label count must match dimension")
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def dim(self) -> int:
@@ -57,7 +53,10 @@ def bracket_coeffs(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     axes of ``x`` and ``y`` broadcast.
 
     The n^2 products x_i y_j times c reshaped to (n^2, n) are one
-    product, about half the cost of the three-operand einsum on 3-vectors.
+    product.  On a single 3-vector it costs about what the three-operand
+    einsum does (2.6 against 2.4 us on a 2-vCPU Xeon, one BLAS thread); on
+    stacks it wins, 7.4 against 19.1 us on shape (64, 3) and 10.6 against
+    32.8 us on (2, 60, 3).
     """
     n = c.shape[0]
     xy = x[..., :, None] * y[..., None, :]

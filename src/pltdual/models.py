@@ -56,19 +56,19 @@ def make_sl2r() -> QuasiBialgebra:
     c[2, 0, 2] = 2.0
     c[1, 2, 0] = 1.0
     c[2, 1, 0] = -1.0
-    g = LieAlgebra(c, ("H", "X+", "X-"), name="sl2r")
+    g = LieAlgebra(c, name="sl2r")
     rho = np.zeros((3, 3), dtype=complex)
     rho[1, 2] = 1.0
     rho[0, 0] = 0.25
-    return QuasiBialgebra(g, rho, name="sl2r")
+    return QuasiBialgebra(g, rho)
 
 
 def make_su2() -> QuasiBialgebra:
-    g = LieAlgebra(_EPS.astype(complex), ("e1", "e2", "e3"), name="su2")
+    g = LieAlgebra(_EPS.astype(complex), name="su2")
     rho = -np.eye(3, dtype=complex)
     rho[0, 1] += 1j
     rho[1, 0] -= 1j
-    return QuasiBialgebra(g, rho, name="su2")
+    return QuasiBialgebra(g, rho)
 
 
 def make_algebra(name: str) -> QuasiBialgebra:

@@ -80,11 +80,14 @@ class ParticleTrajectory:
     hams: np.ndarray
     charges_g: np.ndarray  # conserved dual-valued charge components
     moments: np.ndarray  # moment-map values I_delta over the double basis
-    completed: bool = True  # False if a singularity truncated the run
     failure: str | None = None  # why an incomplete run stopped, with step and t
     # worst chart margin met: the largest cond(Ad_u), None if u(0) is not finite
     max_ad_cond: float | None = 1.0
     steps: int = 0  # steps completed; a stopped run does not count the step that failed
+
+    @property
+    def completed(self) -> bool:
+        return self.failure is None
 
 
 # past this cond(Ad_u), Ad_u and Ad_{u^-1} no longer invert each other
@@ -246,7 +249,6 @@ def integrate_particle(
         hams,
         qg,
         moments,
-        failure is None,
         failure,
         margin,
         n_steps if failure is None else max(i - 1, 0),

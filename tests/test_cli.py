@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pltdual
-from pltdual import cli
+from pltdual import cli, fieldsim
 from pltdual.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, run
 from pltdual.duality import limit_slopes
 from pltdual.models import ALGEBRA_NAMES, PRESET_NAMES
@@ -230,6 +230,8 @@ CONFIG_FILES = {
     "output-int.json": {"output": 2, "T": 0.01},
     "output-bool.json": {"output": True, "T": 0.01},
     "metadata-int.json": {"metadata": 1, "T": 0.01},
+    "list.json": [1, 2],
+    "not-json.json": "{bad",  # written as it is, not as a JSON string
 }
 REPRODUCERS = {
     "record-every-0": (["particle", "--T", "0.01", "--record-every", "0"], EXIT_CONFIG,
@@ -251,6 +253,13 @@ REPRODUCERS = {
     "mus-not-numeric": (["limits", "--mus", "10,abc"], EXIT_CONFIG,
                         "'mus' must be a finite number"),
     "mus-negative": (["limits", "--mus", "-10,100"], EXIT_CONFIG, "'mus' must be positive"),
+    "mus-one-value": (["limits", "--mus", "10"], EXIT_CONFIG, "'mus' needs at least 2 values"),
+    "T-below-one-step": (["particle", "--T", "0.0004"], EXIT_CONFIG,
+                         "T must cover at least one step"),
+    "config-list": (["field", "--config", "{tmp}/list.json"], EXIT_CONFIG,
+                    "config file must hold a JSON object"),
+    "config-not-json": (["field", "--config", "{tmp}/not-json.json"], EXIT_CONFIG,
+                        "config file is not valid JSON"),
     # a repeated abscissa used to reach the slope fit, which warned and fitted one point
     "mus-repeated": (["limits", "--mus", "10,10"], EXIT_CONFIG,
                      "'mus' must not repeat a value, got '10,10'"),
@@ -325,7 +334,7 @@ REPRODUCERS = {
 def test_reproducers_keep_the_exit_contract(capsys, tmp_path, case):
     argv, expected, message = REPRODUCERS[case]
     for name, options in CONFIG_FILES.items():
-        (tmp_path / name).write_text(json.dumps(options))
+        (tmp_path / name).write_text(options if isinstance(options, str) else json.dumps(options))
     code, out, err = run_cli(capsys, *[arg.format(tmp=tmp_path) for arg in argv])
     assert code == expected
     if message is None:
@@ -342,15 +351,24 @@ HUGE_INITIAL_DATA = {
     "particle-u0-log": (["particle", "--u0-log", "1e300,0,0", "--T", "0.003"],
                         "non-finite state at step 0 (t=0)",
                         {"steps": 0, "hamiltonian_drift": None, "charge_drift": None}),
+    # H(0) overflows while (u, p) is finite: row 0 is recorded, its drift is null
     "particle-p0": (["particle", "--p0", "1e300,0,0", "--T", "0.01"],
-                    "non-finite state at step 1 (t=0.001)", {"steps": 0}),
+                    "non-finite state at step 1 (t=0.001)",
+                    {"steps": 0, "hamiltonian_drift": None}),
     "field-amplitude": (["field", "--amplitude", "1e308", "--T", "0.01"],
                         "non-finite state at step 0 (t=0)", {"steps": 0}),
     "field-pointlike-amplitude": (["field", "--pointlike", "--amplitude", "1e300", "--T", "0.01"],
                                   "non-finite state at step 0 (t=0)", {"steps": 0}),
     "duality-amplitude": (["duality", "--amplitude", "1e308"],
-                          "factorization is numerically singular (first at node 0)", None),
+                          "non-finite state at step 0 (t=0)", None),
 }
+
+
+def _strict_json(text: str):
+    """``json.loads`` that rejects the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.mark.filterwarnings(
@@ -371,7 +389,7 @@ def test_huge_initial_data_stops_with_one_error_document(capsys, tmp_path, case)
     if summary is not None:
         rows = (tmp_path / "out.csv").read_text().splitlines()[2:]
         assert (rows == []) is ("step 0" in message)
-        got = json.loads(meta.read_text())["summary"]
+        got = _strict_json(meta.read_text())["summary"]
         assert {key: got[key] for key in summary} == summary
 
 
@@ -379,15 +397,40 @@ def test_huge_initial_data_stops_with_one_error_document(capsys, tmp_path, case)
     "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 def test_sweep_replicas_with_huge_initial_data_stay_quiet(capsys, tmp_path):
     """numpy's warning setting is per thread: each replica of a sweep stops
-    at step 0 with its own error document and no warning."""
+    at step 0 with no warning, and the sweep writes one error document that
+    names both seeds."""
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"command": "field", "replicas": 2, "max_workers": 2,
                                "base": {"amplitude": 1e308, "T": 0.01},
                                "output_dir": str(tmp_path)}))
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert code == EXIT_NUMERICAL
-    assert [json.loads(line)["error"]["message"] for line in err.splitlines()] == [
-        "non-finite state at step 0 (t=0)"] * 2
+    assert json.loads(err) == {"error": {"kind": "numerical", "message": (
+        "seed 0: non-finite state at step 0 (t=0); seed 1: non-finite state at step 0 (t=0)")}}
+
+
+def test_sweep_replica_stop_stops_only_itself(capsys, tmp_path):
+    """A replica whose loop leaves its chart before the report is written
+    gets exit code 3 and no files in the manifest; the other replicas run
+    and write theirs, the manifest is written, and one error document names
+    the failing seed."""
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"command": "duality", "replicas": 3,
+                               "base": {"algebra": "sl2r", "amplitude": 2},
+                               "output_dir": str(tmp_path)}))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == EXIT_NUMERICAL and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "numerical"
+    assert error["message"].startswith("seed 0: sl2r factorization chart: ")
+    assert "seed 1" not in error["message"] and "seed 2" not in error["message"]
+    runs = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+    assert [(r["seed"], r["exit_code"]) for r in runs] == [(0, EXIT_NUMERICAL), (1, EXIT_OK),
+                                                            (2, EXIT_OK)]
+    assert runs[0]["files"] == [] and not (tmp_path / "duality_seed0.json").exists()
+    for r in runs[1:]:
+        assert r["files"] == [f"{tmp_path}/duality_seed{r['seed']}.json"]
+        assert json.loads(Path(r["files"][0]).read_text())["passed"] is True
 
 
 # config_hash of accepted configurations, which artifacts already written
@@ -594,6 +637,30 @@ def test_field_chart_exit_keeps_partial_artifacts(capsys, tmp_path):
     lines = out_csv.read_text().splitlines()
     assert len(lines) == 2 and lines[1].startswith("t,H_total_re")
     assert json.loads(out_meta.read_text())["summary"]["completed"] is False
+
+
+def test_field_stop_at_a_pass_inside_the_step_loop(capsys, tmp_path, monkeypatch):
+    """At N = 256 a pass holds four records, so the first pass runs inside
+    the step loop, after the record at step 30; its first record leaves the
+    chart, and the run stops there: 30 steps taken, exit 3, one document,
+    a CSV with its header and no row, and steps 0 in the metadata."""
+    calls = []
+    step = fieldsim.step
+    monkeypatch.setattr(fieldsim, "step", lambda *args: calls.append(1) or step(*args))
+    out_csv, out_meta = tmp_path / "field.csv", tmp_path / "field.json"
+    code, out, err = run_cli(capsys, "field", "--algebra", "sl2r", "--amplitude", "2",
+                             "--N", "256", "--T", "0.1", "--output", str(out_csv),
+                             "--metadata", str(out_meta))
+    assert len(calls) == 30
+    assert code == EXIT_NUMERICAL and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "numerical"
+    assert error["message"].startswith(
+        "FactorizationError at step 0 (t=0): sl2r factorization chart: ")
+    lines = out_csv.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("t,H_total_re")
+    summary = json.loads(out_meta.read_text())["summary"]
+    assert summary["completed"] is False and summary["steps"] == 0
 
 
 def test_field_pointlike_flag(capsys):

@@ -368,7 +368,7 @@ def test_graph_inverse_of_a_nan_stack_is_a_graph_blowup():
 def _with(preset, g=None, rho=None):
     """The preset on the bialgebra (g, rho), each defaulting to its own."""
     b = preset.bialgebra
-    bialg = QuasiBialgebra(b.g if g is None else g, b.rho if rho is None else rho, b.name)
+    bialg = QuasiBialgebra(b.g if g is None else g, b.rho if rho is None else rho)
     return dataclasses.replace(preset, bialgebra=bialg, rescale=1.0)
 
 
@@ -388,7 +388,7 @@ def _part_doubled(sign):
 def _broken_constants(mp, preset):
     b = preset.bialgebra
     c = np.random.default_rng(5).normal(size=b.g.c.shape)
-    return _with(preset, g=LieAlgebra(c - np.swapaxes(c, 0, 1), b.g.labels, name=b.g.name))
+    return _with(preset, g=LieAlgebra(c - np.swapaxes(c, 0, 1), name=b.g.name))
 
 
 def _ad_g_swapped(mp, preset):

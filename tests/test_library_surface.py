@@ -117,7 +117,8 @@ def test_allowlist_names_existing_functions_without_other_callers():
     defined = _public_definitions()
     stale = [name for name in ALLOWLIST if name not in defined]
     assert not stale, f"allowlisted names that are not defined: {stale}"
-    redundant = [name for name in ALLOWLIST if name in _called()]
+    called = _called()
+    redundant = [name for name in ALLOWLIST if name in called]
     assert not redundant, f"allowlisted names that have a caller: {redundant}"
 
 

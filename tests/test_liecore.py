@@ -22,9 +22,8 @@ def algebra(request):
     return b.g
 
 
-def test_dimensions_and_labels(algebra):
+def test_dimension(algebra):
     assert algebra.dim == 3
-    assert len(algebra.labels) == 3
 
 
 def test_antisymmetry(algebra):
@@ -90,13 +89,14 @@ def test_bilinear_form_pairing(algebra):
 
 
 def test_mismatched_algebras_rejected():
-    """Structure constants that are not cubic, or labels that do not match
-    the dimension, are rejected."""
+    """Structure constants that are not cubic are rejected, and a second
+    positional argument (such as a tuple of basis labels) is a TypeError:
+    the name is keyword-only."""
     c = make_sl2r().g.c
     with pytest.raises(ValueError):
-        LieAlgebra(c[:, :, :2], ("H", "X+", "X-"))
-    with pytest.raises(ValueError):
-        LieAlgebra(c, ("H", "X+"))
+        LieAlgebra(c[:, :, :2])
+    with pytest.raises(TypeError):
+        LieAlgebra(c, ("H", "X+", "X-"))
 
 
 @settings(max_examples=50, deadline=None)

@@ -93,9 +93,9 @@ class ParticleStage(NamedTuple):
     :func:`pltdual.particle.particle_rhs`), with S' = E' + T'."""
 
     # the 16 products u_ab u_cd, flattened over (a, b, c, d), to the rows of
-    # A = [Ad_{u^-1}^T; Ad_u r1], U = 2 Ad_{u^-1} T' + 2 r1 Ad_u^T and B = Ad_u^T
+    # [F | G] A, U = 2 Ad_{u^-1} T' + 2 r1 Ad_u^T and B = Ad_u^T, with
+    # A = [Ad_{u^-1}^T; Ad_u r1] and the constant [F | G] = [D E', D; D S', 2 D]
     blocks: np.ndarray  # 16 x 36
-    fold: np.ndarray  # [F | G] = [D E', D; D S', 2 D], 6 x 6
     bracket: np.ndarray  # 9 x 3, c_ijk of m over (i, k) by j: [w, p]_m = w (bracket p)
 
 
@@ -147,7 +147,7 @@ class SplittingData:
         permutation of u, so the products u_ab (u^-1)_cd of the flavor's
         adjoint-pair map are a signed permutation of the u_ab u_cd, read off
         :func:`~pltdual.groups._vadj` on the unit matrices and folded into
-        the map."""
+        the map, as is [F | G] into the rows of A."""
         c = self.shifted_maps
         units = np.eye(4).reshape(4, 2, 2)
         adj_fold = _entry_products(units[:, None], _vadj(units)[None]).reshape(16, 16)
@@ -155,13 +155,13 @@ class SplittingData:
         pair = (adj_fold @ ad_map).reshape(16, 2, 3, 3)
         a, b = pair[:, 0], pair[:, 1]
         bt = b.transpose(0, 2, 1)
-        blocks = np.concatenate([a.transpose(0, 2, 1), b @ c.r1,
-                                 2.0 * (a @ c.t_shift) + 2.0 * (c.r1 @ bt), bt], axis=1)
         d, s_shift = c.d_inv, c.e_shift + c.t_shift
+        fold = np.block([[d @ c.e_shift, d], [d @ s_shift, 2.0 * d]])
+        rows = fold @ np.concatenate([a.transpose(0, 2, 1), b @ c.r1], axis=1)
+        blocks = np.concatenate([rows, 2.0 * (a @ c.t_shift) + 2.0 * (c.r1 @ bt), bt], axis=1)
         m = self.preset.bialgebra.m.c
         return ParticleStage(
             blocks.reshape(16, 36),
-            np.block([[d @ c.e_shift, d], [d @ s_shift, 2.0 * d]]),
             np.ascontiguousarray(m.transpose(0, 2, 1)).reshape(9, 3),
         )
 
@@ -175,8 +175,10 @@ def splitting(preset: ModelPreset) -> SplittingData:
     kinv = b.kinv_matrix
     lam, mu = preset.lam, preset.mu
     if not preset.is_factorisable():
+        # real parameters print a real value, not "0.000e+00+0.000e+00j"
+        den = preset.split_denominator
         raise SplittingError(
-            f"lam + 1 + 2 mu = {preset.split_denominator:.3e} is degenerate; "
+            f"lam + 1 + 2 mu = {den.real if den.imag == 0 else den:.3e} is degenerate; "
             "the splitting subspaces lose rank"
         )
     e_inv = (lam + 1.0) * rho.T + mu * kinv

@@ -99,7 +99,8 @@ def _vadj(m: np.ndarray) -> np.ndarray:
 
 
 # operands of at most this many entries each keep numpy's @, which beats
-# the broadcast on small stacks such as the particle's (3, 2, 2)
+# the broadcast on small stacks such as the (3, 2, 2) stack of
+# pltdual.particle.conjugate_description_residual
 _VMUL_AT_MOST = 64
 
 
@@ -172,11 +173,15 @@ def expm2(x: np.ndarray) -> np.ndarray:
     sinh(theta)/theta and cosh(theta) are accurate in floating point for
     every nonzero theta, so no series is needed near 0; theta^2 = 0 is
     read as theta = 1e-150, where both round to exactly 1, so a zero or
-    nilpotent x gives exactly 1 + x.
+    nilpotent x gives exactly 1 + x.  That substitution runs only when
+    some theta^2 is zero: the test costs less than the substitution,
+    which would copy theta^2 on every call.
     """
     x = np.asarray(x, dtype=complex)
     theta2 = _theta2(x)
-    theta = np.sqrt(np.where(theta2 == 0, 1e-300, theta2))
+    if np.count_nonzero(theta2) < theta2.size:
+        theta2 = np.where(theta2 == 0, 1e-300, theta2)
+    theta = np.sqrt(theta2)
     out = (np.sinh(theta) / theta)[..., None, None] * x
     c = np.cosh(theta)
     out[..., 0, 0] += c
@@ -196,17 +201,20 @@ def cf4_step(gens, y0: np.ndarray, p0, dt: float):
         y1 = exp(h (-F1 + 2 F2 + 2 F3 + 3 F4) / 12) exp(h (3 F1 + 2 F2 + 2 F3 - F4) / 12) y0:
 
     five exponentials and no dexp^-1, while p takes the classical RK4
-    weights, the abelian part of the same method.  Returns (y1, p1).
+    weights, the abelian part of the same method.  The final pair is one
+    :func:`expm2` call on the stacked generators, which gives each the
+    bits of its own call.  Returns (y1, p1).
     """
     h2 = 0.5 * dt
     a1, k1 = gens(y0, p0)
-    y2 = _vmul(expm2(h2 * a1), y0)
+    half1 = h2 * a1
+    y2 = _vmul(expm2(half1), y0)
     a2, k2 = gens(y2, p0 + h2 * k1)
     a3, k3 = gens(_vmul(expm2(h2 * a2), y0), p0 + h2 * k2)
-    a4, k4 = gens(_vmul(expm2(dt * a3 - h2 * a1), y2), p0 + dt * k3)
-    mid = 2.0 * (a2 + a3)
-    y1 = _vmul(expm2((dt / 12.0) * (3.0 * a4 + mid - a1)),
-               _vmul(expm2((dt / 12.0) * (3.0 * a1 + mid - a4)), y0))
+    a4, k4 = gens(_vmul(expm2(dt * a3 - half1), y2), p0 + dt * k3)
+    ends = np.array([a4, a1])
+    last, first = expm2((dt / 12.0) * (3.0 * ends + 2.0 * (a2 + a3) - ends[::-1]))
+    y1 = _vmul(last, _vmul(first, y0))
     # renormalize the determinant only: the flow is holomorphic in
     # SL(2, C) and need not stay on a compact real form, so a polar
     # projection would alter the dynamics rather than remove roundoff

@@ -19,7 +19,7 @@ with no linear solve.  The pair is linear in the products of the entries
 of u and u^-1 = adj(u), a signed permutation of u, so every matrix of the
 right-hand side is linear in the 16 products u_ab u_cd: a stage reads
 them from one constant map (:attr:`SplittingData.particle_stage`) and
-builds no adjoint pair, in one multiply and seven products; at these
+builds no adjoint pair, in one multiply and six products; at these
 sizes a numpy call costs about the same whatever its operands, so the
 count of calls is the cost.  A trajectory keeps only (t, u, p) per
 record while it steps, and the energy and the charges of all its records
@@ -122,10 +122,11 @@ def particle_rhs(
     the principal limit.  So [z; w'] = [F | G] A p with the constant
     F = [D E'; D S'] and G = [D; 2 D] and A = [a^T; b r1], and the
     velocities are U z and B w' with U = 2 a T' + 2 r1 b^T and B = b^T.
-    adj(u) is a signed permutation of u, so A, U and B are linear in the
-    16 products u_ab u_cd: one gathered multiply and one product with
-    the constant 16x36 map of :attr:`SplittingData.particle_stage` give
-    all three, with no adjoint pair.  The bracket [w, p]_m is w times the
+    adj(u) is a signed permutation of u, so [F | G] A, U and B are linear
+    in the 16 products u_ab u_cd: one gathered multiply and one product
+    with the constant 16x36 map of :attr:`SplittingData.particle_stage`,
+    in which [F | G] is folded, give all three, with no adjoint pair, and
+    [z; w'] is one product with p.  The bracket [w, p]_m is w times the
     structure constants of m contracted with p.  The products are
     ``ndarray.dot``, which skips the matmul gufunc's dispatch and costs
     about half of ``@`` on these sizes.
@@ -133,7 +134,7 @@ def particle_rhs(
     stage = split.particle_stage
     entries = u.ravel()
     blocks = (entries[_LEFT] * entries[_RIGHT]).dot(stage.blocks).reshape(12, 3)
-    zw = stage.fold.dot(blocks[:6].dot(p))
+    zw = blocks[:6].dot(p)
     w = blocks[9:].dot(zw[3:])
     return blocks[6:9].dot(zw[:3]), w.dot(stage.bracket.dot(p).reshape(3, 3)), w
 

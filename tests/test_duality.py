@@ -71,6 +71,18 @@ def test_rank_drop_detected(algebra):
         splitting(make_preset("custom", algebra=algebra, lam=1.0, mu=-1.0 + 1e-12))
 
 
+@pytest.mark.parametrize(("lam", "mu", "shown"), [
+    (1.0, -1.0, "0.000e+00"),
+    (-1.0, 0.0, "0.000e+00"),
+    (-1.0, -0.0, "0.000e+00"),
+    (-1.0 + 1e-9j, 0.0, "0.000e+00+1.000e-09j"),
+])
+def test_degenerate_splitting_prints_a_real_denominator_as_real(lam, mu, shown):
+    with pytest.raises(SplittingError) as err:
+        splitting(make_preset("custom", lam=lam, mu=mu))
+    assert str(err.value).startswith(f"lam + 1 + 2 mu = {shown} is degenerate")
+
+
 @pytest.mark.parametrize("algebra", ["sl2r", "su2"])
 def test_subspaces_reassemble_double(algebra):
     _, _, split = setup(algebra)

@@ -135,6 +135,60 @@ def test_expm2_matches_series_across_theta_without_branch():
     assert np.array_equal(e[zero], np.eye(2) + x[zero])
 
 
+def where_expm2(x: np.ndarray) -> np.ndarray:
+    """The former expm2, which ran the theta^2 = 0 substitution (np.where)
+    on every call."""
+    x = np.asarray(x, dtype=complex)
+    theta2 = _theta2(x)
+    theta = np.sqrt(np.where(theta2 == 0, 1e-300, theta2))
+    out = (np.sinh(theta) / theta)[..., None, None] * x
+    c = np.cosh(theta)
+    out[..., 0, 0] += c
+    out[..., 1, 1] += c
+    return out
+
+
+def _signed_zero_theta2() -> np.ndarray:
+    """Traceless [[d, a], [b, -d]] whose theta^2 has signed-zero parts:
+    +0+0j, -0+0j, +0-0j, -1-0j, 1-0j and -0+1j."""
+    i, mi, mz = complex(0.0, 1.0), complex(0.0, -1.0), complex(-0.0, 0.0)
+    xs = [[[d, a], [b, -d]] for a, b, d in (
+        (0j, 0j, 0j), (0j, mz, 0j), (0j, complex(-0.0, -0.0), mz),
+        (mi, mi, mz), (i, complex(-0.0, -1.0), mz), (mi, complex(-1.0, -0.0), 0j))]
+    return np.array(xs, dtype=complex)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_signed_zero_theta2_cases():
+    x = _signed_zero_theta2()
+    want = [(0.0, False, 0.0, False), (0.0, True, 0.0, False), (0.0, False, 0.0, True),
+            (-1.0, True, 0.0, True), (1.0, False, 0.0, True), (0.0, True, 1.0, False)]
+    for theta2 in (_theta2(x), [_theta2(m) for m in x]):
+        got = [(t.real, bool(np.signbit(t.real)), t.imag, bool(np.signbit(t.imag)))
+               for t in theta2]
+        assert got == want
+
+
+@pytest.mark.parametrize("case", ["ladder", "signed-zeros", "nonzero-ladder"])
+def test_expm2_bits_match_the_where_form(case):
+    """Skipping the theta^2 = 0 substitution when no theta^2 is zero keeps
+    every bit, signs of zeros included, on one matrix and on a stack with
+    and without a zero theta^2."""
+    if case == "ladder":
+        x = _theta2_ladder()
+    elif case == "signed-zeros":
+        x = _signed_zero_theta2()
+    else:
+        x = _theta2_ladder()
+        x = x[_theta2(x) != 0]
+    assert np.array_equal(_bits(expm2(x)), _bits(where_expm2(x)))
+    for m in x:
+        assert np.array_equal(_bits(expm2(m)), _bits(where_expm2(m)))
+
+
 def test_exp_g_lands_in_group(kit):
     rng = np.random.default_rng(1)
     for _ in range(10):

@@ -22,10 +22,12 @@ linear-solve code they replaced.  The
 broadcast 2x2 product ``_vmul`` is compared with
 numpy's ``@`` (and is ``@`` itself on stacks small enough to stay on it),
 the adjugate ``_vadj`` with the inverse on unimodular stacks, the
-closed-form dexp^-1 of the former RKMK4 step with its commutators and
-``cf4_step`` with that RKMK4 step to O(h^5), and the
+closed-form dexp^-1 of the former RKMK4 step with its commutators,
+``cf4_step`` with that RKMK4 step to O(h^5) and, bit for bit, with the
+former CF4 step that made two ``expm2`` calls for its final pair, and the
 graph slices of one stacked product with the per-basis products they
-replaced.  The particle's energy and charges of stacked records, with one
+replaced.  The field step of a stack of loops is each loop's own step, bit
+for bit.  The particle's energy and charges of stacked records, with one
 stacked adjoint pair, are compared with their per-record calls.  Counts
 show that the field step builds its generator map once per splitting,
 that a recorded loop state is factorized once in each order and builds
@@ -59,6 +61,7 @@ from pltdual.groups import (
 )
 from pltdual.liecore import bracket_coeffs
 from pltdual.models import ALGEBRA_NAMES, PRESET_NAMES, make_preset
+from test_groups import _bits, where_expm2
 
 
 @lru_cache(maxsize=None)
@@ -331,6 +334,22 @@ def ref_particle_step(kit, split, u0, p0, a0, dt):
     a_left, a_right = expm2(first) @ expm2(second)
     # integrate_particle renormalized u after each step
     return _vdet_normalize(u1), p1, a_left @ a0[0], a_right @ a0[1]
+
+
+def two_call_cf4_step(gens, y0, p0, dt):
+    """The former cf4_step: the final pair as two expm2 calls, h F1 / 2
+    formed twice, and the exponential that substituted theta^2 = 0 on
+    every call."""
+    h2 = 0.5 * dt
+    a1, k1 = gens(y0, p0)
+    y2 = _vmul(where_expm2(h2 * a1), y0)
+    a2, k2 = gens(y2, p0 + h2 * k1)
+    a3, k3 = gens(_vmul(where_expm2(h2 * a2), y0), p0 + h2 * k2)
+    a4, k4 = gens(_vmul(where_expm2(dt * a3 - h2 * a1), y2), p0 + dt * k3)
+    mid = 2.0 * (a2 + a3)
+    y1 = _vmul(where_expm2((dt / 12.0) * (3.0 * a4 + mid - a1)),
+               _vmul(where_expm2((dt / 12.0) * (3.0 * a1 + mid - a4)), y0))
+    return _vdet_normalize(y1), p0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def ref_graph_maps(kit, split, u):
@@ -623,6 +642,56 @@ def test_field_step_matches_unrolled_stepper(cfg, cfl):
     kl, kr = ref_field_step(state, cfl * state.dx)
     assert rel_err(stepped.kl, kl) < 1e-13
     assert rel_err(stepped.kr, kr) < 1e-13
+
+
+@pytest.mark.parametrize("loops", [1, 3])
+@pytest.mark.parametrize("boundary", ["periodic", "double-neumann"])
+@pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
+def test_field_step_bits_match_the_two_call_stepper(monkeypatch, algebra, boundary, loops):
+    """cf4_step's one expm2 call on the stacked final pair gives the field
+    step, on one loop and on a stack of loops, the bits of the two calls."""
+    kit, split = kit_and_split(algebra)
+    states = [fs.random_smooth_loop(kit, split, 16, boundary=boundary, seed=seed, amplitude=0.3)
+              for seed in range(loops)]
+    k = states[0].k if loops == 1 else np.stack([s.k for s in states])
+    state = fs.LoopState(kit, split, k, boundary, states[0].time)
+    dt = 0.25 * state.dx
+    got = fs.step(state, dt).k
+    monkeypatch.setattr(fs, "cf4_step", two_call_cf4_step)
+    assert np.array_equal(_bits(got), _bits(fs.step(state, dt).k))
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "double-neumann"])
+@pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
+def test_step_of_a_stack_is_that_of_its_loops(algebra, boundary):
+    """fieldsim.step on a stack of loops steps each loop to the bits of its
+    own step (16 cells, three loops), as a replica on a leading axis must
+    to match its standalone run."""
+    kit, split = kit_and_split(algebra)
+    loops = [fs.random_smooth_loop(kit, split, 16, boundary=boundary, seed=seed, amplitude=0.3)
+             for seed in range(3)]
+    dt = 0.25 * loops[0].dx
+    stack = fs.LoopState(kit, split, np.stack([s.k for s in loops]), boundary, np.zeros(3))
+    for _ in range(2):
+        stack = fs.step(stack, dt)
+        loops = [fs.step(s, dt) for s in loops]
+        assert np.array_equal(_bits(stack.k), _bits(np.stack([s.k for s in loops])))
+        assert np.array_equal(stack.time, [s.time for s in loops])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("algebra", ALGEBRA_NAMES)
+def test_particle_step_bits_match_the_two_call_stepper(monkeypatch, algebra, seed):
+    """The same for the particle's step of (u^T, p)."""
+    kit, split = kit_and_split(algebra)
+    rng = np.random.default_rng(seed)
+    u0 = kit.exp_g(rng.normal(size=3) * 0.3 + 1j * rng.normal(size=3) * 0.1)
+    p0 = rng.normal(size=3) * 0.4 + 1j * rng.normal(size=3) * 0.1
+    u1, p1 = pt._rk_mk_step(kit, split, u0, p0, 0.05)
+    monkeypatch.setattr(pt, "cf4_step", two_call_cf4_step)
+    ref_u1, ref_p1 = pt._rk_mk_step(kit, split, u0, p0, 0.05)
+    assert np.array_equal(_bits(u1), _bits(ref_u1))
+    assert np.array_equal(_bits(p1), _bits(ref_p1))
 
 
 @pytest.mark.parametrize("order", [2, 4])

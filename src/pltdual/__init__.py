@@ -13,7 +13,6 @@ from .liecore import (
     LieAlgebra,
     bracket_coeffs,
     jacobi_residual,
-    antisymmetry_residual,
     ad_matrix,
 )
 from .bialgebra import (
@@ -34,7 +33,6 @@ __all__ = [
     "LieAlgebra",
     "bracket_coeffs",
     "jacobi_residual",
-    "antisymmetry_residual",
     "ad_matrix",
     "QuasiBialgebra",
     "DoubleAlgebra",

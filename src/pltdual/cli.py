@@ -45,6 +45,7 @@ from .duality import (
     validation_report,
 )
 from .fieldsim import (
+    BOUNDARIES,
     duality_check,
     init_pointlike,
     integrate_field,
@@ -101,7 +102,7 @@ _OUTPUT = ("path", None, False, "output path (default stdout)")
 _METADATA = ("path", None, False, "metadata JSON output path")
 _SEED = ("int", 0, 0, "random seed (default 0)")
 _T = ("positive", 1.0, None, "time horizon")
-_BOUNDARY = ("choice", "periodic", ("periodic", "double-neumann"), "boundary condition")
+_BOUNDARY = ("choice", "periodic", BOUNDARIES, "boundary condition")
 
 # every option of every command, in the order its values are checked
 _OPTIONS = {
@@ -428,12 +429,14 @@ def run_field(cfg: dict, opts: dict) -> int:
     )
     hams = traj.hamiltonians
     recorded = len(traj.times) > 0
+    # np.nanmax warns on an all-NaN slice; a run with no gap reports null
+    gaps = traj.duality_gaps[~np.isnan(traj.duality_gaps)]
     summary = {
         "completed": traj.completed,
         "hamiltonian_rel_drift": _number(
             np.max(np.abs(hams - hams[0])) / max(abs(hams[0]), 1e-300)
         ) if recorded else None,
-        "max_duality_gap": _number(np.nanmax(traj.duality_gaps)) if recorded else None,
+        "max_duality_gap": _number(gaps.max()) if gaps.size else None,
         "steps": traj.steps,
         "warnings": traj.warnings,
     }

@@ -17,12 +17,19 @@ and k: a stage takes one derivative, one broadcast outer product of the
 entries of k_x and k on each side, and one product with the constant 32x8
 matrix :attr:`SplittingData.generator_map`, built once per splitting.
 
-Diagnostics cover the conserved Hamiltonian 4 H = <(pi_+ - pi_-) w, w>
-with w = k_x k^-1, the moment map I_delta = -1/2 int <w, delta> dx, the
-loop functions f_v and f_d, the two-factorization duality gap, discrete
-residuals of the second-order field equations in both the group and the
-dual-group description, and the loop-space symplectic form with its
-boundary term (gauge-fixed by s(0) = e).
+A double-Neumann run has open ends: the one-sided closures are all that
+treats them, and no boundary condition is imposed, so its initial data
+(whose k_x vanishes at both ends) do not keep k_x = 0 there.  H and f_d
+are then not conserved but change by the fluxes through the two ends,
+dH/dt = -1/4 [<w, w>]_0^pi and df_d/dt = 1/4 [<w, (pi_+ - pi_-) w>]_0^pi;
+a periodic run conserves both.
+
+Diagnostics cover the Hamiltonian 4 H = <(pi_+ - pi_-) w, w> with
+w = k_x k^-1, the moment map I_delta = -1/2 int <w, delta> dx and the loop
+function f_d = -1/4 int <w, w> dx (one kernel, :func:`loop_functions`),
+the two-factorization duality gap, discrete residuals of the second-order
+field equations in both the group and the dual-group description, and the
+loop-space symplectic form with its boundary term (gauge-fixed by s(0) = e).
 
 Like the time step, the diagnostics are array expressions over the node
 axis, which is the axis just before an element's own axes (-4 for chiral
@@ -63,8 +70,6 @@ __all__ = [
     "step",
     "integrate_field",
     "hamiltonian_density",
-    "total_hamiltonian",
-    "moment_map_basis",
     "loop_functions",
     "duality_check",
     "eom_residuals",
@@ -73,7 +78,7 @@ __all__ = [
     "grid_points",
 ]
 
-BOUNDARIES = ("double-neumann", "periodic")
+BOUNDARIES = ("periodic", "double-neumann")
 # the CFL bound on the time step, in units of dx
 CFL = 0.5
 
@@ -359,36 +364,16 @@ def hamiltonian_density(state: LoopState) -> np.ndarray:
     return 0.25 * np.einsum("...i,...i->...", pw, w)
 
 
-def total_hamiltonian(state: LoopState) -> complex | np.ndarray:
-    return _quadrature(hamiltonian_density(state), state.dx, state.boundary, axis=-1)
-
-
-def moment_map_basis(state: LoopState) -> np.ndarray:
-    """I_delta = -1/2 int <k_x k^-1, delta> dx for every double basis
-    vector delta at once."""
-    vals = -0.5 * (state.tangent @ state.split.pairing)
-    return _quadrature(vals, state.dx, state.boundary, axis=-2)
-
-
-def loop_functions(state: LoopState, v: np.ndarray | None = None) -> tuple[complex, complex]:
-    """(f_v, f_d): f_v = -1/2 int <w, v> dx and f_d = -1/4 int <w, w> dx.
-
-    ``v`` is a (..., nodes, 2n) coefficient field; it must vanish at the
-    ends of a double-Neumann run.
-    """
-    w = state.tangent
-    p = state.split.pairing
-    if v is None:
-        f_v = 0.0 + 0.0j
-    else:
-        v = np.asarray(v, dtype=complex)
-        if state.boundary == "double-neumann" and np.abs(v[..., [0, -1], :]).max() > 1e-12:
-            raise ValueError("loop direction v must vanish at the endpoints")
-        f_v = _quadrature(-0.5 * np.einsum("...i,ij,...j->...", w, p, v), state.dx,
-                          state.boundary, axis=-1)
-    f_d = _quadrature(-0.25 * np.einsum("...i,ij,...j->...", w, p, w), state.dx,
-                      state.boundary, axis=-1)
-    return f_v, f_d
+def loop_functions(state: LoopState) -> tuple:
+    """(H, I_delta, f_d) with w = k_x k^-1: the energy H = int of
+    :func:`hamiltonian_density`, the moment map I_delta = -1/2 int <w, delta> dx
+    for every double basis vector delta at once, and the loop function
+    f_d = -1/4 int <w, w> dx."""
+    w, pairing, dx, boundary = state.tangent, state.split.pairing, state.dx, state.boundary
+    return (_quadrature(hamiltonian_density(state), dx, boundary, axis=-1),
+            _quadrature(-0.5 * (w @ pairing), dx, boundary, axis=-2),
+            _quadrature(-0.25 * np.einsum("...i,ij,...j->...", w, pairing, w), dx, boundary,
+                        axis=-1))
 
 
 # ---- factorizations and duality --------------------------------------------------
@@ -634,8 +619,7 @@ def _record_columns(records: list, diagnostics: bool) -> tuple:
                                mg_factors=_factors(states, "mg", checks[1]))
         shared += ("gm_factors", "mg_factors")
     recorded = _substack(states, slice(n_records), shared)
-    columns = [recorded.time, total_hamiltonian(recorded), moment_map_basis(recorded),
-               loop_functions(recorded)[1]]
+    columns = [recorded.time, *loop_functions(recorded)]
     gap, res_g, res_t = np.full((3, n_records), np.nan)
     if not diagnostics:
         return columns + [gap, res_g, res_t], None

@@ -261,12 +261,12 @@ _REALIZATIONS = {"su2": _realize(_SU2_BASIS), "sl2r": _realize(_SL2R_BASIS)}
 
 
 def _realization(name: str) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
-    """The flavor ("su2" or "sl2r") of the algebra ``name``, with its basis,
-    decomposition and adjoint-pair product map, built once per flavor."""
-    for flavor, realization in _REALIZATIONS.items():
-        if name.startswith(flavor):
-            return (flavor, *realization)
-    raise ValueError(f"no matrix realization for algebra '{name}'")
+    """The flavor of the algebra ``name``, the name itself ("su2" or "sl2r"),
+    with its basis, decomposition and adjoint-pair product map, built once
+    per flavor."""
+    if name not in _REALIZATIONS:
+        raise ValueError(f"no matrix realization for algebra '{name}'")
+    return (name, *_REALIZATIONS[name])
 
 
 class GroupKit:

@@ -20,7 +20,6 @@ __all__ = [
     "LieAlgebra",
     "bracket_coeffs",
     "jacobi_residual",
-    "antisymmetry_residual",
     "ad_matrix",
 ]
 
@@ -79,10 +78,6 @@ def ad_matrix(algebra: LieAlgebra, x: np.ndarray) -> np.ndarray:
     """Matrix A of ad_x with A[m, k] = coefficient of e_m in [x, e_k]."""
     # [x, e_k] = sum_i x_i c[i, k, m] e_m
     return np.einsum("i,ikm->mk", np.asarray(x, dtype=complex), algebra.c)
-
-
-def antisymmetry_residual(algebra: LieAlgebra) -> float:
-    return float(np.max(np.abs(algebra.c + np.swapaxes(algebra.c, 0, 1))))
 
 
 def jacobi_residual(algebra: LieAlgebra) -> float:

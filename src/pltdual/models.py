@@ -30,8 +30,6 @@ __all__ = [
     "ALGEBRA_NAMES",
 ]
 
-ALGEBRA_NAMES = ("sl2r", "su2")
-
 # the Levi-Civita symbol eps_ijk
 _EPS = np.fromfunction(lambda i, j, k: (i - j) * (j - k) * (k - i) / 2.0, (3, 3, 3))
 
@@ -71,12 +69,14 @@ def make_su2() -> QuasiBialgebra:
     return QuasiBialgebra(g, rho)
 
 
+_ALGEBRAS = {"sl2r": make_sl2r, "su2": make_su2}
+ALGEBRA_NAMES = tuple(_ALGEBRAS)
+
+
 def make_algebra(name: str) -> QuasiBialgebra:
-    if name == "sl2r":
-        return make_sl2r()
-    if name == "su2":
-        return make_su2()
-    raise ValueError(f"unknown algebra '{name}' (choose from {ALGEBRA_NAMES})")
+    if name not in _ALGEBRAS:
+        raise ValueError(f"unknown algebra '{name}' (choose from {ALGEBRA_NAMES})")
+    return _ALGEBRAS[name]()
 
 
 @dataclass
@@ -96,8 +96,6 @@ class ModelPreset:
     rescale: complex = 1.0
 
     def __post_init__(self):
-        if abs(self.rescale) < 1e-300:
-            raise ValueError("rescale factor must be nonzero")
         if self.rescale != 1.0:
             self.bialgebra = self.bialgebra.rescaled(self.rescale)
 
@@ -129,8 +127,11 @@ def make_preset(
     mu_ = complex(mu_default if mu is None else mu)
     rescale: complex = 1.0
     if name == "principal-limit":
-        if abs(mu_) < 1e-300:
+        if mu_ == 0:
             raise ValueError("principal-limit preset needs a nonzero mu")
+        if not 1e-300 <= abs(mu_) <= 1e300:
+            raise ValueError("principal-limit preset needs 1e-300 <= |mu| <= 1e300 (r is "
+                             f"rescaled by 1/mu), got |mu| = {abs(mu_):.3g}")
         rescale = 1.0 / mu_
     if lam is not None and not takes_lam:
         takers = " and ".join(n for n, row in _PRESETS.items() if row[2])

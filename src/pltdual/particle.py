@@ -59,7 +59,6 @@ from .models import ModelPreset
 __all__ = [
     "ParticleTrajectory",
     "particle_rhs",
-    "particle_hamiltonian",
     "particle_charges",
     "integrate_particle",
     "point_phase_matrices",
@@ -139,40 +138,28 @@ def particle_rhs(
     return blocks[6:9].dot(zw[:3]), w.dot(stage.bracket.dot(p).reshape(3, 3)), w
 
 
-def particle_hamiltonian(
-    kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray, pair=None
-) -> complex | np.ndarray:
-    """H = < x, E_u^-1 p > / 2 = < s, (E_e^-1 - T_e^-1)^-1 s > / 2 with
-    s = Ad_u E_u^-1 p = (E_e^-1 - r1) Ad_{u^-1}^T p + Ad_u r1 p.
-
-    u (..., 2, 2) and p (..., 3) may stack records over leading axes, and
-    H then has those axes; ``pair`` is (Ad_{u^-1}, Ad_u) of the same
-    stack when the caller holds it.
-    """
-    a, b = kit.ad_g(u) if pair is None else pair
-    c = split.shifted_maps
-    s = (np.einsum("...ji,...j->...i", a, p) @ c.e_shift.T
-         + np.einsum("...ij,...j->...i", b, p @ c.r1.T))
-    return 0.5 * np.sum((s @ c.d_inv.T) * s, axis=-1)
-
-
 def particle_charges(
-    kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray, pair=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Q_G, Q_M, I_delta): projections of u p u^-1 and the moment map.
+    kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """(H, Q_G, Q_M, I_delta): the energy, the projections of u p u^-1 and
+    the moment map, from one adjoint pair (Ad_{u^-1}, Ad_u).
 
     In the chiral pair Ad_u acts on both factors by the 3x3 Ad_u, so
-    u p u^-1 = (r1 Q_G - Ad_u r1 p) (+) Q_G with the coadjoint
-    Q_G = Ad_{u^-1}^T p.  u and p may stack records over leading axes, as
-    in :func:`particle_hamiltonian`, and ``pair`` is (Ad_{u^-1}, Ad_u) of
-    the same stack when the caller holds it.
+    u p u^-1 = Q_M (+) Q_G with the coadjoint Q_G = Ad_{u^-1}^T p and
+    Q_M = r1 Q_G - y, y = Ad_u r1 p.  H = < x, E_u^-1 p > / 2
+    = < s, (E_e^-1 - T_e^-1)^-1 s > / 2 with s = Ad_u E_u^-1 p = E' Q_G + y.
+    u (..., 2, 2) and p (..., 3) may stack records over leading axes, and
+    every value then has those axes.
     """
-    a, b = kit.ad_g(u) if pair is None else pair
-    r1t = split.shifted_maps.r1.T
+    a, b = kit.ad_g(u)
+    c = split.shifted_maps
+    r1t = c.r1.T
     qg = np.einsum("...ji,...j->...i", a, p)
-    qm = qg @ r1t - np.einsum("...ij,...j->...i", b, p @ r1t)
+    y = np.einsum("...ij,...j->...i", b, p @ r1t)
+    s = qg @ c.e_shift.T + y
+    qm = qg @ r1t - y
     moments = -0.5 * (np.concatenate([qm, qg], axis=-1) @ split.pairing.T)
-    return qg, qm, moments
+    return 0.5 * np.sum((s @ c.d_inv.T) * s, axis=-1), qg, qm, moments
 
 
 def _rk_mk_step(kit: GroupKit, split: SplittingData, u: np.ndarray, p: np.ndarray, dt: float
@@ -239,9 +226,7 @@ def integrate_particle(
                 ps.append(p)
         us = np.array(us, dtype=complex).reshape((len(us),) + u.shape)
         ps = np.array(ps, dtype=complex).reshape((len(ps),) + p.shape)
-        pair = kit.ad_g(us)
-        qg, _, moments = particle_charges(kit, split, us, ps, pair)
-        hams = particle_hamiltonian(kit, split, us, ps, pair)
+        hams, qg, _, moments = particle_charges(kit, split, us, ps)
         margin = None if worst_u is None else _ad_cond(worst_u)
     return ParticleTrajectory(
         np.array(times),

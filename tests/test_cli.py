@@ -322,6 +322,14 @@ REPRODUCERS = {
         [command, "--preset", "principal-limit", "--mu", "0"], EXIT_CONFIG,
         "principal-limit preset needs a nonzero mu") for command in ("validate", "particle",
                                                                      "duality")},
+    "validate-principal-limit-mu-tiny": (
+        ["validate", "--preset", "principal-limit", "--mu", "1e-300"], EXIT_CONFIG,
+        "splitting subspaces are numerically degenerate"),
+    # 1/mu underflows; the message used to speak of the rescale factor, not of mu
+    "validate-principal-limit-mu-huge": (
+        ["validate", "--preset", "principal-limit", "--mu", "1e301"], EXIT_CONFIG,
+        "principal-limit preset needs 1e-300 <= |mu| <= 1e300 (r is rescaled by 1/mu), "
+        "got |mu| = 1e+301"),
     # a lam that the preset ignores would still change the config hash
     **{f"validate-{preset}-lam": (
         ["validate", "--preset", preset, "--lam", "0.5"], EXIT_CONFIG,
@@ -359,6 +367,12 @@ HUGE_INITIAL_DATA = {
                         "non-finite state at step 0 (t=0)", {"steps": 0}),
     "field-pointlike-amplitude": (["field", "--pointlike", "--amplitude", "1e300", "--T", "0.01"],
                                   "non-finite state at step 0 (t=0)", {"steps": 0}),
+    # every recorded duality gap is NaN, so no gap is reported
+    "field-principal-limit-mu": (["field", "--preset", "principal-limit", "--mu", "1e180",
+                                  "--T", "0.01"],
+                                 "non-finite state at step 1 (t=0.0025)",
+                                 {"steps": 0, "max_duality_gap": None,
+                                  "hamiltonian_rel_drift": None}),
     "duality-amplitude": (["duality", "--amplitude", "1e308"],
                           "non-finite state at step 0 (t=0)", None),
 }

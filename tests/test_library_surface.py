@@ -2,9 +2,10 @@
 
 Every public function, and every public method of a public class, of
 ``src/pltdual`` must have a caller in the library, the demos or the
-benchmark harness, be exported from ``pltdual/__init__.py``, or be a paper
-result on the allowlist below, which the tests check against the paper or
-against independent oracles.
+benchmark harness, or be a paper result on the allowlist below, which the
+tests check against the paper or against independent oracles.  An export
+from ``pltdual/__init__.py`` is held to the same rule: the export list
+itself does not count as a caller.
 A function counts as called by a name, an attribute or a string equal to
 its name (the benchmark tracer wraps functions by name); a method only by
 an attribute.  An attribute of a module imported from outside the package
@@ -13,8 +14,6 @@ an attribute.  An attribute of a module imported from outside the package
 
 import ast
 from pathlib import Path
-
-import pltdual
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pltdual"
@@ -34,6 +33,7 @@ ALLOWLIST = {
     "conjugate_description_residual": "the particle's equivalence with the loop flow",
     "riccati_h": "the closed-form Riccati reduction of the pure-qt flow",
     "pure_qt_reduced_solution": "the closed-form reduced (h, x, y) pure-qt flow",
+    "cobracket_matrix": "the paper's cobracket delta(xi), the oracle for QuasiBialgebra.cobracket",
 }
 
 
@@ -99,11 +99,10 @@ def _references() -> tuple[set, set]:
 
 
 def _called() -> set:
-    """The public definitions that the caller trees or the package exports use."""
+    """The public definitions that the caller trees use."""
     names, attributes = _references()
-    exported = set(pltdual.__all__)
     return {name for name, (_, is_method) in _public_definitions().items()
-            if name in exported or name in (attributes if is_method else names)}
+            if name in (attributes if is_method else names)}
 
 
 def test_every_public_function_has_a_caller_outside_the_tests():

@@ -3,6 +3,11 @@
 import numpy as np
 import pytest
 
+from pltdual.bialgebra import QuasiBialgebra
+from pltdual.duality import graph_at, splitting
+from pltdual.fieldsim import LoopState
+from pltdual.groups import GroupKit
+from pltdual.liecore import LieAlgebra
 from pltdual.models import (
     ALGEBRA_NAMES,
     PRESET_NAMES,
@@ -178,3 +183,36 @@ def test_preset_parameter_table(name, kwargs, expected):
     p = make_preset(name, **kwargs)
     assert isinstance(p.lam, complex) and isinstance(p.mu, complex)
     assert (p.lam, p.mu, p.rescale) == expected
+
+
+def _kit_and_split(algebra="su2", **kw):
+    preset = make_preset("modified-principal", algebra=algebra, **kw)
+    return GroupKit(preset.bialgebra), splitting(preset)
+
+
+# a library call with invalid input and the start of its error text
+_REJECTED = {
+    "r-matrix-shape": (lambda: QuasiBialgebra(make_su2().g, np.eye(2)),
+                       "r-matrix has wrong shape"),
+    "unknown-boundary": (lambda: LoopState(*_kit_and_split(), np.eye(2)[None, None], "dirichlet"),
+                         "unknown boundary condition 'dirichlet'"),
+    "unknown-graph-route": (lambda: graph_at(*_kit_and_split(), np.eye(2), route="direct"),
+                            "unknown graph route 'direct'"),
+    # the realization is looked up by the exact algebra name
+    "no-realization": (lambda: GroupKit(QuasiBialgebra(LieAlgebra(make_su2().g.c, name="su2x"),
+                                                       make_su2().rho)),
+                       "no matrix realization for algebra 'su2x'"),
+    "dual-scale-completely-real": (lambda: _kit_and_split(completely_real=True)[0].dual_scale,
+                                   "vector coordinates need a real positive r-rescale"),
+    "vector-coordinates-on-sl2r": (
+        lambda: _kit_and_split("sl2r")[0].su2star_from_vector(np.zeros(3)),
+        "vector coordinates exist for the su2 dual only"),
+}
+
+
+@pytest.mark.parametrize("case", _REJECTED)
+def test_library_rejects_invalid_input(case):
+    call, message = _REJECTED[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value).startswith(message)

@@ -16,7 +16,6 @@ from pltdual.particle import (
     conjugate_description_residual,
     integrate_particle,
     particle_charges,
-    particle_hamiltonian,
     particle_rhs,
     point_phase_matrices,
     poisson_matrix,
@@ -286,10 +285,10 @@ def test_dual_charge_conserved_on_invariant_splitting():
     p0 = rng.normal(size=3) * 0.4
     times = np.linspace(0, 1.0, 6)
     state_u, state_p = u0, p0.astype(complex)
-    qm0 = particle_charges(kit, split, u0, p0)[1]
+    qm0 = particle_charges(kit, split, u0, p0)[2]
     traj = integrate_particle(kit, split, u0, p0, 1e-3, 1000, record_every=200)
     for j in range(len(traj.times)):
-        qm = particle_charges(kit, split, traj.us[j], traj.ps[j])[1]
+        qm = particle_charges(kit, split, traj.us[j], traj.ps[j])[2]
         assert np.max(np.abs(qm - qm0)) < 1e-10
 
 
@@ -301,7 +300,7 @@ def test_charges_match_dressing_derivative():
     rng = np.random.default_rng(8)
     u = kit.exp_g(rng.normal(size=3) * 0.4)
     p = -1j * rng.normal(size=3)  # dual real form stays factorizable
-    qg, qm, _ = particle_charges(kit, split, u, p)
+    _, qg, qm, _ = particle_charges(kit, split, u, p)
     uinv = np.linalg.inv(u)
     eps = 1e-6
 
@@ -321,7 +320,7 @@ def test_moments_are_pairing_of_charges():
     rng = np.random.default_rng(9)
     u = kit.exp_g(rng.normal(size=3) * 0.4)
     p = rng.normal(size=3).astype(complex)
-    qg, qm, mom = particle_charges(kit, split, u, p)
+    _, qg, qm, mom = particle_charges(kit, split, u, p)
     # I_delta = -1/2 <Ad_u (0 (+) p), delta>: pairing swaps the blocks
     assert np.max(np.abs(mom[:3] + 0.5 * qg)) < 1e-13
     assert np.max(np.abs(mom[3:] + 0.5 * qm)) < 1e-13
@@ -367,14 +366,14 @@ def test_hamiltonian_flow_identity():
     for j in range(3):
         dp = np.eye(3)[j]
         grad[j] = (
-            particle_hamiltonian(kit, split, u, p + eps * dp)
-            - particle_hamiltonian(kit, split, u, p - eps * dp)
+            particle_charges(kit, split, u, p + eps * dp)[0]
+            - particle_charges(kit, split, u, p - eps * dp)[0]
         ) / (2 * eps)
     for j in range(3):
         dxi = kit.mat(np.eye(3)[j])
         grad[3 + j] = (
-            particle_hamiltonian(kit, split, u @ expm2(eps * dxi), p)
-            - particle_hamiltonian(kit, split, u @ expm2(-eps * dxi), p)
+            particle_charges(kit, split, u @ expm2(eps * dxi), p)[0]
+            - particle_charges(kit, split, u @ expm2(-eps * dxi), p)[0]
         ) / (2 * eps)
     assert np.max(np.abs(m @ flow - 2.0 * grad)) < 1e-6
 
@@ -391,7 +390,7 @@ def test_moment_map_generates_left_translations():
     eps = 1e-6
 
     def moments(u_, p_):
-        return particle_charges(kit, split, u_, p_)[2]
+        return particle_charges(kit, split, u_, p_)[3]
 
     for i in range(3):
         xi_mat = kit.mat(np.eye(3)[i])
@@ -473,8 +472,7 @@ def test_stopped_run_keeps_its_records_and_their_invariants():
     assert len(traj.times) == len(traj.us) == len(traj.hams) == 32
     for j in range(32):
         u, p = traj.us[j], traj.ps[j]
-        h = particle_hamiltonian(kit, split, u, p)
-        qg, _, moments = particle_charges(kit, split, u, p)
+        h, qg, _, moments = particle_charges(kit, split, u, p)
         assert abs(traj.hams[j] - h) <= 1e-13 * abs(h)
         assert np.abs(traj.charges_g[j] - qg).max() <= 1e-13 * np.abs(qg).max()
         assert np.abs(traj.moments[j] - moments).max() <= 1e-13 * np.abs(moments).max()
